@@ -27,12 +27,13 @@ from .core import encode_stream
 from .harness import (
     FailurePlan,
     measure_overhead,
-    outputs_match,
     parse_failure_spec,
     random_failure_plan,
     run_simulation,
     sweep_failures,
+    verify,
 )
+from .metrics import DeliveryLedger
 from .recovery import UnrecoverableFailure
 
 EXIT_OK = 0
@@ -108,7 +109,9 @@ def _resolve_plan(args: argparse.Namespace, config: JobConfig) -> FailurePlan | 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     plan = _resolve_plan(args, config)
-    result = run_simulation(config, plan)
+    result = run_simulation(
+        config, plan, ledger=DeliveryLedger() if args.verify else None
+    )
     m = result.metrics
     n_out = sum(len(r) for r in result.outputs.values())
     print(
@@ -139,15 +142,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.save_config:
         args.save_config.write_text(config.to_text())
     if args.verify:
-        reference = run_simulation(config)
-        problems = outputs_match(
-            reference.outputs, result.outputs, config.benchmark
-        )
-        if result.steps_run != reference.steps_run:
-            problems.append(
-                f"ran {result.steps_run} steps, fault-free reference ran "
-                f"{reference.steps_run}"
-            )
+        reference = run_simulation(config, ledger=DeliveryLedger())
+        problems = verify(result, reference, config, plan)
         if problems:
             for problem in problems:
                 print(f"VERIFY FAILED: {problem}", file=sys.stderr)
@@ -227,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--save-config", type=Path, help="write the resolved config here")
     run.add_argument(
         "--verify", action="store_true",
-        help="also run fault-free and require matching outputs",
+        help="also run fault-free and require matching outputs, steps, "
+        "recoveries and (for one failure) exactly-once re-delivery",
     )
     run.set_defaults(func=cmd_run)
 

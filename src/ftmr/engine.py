@@ -222,7 +222,7 @@ def ingest(source: RecordSource, p: int, group_size: int = 1) -> ClusterState:
     return state
 
 
-def map_phase(state: ClusterState, map_fn: MapFn, step: StepId, metrics: Metrics) -> None:
+def map_phase(state: ClusterState, map_fn: MapFn, step: StepId) -> None:
     """Apply the map function on every live PE, filling outbound buffers."""
     for i in sorted(state.live):
         pe = state.pes[i]
@@ -233,7 +233,6 @@ def map_phase(state: ClusterState, map_fn: MapFn, step: StepId, metrics: Metrics
             except Exception as exc:  # noqa: BLE001 - rewrap with context
                 raise JobError(i, step, f"map of record {idx}", exc) from exc
             out.extend(produced)
-            metrics.map_calls += 1
         pe.outbound = out
         pe.current_records = []
 
@@ -245,7 +244,7 @@ def shuffle(
     is_recovery_point: bool,
     backup_mode: BackupMode,
     metrics: Metrics,
-    ledger: DeliveryLedger,
+    ledger: DeliveryLedger | None = None,
 ) -> None:
     """Route outbound records to their hash-range owners.
 
@@ -253,37 +252,37 @@ def shuffle(
     internal traffic when the step is a recovery point, and tallies the
     traffic volumes.  Delivery order is canonical: ascending sender, then
     emission order, which is what the reduce value order relies on.
+    Every delivery is noted in ``ledger`` when one is given.
     """
     sm = metrics.step_metrics(step)
     pm = state.pm
     group_of = state.group_of
     group_map = state.group_map()
     fault_tolerant = backup_mode is not BackupMode.OFF
-    hashes: dict[bytes, int] = {}
+    # the partition map is fixed within a shuffle: one lookup per key
+    owners: dict[bytes, PeId] = {}
     # per sender: dst -> payload, and the unit-internal slice of it
     unit_self: dict[PeId, list] = {}
+    records = network_bytes = self_bytes = 0
 
     for src in sorted(state.live):
         pe = state.pes[src]
         payloads: dict[PeId, list[Record]] = {}
         internal: list = []
         src_gid = group_of[src]
+        records += len(pe.outbound)
         for rec in pe.outbound:
-            h = hashes.get(rec.key)
-            if h is None:
-                h = hash_key(rec.key)
-                hashes[rec.key] = h
-            dst = pm.owner_of(h)
+            key = rec.key
+            dst = owners.get(key)
+            if dst is None:
+                dst = owners[key] = pm.owner_of(hash_key(key))
             payload = payloads.setdefault(dst, [])
             seq = len(payload)
             payload.append(rec)
-            size = rec.size
-            sm.records += 1
-            metrics.note_record(rec)
             if dst != src:
-                sm.network_bytes += size
+                network_bytes += rec.size
             if group_of[dst] == src_gid:
-                sm.self_bytes += size
+                self_bytes += rec.size
                 internal.append((src, dst, seq, rec))
         pe.outbound = []
         if fault_tolerant:
@@ -291,10 +290,16 @@ def shuffle(
         unit_self[src] = internal
         # canonical delivery: ascending destination within this sender
         for dst in sorted(payloads):
-            inbox = state.pes[dst].inbox
-            for seq, rec in enumerate(payloads[dst]):
-                inbox.append((src, seq, rec))
-                ledger.note(step, dst, ORIGINAL, rec)
+            payload = payloads[dst]
+            state.pes[dst].inbox.extend(
+                [(src, seq, rec) for seq, rec in enumerate(payload)]
+            )
+            if ledger is not None:
+                for rec in payload:
+                    ledger.note(step, dst, ORIGINAL, rec)
+    sm.records += records
+    sm.network_bytes += network_bytes
+    sm.self_bytes += self_bytes
 
     if is_recovery_point and fault_tolerant:
         manifest = state.step_history[step].backup_manifest
@@ -340,7 +345,6 @@ def reduce_phase(
     reduce_fn: ReduceFn,
     step: StepId,
     counter_fn: CounterFn | None,
-    metrics: Metrics,
 ) -> int:
     """Reduce every key group on its owner; returns the global aggregate."""
     aggregate = 0
@@ -354,7 +358,6 @@ def reduce_phase(
                     aggregate += counter_fn(key, values)
             except Exception as exc:  # noqa: BLE001
                 raise JobError(i, step, f"reduce of key {key!r}", exc) from exc
-            metrics.reduce_calls += 1
         pe.inbox = []
         pe.current_records = out
     return aggregate
@@ -388,7 +391,8 @@ def gc_logs(state: ClusterState, completed_step: StepId) -> None:
 class JobResult:
     outputs: dict[PeId, list[Record]]
     metrics: Metrics
-    ledger: DeliveryLedger
+    # only when run_job was given one; verification is opt-in
+    ledger: DeliveryLedger | None
     steps_run: int
 
 
@@ -408,10 +412,12 @@ def run_job(
     """Run a job to completion, injecting failures at shuffle barriers.
 
     The simulator executes PEs sequentially in PE order, which makes runs
-    with equal seeds, plans, and failure plans byte-identical.
+    with equal seeds, plans, and failure plans byte-identical.  Pass a
+    :class:`DeliveryLedger` to record every delivery for an exactly-once
+    check; without one the run notes nothing and ``result.ledger`` is
+    ``None``.
     """
     metrics = metrics if metrics is not None else Metrics()
-    ledger = ledger if ledger is not None else DeliveryLedger()
     is_rp = recovery_point_schedule(recovery_point_interval)
     state = ingest(job.source, p, group_size)
     if p == 1 and backup_mode is not BackupMode.OFF:
@@ -438,7 +444,7 @@ def run_job(
             pm=state.pm,
             live=frozenset(state.live),
         )
-        map_phase(state, spec.map_fn, index, metrics)
+        map_phase(state, spec.map_fn, index)
         shuffle(
             state,
             index,
@@ -457,7 +463,7 @@ def run_job(
                 ledger=ledger,
                 single_recoverer=single_recoverer,
             )
-        prev_aggregate = reduce_phase(state, spec.reduce_fn, index, spec.counter_fn, metrics)
+        prev_aggregate = reduce_phase(state, spec.reduce_fn, index, spec.counter_fn)
         gc_logs(state, index)
         steps_run = index
 

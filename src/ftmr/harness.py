@@ -3,10 +3,13 @@
 Everything here drives :func:`ftmr.engine.run_job` from a
 :class:`ftmr.config.JobConfig` and checks the results:
 
-* :func:`run_simulation` -- one run, optionally with injected failures;
+* :func:`run_simulation` -- one run, optionally with injected failures
+  and a delivery ledger;
+* :func:`verify` -- the checks of one run against a fault-free
+  reference: outputs, step count, recoveries, and for a single failure
+  exactly-once re-delivery;
 * :func:`sweep_failures` -- a fault-free reference run, then one faulty
-  run per (step, failure unit) pair, each verified for output equality
-  and exactly-once re-delivery against the reference;
+  run per (step, failure unit) pair, each passed through :func:`verify`;
 * :func:`measure_overhead` -- a uniform random workload that compares
   backup traffic against shuffle traffic; with ``p`` PEs and backup on,
   the expected ratio is ``1/(p-1)``.
@@ -146,7 +149,8 @@ class SimulationResult:
     config: JobConfig
     outputs: dict[PeId, list[Record]]
     metrics: Metrics
-    ledger: DeliveryLedger
+    # only when run_simulation was given one
+    ledger: DeliveryLedger | None
     steps_run: int
     elapsed: float
 
@@ -155,8 +159,12 @@ class SimulationResult:
 
 
 def run_simulation(
-    config: JobConfig, plan: FailurePlan | None = None
+    config: JobConfig,
+    plan: FailurePlan | None = None,
+    *,
+    ledger: DeliveryLedger | None = None,
 ) -> SimulationResult:
+    """Run ``config`` once; ``ledger`` is handed to :func:`run_job`."""
     config.validate()
     if plan is not None:
         for event in plan.events:
@@ -172,6 +180,7 @@ def run_simulation(
         failure_plan=plan,
         group_size=config.group_size,
         single_recoverer=config.single_recoverer,
+        ledger=ledger,
     )
     return SimulationResult(
         config=config,
@@ -227,6 +236,54 @@ def outputs_match(
     return [f"output multiset differs ({missing} missing, {extra} extra records)"]
 
 
+def verify(
+    result: SimulationResult,
+    reference: SimulationResult,
+    config: JobConfig,
+    plan: FailurePlan | None,
+) -> list[str]:
+    """Check a run against a fault-free reference; returns the problems.
+
+    The outputs and the step count must match, and the run must record
+    one recovery per plan event (an event past the job's last step never
+    fires, and that is reported too).  When the plan holds exactly one
+    event, the run's ledger must also pass
+    :meth:`DeliveryLedger.check_against` the reference ledger, which is
+    a single-failure check; both runs then need a ledger.  PageRank's
+    floats may legitimately shift in the last ulp after the failure, and
+    also in the recovered stream of a multi-PE unit, so those are
+    compared by delivery count.
+    """
+    problems = outputs_match(reference.outputs, result.outputs, config.benchmark)
+    if result.steps_run != reference.steps_run:
+        problems.append(
+            f"ran {result.steps_run} steps, fault-free reference ran "
+            f"{reference.steps_run}"
+        )
+    events = plan.events if plan is not None else ()
+    recoveries = result.metrics.recoveries
+    if len(recoveries) != len(events):
+        problems.append(
+            f"{len(recoveries)} recoveries recorded, wanted {len(events)}"
+        )
+    elif len(events) == 1:
+        if result.ledger is None or reference.ledger is None:
+            raise ValueError("a single-failure check needs both runs' ledgers")
+        (event,) = events
+        floats = config.benchmark == "pagerank"
+        problems.extend(
+            result.ledger.check_against(
+                reference.ledger,
+                set(event.failed),
+                event_step=event.step,
+                recovery_point=recoveries[0].recovery_point,
+                exact_after=not floats,
+                exact_recovered=not (floats and len(event.failed) > 1),
+            )
+        )
+    return problems
+
+
 # -- exhaustive single-failure sweep ------------------------------------
 
 
@@ -279,13 +336,13 @@ def sweep_failures(
 ) -> SweepResult:
     """Fail every unit at every step (or the given steps), one run each.
 
-    Each faulty run must reproduce the reference outputs and pass the
-    delivery-ledger exactly-once checks.  Engine warnings about degraded
-    protection after the injected failure are muted; the sweep itself
-    reports anything that went wrong.
+    Each faulty run must pass :func:`verify` against the reference,
+    including the delivery-ledger exactly-once checks.  Engine warnings
+    about degraded protection after the injected failure are muted; the
+    sweep itself reports anything that went wrong.
     """
     config.validate()
-    reference = run_simulation(config)
+    reference = run_simulation(config, ledger=DeliveryLedger())
     units = [
         tuple(range(gid * config.group_size, (gid + 1) * config.group_size))
         for gid in range(config.p // config.group_size)
@@ -302,32 +359,8 @@ def sweep_failures(
             case = SweepCase(step=step, failed=unit)
             plan = FailurePlan((FailureEvent(step, frozenset(unit)),))
             with _quiet(engine_log):
-                result = run_simulation(config, plan)
-            case.problems.extend(
-                outputs_match(reference.outputs, result.outputs, config.benchmark)
-            )
-            if result.steps_run != reference.steps_run:
-                case.problems.append(
-                    f"ran {result.steps_run} steps, reference ran "
-                    f"{reference.steps_run}"
-                )
-            if len(result.metrics.recoveries) != 1:
-                case.problems.append(
-                    f"{len(result.metrics.recoveries)} recoveries recorded, wanted 1"
-                )
-            else:
-                rec = result.metrics.recoveries[0]
-                floats = config.benchmark == "pagerank"
-                case.problems.extend(
-                    result.ledger.check_against(
-                        reference.ledger,
-                        set(unit),
-                        event_step=step,
-                        recovery_point=rec.recovery_point,
-                        exact_after=not floats,
-                        exact_recovered=not (floats and len(unit) > 1),
-                    )
-                )
+                result = run_simulation(config, plan, ledger=DeliveryLedger())
+            case.problems.extend(verify(result, reference, config, plan))
             cases.append(case)
     return SweepResult(config=config, reference=reference, cases=cases)
 

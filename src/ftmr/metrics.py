@@ -13,6 +13,12 @@ value length, no framing):
 Each recovery contributes one :class:`RecoveryRecord` with the bytes
 re-sent to survivors and the records recomputed during replay.
 
+The :class:`DeliveryLedger` is an opt-in verification instrument: it
+counts every delivered :class:`~ftmr.core.Record` (the record itself is
+the count key, so equal contents compare equal across runs and
+processes) per ``(step, destination, generation)``.  Runs only carry one
+when a caller passes it in; the fault-free hot path does no ledger work.
+
 CSV schema (stable): ``step,phase,network_bytes,self_bytes,backup_bytes,records``
 with ``phase=shuffle`` rows per step and one ``phase=recovery`` row per
 failure event, where ``network_bytes`` holds the bytes re-sent,
@@ -27,7 +33,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .core import PeId, Record, StepId
-from .partition import hash_key
 
 CSV_HEADER = "step,phase,network_bytes,self_bytes,backup_bytes,records"
 
@@ -63,9 +68,6 @@ class Metrics:
 
     steps: list[StepMetrics] = field(default_factory=list)
     recoveries: list[RecoveryRecord] = field(default_factory=list)
-    map_calls: int = 0
-    reduce_calls: int = 0
-    max_record_size: int = 0
 
     def step_metrics(self, step: StepId) -> StepMetrics:
         for sm in self.steps:
@@ -74,10 +76,6 @@ class Metrics:
         sm = StepMetrics(step)
         self.steps.append(sm)
         return sm
-
-    def note_record(self, record: Record) -> None:
-        if record.size > self.max_record_size:
-            self.max_record_size = record.size
 
     # -- totals ----------------------------------------------------------
 
@@ -120,26 +118,24 @@ ORIGINAL = "original"
 RECOVERY = "recovery"
 
 
-def record_fingerprint(record: Record) -> int:
-    """Collision-tolerant 64-bit content fingerprint of one record."""
-    return hash_key(
-        len(record.key).to_bytes(4, "little") + record.key + record.value
-    )
-
-
 class DeliveryLedger:
     """Counts every logical delivery ``(step, destination, generation)``.
 
-    The ledger is a verification instrument, not part of the protocol.
-    ``generation`` separates deliveries of the original execution from
-    records re-delivered (or re-derived) while reconstructing a failed
-    PE.  Comparing a faulty run's ledger with a fault-free shadow run
+    The ledger is a verification instrument, not part of the protocol,
+    and :func:`ftmr.engine.run_job` only keeps one when it is passed in.
+    Each bucket is a ``Counter`` keyed by the delivered records
+    themselves: ``Record`` is frozen and hashes and compares by content,
+    so two deliveries of equal records count as one key, and records
+    with the same concatenated bytes but a different key/value split
+    stay apart.  ``generation`` separates deliveries of the original
+    execution from records re-delivered (or re-derived) while
+    reconstructing a failed PE.  Comparing a faulty run's ledger with a fault-free shadow run
     proves that recovery re-delivered every lost record exactly once and
     never re-sent data that had already reached a surviving PE.
     """
 
     def __init__(self):
-        # (step, dst, generation) -> Counter of record fingerprints
+        # (step, dst, generation) -> Counter of delivered records
         self.deliveries: dict[tuple[StepId, PeId, str], Counter] = {}
 
     def note(self, step: StepId, dst: PeId, generation: str, record: Record) -> None:
@@ -148,7 +144,7 @@ class DeliveryLedger:
         if bucket is None:
             bucket = Counter()
             self.deliveries[key] = bucket
-        bucket[record_fingerprint(record)] += 1
+        bucket[record] += 1
 
     # -- views -----------------------------------------------------------
 
@@ -189,7 +185,7 @@ class DeliveryLedger:
         * after the failure step the global per-step delivery multiset
           still matches.
 
-        The exactness flags relax a fingerprint comparison to a delivery
+        The exactness flags relax a record-by-record comparison to a delivery
         count, for float-carrying workloads where a different summation
         order legitimately shifts the bytes in the last ulp:
         ``exact_after`` covers the post-failure steps (reduce groups move

@@ -72,11 +72,12 @@ def recover(
     *,
     backup_mode: BackupMode,
     metrics: Metrics,
-    ledger: DeliveryLedger,
+    ledger: DeliveryLedger | None = None,
     single_recoverer: bool = False,
 ) -> None:
     """Handle one failure event; mutates cluster state in place.
 
+    Re-derived deliveries are noted in ``ledger`` when one is given.
     Raises :class:`UnrecoverableFailure` when the survivors provably do
     not hold (and cannot regenerate) the lost data.
     """
@@ -178,8 +179,9 @@ def recover(
             step = next_step - 1  # the step whose inbox `entries` rebuilds
             if step == t:
                 break
-            for _holder, _src, _seq, rec in entries:
-                ledger.note(step, pm_new.owner_of(h(rec.key)), RECOVERY, rec)
+            if ledger is not None:
+                for _holder, _src, _seq, rec in entries:
+                    ledger.note(step, pm_new.owner_of(h(rec.key)), RECOVERY, rec)
             current = _replay_reduce(state, step, entries, pm_new, h)
             records_recomputed += len(entries)
             replayed.append(step)
@@ -531,7 +533,7 @@ def _inject(
     t: StepId,
     entries: list[_Entry],
     pm_new,
-    ledger: DeliveryLedger,
+    ledger: DeliveryLedger | None,
     h,
 ) -> int:
     """Deliver the reconstructed step-``t`` inbox to its new owners.
@@ -556,7 +558,8 @@ def _inject(
         seq = len(log)
         log.append(rec)
         state.pes[dst].inbox.append((sender, seq, rec))
-        ledger.note(t, dst, RECOVERY, rec)
+        if ledger is not None:
+            ledger.note(t, dst, RECOVERY, rec)
         if holder != dst:
             bytes_resent += rec.size
         if sender != holder:

@@ -55,7 +55,7 @@ class Stepper:
             pm=state.pm,
             live=frozenset(state.live),
         )
-        map_phase(state, spec.map_fn, index, self.metrics)
+        map_phase(state, spec.map_fn, index)
         shuffle(
             state,
             index,
@@ -65,7 +65,7 @@ class Stepper:
             ledger=self.ledger,
         )
         self.prev_aggregate = reduce_phase(
-            state, spec.reduce_fn, index, spec.counter_fn, self.metrics
+            state, spec.reduce_fn, index, spec.counter_fn
         )
         gc_logs(state, index)
         self.step = index

@@ -22,6 +22,7 @@ from ftmr.harness import (
     sweep_failures,
 )
 from ftmr.cli import main
+from ftmr.metrics import DeliveryLedger
 from oracles import cc_expected, pagerank_expected, wordcount_expected
 from stepper import Stepper
 
@@ -89,13 +90,14 @@ def test_c03_replay_between_recovery_points():
     start = time.perf_counter()
     config = JobConfig(benchmark="pagerank", p=4, seed=5, vertices_per_pe=16,
                        iterations=5, recovery_point_interval=3)
-    reference = run_simulation(config)
+    reference = run_simulation(config, ledger=DeliveryLedger())
     assert reference.steps_run == 5  # recovery points at 1 and 4
     expected = {2: (1, (1,)), 3: (1, (1, 2)), 5: (4, (4,))}
     cases = 0
     for step, (rp, replayed) in expected.items():
         for pe in range(4):
-            result = run_simulation(config, parse_failure_spec(f"{step}:{pe}"))
+            result = run_simulation(config, parse_failure_spec(f"{step}:{pe}"),
+                                    ledger=DeliveryLedger())
             assert outputs_match(reference.outputs, result.outputs,
                                  "pagerank") == []
             (rec,) = result.metrics.recoveries

@@ -132,10 +132,10 @@ def test_overhead_table(tmp_path, capsys):
 
 def test_verify_catches_divergence(monkeypatch, capsys):
     # force the shadow run to disagree by tampering with the comparison
-    import ftmr.cli as cli
+    import ftmr.harness as harness
 
     monkeypatch.setattr(
-        cli, "outputs_match", lambda ref, got, benchmark: ["forced mismatch"]
+        harness, "outputs_match", lambda ref, got, benchmark: ["forced mismatch"]
     )
     assert main(["run", *WC, "--verify"]) == EXIT_VERIFY
     assert "VERIFY FAILED: forced mismatch" in capsys.readouterr().err

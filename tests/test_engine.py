@@ -18,7 +18,7 @@ from ftmr.engine import (
     recovery_point_schedule,
     run_job,
 )
-from ftmr.metrics import ORIGINAL
+from ftmr.metrics import ORIGINAL, DeliveryLedger
 from ftmr.partition import BackupMode, hash_key, initial_partition
 from stepper import Stepper
 
@@ -88,7 +88,7 @@ def test_single_pe_runs(caplog):
 
 
 def test_ledger_counts_every_delivery():
-    result = run_job(identity_job(4), 4)
+    result = run_job(identity_job(4), 4, ledger=DeliveryLedger())
     sm = result.metrics.steps[0]
     assert sum(result.ledger.step_total(1, ORIGINAL).values()) == sm.records
     assert sm.records == 120
@@ -224,8 +224,8 @@ def test_all_backup_modes_same_outputs():
 
 
 def test_equal_seeds_are_byte_identical():
-    a = run_job(identity_job(11, steps=3), 4)
-    b = run_job(identity_job(11, steps=3), 4)
+    a = run_job(identity_job(11, steps=3), 4, ledger=DeliveryLedger())
+    b = run_job(identity_job(11, steps=3), 4, ledger=DeliveryLedger())
     assert a.outputs == b.outputs
     assert a.metrics.to_csv() == b.metrics.to_csv()
     assert a.ledger.deliveries == b.ledger.deliveries

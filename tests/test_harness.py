@@ -1,11 +1,15 @@
-"""Failure plans, sweeps, output comparison, overhead measurement."""
+"""Failure plans, sweeps, verification, output comparison, overhead measurement."""
+
+import dataclasses
 
 import pytest
 
 from ftmr.config import ConfigError, JobConfig
 from ftmr.core import Record
+from ftmr.engine import run_job
 from ftmr.harness import (
     FailurePlan,
+    build_job,
     measure_overhead,
     output_counter,
     outputs_match,
@@ -13,7 +17,9 @@ from ftmr.harness import (
     random_failure_plan,
     run_simulation,
     sweep_failures,
+    verify,
 )
+from ftmr.metrics import DeliveryLedger
 from ftmr.recovery import FailureEvent
 
 # -- failure plans ------------------------------------------------------
@@ -138,6 +144,67 @@ def test_run_simulation_reports_timing_and_steps():
     assert result.steps_run == 1
     assert result.elapsed > 0
     assert sum(result.output_counter().values()) > 0
+
+
+# the four benchmarks plus uniform, at desk scale, interval 2 so that a
+# failure at step 2 replays step 1
+OBSERVED = [
+    JobConfig(benchmark="wordcount", p=4, seed=5, words_per_pe=200,
+              dict_words=40, recovery_point_interval=2),
+    JobConfig(benchmark="rmat", p=4, seed=5, vertices_per_pe=32,
+              avg_degree=4, recovery_point_interval=2),
+    JobConfig(benchmark="cc", p=4, seed=5, vertices_per_pe=16,
+              recovery_point_interval=2),
+    JobConfig(benchmark="pagerank", p=4, seed=5, vertices_per_pe=16,
+              iterations=4, recovery_point_interval=2),
+    JobConfig(benchmark="uniform", p=4, seed=5, total_records=2_000,
+              recovery_point_interval=2),
+]
+
+
+@pytest.mark.parametrize("config", OBSERVED, ids=lambda c: c.benchmark)
+def test_ledger_only_observes(config):
+    assert run_job(build_job(config), config.p).ledger is None
+    fault_free = run_simulation(config)
+    assert fault_free.ledger is None
+    last = min(2, fault_free.steps_run)
+    for plan in (None, parse_failure_spec(f"{last}:1")):
+        # without a ledger, shuffle and recovery note nothing and must not fail
+        plain = run_simulation(config, plan)
+        ledger = DeliveryLedger()
+        noted = run_simulation(config, plan, ledger=ledger)
+        assert plain.ledger is None and noted.ledger is ledger
+        assert ledger.deliveries
+        assert plain.outputs == noted.outputs
+        assert plain.metrics.to_csv() == noted.metrics.to_csv()
+        assert plain.steps_run == noted.steps_run
+    (rec,) = plain.metrics.recoveries
+    assert rec.replayed_steps == ((1,) if last == 2 else ())
+
+
+def test_verify_checks_the_ledger_for_a_single_failure():
+    config = OBSERVED[2]
+    plan = parse_failure_spec("2:1")
+    result = run_simulation(config, plan, ledger=DeliveryLedger())
+    reference = run_simulation(config, ledger=DeliveryLedger())
+    assert verify(result, reference, config, plan) == []
+    # a reference from another seed diverges in the ledger, too
+    other = run_simulation(dataclasses.replace(config, seed=6),
+                           ledger=DeliveryLedger())
+    problems = verify(result, other, config, plan)
+    assert any("original deliveries diverge" in p for p in problems), problems
+    # the exactly-once check cannot run without both ledgers
+    with pytest.raises(ValueError, match="ledgers"):
+        verify(run_simulation(config, plan), reference, config, plan)
+
+
+def test_verify_counts_recoveries_per_plan_event():
+    config = OBSERVED[2]
+    reference = run_simulation(config)
+    late = parse_failure_spec(f"{reference.steps_run + 1}:1")
+    problems = verify(run_simulation(config, late), reference, config, late)
+    assert problems == ["0 recoveries recorded, wanted 1"]
+    assert verify(run_simulation(config), reference, config, None) == []
 
 
 # -- sweeps -------------------------------------------------------------

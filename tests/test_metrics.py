@@ -8,21 +8,11 @@ from ftmr.metrics import (
     DeliveryLedger,
     Metrics,
     RecoveryRecord,
-    record_fingerprint,
 )
 
 
 def rec(key, value=b"v"):
     return Record(key, value)
-
-
-# -- fingerprints -------------------------------------------------------
-
-
-def test_fingerprints_separate_key_value_boundary():
-    # same concatenated bytes, different split -> different fingerprints
-    assert record_fingerprint(rec(b"ab", b"c")) != record_fingerprint(rec(b"a", b"bc"))
-    assert record_fingerprint(rec(b"ab", b"c")) == record_fingerprint(rec(b"ab", b"c"))
 
 
 # -- metrics ------------------------------------------------------------
@@ -47,13 +37,6 @@ def test_totals_and_overhead():
     assert m.total_backup_bytes == 25
     assert m.relative_overhead() == 25 / 200
     assert Metrics().relative_overhead() == 0.0
-
-
-def test_note_record_tracks_max_size():
-    m = Metrics()
-    m.note_record(rec(b"abc", b"de"))
-    m.note_record(rec(b"a", b""))
-    assert m.max_record_size == 5
 
 
 def test_csv_layout():
@@ -91,11 +74,20 @@ def test_ledger_counts_and_views():
     led.note(1, 1, ORIGINAL, rec(b"b"))
     led.note(1, 1, RECOVERY, rec(b"c"))
     led.note(2, 0, ORIGINAL, rec(b"d"))
-    assert led.bucket(1, 0, ORIGINAL)[record_fingerprint(rec(b"a"))] == 2
+    assert led.bucket(1, 0, ORIGINAL)[rec(b"a")] == 2
     assert sum(led.step_total(1).values()) == 4
     assert sum(led.step_total(1, RECOVERY).values()) == 1
     assert led.steps() == [1, 2]
     assert led.bucket(9, 9, ORIGINAL) == {}
+
+
+def test_ledger_separates_key_value_boundary():
+    # same concatenated bytes, different split -> different ledger entries
+    led = DeliveryLedger()
+    led.note(1, 0, ORIGINAL, rec(b"ab", b"c"))
+    led.note(1, 0, ORIGINAL, rec(b"a", b"bc"))
+    led.note(1, 0, ORIGINAL, rec(b"ab", b"c"))
+    assert led.bucket(1, 0, ORIGINAL) == {rec(b"ab", b"c"): 2, rec(b"a", b"bc"): 1}
 
 
 def _reference_ledger():

@@ -12,7 +12,7 @@ from ftmr.harness import (
     run_simulation,
     sweep_failures,
 )
-from ftmr.metrics import RECOVERY
+from ftmr.metrics import RECOVERY, DeliveryLedger
 from ftmr.partition import BackupMode
 from ftmr.recovery import (
     FailureEvent,
@@ -32,14 +32,14 @@ def cc_config(**kwargs):
     return JobConfig(**kwargs)
 
 
-def run_pair(config, spec):
+def run_pair(config, spec, ledger=None):
     reference = run_simulation(config)
-    result = run_simulation(config, parse_failure_spec(spec))
+    result = run_simulation(config, parse_failure_spec(spec), ledger=ledger)
     return reference, result
 
 
-def assert_same_outputs(config, spec):
-    reference, result = run_pair(config, spec)
+def assert_same_outputs(config, spec, ledger=None):
+    reference, result = run_pair(config, spec, ledger)
     assert outputs_match(reference.outputs, result.outputs, config.benchmark) == []
     assert result.steps_run == reference.steps_run
     return result
@@ -51,7 +51,7 @@ def assert_same_outputs(config, spec):
 def test_single_failure_wordcount():
     config = JobConfig(benchmark="wordcount", p=4, seed=7,
                        words_per_pe=400, dict_words=50)
-    result = assert_same_outputs(config, "1:2")
+    result = assert_same_outputs(config, "1:2", ledger=DeliveryLedger())
     assert sorted(result.outputs) == [0, 1, 3]
     (rec,) = result.metrics.recoveries
     assert rec.step == 1
