@@ -14,7 +14,6 @@ from .partition import (
     backup_targets,
     hash_key,
     initial_partition,
-    owner_of,
     shrink_partition,
     split_self_message,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "encode_record",
     "hash_key",
     "initial_partition",
-    "owner_of",
     "run_job",
     "shrink_partition",
     "split_self_message",

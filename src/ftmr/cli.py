@@ -186,11 +186,15 @@ def cmd_overhead(args: argparse.Namespace) -> int:
     for row in rows:
         print(row.describe())
     if args.csv:
-        lines = ["p,seed,total_records,network_bytes,backup_bytes,ratio,expected"]
+        lines = [
+            "p,seed,total_records,network_bytes,backup_bytes,ratio,expected,"
+            "share_balance"
+        ]
         for r in rows:
             lines.append(
                 f"{r.p},{r.seed},{r.total_records},{r.network_bytes},"
-                f"{r.backup_bytes},{r.ratio:.6f},{r.expected:.6f}"
+                f"{r.backup_bytes},{r.ratio:.6f},{r.expected:.6f},"
+                f"{r.share_balance:.4f}"
             )
         args.csv.write_text("\n".join(lines) + "\n")
         print(f"table written to {args.csv}")

@@ -1,8 +1,11 @@
 """Bulk-synchronous MapReduce engine over simulated PEs.
 
 One MapReduce step is: Map every local record, shuffle the mapped records
-to their hash-range owners, then Reduce each key group on its owner.  The
-shuffle doubles as the fault-tolerance mechanism:
+to their hash-range owners, then Reduce each key group on its owner.
+:class:`Cluster` is the one step loop: it ingests the input, runs one
+step per :meth:`Cluster.step` call (recovering from the step's failure
+event, if any, between shuffle and Reduce), and :func:`run_job` steps it
+to completion.  The shuffle doubles as the fault-tolerance mechanism:
 
 * every sender keeps an ordered log of the records it sent, per
   destination, until the log is older than the newest recovery point;
@@ -21,7 +24,6 @@ the failed PEs lose all local state.
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Protocol
@@ -112,7 +114,6 @@ InboxEntry = tuple[PeId, int, Record]
 @dataclass
 class PeState:
     id: PeId
-    alive: bool = True
     current_records: list[Record] = field(default_factory=list)
     outbound: list[Record] = field(default_factory=list)
     inbox: list[InboxEntry] = field(default_factory=list)
@@ -123,7 +124,6 @@ class PeState:
 
     def scrub(self) -> None:
         """Drop all local state; what a fail-stop crash leaves behind."""
-        self.alive = False
         self.current_records = []
         self.outbound = []
         self.inbox = []
@@ -138,14 +138,12 @@ class StepRecord:
     spec: StepSpec
     is_recovery_point: bool
     pm: PartitionMap
-    live: frozenset[PeId]
     # origin -> ordered list of (target, share index) actually stored
     backup_manifest: dict[PeId, list[tuple[PeId, int]]] = field(default_factory=dict)
 
 
 @dataclass
 class ClusterState:
-    p_initial: int
     group_of: tuple[int, ...]
     source: RecordSource
     pes: list[PeState]
@@ -164,15 +162,6 @@ class ClusterState:
     # (step, dst): dst's step inbox lost its only off-dst copy when a
     # holder died; a chain needing it must refuse
     lost_inboxes: set[tuple[StepId, PeId]] = field(default_factory=set)
-
-    def group_map(self) -> dict[PeId, int]:
-        return {i: g for i, g in enumerate(self.group_of)}
-
-    def unit_of(self, pe: PeId) -> frozenset[PeId]:
-        gid = self.group_of[pe]
-        return frozenset(
-            j for j in range(self.p_initial) if self.group_of[j] == gid
-        )
 
 
 def recovery_point_schedule(interval) -> Callable[[StepId], bool]:
@@ -210,7 +199,6 @@ def ingest(source: RecordSource, p: int, group_size: int = 1) -> ClusterState:
         raise ValueError(f"group size {group_size} must evenly divide p={p}")
     group_of = tuple(i // group_size for i in range(p))
     state = ClusterState(
-        p_initial=p,
         group_of=group_of,
         source=source,
         pes=[PeState(i) for i in range(p)],
@@ -257,7 +245,6 @@ def shuffle(
     sm = metrics.step_metrics(step)
     pm = state.pm
     group_of = state.group_of
-    group_map = state.group_map()
     fault_tolerant = backup_mode is not BackupMode.OFF
     # the partition map is fixed within a shuffle: one lookup per key
     owners: dict[bytes, PeId] = {}
@@ -304,7 +291,7 @@ def shuffle(
     if is_recovery_point and fault_tolerant:
         manifest = state.step_history[step].backup_manifest
         for src in sorted(state.live):
-            targets = backup_targets(src, state.live, backup_mode, group_map)
+            targets = backup_targets(src, state.live, backup_mode, group_of)
             if not targets:
                 log = logger.debug if src in state.warned_unprotected else logger.warning
                 state.warned_unprotected.add(src)
@@ -396,82 +383,110 @@ class JobResult:
     steps_run: int
 
 
-def run_job(
-    job: Job,
-    p: int,
-    *,
-    backup_mode: BackupMode = BackupMode.SPLIT,
-    recovery_point_interval=1,
-    failure_plan=None,
-    group_size: int = 1,
-    single_recoverer: bool = False,
-    metrics: Metrics | None = None,
-    ledger: DeliveryLedger | None = None,
-    max_steps: int = 10_000,
-) -> JobResult:
-    """Run a job to completion, injecting failures at shuffle barriers.
+class Cluster:
+    """A job on ``p`` simulated PEs, advanced one MapReduce step at a time.
 
-    The simulator executes PEs sequentially in PE order, which makes runs
-    with equal seeds, plans, and failure plans byte-identical.  Pass a
-    :class:`DeliveryLedger` to record every delivery for an exactly-once
-    check; without one the run notes nothing and ``result.ledger`` is
-    ``None``.
+    The constructor ingests the input (step 0).  Each :meth:`step` runs
+    one step: map, shuffle, the step's failure event and its recovery,
+    reduce, log GC.  Between steps ``state`` and ``metrics`` hold the
+    whole cluster, so callers can inspect logs, shares and inboxes across
+    a recovery.  The simulator executes PEs sequentially in PE order, which
+    makes runs with equal seeds, plans, and failure plans byte-identical.
+    Pass a :class:`DeliveryLedger` to record every delivery for an
+    exactly-once check; without one the run notes nothing.
     """
-    metrics = metrics if metrics is not None else Metrics()
-    is_rp = recovery_point_schedule(recovery_point_interval)
-    state = ingest(job.source, p, group_size)
-    if p == 1 and backup_mode is not BackupMode.OFF:
-        logger.warning("single PE: no peers to back up to, backup disabled")
-    if group_size == p and p > 1 and backup_mode is not BackupMode.OFF:
-        raise ValueError(
-            "one failure group spanning every PE leaves no backup targets"
-        )
 
-    from .recovery import recover  # deferred: recovery imports this module
+    def __init__(
+        self,
+        job: Job,
+        p: int,
+        *,
+        backup_mode: BackupMode = BackupMode.SPLIT,
+        recovery_point_interval=1,
+        failure_plan=None,
+        group_size: int = 1,
+        single_recoverer: bool = False,
+        metrics: Metrics | None = None,
+        ledger: DeliveryLedger | None = None,
+        max_steps: int = 10_000,
+    ):
+        self.metrics = metrics if metrics is not None else Metrics()
+        self.is_rp = recovery_point_schedule(recovery_point_interval)
+        self.state = ingest(job.source, p, group_size)
+        if p == 1 and backup_mode is not BackupMode.OFF:
+            logger.warning("single PE: no peers to back up to, backup disabled")
+        if group_size == p and p > 1 and backup_mode is not BackupMode.OFF:
+            raise ValueError(
+                "one failure group spanning every PE leaves no backup targets"
+            )
+        self.driver = job.driver
+        self.backup_mode = backup_mode
+        self.failure_plan = failure_plan
+        self.single_recoverer = single_recoverer
+        self.ledger = ledger
+        self.max_steps = max_steps
+        self.prev_aggregate: int | None = None
+        self.steps_run = 0
 
-    prev_aggregate: int | None = None
-    steps_run = 0
-    for index in itertools.count(1):
-        spec = job.driver.next_step(index, prev_aggregate)
+    def step(self) -> bool:
+        """Run the next MapReduce step; False once the driver is done."""
+        index = self.steps_run + 1
+        spec = self.driver.next_step(index, self.prev_aggregate)
         if spec is None:
-            break
-        if index > max_steps:
+            return False
+        if index > self.max_steps:
             raise JobError(-1, index, "driver", RuntimeError("step budget exhausted"))
-        plan_rp = is_rp(index)
+        state = self.state
+        plan_rp = self.is_rp(index)
         state.step_history[index] = StepRecord(
-            spec=spec,
-            is_recovery_point=plan_rp,
-            pm=state.pm,
-            live=frozenset(state.live),
+            spec=spec, is_recovery_point=plan_rp, pm=state.pm
         )
         map_phase(state, spec.map_fn, index)
         shuffle(
             state,
             index,
             is_recovery_point=plan_rp,
-            backup_mode=backup_mode,
-            metrics=metrics,
-            ledger=ledger,
+            backup_mode=self.backup_mode,
+            metrics=self.metrics,
+            ledger=self.ledger,
         )
-        event = failure_plan.event_at(index) if failure_plan is not None else None
+        plan = self.failure_plan
+        event = plan.event_at(index) if plan is not None else None
         if event is not None:
+            from .recovery import recover  # deferred: recovery imports this module
+
             recover(
                 state,
                 event,
-                backup_mode=backup_mode,
-                metrics=metrics,
-                ledger=ledger,
-                single_recoverer=single_recoverer,
+                backup_mode=self.backup_mode,
+                metrics=self.metrics,
+                ledger=self.ledger,
+                single_recoverer=self.single_recoverer,
             )
-        prev_aggregate = reduce_phase(state, spec.reduce_fn, index, spec.counter_fn)
+        self.prev_aggregate = reduce_phase(state, spec.reduce_fn, index, spec.counter_fn)
         gc_logs(state, index)
-        steps_run = index
+        self.steps_run = index
+        return True
 
-    if failure_plan is not None:
-        for event in failure_plan.remaining_after(steps_run):
-            logger.warning(
-                "failure event at step %d never fired (job ran %d steps)",
-                event.step, steps_run,
-            )
-    outputs = {i: list(state.pes[i].current_records) for i in sorted(state.live)}
-    return JobResult(outputs=outputs, metrics=metrics, ledger=ledger, steps_run=steps_run)
+    def result(self) -> JobResult:
+        """Warn about plan events that never fired; collect the outputs."""
+        if self.failure_plan is not None:
+            for event in self.failure_plan.remaining_after(self.steps_run):
+                logger.warning(
+                    "failure event at step %d never fired (job ran %d steps)",
+                    event.step, self.steps_run,
+                )
+        state = self.state
+        outputs = {i: list(state.pes[i].current_records) for i in sorted(state.live)}
+        return JobResult(
+            outputs=outputs, metrics=self.metrics, ledger=self.ledger,
+            steps_run=self.steps_run,
+        )
+
+
+def run_job(job: Job, p: int, **options) -> JobResult:
+    """Run a job to completion; ``options`` are :class:`Cluster`'s keywords."""
+    cluster = Cluster(job, p, **options)
+    while cluster.step():
+        pass
+    return cluster.result()

@@ -154,9 +154,6 @@ class SimulationResult:
     steps_run: int
     elapsed: float
 
-    def output_counter(self) -> Counter:
-        return output_counter(self.outputs)
-
 
 def run_simulation(
     config: JobConfig,

@@ -16,6 +16,7 @@ closing xor-shift).
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .core import PeId
@@ -105,9 +106,6 @@ class PartitionMap:
                 hi = mid
         return self.ranges[lo].pe
 
-    def ranges_of(self, pe: PeId) -> tuple[Range, ...]:
-        return tuple(r for r in self.ranges if r.pe == pe)
-
     def live_pes(self) -> tuple[PeId, ...]:
         return tuple(sorted({r.pe for r in self.ranges}))
 
@@ -124,10 +122,6 @@ def initial_partition(p: int) -> PartitionMap:
     return PartitionMap(
         tuple(Range(i, bounds[i], bounds[i + 1]) for i in range(p))
     )
-
-
-def owner_of(h: int, pm: PartitionMap) -> PeId:
-    return pm.owner_of(h)
 
 
 def shrink_partition(pm: PartitionMap, failed: set[PeId]) -> PartitionMap:
@@ -196,24 +190,25 @@ def backup_targets(
     i: PeId,
     live: set[PeId],
     mode: BackupMode,
-    group_of: dict[PeId, int] | None = None,
+    group_of: Mapping[PeId, int] | Sequence[int] | None = None,
 ) -> list[PeId]:
     """Peers that hold PE ``i``'s self-message backup, in share order.
 
     split: every other live PE outside ``i``'s failure group, ascending.
     single: the next live PE after ``i`` (mod the id space), skipping dead
-    PEs, ``i`` itself, and ``i``'s group.  off: no targets.
+    PEs, ``i`` itself, and ``i``'s group.  off: no targets.  ``group_of``
+    maps each live PE id to its failure group.
     """
     if i not in live:
         raise ValueError(f"PE {i} is not live")
     if mode is BackupMode.OFF:
         return []
-    gid = group_of.get(i) if group_of else None
+    gid = group_of[i] if group_of else None
 
     def eligible(j: PeId) -> bool:
         if j == i or j not in live:
             return False
-        return gid is None or group_of.get(j) != gid
+        return gid is None or group_of[j] != gid
 
     if mode is BackupMode.SPLIT:
         return [j for j in sorted(live) if eligible(j)]

@@ -242,20 +242,6 @@ def recover(
     )
 
 
-def recover_group(state: ClusterState, event: FailureEvent, **kwargs) -> None:
-    """Recover a whole predefined failure group as one logical PE."""
-    if len(event.failed) < 2:
-        raise ValueError("group recovery expects a multi-PE event")
-    recover(state, event, **kwargs)
-
-
-def recover_from_input(state: ClusterState, event: FailureEvent, **kwargs) -> None:
-    """Recover with no shuffle recovery point, replaying from the input."""
-    if last_recovery_point(state, event.step) != 0:
-        raise ValueError("a newer shuffle recovery point exists; use recover()")
-    recover(state, event, **kwargs)
-
-
 # ----------------------------------------------------------------------
 
 
@@ -368,6 +354,25 @@ def _note_holding(state: ClusterState, holder: PeId, step: StepId, dst: PeId) ->
         state.reprotect_holdings.setdefault(holder, set()).add((step, dst))
 
 
+def _log_copy(
+    state: ClusterState, holder: PeId, step: StepId, dst: PeId, rec: Record
+) -> tuple[PeId, int]:
+    """Log ``rec`` as a step-``step`` send to ``dst``; return (sender, seq).
+
+    The sender is ``holder`` unless it sits in ``dst``'s failure group;
+    then a PE outside that group takes the copy, so the log never dies
+    together with the inbox it guards.
+    """
+    if state.group_of[holder] != state.group_of[dst]:
+        sender = holder
+    else:
+        sender = _holder_for(state, dst)
+    _note_holding(state, sender, step, dst)
+    log = state.pes[sender].sent_log.setdefault(step, {}).setdefault(dst, [])
+    log.append(rec)
+    return sender, len(log) - 1
+
+
 def _relog_pending(state: ClusterState, t: StepId, failed: set[PeId]) -> int:
     """Give the unit's already-delivered step-``t`` sends live log copies.
 
@@ -415,19 +420,12 @@ def _relog_mapped(
     appending them to sent logs costs network traffic only when the log
     copy must move off the original receiver.  Returns bytes shipped.
     """
-    group_of = state.group_of
     shipped = 0
     for holder, rec in mapped:
         dst = pm_then.owner_of(h(rec.key))
         if dst in failed or dst not in state.live:
             continue
-        if group_of[holder] != group_of[dst]:
-            sender = holder
-        else:
-            sender = _holder_for(state, dst)
-        _note_holding(state, sender, step, dst)
-        log = state.pes[sender].sent_log.setdefault(step, {}).setdefault(dst, [])
-        log.append(rec)
+        sender, _seq = _log_copy(state, holder, step, dst, rec)
         if sender != holder:
             shipped += rec.size
     return shipped
@@ -448,7 +446,6 @@ def _repair_shares(
     if r == 0:
         return 0
     hist = state.step_history[r]
-    group_map = state.group_map()
     shipped = 0
     for origin in sorted(state.live):
         manifest = hist.backup_manifest.get(origin)
@@ -473,7 +470,7 @@ def _repair_shares(
             (origin, dst, seq, full[(dst, seq)])
             for (dst, seq) in sorted(full.keys() - covered)
         ]
-        eligible = backup_targets(origin, state.live, backup_mode, group_map)
+        eligible = backup_targets(origin, state.live, backup_mode, state.group_of)
         if not eligible:
             logger.warning(
                 "cannot re-create the backup shares PE %s lost for PE %d: "
@@ -545,18 +542,10 @@ def _inject(
     the log copy never dies together with the inbox it guards.  Returns
     the bytes that crossed the (simulated) network.
     """
-    group_of = state.group_of
     bytes_resent = 0
     for holder, _src, _seq, rec in entries:
         dst = pm_new.owner_of(h(rec.key))
-        if group_of[holder] != group_of[dst]:
-            sender = holder
-        else:
-            sender = _holder_for(state, dst)
-        _note_holding(state, sender, t, dst)
-        log = state.pes[sender].sent_log.setdefault(t, {}).setdefault(dst, [])
-        seq = len(log)
-        log.append(rec)
+        sender, seq = _log_copy(state, holder, t, dst, rec)
         state.pes[dst].inbox.append((sender, seq, rec))
         if ledger is not None:
             ledger.note(t, dst, RECOVERY, rec)

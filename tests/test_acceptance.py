@@ -13,6 +13,7 @@ import pytest
 
 from ftmr.benchmarks import PAIR, U64, edge_key, make_job, pagerank_scores
 from ftmr.config import JobConfig
+from ftmr.engine import Cluster
 from ftmr.harness import (
     measure_overhead,
     output_counter,
@@ -24,7 +25,6 @@ from ftmr.harness import (
 from ftmr.cli import main
 from ftmr.metrics import DeliveryLedger
 from oracles import cc_expected, pagerank_expected, wordcount_expected
-from stepper import Stepper
 
 
 def _ok(line: str) -> None:
@@ -148,13 +148,13 @@ def test_c05_group_failures():
         (0, 1), (2, 3), (4, 5), (6, 7),
     ]
     # group-internal traffic must be backed up outside the group only
-    stepper = Stepper(
+    cluster = Cluster(
         make_job("pagerank", 8, 5, vertices_per_pe=8, avg_degree=6,
                  iterations=1),
         8, group_size=2,
     )
-    stepper.run_step()
-    state = stepper.state
+    cluster.step()
+    state = cluster.state
     shares = 0
     for holder in range(8):
         for (origin, _idx) in state.pes[holder].backup_store.get(1, {}):
@@ -204,11 +204,11 @@ def test_c07_backup_share_balance(overhead_p16):
 
 def test_c08_log_garbage_collection():
     job = make_job("cc", 4, 3, vertices_per_pe=16)
-    stepper = Stepper(job, 4, recovery_point_interval=1)
-    while stepper.run_step():
-        step = stepper.step
+    cluster = Cluster(job, 4, recovery_point_interval=1)
+    while cluster.step():
+        step = cluster.steps_run
         held_logs, held_shares, logged = set(), set(), 0
-        for pe in stepper.state.pes:
+        for pe in cluster.state.pes:
             held_logs |= set(pe.sent_log)
             held_shares |= set(pe.backup_store)
             logged += sum(
@@ -218,16 +218,16 @@ def test_c08_log_garbage_collection():
                 for rec in payload
             )
         assert held_logs == held_shares == {step}
-        sm = stepper.metrics.step_metrics(step)
+        sm = cluster.metrics.step_metrics(step)
         assert logged == sm.network_bytes + sm.self_bytes
 
-    stepper = Stepper(make_job("cc", 4, 3, vertices_per_pe=16), 4,
+    cluster = Cluster(make_job("cc", 4, 3, vertices_per_pe=16), 4,
                       recovery_point_interval=3)
-    while stepper.run_step():
-        step = stepper.step
+    while cluster.step():
+        step = cluster.steps_run
         newest_rp = ((step - 1) // 3) * 3 + 1
         held = set()
-        for pe in stepper.state.pes:
+        for pe in cluster.state.pes:
             held |= set(pe.sent_log)
         assert held == set(range(newest_rp, step + 1))
     _ok("log GC keeps exactly the steps since the newest recovery point "

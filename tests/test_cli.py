@@ -125,7 +125,9 @@ def test_overhead_table(tmp_path, capsys):
     assert main(argv) == EXIT_OK
     assert "p=  4" in capsys.readouterr().out
     header, row = csv.read_text().splitlines()
-    assert header == "p,seed,total_records,network_bytes,backup_bytes,ratio,expected"
+    assert header == (
+        "p,seed,total_records,network_bytes,backup_bytes,ratio,expected,share_balance"
+    )
     assert row.startswith("4,0,5000,")
     assert main(["overhead", "--p-list", "1"]) == EXIT_CONFIG
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ftmr.core import Record
 from ftmr.engine import (
+    Cluster,
     Job,
     JobError,
     ListDriver,
@@ -20,7 +21,6 @@ from ftmr.engine import (
 )
 from ftmr.metrics import ORIGINAL, DeliveryLedger
 from ftmr.partition import BackupMode, hash_key, initial_partition
-from stepper import Stepper
 
 
 def identity_spec(name="identity", counter=False):
@@ -235,51 +235,51 @@ def test_equal_seeds_are_byte_identical():
 
 
 def test_logs_keep_only_newest_recovery_point():
-    stepper = Stepper(identity_job(12, steps=4), 4, recovery_point_interval=1)
-    while stepper.run_step():
-        step = stepper.step
-        for pe in stepper.state.pes:
+    cluster = Cluster(identity_job(12, steps=4), 4, recovery_point_interval=1)
+    while cluster.step():
+        step = cluster.steps_run
+        for pe in cluster.state.pes:
             assert set(pe.sent_log) <= {step}
             assert set(pe.backup_store) <= {step}
         logged = sum(
             rec.size
-            for pe in stepper.state.pes
+            for pe in cluster.state.pes
             for payloads in pe.sent_log.values()
             for payload in payloads.values()
             for rec in payload
         )
-        sm = stepper.metrics.step_metrics(step)
+        sm = cluster.metrics.step_metrics(step)
         assert logged == sm.network_bytes + sm.self_bytes
 
 
 def test_logs_accumulate_between_recovery_points():
-    stepper = Stepper(identity_job(13, steps=5), 4, recovery_point_interval=3)
+    cluster = Cluster(identity_job(13, steps=5), 4, recovery_point_interval=3)
     expected = {1: {1}, 2: {1, 2}, 3: {1, 2, 3}, 4: {4}, 5: {4, 5}}
-    while stepper.run_step():
-        step = stepper.step
+    while cluster.step():
+        step = cluster.steps_run
         held = set()
-        for pe in stepper.state.pes:
+        for pe in cluster.state.pes:
             held |= set(pe.sent_log)
         assert held == expected[step]
-        assert last_recovery_point(stepper.state, step) == max(
+        assert last_recovery_point(cluster.state, step) == max(
             s for s in (1, 4) if s <= step
         )
 
 
 def test_backup_shares_only_at_recovery_points():
-    stepper = Stepper(identity_job(14, steps=4), 4, recovery_point_interval=3)
-    while stepper.run_step():
-        sm = stepper.metrics.step_metrics(stepper.step)
-        if stepper.step in (1, 4):
+    cluster = Cluster(identity_job(14, steps=4), 4, recovery_point_interval=3)
+    while cluster.step():
+        sm = cluster.metrics.step_metrics(cluster.steps_run)
+        if cluster.steps_run in (1, 4):
             assert sm.backup_bytes == sm.self_bytes
         else:
             assert sm.backup_bytes == 0
 
 
 def test_group_backups_leave_the_group():
-    stepper = Stepper(identity_job(15), 8, group_size=2)
-    stepper.run_step()
-    state = stepper.state
+    cluster = Cluster(identity_job(15), 8, group_size=2)
+    cluster.step()
+    state = cluster.state
     stored = 0
     for holder in range(8):
         for (origin, _idx) in state.pes[holder].backup_store.get(1, {}):
@@ -287,5 +287,5 @@ def test_group_backups_leave_the_group():
             stored += 1
     assert stored > 0
     # intra-group traffic counts as self traffic, cross-group as network
-    sm = stepper.metrics.step_metrics(1)
+    sm = cluster.metrics.step_metrics(1)
     assert sm.backup_bytes == sm.self_bytes > 0

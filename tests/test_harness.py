@@ -143,7 +143,7 @@ def test_run_simulation_reports_timing_and_steps():
     result = run_simulation(config)
     assert result.steps_run == 1
     assert result.elapsed > 0
-    assert sum(result.output_counter().values()) > 0
+    assert sum(output_counter(result.outputs).values()) > 0
 
 
 # the four benchmarks plus uniform, at desk scale, interval 2 so that a

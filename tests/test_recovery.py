@@ -4,9 +4,18 @@ import pytest
 
 from ftmr.config import JobConfig
 from ftmr.core import Record
-from ftmr.engine import Job, ListDriver, RecordSource, StepSpec, run_job
+from ftmr.engine import (
+    Cluster,
+    Job,
+    ListDriver,
+    RecordSource,
+    StepSpec,
+    last_recovery_point,
+    run_job,
+)
 from ftmr.harness import (
     FailurePlan,
+    build_job,
     outputs_match,
     parse_failure_spec,
     run_simulation,
@@ -18,10 +27,7 @@ from ftmr.recovery import (
     FailureEvent,
     UnrecoverableFailure,
     recover,
-    recover_from_input,
-    recover_group,
 )
-from stepper import Stepper
 
 
 def cc_config(**kwargs):
@@ -200,18 +206,44 @@ def test_lost_reprotection_holder_refused():
 def test_holder_dying_in_same_event_refused():
     # defense in depth: a unit that both guards an inbox and contains it
     # must not recover that inbox from itself
-    stepper = Stepper(_identity_job(0), 6, group_size=2)
-    stepper.run_step()
-    state = stepper.state
+    cluster = Cluster(_identity_job(0), 6, group_size=2)
+    cluster.step()
+    state = cluster.state
     state.reprotect_holdings[4] = {(1, 5)}
     with pytest.raises(UnrecoverableFailure, match="failing in the same event"):
         recover(
             state,
             FailureEvent(1, frozenset({4, 5})),
             backup_mode=BackupMode.SPLIT,
-            metrics=stepper.metrics,
-            ledger=stepper.ledger,
+            metrics=cluster.metrics,
+            ledger=cluster.ledger,
         )
+
+
+@pytest.mark.parametrize("spec, interval", [("2:1", 1), ("2:1", 3), ("3:1;5:2", 3)])
+def test_cluster_state_across_recoveries(spec, interval):
+    # the real step loop, inspected between steps: failed PEs leave the
+    # live set at their failure step with one recovery each, and log GC
+    # keeps exactly the steps since the newest recovery point
+    plan = parse_failure_spec(spec)
+    cluster = Cluster(build_job(cc_config()), 4,
+                      recovery_point_interval=interval, failure_plan=plan)
+    state = cluster.state
+    live, recoveries = set(range(4)), 0
+    while cluster.step():
+        step = cluster.steps_run
+        event = plan.event_at(step)
+        if event is not None:
+            live -= event.failed
+            recoveries += 1
+        assert state.live == live
+        assert len(cluster.metrics.recoveries) == recoveries
+        rp = last_recovery_point(state, step)
+        logged = set().union(*(state.pes[i].sent_log for i in live))
+        shared = set().union(*(state.pes[i].backup_store for i in live))
+        assert logged == set(range(max(rp, 1), step + 1))
+        assert shared == {rp}
+    assert cluster.steps_run > max(e.step for e in plan.events)
 
 
 # -- refusal and validation paths ---------------------------------------
@@ -274,32 +306,3 @@ def test_unfired_events_warn(caplog):
         run_job(_identity_job(6, steps=1), 4,
                 failure_plan=parse_failure_spec("9:1"))
     assert any("never fired" in r.message for r in caplog.records)
-
-
-# -- wrapper entry points -----------------------------------------------
-
-
-def test_recover_group_requires_group_event():
-    stepper = Stepper(_identity_job(7), 4)
-    stepper.run_step()
-    with pytest.raises(ValueError, match="multi-PE"):
-        recover_group(
-            stepper.state,
-            FailureEvent(1, frozenset({1})),
-            backup_mode=BackupMode.SPLIT,
-            metrics=stepper.metrics,
-            ledger=stepper.ledger,
-        )
-
-
-def test_recover_from_input_requires_no_recovery_point():
-    stepper = Stepper(_identity_job(8), 4, recovery_point_interval=1)
-    stepper.run_step()
-    with pytest.raises(ValueError, match="newer shuffle recovery point"):
-        recover_from_input(
-            stepper.state,
-            FailureEvent(1, frozenset({1})),
-            backup_mode=BackupMode.SPLIT,
-            metrics=stepper.metrics,
-            ledger=stepper.ledger,
-        )
