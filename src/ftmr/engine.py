@@ -106,17 +106,13 @@ class Job:
     driver: StepDriver
 
 
-# Inbox entries are (src PE, emission seq within the src->dst payload,
-# record); the pair gives the stable value order inside reduce groups.
-InboxEntry = tuple[PeId, int, Record]
-
-
 @dataclass
 class PeState:
     id: PeId
     current_records: list[Record] = field(default_factory=list)
     outbound: list[Record] = field(default_factory=list)
-    inbox: list[InboxEntry] = field(default_factory=list)
+    # src -> the records it delivered this step, in emission order
+    inbox: dict[PeId, list[Record]] = field(default_factory=dict)
     # step -> dst -> ordered payload (the records sent there that step)
     sent_log: dict[StepId, dict[PeId, list[Record]]] = field(default_factory=dict)
     # step -> (origin, share index) -> share entries (src, dst, seq, record)
@@ -126,7 +122,7 @@ class PeState:
         """Drop all local state; what a fail-stop crash leaves behind."""
         self.current_records = []
         self.outbound = []
-        self.inbox = []
+        self.inbox = {}
         self.sent_log = {}
         self.backup_store = {}
 
@@ -238,9 +234,10 @@ def shuffle(
 
     Also appends sender-side logs, ships backup shares of failure-unit
     internal traffic when the step is a recovery point, and tallies the
-    traffic volumes.  Delivery order is canonical: ascending sender, then
-    emission order, which is what the reduce value order relies on.
-    Every delivery is noted in ``ledger`` when one is given.
+    traffic volumes.  Each destination's inbox keeps a copy of each
+    sender's payload, in emission order, under the sender's id (a copy,
+    because recovery later appends to the logged payload).  Every
+    delivery is noted in ``ledger`` when one is given.
     """
     sm = metrics.step_metrics(step)
     pm = state.pm
@@ -275,12 +272,8 @@ def shuffle(
         if fault_tolerant:
             pe.sent_log[step] = payloads
         unit_self[src] = internal
-        # canonical delivery: ascending destination within this sender
-        for dst in sorted(payloads):
-            payload = payloads[dst]
-            state.pes[dst].inbox.extend(
-                [(src, seq, rec) for seq, rec in enumerate(payload)]
-            )
+        for dst, payload in payloads.items():
+            state.pes[dst].inbox[src] = list(payload)
             if ledger is not None:
                 for rec in payload:
                     ledger.note(step, dst, ORIGINAL, rec)
@@ -309,22 +302,22 @@ def shuffle(
                 sm.backup_received[target] = sm.backup_received.get(target, 0) + got
 
 
-def group_entries(entries: Iterable[InboxEntry]) -> list[tuple[bytes, list[bytes]]]:
-    """Group records by key for reducing.
+def group_entries(inbox: dict[PeId, list[Record]]) -> list[tuple[bytes, list[bytes]]]:
+    """Group an inbox's records by key for reducing.
 
-    Keys are sorted bytewise; within a group, values follow the stable
-    arrival order (ascending source PE, then emission order), so grouping
-    is invariant under any interleaving of the physical deliveries.
+    Keys are sorted bytewise; within a group, values follow ascending
+    sender, then emission order, so grouping does not depend on the order
+    in which senders delivered.
     """
-    by_key: dict[bytes, list[tuple[PeId, int, bytes]]] = {}
-    for src, seq, rec in entries:
-        by_key.setdefault(rec.key, []).append((src, seq, rec.value))
-    out = []
-    for key in sorted(by_key):
-        vals = by_key[key]
-        vals.sort(key=lambda t: (t[0], t[1]))
-        out.append((key, [v for (_s, _q, v) in vals]))
-    return out
+    by_key: dict[bytes, list[bytes]] = {}
+    for src in sorted(inbox):
+        for rec in inbox[src]:
+            values = by_key.get(rec.key)
+            if values is None:
+                by_key[rec.key] = [rec.value]
+            else:
+                values.append(rec.value)
+    return [(key, by_key[key]) for key in sorted(by_key)]
 
 
 def reduce_phase(
@@ -345,7 +338,7 @@ def reduce_phase(
                     aggregate += counter_fn(key, values)
             except Exception as exc:  # noqa: BLE001
                 raise JobError(i, step, f"reduce of key {key!r}", exc) from exc
-        pe.inbox = []
+        pe.inbox = {}
         pe.current_records = out
     return aggregate
 
@@ -406,11 +399,10 @@ class Cluster:
         failure_plan=None,
         group_size: int = 1,
         single_recoverer: bool = False,
-        metrics: Metrics | None = None,
         ledger: DeliveryLedger | None = None,
         max_steps: int = 10_000,
     ):
-        self.metrics = metrics if metrics is not None else Metrics()
+        self.metrics = Metrics()
         self.is_rp = recovery_point_schedule(recovery_point_interval)
         self.state = ingest(job.source, p, group_size)
         if p == 1 and backup_mode is not BackupMode.OFF:

@@ -62,8 +62,9 @@ class UnrecoverableFailure(RuntimeError):
     """The surviving state cannot reproduce the lost data; gives the reason."""
 
 
-# chain entries: (holder PE, src tag, seq tag, record)
-_Entry = tuple[PeId, PeId, int, Record]
+# a rebuilt inbox: src -> (holder PE, record) pairs in emission order,
+# the holder being the survivor that has the record
+_Chain = dict[PeId, list[tuple[PeId, Record]]]
 
 
 def recover(
@@ -84,6 +85,9 @@ def recover(
     failed = set(event.failed)
     if not failed:
         return
+    unknown = failed.difference(range(len(state.pes)))
+    if unknown:
+        raise ValueError(f"event names unknown PEs {sorted(unknown)}")
     if not failed <= state.live:
         raise ValueError(f"event fails already-dead PEs {sorted(failed - state.live)}")
     if backup_mode is BackupMode.OFF:
@@ -160,33 +164,29 @@ def recover(
     replayed: list[StepId] = []
 
     # --- phase 1: the unit's stream at the recovery point ---------------
+    chain: _Chain | None = None
     if r == 0:
         current: list[tuple[PeId, Record]] = []
         for f in sorted(failed):
             for rec in state.source.fn(f):
                 current.append((pm_new.owner_of(h(rec.key)), rec))
         records_recomputed += len(current)
-        entries: list[_Entry] | None = None
-        next_step = 1
     else:
-        entries = _logged_to(state, r, failed)
-        entries += _share_entries(state, r, failed)
-        next_step = r + 1
+        chain = _logged_to(state, r, failed)
+        chain.update(_share_entries(state, r, failed))
 
     # --- phase 2: replay up to the failure step --------------------------
-    while True:
-        if entries is not None:
-            step = next_step - 1  # the step whose inbox `entries` rebuilds
-            if step == t:
-                break
+    for step in range(r + 1, t + 1):
+        if chain is not None:
+            # the unit's Reduce of the previous step, over its rebuilt inbox
+            prev = step - 1
             if ledger is not None:
-                for _holder, _src, _seq, rec in entries:
-                    ledger.note(step, pm_new.owner_of(h(rec.key)), RECOVERY, rec)
-            current = _replay_reduce(state, step, entries, pm_new, h)
-            records_recomputed += len(entries)
-            replayed.append(step)
-            entries = None
-        step = next_step
+                for pairs in chain.values():
+                    for _holder, rec in pairs:
+                        ledger.note(prev, pm_new.owner_of(h(rec.key)), RECOVERY, rec)
+            current = _replay_reduce(state, prev, chain, pm_new, h)
+            records_recomputed += sum(map(len, chain.values()))
+            replayed.append(prev)
         spec = state.step_history[step].spec
         pm_then = state.step_history[step].pm
         mapped: list[tuple[PeId, Record]] = []
@@ -198,22 +198,21 @@ def recover(
             mapped.extend((holder, out) for out in produced)
         # Keep only what the unit would have sent to itself; the rest
         # already reached surviving owners before the failure.
-        self_part: list[_Entry] = []
-        unit_src = min(failed)
-        for holder, rec in mapped:
-            if pm_then.owner_of(h(rec.key)) in failed:
-                self_part.append((holder, unit_src, len(self_part), rec))
+        self_part = [
+            (holder, rec) for holder, rec in mapped
+            if pm_then.owner_of(h(rec.key)) in failed
+        ]
         if r == 0 and step < t:
             # The unit's own sends of this step died with its logs; with
             # no shuffle recovery point, a later input replay would need
             # them again, so re-log the recomputed copies on survivors.
             relog_bytes += _relog_mapped(state, step, mapped, failed, pm_then, h)
-        entries = _logged_to(state, step, failed) + self_part
-        next_step = step + 1
+        chain = _logged_to(state, step, failed)
+        chain[min(failed)] = self_part  # the unit's sends to itself
 
-    # entries now hold the unit's reconstructed inbox at step t
-    records_recomputed += len(entries)
-    bytes_resent = _inject(state, t, entries, pm_new, ledger, h)
+    # chain now holds the unit's reconstructed inbox at step t
+    records_recomputed += sum(map(len, chain.values()))
+    bytes_resent = _inject(state, t, chain, pm_new, ledger, h)
     repair_bytes = relog_bytes + _repair_shares(state, r, failed, backup_mode)
     if r == t or r == 0:
         # The unit's delivered step-t sends still sit in the survivors'
@@ -275,27 +274,24 @@ def _pick_heir(
     return survivors[0]
 
 
-def _logged_to(state: ClusterState, step: StepId, failed: set[PeId]) -> list[_Entry]:
+def _logged_to(state: ClusterState, step: StepId, failed: set[PeId]) -> _Chain:
     """What the survivors' sent logs say reached the unit at ``step``."""
-    entries: list[_Entry] = []
+    chain: _Chain = {}
     for s in sorted(state.live):
         log = state.pes[s].sent_log.get(step)
-        if not log:
-            continue
-        for f in sorted(failed):
-            for seq, rec in enumerate(log.get(f, ())):
-                entries.append((s, s, seq, rec))
-    return entries
+        if log:
+            chain[s] = [(s, rec) for f in sorted(failed) for rec in log.get(f, ())]
+    return chain
 
 
-def _share_entries(state: ClusterState, r: StepId, failed: set[PeId]) -> list[_Entry]:
+def _share_entries(state: ClusterState, r: StepId, failed: set[PeId]) -> _Chain:
     """The unit-internal records backed up on peers at recovery point ``r``.
 
     Every share listed in the step's backup manifest must still be held
     by a live PE; a missing share means the data is gone for good.
     """
     hist = state.step_history[r]
-    collected: list[tuple[PeId, PeId, PeId, int, Record]] = []
+    chain: _Chain = {}
     for origin in sorted(failed):
         manifest = hist.backup_manifest.get(origin)
         if manifest is None:
@@ -305,6 +301,9 @@ def _share_entries(state: ClusterState, r: StepId, failed: set[PeId]) -> list[_E
                     f"recovery point {r}"
                 )
             continue
+        # (dst, seq, holder, record); shares hold slices of the payloads,
+        # repaired ones in any order, so sort back into emission order
+        collected: list[tuple[PeId, int, PeId, Record]] = []
         for target, idx in manifest:
             if target not in state.live:
                 raise UnrecoverableFailure(
@@ -317,11 +316,12 @@ def _share_entries(state: ClusterState, r: StepId, failed: set[PeId]) -> list[_E
                     f"backup share {idx} of PE {origin} at step {r} is missing "
                     f"on PE {target}"
                 )
-            for src, dst, seq, rec in share:
+            for _src, dst, seq, rec in share:
                 if dst in failed:
-                    collected.append((target, src, dst, seq, rec))
-    collected.sort(key=lambda e: (e[1], e[2], e[3]))
-    return [(holder, src, seq, rec) for (holder, src, _dst, seq, rec) in collected]
+                    collected.append((dst, seq, target, rec))
+        collected.sort(key=lambda e: (e[0], e[1]))
+        chain[origin] = [(holder, rec) for (_dst, _seq, holder, rec) in collected]
+    return chain
 
 
 def _holder_for(state: ClusterState, dst: PeId) -> PeId:
@@ -356,8 +356,8 @@ def _note_holding(state: ClusterState, holder: PeId, step: StepId, dst: PeId) ->
 
 def _log_copy(
     state: ClusterState, holder: PeId, step: StepId, dst: PeId, rec: Record
-) -> tuple[PeId, int]:
-    """Log ``rec`` as a step-``step`` send to ``dst``; return (sender, seq).
+) -> PeId:
+    """Log ``rec`` as a step-``step`` send to ``dst``; return the sender.
 
     The sender is ``holder`` unless it sits in ``dst``'s failure group;
     then a PE outside that group takes the copy, so the log never dies
@@ -368,9 +368,8 @@ def _log_copy(
     else:
         sender = _holder_for(state, dst)
     _note_holding(state, sender, step, dst)
-    log = state.pes[sender].sent_log.setdefault(step, {}).setdefault(dst, [])
-    log.append(rec)
-    return sender, len(log) - 1
+    state.pes[sender].sent_log.setdefault(step, {}).setdefault(dst, []).append(rec)
+    return sender
 
 
 def _relog_pending(state: ClusterState, t: StepId, failed: set[PeId]) -> int:
@@ -387,22 +386,16 @@ def _relog_pending(state: ClusterState, t: StepId, failed: set[PeId]) -> int:
         return 0
     shipped = 0
     for owner in live_sorted:
-        pending = [
-            (src, seq, rec)
-            for (src, seq, rec) in state.pes[owner].inbox
-            if src in failed
-        ]
+        inbox = state.pes[owner].inbox
+        pending = [rec for src in sorted(failed) for rec in inbox.get(src, ())]
         if not pending:
             continue
-        pending.sort(key=lambda e: (e[0], e[1]))
         holder = _holder_for(state, owner)
         if holder == owner:
             continue
         _note_holding(state, holder, t, owner)
-        log = state.pes[holder].sent_log.setdefault(t, {}).setdefault(owner, [])
-        for _src, _seq, rec in pending:
-            log.append(rec)
-            shipped += rec.size
+        state.pes[holder].sent_log.setdefault(t, {}).setdefault(owner, []).extend(pending)
+        shipped += sum(rec.size for rec in pending)
     return shipped
 
 
@@ -425,7 +418,7 @@ def _relog_mapped(
         dst = pm_then.owner_of(h(rec.key))
         if dst in failed or dst not in state.live:
             continue
-        sender, _seq = _log_copy(state, holder, step, dst, rec)
+        sender = _log_copy(state, holder, step, dst, rec)
         if sender != holder:
             shipped += rec.size
     return shipped
@@ -502,20 +495,19 @@ def _repair_shares(
 def _replay_reduce(
     state: ClusterState,
     step: StepId,
-    entries: list[_Entry],
+    chain: _Chain,
     pm_new,
     h,
 ) -> list[tuple[PeId, Record]]:
-    """Re-execute the unit's Reduce of ``step`` over reconstructed entries.
+    """Re-execute the unit's Reduce of ``step`` over its rebuilt inbox.
 
     Each key group is attributed to the survivor that owns the key under
     the shrunk map, mirroring where the recomputation runs.
     """
     spec = state.step_history[step].spec
     out: list[tuple[PeId, Record]] = []
-    for key, values in group_entries(
-        (src, seq, rec) for (_holder, src, seq, rec) in entries
-    ):
+    inbox = {src: [rec for _holder, rec in pairs] for src, pairs in chain.items()}
+    for key, values in group_entries(inbox):
         owner = pm_new.owner_of(h(key))
         try:
             produced = spec.reduce_fn(key, values)
@@ -528,12 +520,16 @@ def _replay_reduce(
 def _inject(
     state: ClusterState,
     t: StepId,
-    entries: list[_Entry],
+    chain: _Chain,
     pm_new,
     ledger: DeliveryLedger | None,
     h,
 ) -> int:
     """Deliver the reconstructed step-``t`` inbox to its new owners.
+
+    The chain is walked in insertion order (survivors ascending, then the
+    unit's own part), which fixes where each record lands in its new
+    owner's inbox and hence the reduce value order.
 
     Records are appended to the contributors' sent logs under step ``t``
     so the recovery traffic is itself protected until the next recovery
@@ -543,14 +539,15 @@ def _inject(
     the bytes that crossed the (simulated) network.
     """
     bytes_resent = 0
-    for holder, _src, _seq, rec in entries:
-        dst = pm_new.owner_of(h(rec.key))
-        sender, seq = _log_copy(state, holder, t, dst, rec)
-        state.pes[dst].inbox.append((sender, seq, rec))
-        if ledger is not None:
-            ledger.note(t, dst, RECOVERY, rec)
-        if holder != dst:
-            bytes_resent += rec.size
-        if sender != holder:
-            bytes_resent += rec.size
+    for pairs in chain.values():
+        for holder, rec in pairs:
+            dst = pm_new.owner_of(h(rec.key))
+            sender = _log_copy(state, holder, t, dst, rec)
+            state.pes[dst].inbox.setdefault(sender, []).append(rec)
+            if ledger is not None:
+                ledger.note(t, dst, RECOVERY, rec)
+            if holder != dst:
+                bytes_resent += rec.size
+            if sender != holder:
+                bytes_resent += rec.size
     return bytes_resent

@@ -100,23 +100,24 @@ def test_ledger_counts_every_delivery():
 @given(st.data())
 def test_group_entries_order_invariance(data):
     keys = [b"k1", b"k2", b"k3"]
-    entries = []
-    for src in range(3):
-        for seq in range(data.draw(st.integers(0, 4))):
-            key = data.draw(st.sampled_from(keys))
-            entries.append((src, seq, Record(key, bytes([src, seq]))))
-    shuffled = data.draw(st.permutations(entries))
-    assert group_entries(entries) == group_entries(shuffled)
+    senders = data.draw(st.lists(st.integers(0, 7), unique=True, max_size=4))
+    inbox = {
+        src: [
+            Record(data.draw(st.sampled_from(keys)), bytes([src, seq]))
+            for seq in range(data.draw(st.integers(0, 4)))
+        ]
+        for src in senders
+    }
+    shuffled = {src: inbox[src] for src in data.draw(st.permutations(senders))}
+    assert group_entries(inbox) == group_entries(shuffled)
 
 
 def test_group_entries_sorted_keys_and_stable_values():
-    entries = [
-        (1, 0, Record(b"b", b"1")),
-        (0, 1, Record(b"a", b"2")),
-        (0, 0, Record(b"b", b"3")),
-        (1, 1, Record(b"b", b"4")),
-    ]
-    assert group_entries(entries) == [
+    inbox = {
+        1: [Record(b"b", b"1"), Record(b"b", b"4")],
+        0: [Record(b"b", b"3"), Record(b"a", b"2")],
+    }
+    assert group_entries(inbox) == [
         (b"a", [b"2"]),
         (b"b", [b"3", b"1", b"4"]),
     ]

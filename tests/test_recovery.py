@@ -1,9 +1,11 @@
 """Failure injection and recovery: rebuild, replay, refusal."""
 
+import hashlib
+
 import pytest
 
 from ftmr.config import JobConfig
-from ftmr.core import Record
+from ftmr.core import Record, encode_record
 from ftmr.engine import (
     Cluster,
     Job,
@@ -52,6 +54,30 @@ def assert_same_outputs(config, spec, ledger=None):
 
 
 # -- single failures ----------------------------------------------------
+
+
+@pytest.mark.parametrize("options, spec, digest", [
+    (dict(p=4, recovery_point_interval=3), "3:2",
+     "7ccead32a76f8c50656c95f20430fadb67db43e866fbf88f764cb007bc8f8f72"),
+    (dict(p=4, recovery_point_interval="input-only"), "2:1;4:3",
+     "34ef6df02a54809d69a9032939971a8ee2079c113602dba1bccd4961de654fe7"),
+    (dict(p=8, group_size=2, recovery_point_interval=3), "2:0,1;4:4,5",
+     "1afe984b71f8efe28880c251241b58026e377a502f7bb8761762f84e12962eac"),
+], ids=["rp3", "input-only", "groups"])
+def test_recovered_value_order_is_pinned(options, spec, digest):
+    # PageRank sums floats in reduce value order, so the exact output
+    # bytes pin the order in which recovery rebuilds and re-delivers
+    # records; outputs_match's tolerance would not notice a change
+    config = JobConfig(benchmark="pagerank", seed=7, vertices_per_pe=8,
+                       avg_degree=4, iterations=4, **options)
+    result = run_simulation(config, parse_failure_spec(spec))
+    h = hashlib.sha256()
+    for pe in sorted(result.outputs):
+        h.update(b"%d:" % pe)
+        for rec in result.outputs[pe]:
+            h.update(encode_record(rec))
+    h.update(result.metrics.to_csv().encode())
+    assert h.hexdigest() == digest
 
 
 def test_single_failure_wordcount():
@@ -299,6 +325,11 @@ def test_event_on_dead_pe_rejected():
     with pytest.raises(ValueError, match="already-dead"):
         run_job(_identity_job(5), 4,
                 failure_plan=parse_failure_spec("1:1;2:1"))
+
+
+def test_event_on_unknown_pe_rejected():
+    with pytest.raises(ValueError, match=r"event names unknown PEs \[9\]"):
+        run_job(_identity_job(5), 4, failure_plan=parse_failure_spec("1:9"))
 
 
 def test_unfired_events_warn(caplog):
