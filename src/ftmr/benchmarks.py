@@ -399,15 +399,13 @@ def pagerank_job(
         (score,) = F64.unpack(body[1:9])
         adj_bytes = body[9:]
         out = [Record(rec.key, _TAG_ADJ + adj_bytes)]
+        # one value object per vertex: sent logs keep every out-record
         if adj_bytes:
-            outdeg = len(adj_bytes) // 8
-            share = F64.pack(score / outdeg)
-            for i in range(outdeg):
-                out.append(Record(adj_bytes[i * 8 : (i + 1) * 8], _TAG_SCORE + share))
+            share = _TAG_SCORE + F64.pack(score / (len(adj_bytes) // 8))
+            out += [Record(adj_bytes[i : i + 8], share) for i in range(0, len(adj_bytes), 8)]
         else:
-            share = F64.pack(score / n)
-            for w in range(n):
-                out.append(Record(U64.pack(w), _TAG_DANGLING + share))
+            share = _TAG_DANGLING + F64.pack(score / n)
+            out += [Record(U64.pack(w), share) for w in range(n)]
         return out
 
     def reduce_fn(key: bytes, values: list[bytes]) -> list[Record]:

@@ -32,9 +32,9 @@ from .core import PeId, Record, StepId
 from .metrics import ORIGINAL, DeliveryLedger, Metrics
 from .partition import (
     BackupMode,
+    Owners,
     PartitionMap,
     backup_targets,
-    hash_key,
     initial_partition,
     split_self_message,
 )
@@ -237,14 +237,13 @@ def shuffle(
     traffic volumes.  Each destination's inbox keeps a copy of each
     sender's payload, in emission order, under the sender's id (a copy,
     because recovery later appends to the logged payload).  Every
-    delivery is noted in ``ledger`` when one is given.
+    payload is noted in ``ledger`` when one is given.
     """
     sm = metrics.step_metrics(step)
-    pm = state.pm
     group_of = state.group_of
     fault_tolerant = backup_mode is not BackupMode.OFF
     # the partition map is fixed within a shuffle: one lookup per key
-    owners: dict[bytes, PeId] = {}
+    owners = Owners(state.pm)
     # per sender: dst -> payload, and the unit-internal slice of it
     unit_self: dict[PeId, list] = {}
     records = network_bytes = self_bytes = 0
@@ -256,10 +255,7 @@ def shuffle(
         src_gid = group_of[src]
         records += len(pe.outbound)
         for rec in pe.outbound:
-            key = rec.key
-            dst = owners.get(key)
-            if dst is None:
-                dst = owners[key] = pm.owner_of(hash_key(key))
+            dst = owners[rec.key]
             payload = payloads.setdefault(dst, [])
             seq = len(payload)
             payload.append(rec)
@@ -275,8 +271,7 @@ def shuffle(
         for dst, payload in payloads.items():
             state.pes[dst].inbox[src] = list(payload)
             if ledger is not None:
-                for rec in payload:
-                    ledger.note(step, dst, ORIGINAL, rec)
+                ledger.note(step, dst, ORIGINAL, payload)
     sm.records += records
     sm.network_bytes += network_bytes
     sm.self_bytes += self_bytes

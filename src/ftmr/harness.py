@@ -334,9 +334,11 @@ def sweep_failures(
     """Fail every unit at every step (or the given steps), one run each.
 
     Each faulty run must pass :func:`verify` against the reference,
-    including the delivery-ledger exactly-once checks.  Engine warnings
-    about degraded protection after the injected failure are muted; the
-    sweep itself reports anything that went wrong.
+    including the delivery-ledger exactly-once checks.  A given step
+    outside the reference run's ``1 .. steps_run`` raises
+    :class:`ConfigError`, since its event would never fire.  Engine
+    warnings about degraded protection after the injected failure are
+    muted; the sweep itself reports anything that went wrong.
     """
     config.validate()
     reference = run_simulation(config, ledger=DeliveryLedger())
@@ -349,6 +351,11 @@ def sweep_failures(
     step_list = list(steps) if steps is not None else list(
         range(1, reference.steps_run + 1)
     )
+    outside = sorted({s for s in step_list if not 1 <= s <= reference.steps_run})
+    if outside:
+        raise ConfigError(
+            f"steps {outside} lie outside the job's steps 1..{reference.steps_run}"
+        )
     cases = []
     engine_log = logging.getLogger("ftmr")
     for step in step_list:

@@ -16,8 +16,10 @@ re-sent to survivors and the records recomputed during replay.
 The :class:`DeliveryLedger` is an opt-in verification instrument: it
 counts every delivered :class:`~ftmr.core.Record` (the record itself is
 the count key, so equal contents compare equal across runs and
-processes) per ``(step, destination, generation)``.  Runs only carry one
-when a caller passes it in; the fault-free hot path does no ledger work.
+processes) per ``(step, destination, generation)``.  Each ``note`` call
+counts one delivered batch, such as a sender's whole payload to one
+destination.  Runs only carry a ledger when a caller passes it in; the
+fault-free hot path does no ledger work.
 
 CSV schema (stable): ``step,phase,network_bytes,self_bytes,backup_bytes,records``
 with ``phase=shuffle`` rows per step and one ``phase=recovery`` row per
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import io
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .core import PeId, Record, StepId
@@ -129,22 +132,26 @@ class DeliveryLedger:
     with the same concatenated bytes but a different key/value split
     stay apart.  ``generation`` separates deliveries of the original
     execution from records re-delivered (or re-derived) while
-    reconstructing a failed PE.  Comparing a faulty run's ledger with a fault-free shadow run
-    proves that recovery re-delivered every lost record exactly once and
-    never re-sent data that had already reached a surviving PE.
+    reconstructing a failed PE.  One :meth:`note` call counts one
+    delivered batch.  Comparing a faulty run's ledger with a fault-free
+    shadow run proves that recovery re-delivered every lost record
+    exactly once and never re-sent data that had already reached a
+    surviving PE.
     """
 
     def __init__(self):
         # (step, dst, generation) -> Counter of delivered records
         self.deliveries: dict[tuple[StepId, PeId, str], Counter] = {}
 
-    def note(self, step: StepId, dst: PeId, generation: str, record: Record) -> None:
+    def note(
+        self, step: StepId, dst: PeId, generation: str, records: Iterable[Record]
+    ) -> None:
+        """Count every record of one batch delivered to ``dst``, repeats too."""
         key = (step, dst, generation)
         bucket = self.deliveries.get(key)
         if bucket is None:
-            bucket = Counter()
-            self.deliveries[key] = bucket
-        bucket[record] += 1
+            bucket = self.deliveries[key] = Counter()
+        bucket.update(records)
 
     # -- views -----------------------------------------------------------
 

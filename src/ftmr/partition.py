@@ -16,6 +16,7 @@ closing xor-shift).
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -96,18 +97,28 @@ class PartitionMap:
         """Owning PE of hash value ``h``."""
         if not (0 <= h < HASH_SPACE):
             raise ValueError(f"hash {h} outside the 64-bit domain")
-        los = self._los
-        lo, hi = 0, len(los)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if los[mid] <= h:
-                lo = mid
-            else:
-                hi = mid
-        return self.ranges[lo].pe
+        return self.ranges[bisect_right(self._los, h) - 1].pe
 
     def live_pes(self) -> tuple[PeId, ...]:
         return tuple(sorted({r.pe for r in self.ranges}))
+
+
+class Owners(dict):
+    """Owning PE of each key under one partition map, memoized.
+
+    ``owners[key]`` hashes a key the first time it is asked for and looks
+    its owner up in ``pm``; later lookups are one dict subscript.  The
+    memo keeps every key it has seen, so it lives as long as one shuffle
+    or one recovery, not as long as the map.
+    """
+
+    def __init__(self, pm: PartitionMap):
+        super().__init__()
+        self.pm = pm
+
+    def __missing__(self, key: bytes) -> PeId:
+        owner = self[key] = self.pm.owner_of(hash_key(key))
+        return owner
 
 
 def initial_partition(p: int) -> PartitionMap:

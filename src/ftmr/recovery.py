@@ -36,8 +36,8 @@ from .engine import ClusterState, JobError, group_entries, last_recovery_point
 from .metrics import RECOVERY, DeliveryLedger, Metrics, RecoveryRecord
 from .partition import (
     BackupMode,
+    Owners,
     backup_targets,
-    hash_key,
     shrink_partition,
     transfer_partition,
 )
@@ -149,15 +149,7 @@ def recover(
         pm_new = transfer_partition(pm_old, failed, heir)
     else:
         pm_new = shrink_partition(pm_old, failed)
-
-    hashes: dict[bytes, int] = {}
-
-    def h(key: bytes) -> int:
-        v = hashes.get(key)
-        if v is None:
-            v = hash_key(key)
-            hashes[key] = v
-        return v
+    owners_old, owners_new = Owners(pm_old), Owners(pm_new)
 
     records_recomputed = 0
     relog_bytes = 0
@@ -169,7 +161,7 @@ def recover(
         current: list[tuple[PeId, Record]] = []
         for f in sorted(failed):
             for rec in state.source.fn(f):
-                current.append((pm_new.owner_of(h(rec.key)), rec))
+                current.append((owners_new[rec.key], rec))
         records_recomputed += len(current)
     else:
         chain = _logged_to(state, r, failed)
@@ -181,14 +173,13 @@ def recover(
             # the unit's Reduce of the previous step, over its rebuilt inbox
             prev = step - 1
             if ledger is not None:
-                for pairs in chain.values():
-                    for _holder, rec in pairs:
-                        ledger.note(prev, pm_new.owner_of(h(rec.key)), RECOVERY, rec)
-            current = _replay_reduce(state, prev, chain, pm_new, h)
+                _note_rebuilt(ledger, prev, chain, owners_new)
+            current = _replay_reduce(state, prev, chain, owners_new)
             records_recomputed += sum(map(len, chain.values()))
             replayed.append(prev)
         spec = state.step_history[step].spec
         pm_then = state.step_history[step].pm
+        owners_then = owners_old if pm_then is pm_old else Owners(pm_then)
         mapped: list[tuple[PeId, Record]] = []
         for holder, rec in current:
             try:
@@ -200,19 +191,21 @@ def recover(
         # already reached surviving owners before the failure.
         self_part = [
             (holder, rec) for holder, rec in mapped
-            if pm_then.owner_of(h(rec.key)) in failed
+            if owners_then[rec.key] in failed
         ]
         if r == 0 and step < t:
             # The unit's own sends of this step died with its logs; with
             # no shuffle recovery point, a later input replay would need
             # them again, so re-log the recomputed copies on survivors.
-            relog_bytes += _relog_mapped(state, step, mapped, failed, pm_then, h)
+            relog_bytes += _relog_mapped(state, step, mapped, failed, owners_then)
         chain = _logged_to(state, step, failed)
         chain[min(failed)] = self_part  # the unit's sends to itself
 
     # chain now holds the unit's reconstructed inbox at step t
     records_recomputed += sum(map(len, chain.values()))
-    bytes_resent = _inject(state, t, chain, pm_new, ledger, h)
+    if ledger is not None:
+        _note_rebuilt(ledger, t, chain, owners_new)
+    bytes_resent = _inject(state, t, chain, owners_new)
     repair_bytes = relog_bytes + _repair_shares(state, r, failed, backup_mode)
     if r == t or r == 0:
         # The unit's delivered step-t sends still sit in the survivors'
@@ -404,8 +397,7 @@ def _relog_mapped(
     step: StepId,
     mapped: list[tuple[PeId, Record]],
     failed: set[PeId],
-    pm_then,
-    h,
+    owners_then: Owners,
 ) -> int:
     """Re-log the unit's recomputed cross-PE sends of a replayed step.
 
@@ -415,7 +407,7 @@ def _relog_mapped(
     """
     shipped = 0
     for holder, rec in mapped:
-        dst = pm_then.owner_of(h(rec.key))
+        dst = owners_then[rec.key]
         if dst in failed or dst not in state.live:
             continue
         sender = _log_copy(state, holder, step, dst, rec)
@@ -496,8 +488,7 @@ def _replay_reduce(
     state: ClusterState,
     step: StepId,
     chain: _Chain,
-    pm_new,
-    h,
+    owners_new: Owners,
 ) -> list[tuple[PeId, Record]]:
     """Re-execute the unit's Reduce of ``step`` over its rebuilt inbox.
 
@@ -508,7 +499,7 @@ def _replay_reduce(
     out: list[tuple[PeId, Record]] = []
     inbox = {src: [rec for _holder, rec in pairs] for src, pairs in chain.items()}
     for key, values in group_entries(inbox):
-        owner = pm_new.owner_of(h(key))
+        owner = owners_new[key]
         try:
             produced = spec.reduce_fn(key, values)
         except Exception as exc:  # noqa: BLE001
@@ -521,9 +512,7 @@ def _inject(
     state: ClusterState,
     t: StepId,
     chain: _Chain,
-    pm_new,
-    ledger: DeliveryLedger | None,
-    h,
+    owners_new: Owners,
 ) -> int:
     """Deliver the reconstructed step-``t`` inbox to its new owners.
 
@@ -541,13 +530,23 @@ def _inject(
     bytes_resent = 0
     for pairs in chain.values():
         for holder, rec in pairs:
-            dst = pm_new.owner_of(h(rec.key))
+            dst = owners_new[rec.key]
             sender = _log_copy(state, holder, t, dst, rec)
             state.pes[dst].inbox.setdefault(sender, []).append(rec)
-            if ledger is not None:
-                ledger.note(t, dst, RECOVERY, rec)
             if holder != dst:
                 bytes_resent += rec.size
             if sender != holder:
                 bytes_resent += rec.size
     return bytes_resent
+
+
+def _note_rebuilt(
+    ledger: DeliveryLedger, step: StepId, chain: _Chain, owners_new: Owners
+) -> None:
+    """Note a rebuilt step inbox in ``ledger``, one batch per new owner."""
+    by_dst: dict[PeId, list[Record]] = {}
+    for pairs in chain.values():
+        for _holder, rec in pairs:
+            by_dst.setdefault(owners_new[rec.key], []).append(rec)
+    for dst, recs in by_dst.items():
+        ledger.note(step, dst, RECOVERY, recs)

@@ -118,6 +118,17 @@ def test_sweep_step_subset(capsys):
     assert "swept 8 single-failure runs" in capsys.readouterr().out
 
 
+def test_sweep_step_past_the_job_is_a_config_error(capsys):
+    argv = ["sweep", "--benchmark", "wordcount", "-p", "4", "--seed", "2",
+            "--words-per-pe", "200", "--steps", "1,2"]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "configuration error: steps [2] lie outside the job's steps 1..1\n"
+    )
+
+
 def test_overhead_table(tmp_path, capsys):
     csv = tmp_path / "overhead.csv"
     argv = ["overhead", "--p-list", "4", "--records", "5000",

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ftmr.benchmarks import make_job
 from ftmr.core import Record
 from ftmr.engine import (
     Cluster,
@@ -92,6 +93,18 @@ def test_ledger_counts_every_delivery():
     sm = result.metrics.steps[0]
     assert sum(result.ledger.step_total(1, ORIGINAL).values()) == sm.records
     assert sm.records == 120
+
+
+def test_shuffle_hashes_each_key_once_per_step(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        "ftmr.partition.hash_key", lambda key: calls.append(key) or hash_key(key)
+    )
+    result = run_job(make_job("pagerank", 4, 3, vertices_per_pe=8, iterations=3), 4)
+    # every vertex is a key each step: its adjacency and its in-edge scores
+    keys = {rec.key for recs in result.outputs.values() for rec in recs}
+    assert len(keys) == 32
+    assert len(calls) == result.steps_run * len(keys)
 
 
 # -- grouping -----------------------------------------------------------

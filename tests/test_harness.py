@@ -234,6 +234,12 @@ def test_sweep_step_subset():
     assert result.ok
 
 
+def test_sweep_rejects_steps_outside_the_job():
+    config = JobConfig(benchmark="wordcount", p=4, seed=2, words_per_pe=200)
+    with pytest.raises(ConfigError, match=r"steps \[0, 2, 5\] .* 1\.\.1"):
+        sweep_failures(config, steps=[1, 5, 0, 2, 2])
+
+
 # -- overhead -----------------------------------------------------------
 
 

@@ -69,11 +69,11 @@ def test_csv_layout():
 
 def test_ledger_counts_and_views():
     led = DeliveryLedger()
-    led.note(1, 0, ORIGINAL, rec(b"a"))
-    led.note(1, 0, ORIGINAL, rec(b"a"))
-    led.note(1, 1, ORIGINAL, rec(b"b"))
-    led.note(1, 1, RECOVERY, rec(b"c"))
-    led.note(2, 0, ORIGINAL, rec(b"d"))
+    led.note(1, 0, ORIGINAL, [rec(b"a")])
+    led.note(1, 0, ORIGINAL, [rec(b"a")])
+    led.note(1, 1, ORIGINAL, [rec(b"b")])
+    led.note(1, 1, RECOVERY, [rec(b"c")])
+    led.note(2, 0, ORIGINAL, [rec(b"d")])
     assert led.bucket(1, 0, ORIGINAL)[rec(b"a")] == 2
     assert sum(led.step_total(1).values()) == 4
     assert sum(led.step_total(1, RECOVERY).values()) == 1
@@ -84,17 +84,24 @@ def test_ledger_counts_and_views():
 def test_ledger_separates_key_value_boundary():
     # same concatenated bytes, different split -> different ledger entries
     led = DeliveryLedger()
-    led.note(1, 0, ORIGINAL, rec(b"ab", b"c"))
-    led.note(1, 0, ORIGINAL, rec(b"a", b"bc"))
-    led.note(1, 0, ORIGINAL, rec(b"ab", b"c"))
+    led.note(1, 0, ORIGINAL, [rec(b"ab", b"c")])
+    led.note(1, 0, ORIGINAL, [rec(b"a", b"bc")])
+    led.note(1, 0, ORIGINAL, [rec(b"ab", b"c")])
     assert led.bucket(1, 0, ORIGINAL) == {rec(b"ab", b"c"): 2, rec(b"a", b"bc"): 1}
+
+
+def test_ledger_counts_repeats_within_one_batch():
+    led = DeliveryLedger()
+    led.note(1, 0, ORIGINAL, [rec(b"a"), rec(b"b"), rec(b"a")])
+    led.note(1, 0, ORIGINAL, [rec(b"a")])
+    assert led.bucket(1, 0, ORIGINAL) == {rec(b"a"): 3, rec(b"b"): 1}
 
 
 def _reference_ledger():
     led = DeliveryLedger()
     for step in (1, 2, 3):
         for dst in (0, 1):
-            led.note(step, dst, ORIGINAL, rec(b"k%d%d" % (step, dst)))
+            led.note(step, dst, ORIGINAL, [rec(b"k%d%d" % (step, dst))])
     return led
 
 
@@ -104,10 +111,10 @@ def test_check_against_clean_recovery():
     # identical up to the failure at step 2, PE 1 lost
     for step in (1, 2):
         for dst in (0, 1):
-            run.note(step, dst, ORIGINAL, rec(b"k%d%d" % (step, dst)))
-    run.note(2, 0, RECOVERY, rec(b"k21"))  # re-derived on the survivor
-    run.note(3, 0, ORIGINAL, rec(b"k30"))
-    run.note(3, 0, ORIGINAL, rec(b"k31"))  # moved to the survivor
+            run.note(step, dst, ORIGINAL, [rec(b"k%d%d" % (step, dst))])
+    run.note(2, 0, RECOVERY, [rec(b"k21")])  # re-derived on the survivor
+    run.note(3, 0, ORIGINAL, [rec(b"k30")])
+    run.note(3, 0, ORIGINAL, [rec(b"k31")])  # moved to the survivor
     assert run.check_against(ref, {1}, event_step=2, recovery_point=2) == []
 
 
@@ -116,9 +123,9 @@ def test_check_against_flags_missing_and_extra():
     run = DeliveryLedger()
     for step in (1, 2):
         for dst in (0, 1):
-            run.note(step, dst, ORIGINAL, rec(b"k%d%d" % (step, dst)))
-    run.note(2, 0, RECOVERY, rec(b"k20"))  # re-sent a surviving record
-    run.note(3, 0, ORIGINAL, rec(b"k30"))
+            run.note(step, dst, ORIGINAL, [rec(b"k%d%d" % (step, dst))])
+    run.note(2, 0, RECOVERY, [rec(b"k20")])  # re-sent a surviving record
+    run.note(3, 0, ORIGINAL, [rec(b"k30")])
     problems = run.check_against(ref, {1}, event_step=2, recovery_point=2)
     assert any("recovered stream mismatch" in p for p in problems)
     assert any("1 missing, 1 duplicated" in p for p in problems)
@@ -128,7 +135,7 @@ def test_check_against_flags_missing_and_extra():
 def test_check_against_flags_prefix_divergence():
     ref = _reference_ledger()
     run = DeliveryLedger()
-    run.note(1, 0, ORIGINAL, rec(b"other"))
+    run.note(1, 0, ORIGINAL, [rec(b"other")])
     problems = run.check_against(ref, {1}, event_step=3, recovery_point=3)
     assert any("step 1 PE 0: original deliveries diverge" in p for p in problems)
 
@@ -138,11 +145,11 @@ def test_check_against_count_relaxations():
     run = DeliveryLedger()
     for step in (1, 2):
         for dst in (0, 1):
-            run.note(step, dst, ORIGINAL, rec(b"k%d%d" % (step, dst)))
+            run.note(step, dst, ORIGINAL, [rec(b"k%d%d" % (step, dst))])
     # same delivery counts, different bytes (a float reassociated)
-    run.note(2, 0, RECOVERY, rec(b"k21-prime"))
-    run.note(3, 0, ORIGINAL, rec(b"k30"))
-    run.note(3, 0, ORIGINAL, rec(b"k31-prime"))
+    run.note(2, 0, RECOVERY, [rec(b"k21-prime")])
+    run.note(3, 0, ORIGINAL, [rec(b"k30")])
+    run.note(3, 0, ORIGINAL, [rec(b"k31-prime")])
     strict = run.check_against(ref, {1}, event_step=2, recovery_point=2)
     assert len(strict) == 2
     relaxed = run.check_against(
@@ -154,8 +161,8 @@ def test_check_against_count_relaxations():
     run2 = DeliveryLedger()
     for step in (1, 2):
         for dst in (0, 1):
-            run2.note(step, dst, ORIGINAL, rec(b"k%d%d" % (step, dst)))
-    run2.note(3, 0, ORIGINAL, rec(b"k30"))
+            run2.note(step, dst, ORIGINAL, [rec(b"k%d%d" % (step, dst))])
+    run2.note(3, 0, ORIGINAL, [rec(b"k30")])
     problems = run2.check_against(
         ref, {1}, event_step=2, recovery_point=2,
         exact_after=False, exact_recovered=False,

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from ftmr.partition import (
     HASH_SPACE,
     BackupMode,
+    Owners,
     PartitionMap,
     Range,
     backup_targets,
@@ -110,6 +111,23 @@ def test_owner_matches_linear_scan(p, h):
     pm = initial_partition(p)
     want = next(r.pe for r in pm.ranges if r.lo <= h < r.hi)
     assert pm.owner_of(h) == want
+
+
+@given(st.integers(2, 12), st.data())
+def test_owners_memo_matches_owner_of(p, data):
+    failed = {data.draw(st.integers(0, p - 1))}
+    heir = data.draw(st.integers(0, p - 1).filter(lambda j: j not in failed))
+    keys = data.draw(st.lists(st.binary(max_size=12), max_size=20))
+    for pm in (
+        initial_partition(p),
+        shrink_partition(initial_partition(p), failed),
+        transfer_partition(initial_partition(p), failed, heir),
+    ):
+        owners = Owners(pm)
+        # every key twice: the second lookup is a memo hit
+        for key in keys + keys:
+            assert owners[key] == pm.owner_of(hash_key(key))
+        assert owners.keys() == set(keys)
 
 
 def test_partition_map_validates_coverage():

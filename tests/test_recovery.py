@@ -24,7 +24,7 @@ from ftmr.harness import (
     sweep_failures,
 )
 from ftmr.metrics import RECOVERY, DeliveryLedger
-from ftmr.partition import BackupMode
+from ftmr.partition import BackupMode, hash_key, initial_partition, shrink_partition
 from ftmr.recovery import (
     FailureEvent,
     UnrecoverableFailure,
@@ -78,6 +78,19 @@ def test_recovered_value_order_is_pinned(options, spec, digest):
             h.update(encode_record(rec))
     h.update(result.metrics.to_csv().encode())
     assert h.hexdigest() == digest
+
+
+def test_recovery_notes_land_on_new_owners():
+    # replayed reduces and injected records are noted per new owner
+    config = JobConfig(benchmark="pagerank", p=4, seed=7, vertices_per_pe=8,
+                       iterations=4, recovery_point_interval=3)
+    led = DeliveryLedger()
+    run_simulation(config, parse_failure_spec("3:2"), ledger=led)
+    pm_new = shrink_partition(initial_partition(4), {2})
+    recovered = {k: b for k, b in led.deliveries.items() if k[2] == RECOVERY}
+    assert {step for (step, _dst, _gen) in recovered} == {1, 2, 3}
+    for (_step, dst, _gen), bucket in recovered.items():
+        assert {pm_new.owner_of(hash_key(rec.key)) for rec in bucket} == {dst}
 
 
 def test_single_failure_wordcount():
