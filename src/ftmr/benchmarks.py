@@ -24,7 +24,7 @@ import struct
 from functools import lru_cache
 
 from .core import Record
-from .engine import Job, ListDriver, RecordSource, StepSpec
+from .engine import Job, JobError, ListDriver, RecordSource, StepSpec
 from .partition import hash_key, mix_seed
 
 U64 = struct.Struct("<Q")
@@ -153,9 +153,9 @@ class _RmatDedupDriver:
         if index > 1 and prev_aggregate == 0:
             return None
         if index > self.max_rounds:
-            raise RuntimeError(
+            raise JobError(-1, index, "driver", RuntimeError(
                 f"dedup failed to converge within {self.max_rounds} rounds"
-            )
+            ))
         return self.make_spec(index)
 
 

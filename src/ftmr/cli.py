@@ -6,8 +6,9 @@ Subcommands::
     ftmr sweep     fail every (step, unit) pair once and verify each run
     ftmr overhead  backup-traffic ratio on a uniform workload
 
-Exit codes: 0 success, 2 bad configuration, 3 a failure proved
-unrecoverable, 4 a verification check failed.
+Exit codes: 0 success, 1 a job error (a user function or driver
+failed), 2 bad configuration, 3 a failure proved unrecoverable, 4 a
+verification check failed.
 
 The base RNG seed comes from ``--seed`` or the ``FTMR_SEED`` environment
 variable, defaulting to 0.
@@ -24,6 +25,7 @@ from pathlib import Path
 
 from .config import INPUT_ONLY, ConfigError, JobConfig
 from .core import encode_stream
+from .engine import JobError
 from .harness import (
     FailurePlan,
     measure_overhead,
@@ -37,6 +39,7 @@ from .metrics import DeliveryLedger
 from .recovery import UnrecoverableFailure
 
 EXIT_OK = 0
+EXIT_JOB = 1
 EXIT_CONFIG = 2
 EXIT_UNRECOVERABLE = 3
 EXIT_VERIFY = 4
@@ -270,6 +273,9 @@ def main(argv: list[str] | None = None) -> int:
     except UnrecoverableFailure as exc:
         print(f"unrecoverable failure: {exc}", file=sys.stderr)
         return EXIT_UNRECOVERABLE
+    except JobError as exc:
+        print(f"job error: {exc}", file=sys.stderr)
+        return EXIT_JOB
 
 
 if __name__ == "__main__":

@@ -67,6 +67,8 @@ def decode_record(buf: bytes, offset: int = 0) -> tuple[Record, int]:
 
     Returns the record and the number of bytes consumed.  Raises
     :class:`DecodeError` carrying the offset of the truncated field.
+    :func:`decode_stream` applies this to a whole buffer; it is the
+    reader for the ``pe<id>.bin`` dumps ``ftmr run --output-dir`` writes.
     """
     fields = []
     pos = offset

@@ -24,7 +24,9 @@ the failed PEs lose all local state.
 
 from __future__ import annotations
 
+import gc
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Protocol
 
@@ -362,6 +364,26 @@ def gc_logs(state: ClusterState, completed_step: StepId) -> None:
             del state.reprotect_holdings[holder]
 
 
+@contextmanager
+def _collector_paused():
+    """Hold CPython's cyclic collector off for the block, then restore it.
+
+    The retained logs, shares and ledger buckets are what keeps a run
+    recoverable, and every full collection would re-walk all of them.
+    The engine makes no reference cycles, so refcounting frees its
+    garbage; cycles a user function makes wait for the next collection
+    after the block.  A collector the caller already disabled stays off.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
 @dataclass
 class JobResult:
     outputs: dict[PeId, list[Record]]
@@ -382,8 +404,13 @@ class Cluster:
     makes runs with equal seeds, plans, and failure plans byte-identical.
     Pass a :class:`DeliveryLedger` to record every delivery for an
     exactly-once check; without one the run notes nothing.
+
+    Ingest and each step run with CPython's cyclic collector paused
+    (refcounting still frees the engine's garbage); reference cycles made
+    by user functions are freed after the step.
     """
 
+    @_collector_paused()
     def __init__(
         self,
         job: Job,
@@ -415,6 +442,7 @@ class Cluster:
         self.prev_aggregate: int | None = None
         self.steps_run = 0
 
+    @_collector_paused()
     def step(self) -> bool:
         """Run the next MapReduce step; False once the driver is done."""
         index = self.steps_run + 1

@@ -4,6 +4,7 @@ import pytest
 
 from ftmr.cli import (
     EXIT_CONFIG,
+    EXIT_JOB,
     EXIT_OK,
     EXIT_UNRECOVERABLE,
     EXIT_VERIFY,
@@ -98,6 +99,20 @@ def test_unrecoverable_exits_3(capsys):
     argv = ["run", *WC, "--backup-mode", "off", "--failures", "1:1"]
     assert main(argv) == EXIT_UNRECOVERABLE
     assert "unrecoverable failure" in capsys.readouterr().err
+
+
+def test_job_error_exits_1_without_traceback(capsys):
+    # 480 edges over 528 vertex pairs: the dedup cannot converge within
+    # its 100 rounds, which the driver reports as a job error
+    argv = ["run", "--benchmark", "rmat", "-p", "4", "--vertices-per-pe", "8",
+            "--seed", "5"]
+    assert main(argv) == EXIT_JOB
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "job error: PE -1, step 101, driver: "
+        "RuntimeError('dedup failed to converge within 100 rounds')\n"
+    )
 
 
 def test_sweep_ok_and_p_guard(capsys):

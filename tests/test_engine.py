@@ -1,5 +1,6 @@
 """Fault-free engine behavior: stepping, shuffling, logs, determinism."""
 
+import gc
 import random
 
 import pytest
@@ -20,8 +21,10 @@ from ftmr.engine import (
     recovery_point_schedule,
     run_job,
 )
+from ftmr.harness import parse_failure_spec
 from ftmr.metrics import ORIGINAL, DeliveryLedger
 from ftmr.partition import BackupMode, hash_key, initial_partition
+from ftmr.recovery import UnrecoverableFailure
 
 
 def identity_spec(name="identity", counter=False):
@@ -303,3 +306,73 @@ def test_group_backups_leave_the_group():
     # intra-group traffic counts as self traffic, cross-group as network
     sm = cluster.metrics.step_metrics(1)
     assert sm.backup_bytes == sm.self_bytes > 0
+
+
+# -- the cyclic collector pause -----------------------------------------
+
+
+def test_ingest_and_steps_run_with_the_collector_paused():
+    seen = []
+
+    def source(pe):
+        seen.append(gc.isenabled())
+        return [Record(bytes([pe]), b"v")]
+
+    def map_fn(rec):
+        seen.append(gc.isenabled())
+        return [rec]
+
+    spec = StepSpec("watch", map_fn, lambda k, v: [Record(k, x) for x in v])
+    cluster = Cluster(Job(RecordSource(source), ListDriver([spec] * 2)), 4)
+    assert gc.isenabled()
+    while cluster.step():
+        assert gc.isenabled()
+    assert len(seen) == 4 + 2 * 4
+    assert not any(seen)
+
+
+def _raise_key_error(rec):
+    raise KeyError("boom")
+
+
+def _step_once(job, p, **options):
+    Cluster(job, p, **options).step()
+
+
+@pytest.mark.parametrize("was_enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize(
+    "action, raises",
+    [
+        (lambda: _step_once(identity_job(10), 4), None),
+        (
+            lambda: _step_once(
+                Job(random_source(7), ListDriver([
+                    StepSpec("bad", _raise_key_error, lambda k, v: [])
+                ])),
+                4,
+            ),
+            JobError,
+        ),
+        (
+            lambda: _step_once(
+                identity_job(11), 4, backup_mode=BackupMode.OFF,
+                failure_plan=parse_failure_spec("1:1"),
+            ),
+            UnrecoverableFailure,
+        ),
+        (lambda: Cluster(identity_job(9), 4, group_size=4), ValueError),
+    ],
+    ids=["step", "step-job-error", "step-unrecoverable", "init-value-error"],
+)
+def test_collector_state_restored_on_every_exit(action, raises, was_enabled):
+    before = gc.isenabled()
+    (gc.enable if was_enabled else gc.disable)()
+    try:
+        if raises is None:
+            action()
+        else:
+            with pytest.raises(raises):
+                action()
+        assert gc.isenabled() is was_enabled
+    finally:
+        (gc.enable if before else gc.disable)()
