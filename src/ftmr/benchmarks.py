@@ -34,9 +34,8 @@ PAIR = struct.Struct("<QQ")
 # Graph500 R-MAT quadrant probabilities (a, b, c, d).
 RMAT_GRAPH500 = (0.57, 0.19, 0.19, 0.05)
 
-# Desk-scale defaults: average degrees per workload, vertices per PE.
+# Desk-scale default average degree of each graph workload.
 DEFAULT_DEGREES = {"rmat": 30.0, "cc": 0.5, "pagerank": 38.0}
-DEFAULT_VERTICES_PER_PE = 1024
 
 PAGERANK_DAMPING = 0.85
 
@@ -463,41 +462,3 @@ def uniform_job(p: int, seed: int, *, total_records: int) -> Job:
 
     return Job(RecordSource(source), ListDriver([StepSpec("uniform", map_fn, reduce_fn)]))
 
-
-# -- dispatch -----------------------------------------------------------
-
-BENCHMARKS = ("wordcount", "rmat", "cc", "pagerank")
-
-
-def make_job(
-    benchmark: str,
-    p: int,
-    seed: int,
-    *,
-    iterations: int = 100,
-    vertices_per_pe: int = DEFAULT_VERTICES_PER_PE,
-    avg_degree: float | None = None,
-    words_per_pe: int = 10_000,
-    dict_words: int = 1000,
-) -> Job:
-    """Build a benchmark job from scale parameters."""
-    n = vertices_per_pe * p
-    if benchmark == "wordcount":
-        return word_count_job(p, seed, words_per_pe=words_per_pe, dict_words=dict_words)
-    if benchmark == "rmat":
-        return rmat_dedup_job(
-            p, seed, n_vertices=n, avg_degree=avg_degree or DEFAULT_DEGREES["rmat"]
-        )
-    if benchmark == "cc":
-        return connected_components_job(
-            p, seed, n_vertices=n, avg_degree=avg_degree or DEFAULT_DEGREES["cc"]
-        )
-    if benchmark == "pagerank":
-        return pagerank_job(
-            p,
-            seed,
-            n_vertices=n,
-            avg_degree=avg_degree or DEFAULT_DEGREES["pagerank"],
-            iterations=iterations,
-        )
-    raise ValueError(f"unknown benchmark {benchmark!r}; pick one of {BENCHMARKS}")

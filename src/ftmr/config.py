@@ -11,15 +11,11 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .benchmarks import BENCHMARKS
+from .core import ConfigError
+from .engine import INPUT_ONLY, failure_groups, recovery_point_schedule
+from .partition import BackupMode
 
-WORKLOADS = BENCHMARKS + ("uniform",)
-BACKUP_MODES = ("split", "single", "off")
-INPUT_ONLY = "input-only"
-
-
-class ConfigError(ValueError):
-    """A configuration value is missing, malformed, or inconsistent."""
+WORKLOADS = ("wordcount", "rmat", "cc", "pagerank", "uniform")
 
 
 @dataclass
@@ -51,25 +47,10 @@ class JobConfig:
             )
         if self.p < 1:
             raise ConfigError(f"p={self.p}: need at least one PE")
-        if self.backup_mode not in BACKUP_MODES:
-            raise ConfigError(
-                f"unknown backup mode {self.backup_mode!r}; "
-                f"pick one of {BACKUP_MODES}"
-            )
-        rpi = self.recovery_point_interval
-        if rpi != INPUT_ONLY and (not isinstance(rpi, int) or rpi < 1):
-            raise ConfigError(
-                f"recovery_point_interval must be a positive integer or "
-                f"{INPUT_ONLY!r}, got {rpi!r}"
-            )
-        if self.group_size < 1 or self.p % self.group_size != 0:
-            raise ConfigError(
-                f"group_size={self.group_size} must evenly divide p={self.p}"
-            )
-        if self.group_size == self.p and self.p > 1 and self.backup_mode != "off":
-            raise ConfigError(
-                "one failure group spanning every PE leaves no backup targets"
-            )
+        # the engine's rules, from their one home, which Cluster calls too
+        mode = BackupMode.parse(self.backup_mode)
+        recovery_point_schedule(self.recovery_point_interval)
+        failure_groups(self.p, self.group_size, mode)
         for name in ("vertices_per_pe", "words_per_pe", "dict_words",
                      "iterations", "total_records"):
             if getattr(self, name) < 1:

@@ -25,6 +25,10 @@ _LEN = struct.Struct("<I")
 MAX_FIELD = 0xFFFFFFFF
 
 
+class ConfigError(ValueError):
+    """A configuration value is missing, malformed, or inconsistent."""
+
+
 class EncodeError(ValueError):
     """A record field does not fit the wire format."""
 

@@ -30,7 +30,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Protocol
 
-from .core import PeId, Record, StepId
+from .core import ConfigError, PeId, Record, StepId
 from .metrics import ORIGINAL, DeliveryLedger, Metrics
 from .partition import (
     BackupMode,
@@ -46,6 +46,10 @@ logger = logging.getLogger(__name__)
 MapFn = Callable[[Record], list[Record]]
 ReduceFn = Callable[[bytes, list[bytes]], list[Record]]
 CounterFn = Callable[[bytes, list[bytes]], int]
+
+INPUT_ONLY = "input-only"
+# a driver that yields more steps than this fails the job
+MAX_STEPS = 10_000
 
 
 class JobError(RuntimeError):
@@ -169,11 +173,31 @@ def recovery_point_schedule(interval) -> Callable[[StepId], bool]:
     no shuffle is a recovery point and recovery replays from the
     regenerable step-0 input.
     """
-    if interval == "input-only":
+    if interval == INPUT_ONLY:
         return lambda step: False
     if not isinstance(interval, int) or interval < 1:
-        raise ValueError(f"bad recovery point interval {interval!r}")
+        raise ConfigError(
+            f"recovery_point_interval must be a positive integer or "
+            f"{INPUT_ONLY!r}, got {interval!r}"
+        )
     return lambda step: (step - 1) % interval == 0
+
+
+def failure_groups(
+    p: int, group_size: int, backup_mode: BackupMode
+) -> tuple[int, ...]:
+    """Failure group of each of ``p`` PEs: consecutive runs of ``group_size``.
+
+    Backups go to peers outside a PE's group, so with backup on a single
+    group spanning more than one PE leaves nowhere to put them.
+    """
+    if group_size < 1 or p % group_size != 0:
+        raise ConfigError(f"group_size={group_size} must evenly divide p={p}")
+    if group_size == p and p > 1 and backup_mode is not BackupMode.OFF:
+        raise ConfigError(
+            "one failure group spanning every PE leaves no backup targets"
+        )
+    return tuple(i // group_size for i in range(p))
 
 
 def last_recovery_point(state: ClusterState, step: StepId) -> StepId:
@@ -185,17 +209,14 @@ def last_recovery_point(state: ClusterState, step: StepId) -> StepId:
     return 0
 
 
-def ingest(source: RecordSource, p: int, group_size: int = 1) -> ClusterState:
+def ingest(source: RecordSource, group_of: tuple[int, ...]) -> ClusterState:
     """Step 0: every PE materializes its input partition locally.
 
-    The input is itself the oldest recovery point, because ``source`` can
-    regenerate any PE's partition on demand.
+    There is one PE per entry of ``group_of``, PE ``i`` in failure group
+    ``group_of[i]``.  The input is itself the oldest recovery point,
+    because ``source`` can regenerate any PE's partition on demand.
     """
-    if p < 1:
-        raise ValueError("need at least one PE")
-    if group_size < 1 or p % group_size != 0:
-        raise ValueError(f"group size {group_size} must evenly divide p={p}")
-    group_of = tuple(i // group_size for i in range(p))
+    p = len(group_of)
     state = ClusterState(
         group_of=group_of,
         source=source,
@@ -403,7 +424,9 @@ class Cluster:
     a recovery.  The simulator executes PEs sequentially in PE order, which
     makes runs with equal seeds, plans, and failure plans byte-identical.
     Pass a :class:`DeliveryLedger` to record every delivery for an
-    exactly-once check; without one the run notes nothing.
+    exactly-once check; without one the run notes nothing.  Bad settings
+    (backup mode, recovery point interval, failure groups, a failure
+    event naming an unknown PE) raise :class:`ConfigError` before ingest.
 
     Ingest and each step run with CPython's cyclic collector paused
     (refcounting still frees the engine's garbage); reference cycles made
@@ -416,29 +439,29 @@ class Cluster:
         job: Job,
         p: int,
         *,
-        backup_mode: BackupMode = BackupMode.SPLIT,
+        backup_mode: BackupMode | str = BackupMode.SPLIT,
         recovery_point_interval=1,
         failure_plan=None,
         group_size: int = 1,
         single_recoverer: bool = False,
         ledger: DeliveryLedger | None = None,
-        max_steps: int = 10_000,
     ):
-        self.metrics = Metrics()
+        backup_mode = BackupMode.parse(backup_mode)
         self.is_rp = recovery_point_schedule(recovery_point_interval)
-        self.state = ingest(job.source, p, group_size)
+        group_of = failure_groups(p, group_size, backup_mode)
+        for event in failure_plan.events if failure_plan is not None else ():
+            bad = [f for f in event.failed if not 0 <= f < p]
+            if bad:
+                raise ConfigError(f"failure event names unknown PEs {sorted(bad)}")
+        self.metrics = Metrics()
+        self.state = ingest(job.source, group_of)
         if p == 1 and backup_mode is not BackupMode.OFF:
             logger.warning("single PE: no peers to back up to, backup disabled")
-        if group_size == p and p > 1 and backup_mode is not BackupMode.OFF:
-            raise ValueError(
-                "one failure group spanning every PE leaves no backup targets"
-            )
         self.driver = job.driver
         self.backup_mode = backup_mode
         self.failure_plan = failure_plan
         self.single_recoverer = single_recoverer
         self.ledger = ledger
-        self.max_steps = max_steps
         self.prev_aggregate: int | None = None
         self.steps_run = 0
 
@@ -449,7 +472,7 @@ class Cluster:
         spec = self.driver.next_step(index, self.prev_aggregate)
         if spec is None:
             return False
-        if index > self.max_steps:
+        if index > MAX_STEPS:
             raise JobError(-1, index, "driver", RuntimeError("step budget exhausted"))
         state = self.state
         plan_rp = self.is_rp(index)

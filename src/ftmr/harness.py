@@ -3,6 +3,7 @@
 Everything here drives :func:`ftmr.engine.run_job` from a
 :class:`ftmr.config.JobConfig` and checks the results:
 
+* :func:`build_job` -- the job a config names, at its scale;
 * :func:`run_simulation` -- one run, optionally with injected failures
   and a delivery ledger;
 * :func:`verify` -- the checks of one run against a fault-free
@@ -24,12 +25,20 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .benchmarks import make_job, pagerank_scores, uniform_job
-from .config import INPUT_ONLY, ConfigError, JobConfig
+from .benchmarks import (
+    DEFAULT_DEGREES,
+    connected_components_job,
+    pagerank_job,
+    pagerank_scores,
+    rmat_dedup_job,
+    uniform_job,
+    word_count_job,
+)
+from .config import ConfigError, JobConfig
 from .core import PeId, Record, StepId
 from .engine import Job, run_job
 from .metrics import DeliveryLedger, Metrics
-from .partition import BackupMode, mix_seed
+from .partition import mix_seed
 from .recovery import FailureEvent
 
 
@@ -128,19 +137,22 @@ def random_failure_plan(
 
 
 def build_job(config: JobConfig) -> Job:
-    if config.benchmark == "uniform":
-        return uniform_job(
-            config.p, config.seed, total_records=config.total_records
+    """The job ``config`` names, at its scale; validates ``config`` first."""
+    benchmark, p, seed = config.validate().benchmark, config.p, config.seed
+    if benchmark == "uniform":
+        return uniform_job(p, seed, total_records=config.total_records)
+    if benchmark == "wordcount":
+        return word_count_job(
+            p, seed, words_per_pe=config.words_per_pe, dict_words=config.dict_words
         )
-    return make_job(
-        config.benchmark,
-        config.p,
-        config.seed,
-        iterations=config.iterations,
-        vertices_per_pe=config.vertices_per_pe,
-        avg_degree=config.avg_degree,
-        words_per_pe=config.words_per_pe,
-        dict_words=config.dict_words,
+    n = config.vertices_per_pe * p
+    degree = config.avg_degree or DEFAULT_DEGREES[benchmark]
+    if benchmark == "rmat":
+        return rmat_dedup_job(p, seed, n_vertices=n, avg_degree=degree)
+    if benchmark == "cc":
+        return connected_components_job(p, seed, n_vertices=n, avg_degree=degree)
+    return pagerank_job(
+        p, seed, n_vertices=n, avg_degree=degree, iterations=config.iterations
     )
 
 
@@ -162,17 +174,11 @@ def run_simulation(
     ledger: DeliveryLedger | None = None,
 ) -> SimulationResult:
     """Run ``config`` once; ``ledger`` is handed to :func:`run_job`."""
-    config.validate()
-    if plan is not None:
-        for event in plan.events:
-            bad = [f for f in event.failed if not 0 <= f < config.p]
-            if bad:
-                raise ConfigError(f"failure event names unknown PEs {sorted(bad)}")
     start = time.perf_counter()
     result = run_job(
         build_job(config),
         config.p,
-        backup_mode=BackupMode.parse(config.backup_mode),
+        backup_mode=config.backup_mode,
         recovery_point_interval=config.recovery_point_interval,
         failure_plan=plan,
         group_size=config.group_size,
@@ -341,13 +347,13 @@ def sweep_failures(
     muted; the sweep itself reports anything that went wrong.
     """
     config.validate()
+    if config.p - config.group_size < 1:
+        raise ConfigError("sweep needs at least one surviving PE per failure")
     reference = run_simulation(config, ledger=DeliveryLedger())
     units = [
         tuple(range(gid * config.group_size, (gid + 1) * config.group_size))
         for gid in range(config.p // config.group_size)
     ]
-    if config.p - config.group_size < 1:
-        raise ConfigError("sweep needs at least one surviving PE per failure")
     step_list = list(steps) if steps is not None else list(
         range(1, reference.steps_run + 1)
     )

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_right
-from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .core import PeId
+from .core import ConfigError, PeId
 
 MASK64 = (1 << 64) - 1
 HASH_SPACE = 1 << 64
@@ -190,36 +189,35 @@ class BackupMode(enum.Enum):
     OFF = "off"
 
     @classmethod
-    def parse(cls, text: str) -> "BackupMode":
+    def parse(cls, mode: "str | BackupMode") -> "BackupMode":
+        """The mode named ``mode``; a mode passes through unchanged."""
         try:
-            return cls(text)
+            return cls(mode)
         except ValueError:
-            raise ValueError(f"unknown backup mode {text!r}") from None
+            raise ConfigError(
+                f"unknown backup mode {mode!r}; "
+                f"pick one of {tuple(m.value for m in cls)}"
+            ) from None
 
 
 def backup_targets(
-    i: PeId,
-    live: set[PeId],
-    mode: BackupMode,
-    group_of: Mapping[PeId, int] | Sequence[int] | None = None,
+    i: PeId, live: set[PeId], mode: BackupMode, group_of: tuple[int, ...]
 ) -> list[PeId]:
     """Peers that hold PE ``i``'s self-message backup, in share order.
 
     split: every other live PE outside ``i``'s failure group, ascending.
     single: the next live PE after ``i`` (mod the id space), skipping dead
-    PEs, ``i`` itself, and ``i``'s group.  off: no targets.  ``group_of``
-    maps each live PE id to its failure group.
+    PEs, ``i`` itself, and ``i``'s group.  off: no targets.
+    ``group_of[j]`` is PE ``j``'s failure group.
     """
     if i not in live:
         raise ValueError(f"PE {i} is not live")
     if mode is BackupMode.OFF:
         return []
-    gid = group_of[i] if group_of else None
+    gid = group_of[i]
 
     def eligible(j: PeId) -> bool:
-        if j == i or j not in live:
-            return False
-        return gid is None or group_of[j] != gid
+        return j in live and group_of[j] != gid
 
     if mode is BackupMode.SPLIT:
         return [j for j in sorted(live) if eligible(j)]

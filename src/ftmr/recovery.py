@@ -85,9 +85,6 @@ def recover(
     failed = set(event.failed)
     if not failed:
         return
-    unknown = failed.difference(range(len(state.pes)))
-    if unknown:
-        raise ValueError(f"event names unknown PEs {sorted(unknown)}")
     if not failed <= state.live:
         raise ValueError(f"event fails already-dead PEs {sorted(failed - state.live)}")
     if backup_mode is BackupMode.OFF:

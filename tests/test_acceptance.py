@@ -11,10 +11,11 @@ from collections import Counter
 
 import pytest
 
-from ftmr.benchmarks import PAIR, U64, edge_key, make_job, pagerank_scores
+from ftmr.benchmarks import PAIR, U64, edge_key, pagerank_scores
 from ftmr.config import JobConfig
 from ftmr.engine import Cluster
 from ftmr.harness import (
+    build_job,
     measure_overhead,
     output_counter,
     outputs_match,
@@ -149,8 +150,8 @@ def test_c05_group_failures():
     ]
     # group-internal traffic must be backed up outside the group only
     cluster = Cluster(
-        make_job("pagerank", 8, 5, vertices_per_pe=8, avg_degree=6,
-                 iterations=1),
+        build_job(JobConfig(benchmark="pagerank", p=8, seed=5,
+                            vertices_per_pe=8, avg_degree=6, iterations=1)),
         8, group_size=2,
     )
     cluster.step()
@@ -203,8 +204,8 @@ def test_c07_backup_share_balance(overhead_p16):
 
 
 def test_c08_log_garbage_collection():
-    job = make_job("cc", 4, 3, vertices_per_pe=16)
-    cluster = Cluster(job, 4, recovery_point_interval=1)
+    config = JobConfig(benchmark="cc", p=4, seed=3, vertices_per_pe=16)
+    cluster = Cluster(build_job(config), 4, recovery_point_interval=1)
     while cluster.step():
         step = cluster.steps_run
         held_logs, held_shares, logged = set(), set(), 0
@@ -221,8 +222,7 @@ def test_c08_log_garbage_collection():
         sm = cluster.metrics.step_metrics(step)
         assert logged == sm.network_bytes + sm.self_bytes
 
-    cluster = Cluster(make_job("cc", 4, 3, vertices_per_pe=16), 4,
-                      recovery_point_interval=3)
+    cluster = Cluster(build_job(config), 4, recovery_point_interval=3)
     while cluster.step():
         step = cluster.steps_run
         newest_rp = ((step - 1) // 3) * 3 + 1

@@ -15,15 +15,14 @@ from ftmr.benchmarks import (
     gen_gnm,
     gen_rmat,
     gen_text,
-    make_job,
     pagerank_scores,
     rmat_dedup_job,
     uniform_job,
     word_count_job,
 )
-from ftmr.config import JobConfig
+from ftmr.config import ConfigError, JobConfig
 from ftmr.engine import run_job
-from ftmr.harness import run_simulation
+from ftmr.harness import build_job, run_simulation
 from oracles import cc_expected, pagerank_expected, wordcount_expected
 
 # -- generators ---------------------------------------------------------
@@ -91,7 +90,8 @@ def test_sources_regenerate_per_pe():
         lambda: word_count_job(4, 3, words_per_pe=50, dict_words=20),
         lambda: rmat_dedup_job(4, 3, n_vertices=64, avg_degree=4),
         lambda: connected_components_job(4, 3, n_vertices=64),
-        lambda: make_job("pagerank", 4, 3, vertices_per_pe=16, iterations=2),
+        lambda: build_job(JobConfig(benchmark="pagerank", p=4, seed=3,
+                                    vertices_per_pe=16, iterations=2)),
         lambda: uniform_job(4, 3, total_records=100),
     ):
         a, b = make(), make()
@@ -100,9 +100,9 @@ def test_sources_regenerate_per_pe():
             assert a.source.fn(pe) == b.source.fn(pe)
 
 
-def test_make_job_rejects_unknown():
-    with pytest.raises(ValueError, match="unknown benchmark"):
-        make_job("sorting", 4, 0)
+def test_build_job_rejects_unknown():
+    with pytest.raises(ConfigError, match="unknown benchmark"):
+        build_job(JobConfig(benchmark="sorting"))
 
 
 def test_rmat_job_guards():

@@ -87,6 +87,34 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", *WC, "--interval", "0"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "flags, last_line",
+    [
+        (["-p", "0"], "p=0: need at least one PE"),
+        (["--backup-mode", "raid5"],
+         "unknown backup mode 'raid5'; pick one of ('split', 'single', 'off')"),
+        (["--interval", "0"],
+         "recovery_point_interval must be a positive integer or "
+         "'input-only', got 0"),
+        (["--group-size", "3"], "group_size=3 must evenly divide p=4"),
+        (["--group-size", "4"],
+         "one failure group spanning every PE leaves no backup targets"),
+        (["--failures", "1:9"], "failure event names unknown PEs [9]"),
+        (["--failures", "9:9"], "failure event names unknown PEs [9]"),
+        (["--benchmark", "rmat", "-p", "4", "--vertices-per-pe", "100"],
+         "rmat needs a power-of-two vertex count; vertices_per_pe*p = 400"),
+    ],
+    ids=["p0", "backup-mode", "interval", "group-divides", "group-spans",
+         "unknown-pe", "unknown-pe-late", "rmat-vertices"],
+)
+def test_config_error_lines(flags, last_line, capsys):
+    argv = ["run", "--benchmark", "wordcount", "--words-per-pe", "50", *flags]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"configuration error: {last_line}"
+
+
 def test_interval_flag_forms(capsys):
     assert main(["run", *WC, "--interval", "input-only"]) == EXIT_OK
     assert main(["run", *WC, "--interval", "2"]) == EXIT_OK

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ftmr.benchmarks import make_job
+from ftmr.config import ConfigError, JobConfig
 from ftmr.core import Record
 from ftmr.engine import (
     Cluster,
@@ -21,7 +21,7 @@ from ftmr.engine import (
     recovery_point_schedule,
     run_job,
 )
-from ftmr.harness import parse_failure_spec
+from ftmr.harness import build_job, parse_failure_spec
 from ftmr.metrics import ORIGINAL, DeliveryLedger
 from ftmr.partition import BackupMode, hash_key, initial_partition
 from ftmr.recovery import UnrecoverableFailure
@@ -103,7 +103,8 @@ def test_shuffle_hashes_each_key_once_per_step(monkeypatch):
     monkeypatch.setattr(
         "ftmr.partition.hash_key", lambda key: calls.append(key) or hash_key(key)
     )
-    result = run_job(make_job("pagerank", 4, 3, vertices_per_pe=8, iterations=3), 4)
+    config = JobConfig(benchmark="pagerank", p=4, seed=3, vertices_per_pe=8, iterations=3)
+    result = run_job(build_job(config), 4)
     # every vertex is a key each step: its adjacency and its in-edge scores
     keys = {rec.key for recs in result.outputs.values() for rec in recs}
     assert len(keys) == 32
@@ -160,13 +161,14 @@ def test_counter_aggregate_reaches_driver():
     assert seen == [None, distinct, distinct]
 
 
-def test_step_budget_enforced():
+def test_step_budget_enforced(monkeypatch):
     class Forever:
         def next_step(self, index, prev_aggregate):
             return identity_spec()
 
+    monkeypatch.setattr("ftmr.engine.MAX_STEPS", 5)
     with pytest.raises(JobError, match="step budget"):
-        run_job(Job(random_source(6), Forever()), 2, max_steps=5)
+        run_job(Job(random_source(6), Forever()), 2)
 
 
 # -- user errors --------------------------------------------------------
@@ -201,6 +203,41 @@ def test_group_size_must_divide_p():
 def test_group_spanning_all_pes_rejected():
     with pytest.raises(ValueError, match="no backup targets"):
         run_job(identity_job(9), 4, group_size=4)
+
+
+def _uningestible_job():
+    def fn(pe):
+        raise AssertionError("a bad setting must be refused before ingest")
+
+    return Job(RecordSource(fn), ListDriver([identity_spec()]))
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        dict(group_size=3),
+        dict(group_size=0),
+        dict(group_size=4),
+        dict(recovery_point_interval=0),
+        dict(recovery_point_interval="weekly"),
+        dict(backup_mode="raid5"),
+    ],
+    ids=["group-divides", "group-zero", "group-spans", "interval-0",
+         "interval-weekly", "backup-mode"],
+)
+def test_cluster_refuses_what_validate_refuses(settings):
+    with pytest.raises(ConfigError) as want:
+        JobConfig(p=4, **settings).validate()
+    with pytest.raises(ConfigError) as got:
+        Cluster(_uningestible_job(), 4, **settings)
+    assert str(got.value) == str(want.value)
+
+
+def test_cluster_refuses_unknown_pe_events():
+    # the CLI prints this text as a configuration error
+    with pytest.raises(ConfigError) as got:
+        Cluster(_uningestible_job(), 4, failure_plan=parse_failure_spec("9:1;1:4"))
+    assert str(got.value) == "failure event names unknown PEs [4]"
 
 
 def test_recovery_point_schedule():

@@ -234,6 +234,16 @@ def test_sweep_step_subset():
     assert result.ok
 
 
+def test_sweep_without_survivors_fails_before_any_run(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("sweep ran a job before checking its settings")
+
+    monkeypatch.setattr("ftmr.harness.run_simulation", no_run)
+    config = JobConfig(benchmark="wordcount", p=1, words_per_pe=10)
+    with pytest.raises(ConfigError, match="at least one surviving PE"):
+        sweep_failures(config)
+
+
 def test_sweep_rejects_steps_outside_the_job():
     config = JobConfig(benchmark="wordcount", p=4, seed=2, words_per_pe=200)
     with pytest.raises(ConfigError, match=r"steps \[0, 2, 5\] .* 1\.\.1"):

@@ -213,28 +213,30 @@ def test_transfer_partition():
 
 def test_backup_targets_split():
     live = {0, 1, 2, 3}
-    assert backup_targets(1, live, BackupMode.SPLIT) == [0, 2, 3]
-    assert backup_targets(0, live, BackupMode.OFF) == []
+    singles = (0, 1, 2, 3)
+    assert backup_targets(1, live, BackupMode.SPLIT, singles) == [0, 2, 3]
+    assert backup_targets(0, live, BackupMode.OFF, singles) == []
     with pytest.raises(ValueError):
-        backup_targets(9, live, BackupMode.SPLIT)
+        backup_targets(9, live, BackupMode.SPLIT, singles)
 
 
 def test_backup_targets_respect_groups():
     live = {0, 1, 2, 3}
-    groups = {0: 0, 1: 0, 2: 1, 3: 1}
+    groups = (0, 0, 1, 1)
     assert backup_targets(0, live, BackupMode.SPLIT, groups) == [2, 3]
     assert backup_targets(3, live, BackupMode.SPLIT, groups) == [0, 1]
     # a PE whose group spans all live peers has nowhere to back up
-    assert backup_targets(2, {2, 3}, BackupMode.SPLIT, {2: 1, 3: 1}) == []
+    assert backup_targets(2, {2, 3}, BackupMode.SPLIT, groups) == []
 
 
 def test_backup_targets_single_mode():
     live = {0, 1, 2, 3}
-    assert backup_targets(1, live, BackupMode.SINGLE) == [2]
-    assert backup_targets(3, live, BackupMode.SINGLE) == [0]  # wraps
+    singles = (0, 1, 2, 3)
+    assert backup_targets(1, live, BackupMode.SINGLE, singles) == [2]
+    assert backup_targets(3, live, BackupMode.SINGLE, singles) == [0]  # wraps
     # skips dead ids and the caller's own group
-    assert backup_targets(1, {1, 3}, BackupMode.SINGLE) == [3]
-    groups = {0: 0, 1: 0, 2: 1, 3: 1}
+    assert backup_targets(1, {1, 3}, BackupMode.SINGLE, singles) == [3]
+    groups = (0, 0, 1, 1)
     assert backup_targets(1, live, BackupMode.SINGLE, groups) == [2]
     assert backup_targets(3, live, BackupMode.SINGLE, groups) == [0]
 
