@@ -23,7 +23,7 @@ import random
 import struct
 from functools import lru_cache
 
-from .core import Record
+from .core import ConfigError, Record
 from .engine import Job, JobError, ListDriver, RecordSource, StepSpec
 from .partition import hash_key, mix_seed
 
@@ -176,7 +176,7 @@ def rmat_dedup_job(
     m = round(avg_degree * n / 2)
     distinct_pairs = n * (n + 1) // 2
     if m > distinct_pairs:
-        raise ValueError(
+        raise ConfigError(
             f"{m} edges cannot be distinct over {distinct_pairs} vertex pairs"
         )
     scale = n.bit_length() - 1

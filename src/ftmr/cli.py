@@ -21,6 +21,7 @@ import dataclasses
 import logging
 import os
 import sys
+import time
 from pathlib import Path
 
 from .config import INPUT_ONLY, ConfigError, JobConfig
@@ -112,15 +113,17 @@ def _resolve_plan(args: argparse.Namespace, config: JobConfig) -> FailurePlan | 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     plan = _resolve_plan(args, config)
+    start = time.perf_counter()
     result = run_simulation(
         config, plan, ledger=DeliveryLedger() if args.verify else None
     )
+    elapsed = time.perf_counter() - start
     m = result.metrics
     n_out = sum(len(r) for r in result.outputs.values())
     print(
         f"{config.benchmark}: p={config.p} seed={config.seed} "
         f"steps={result.steps_run} output_records={n_out} "
-        f"elapsed={result.elapsed:.2f}s"
+        f"elapsed={elapsed:.2f}s"
     )
     print(
         f"traffic: network={m.total_network_bytes}B "

@@ -138,32 +138,9 @@ class StepRecord:
     """Execution history needed to replay a step during recovery."""
 
     spec: StepSpec
-    is_recovery_point: bool
     pm: PartitionMap
     # origin -> ordered list of (target, share index) actually stored
     backup_manifest: dict[PeId, list[tuple[PeId, int]]] = field(default_factory=dict)
-
-
-@dataclass
-class ClusterState:
-    group_of: tuple[int, ...]
-    source: RecordSource
-    pes: list[PeState]
-    live: set[PeId]
-    pm: PartitionMap
-    step_history: dict[StepId, StepRecord] = field(default_factory=dict)
-    warned_unprotected: set[PeId] = field(default_factory=set)
-    # (step, pe): pe's sends of that step are gone for good (pe died
-    # mid-interval); any recovery chain touching the step must refuse
-    lost_logs: set[tuple[StepId, PeId]] = field(default_factory=set)
-    # holder -> {(step, dst)}: re-protection log copies the holder keeps
-    # for other PEs' step inboxes (injection and re-log traffic)
-    reprotect_holdings: dict[PeId, set[tuple[StepId, PeId]]] = field(
-        default_factory=dict
-    )
-    # (step, dst): dst's step inbox lost its only off-dst copy when a
-    # holder died; a chain needing it must refuse
-    lost_inboxes: set[tuple[StepId, PeId]] = field(default_factory=set)
 
 
 def recovery_point_schedule(interval) -> Callable[[StepId], bool]:
@@ -200,39 +177,22 @@ def failure_groups(
     return tuple(i // group_size for i in range(p))
 
 
-def last_recovery_point(state: ClusterState, step: StepId) -> StepId:
-    """Newest recovery point at or before ``step``; 0 means the input."""
-    for u in range(step, 0, -1):
-        rec = state.step_history.get(u)
-        if rec is not None and rec.is_recovery_point:
-            return u
-    return 0
+def ingest(source: RecordSource, p: int) -> list[PeState]:
+    """Step 0: each of ``p`` PEs materializes its input partition locally.
 
-
-def ingest(source: RecordSource, group_of: tuple[int, ...]) -> ClusterState:
-    """Step 0: every PE materializes its input partition locally.
-
-    There is one PE per entry of ``group_of``, PE ``i`` in failure group
-    ``group_of[i]``.  The input is itself the oldest recovery point,
-    because ``source`` can regenerate any PE's partition on demand.
+    The input is itself the oldest recovery point, because ``source``
+    can regenerate any PE's partition on demand.
     """
-    p = len(group_of)
-    state = ClusterState(
-        group_of=group_of,
-        source=source,
-        pes=[PeState(i) for i in range(p)],
-        live=set(range(p)),
-        pm=initial_partition(p),
-    )
-    for pe in state.pes:
+    pes = [PeState(i) for i in range(p)]
+    for pe in pes:
         pe.current_records = list(source.fn(pe.id))
-    return state
+    return pes
 
 
-def map_phase(state: ClusterState, map_fn: MapFn, step: StepId) -> None:
+def map_phase(cluster: Cluster, map_fn: MapFn, step: StepId) -> None:
     """Apply the map function on every live PE, filling outbound buffers."""
-    for i in sorted(state.live):
-        pe = state.pes[i]
+    for i in sorted(cluster.live):
+        pe = cluster.pes[i]
         out: list[Record] = []
         for idx, rec in enumerate(pe.current_records):
             try:
@@ -244,15 +204,7 @@ def map_phase(state: ClusterState, map_fn: MapFn, step: StepId) -> None:
         pe.current_records = []
 
 
-def shuffle(
-    state: ClusterState,
-    step: StepId,
-    *,
-    is_recovery_point: bool,
-    backup_mode: BackupMode,
-    metrics: Metrics,
-    ledger: DeliveryLedger | None = None,
-) -> None:
+def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
     """Route outbound records to their hash-range owners.
 
     Also appends sender-side logs, ships backup shares of failure-unit
@@ -260,19 +212,21 @@ def shuffle(
     traffic volumes.  Each destination's inbox keeps a copy of each
     sender's payload, in emission order, under the sender's id (a copy,
     because recovery later appends to the logged payload).  Every
-    payload is noted in ``ledger`` when one is given.
+    payload is noted in the cluster's ledger when it has one.
     """
-    sm = metrics.step_metrics(step)
-    group_of = state.group_of
+    sm = cluster.metrics.step_metrics(step)
+    group_of = cluster.group_of
+    backup_mode = cluster.backup_mode
+    ledger = cluster.ledger
     fault_tolerant = backup_mode is not BackupMode.OFF
     # the partition map is fixed within a shuffle: one lookup per key
-    owners = Owners(state.pm)
+    owners = Owners(cluster.pm)
     # per sender: dst -> payload, and the unit-internal slice of it
     unit_self: dict[PeId, list] = {}
     records = network_bytes = self_bytes = 0
 
-    for src in sorted(state.live):
-        pe = state.pes[src]
+    for src in sorted(cluster.live):
+        pe = cluster.pes[src]
         payloads: dict[PeId, list[Record]] = {}
         internal: list = []
         src_gid = group_of[src]
@@ -292,7 +246,7 @@ def shuffle(
             pe.sent_log[step] = payloads
         unit_self[src] = internal
         for dst, payload in payloads.items():
-            state.pes[dst].inbox[src] = list(payload)
+            cluster.pes[dst].inbox[src] = list(payload)
             if ledger is not None:
                 ledger.note(step, dst, ORIGINAL, payload)
     sm.records += records
@@ -300,12 +254,12 @@ def shuffle(
     sm.self_bytes += self_bytes
 
     if is_recovery_point and fault_tolerant:
-        manifest = state.step_history[step].backup_manifest
-        for src in sorted(state.live):
-            targets = backup_targets(src, state.live, backup_mode, group_of)
+        manifest = cluster.step_history[step].backup_manifest
+        for src in sorted(cluster.live):
+            targets = backup_targets(src, cluster.live, backup_mode, group_of)
             if not targets:
-                log = logger.debug if src in state.warned_unprotected else logger.warning
-                state.warned_unprotected.add(src)
+                log = logger.debug if src in cluster.warned_unprotected else logger.warning
+                cluster.warned_unprotected.add(src)
                 log(
                     "PE %d has no backup target (first at step %d); its "
                     "self-messages are unprotected", src, step,
@@ -313,7 +267,7 @@ def shuffle(
                 continue
             manifest[src] = [(t, k) for k, t in enumerate(targets)]
             for k, (target, share) in enumerate(split_self_message(unit_self[src], targets)):
-                store = state.pes[target].backup_store.setdefault(step, {})
+                store = cluster.pes[target].backup_store.setdefault(step, {})
                 store[(src, k)] = share
                 got = sum(entry[3].size for entry in share)
                 sm.backup_bytes += got
@@ -339,15 +293,15 @@ def group_entries(inbox: dict[PeId, list[Record]]) -> list[tuple[bytes, list[byt
 
 
 def reduce_phase(
-    state: ClusterState,
+    cluster: Cluster,
     reduce_fn: ReduceFn,
     step: StepId,
     counter_fn: CounterFn | None,
 ) -> int:
     """Reduce every key group on its owner; returns the global aggregate."""
     aggregate = 0
-    for i in sorted(state.live):
-        pe = state.pes[i]
+    for i in sorted(cluster.live):
+        pe = cluster.pes[i]
         out: list[Record] = []
         for key, values in group_entries(pe.inbox):
             try:
@@ -361,28 +315,27 @@ def reduce_phase(
     return aggregate
 
 
-def gc_logs(state: ClusterState, completed_step: StepId) -> None:
+def gc_logs(cluster: Cluster) -> None:
     """Drop logs and shares strictly older than the newest recovery point.
 
-    Anything at least as new as the newest recovery point at or before
-    ``completed_step`` is still needed to reconstruct a failure before
-    the next recovery point completes.
+    Anything at least as new as the newest recovery point is still
+    needed to reconstruct a failure before the next one completes.
     """
-    cut = last_recovery_point(state, completed_step)
-    for i in state.live:
-        pe = state.pes[i]
+    cut = cluster.recovery_point
+    for i in cluster.live:
+        pe = cluster.pes[i]
         for step in [s for s in pe.sent_log if s < cut]:
             del pe.sent_log[step]
         for step in [s for s in pe.backup_store if s < cut]:
             del pe.backup_store[step]
-    state.lost_logs = {(s, f) for (s, f) in state.lost_logs if s >= cut}
-    state.lost_inboxes = {(s, d) for (s, d) in state.lost_inboxes if s >= cut}
-    for holder in list(state.reprotect_holdings):
-        kept = {(s, d) for (s, d) in state.reprotect_holdings[holder] if s >= cut}
+    cluster.lost_logs = {(s, f) for (s, f) in cluster.lost_logs if s >= cut}
+    cluster.lost_inboxes = {(s, d) for (s, d) in cluster.lost_inboxes if s >= cut}
+    for holder in list(cluster.reprotect_holdings):
+        kept = {(s, d) for (s, d) in cluster.reprotect_holdings[holder] if s >= cut}
         if kept:
-            state.reprotect_holdings[holder] = kept
+            cluster.reprotect_holdings[holder] = kept
         else:
-            del state.reprotect_holdings[holder]
+            del cluster.reprotect_holdings[holder]
 
 
 @contextmanager
@@ -419,14 +372,17 @@ class Cluster:
 
     The constructor ingests the input (step 0).  Each :meth:`step` runs
     one step: map, shuffle, the step's failure event and its recovery,
-    reduce, log GC.  Between steps ``state`` and ``metrics`` hold the
-    whole cluster, so callers can inspect logs, shares and inboxes across
-    a recovery.  The simulator executes PEs sequentially in PE order, which
-    makes runs with equal seeds, plans, and failure plans byte-identical.
-    Pass a :class:`DeliveryLedger` to record every delivery for an
-    exactly-once check; without one the run notes nothing.  Bad settings
-    (backup mode, recovery point interval, failure groups, a failure
-    event naming an unknown PE) raise :class:`ConfigError` before ingest.
+    reduce, log GC.  The cluster is the run's one object: it holds the
+    run's settings and, between steps, the whole cluster's state
+    (``pes``, ``live``, ``metrics``, ``recovery_point``, ...), so callers
+    can inspect logs, shares and inboxes across a recovery.  The
+    simulator executes PEs sequentially in PE order, which makes runs
+    with equal seeds, plans, and failure plans byte-identical.  Pass a
+    :class:`DeliveryLedger` to record every delivery for an exactly-once
+    check; without one the run notes nothing.  Bad settings (backup
+    mode, recovery point interval, failure groups, a failure event
+    naming an unknown or already-failed PE) raise :class:`ConfigError`
+    before ingest.
 
     Ingest and each step run with CPython's cyclic collector paused
     (refcounting still frees the engine's garbage); reference cycles made
@@ -448,13 +404,38 @@ class Cluster:
     ):
         backup_mode = BackupMode.parse(backup_mode)
         self.is_rp = recovery_point_schedule(recovery_point_interval)
-        group_of = failure_groups(p, group_size, backup_mode)
-        for event in failure_plan.events if failure_plan is not None else ():
+        # PE i is in failure group group_of[i]
+        self.group_of = failure_groups(p, group_size, backup_mode)
+        events = failure_plan.events if failure_plan is not None else ()
+        for event in events:
             bad = [f for f in event.failed if not 0 <= f < p]
             if bad:
                 raise ConfigError(f"failure event names unknown PEs {sorted(bad)}")
+        dead: set[PeId] = set()
+        for event in events:
+            if again := sorted(event.failed & dead):
+                raise ConfigError(
+                    f"failure event at step {event.step} fails already-dead PEs {again}"
+                )
+            dead |= event.failed
         self.metrics = Metrics()
-        self.state = ingest(job.source, group_of)
+        self.source = job.source
+        self.pes = ingest(job.source, p)
+        self.live = set(range(p))
+        self.pm = initial_partition(p)
+        # newest shuffle that was a recovery point; 0 means the input
+        self.recovery_point: StepId = 0
+        self.step_history: dict[StepId, StepRecord] = {}
+        self.warned_unprotected: set[PeId] = set()
+        # (step, pe): pe's sends of that step are gone for good (pe died
+        # mid-interval); any recovery chain touching the step must refuse
+        self.lost_logs: set[tuple[StepId, PeId]] = set()
+        # holder -> {(step, dst)}: re-protection log copies the holder keeps
+        # for other PEs' step inboxes (injection and re-log traffic)
+        self.reprotect_holdings: dict[PeId, set[tuple[StepId, PeId]]] = {}
+        # (step, dst): dst's step inbox lost its only off-dst copy when a
+        # holder died; a chain needing it must refuse
+        self.lost_inboxes: set[tuple[StepId, PeId]] = set()
         if p == 1 and backup_mode is not BackupMode.OFF:
             logger.warning("single PE: no peers to back up to, backup disabled")
         self.driver = job.driver
@@ -474,35 +455,20 @@ class Cluster:
             return False
         if index > MAX_STEPS:
             raise JobError(-1, index, "driver", RuntimeError("step budget exhausted"))
-        state = self.state
-        plan_rp = self.is_rp(index)
-        state.step_history[index] = StepRecord(
-            spec=spec, is_recovery_point=plan_rp, pm=state.pm
-        )
-        map_phase(state, spec.map_fn, index)
-        shuffle(
-            state,
-            index,
-            is_recovery_point=plan_rp,
-            backup_mode=self.backup_mode,
-            metrics=self.metrics,
-            ledger=self.ledger,
-        )
+        is_rp = self.is_rp(index)
+        if is_rp:
+            self.recovery_point = index
+        self.step_history[index] = StepRecord(spec=spec, pm=self.pm)
+        map_phase(self, spec.map_fn, index)
+        shuffle(self, index, is_rp)
         plan = self.failure_plan
         event = plan.event_at(index) if plan is not None else None
         if event is not None:
             from .recovery import recover  # deferred: recovery imports this module
 
-            recover(
-                state,
-                event,
-                backup_mode=self.backup_mode,
-                metrics=self.metrics,
-                ledger=self.ledger,
-                single_recoverer=self.single_recoverer,
-            )
-        self.prev_aggregate = reduce_phase(state, spec.reduce_fn, index, spec.counter_fn)
-        gc_logs(state, index)
+            recover(self, event)
+        self.prev_aggregate = reduce_phase(self, spec.reduce_fn, index, spec.counter_fn)
+        gc_logs(self)
         self.steps_run = index
         return True
 
@@ -514,8 +480,7 @@ class Cluster:
                     "failure event at step %d never fired (job ran %d steps)",
                     event.step, self.steps_run,
                 )
-        state = self.state
-        outputs = {i: list(state.pes[i].current_records) for i in sorted(state.live)}
+        outputs = {i: list(self.pes[i].current_records) for i in sorted(self.live)}
         return JobResult(
             outputs=outputs, metrics=self.metrics, ledger=self.ledger,
             steps_run=self.steps_run,

@@ -21,7 +21,6 @@ from __future__ import annotations
 import contextlib
 import logging
 import random
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -36,8 +35,8 @@ from .benchmarks import (
 )
 from .config import ConfigError, JobConfig
 from .core import PeId, Record, StepId
-from .engine import Job, run_job
-from .metrics import DeliveryLedger, Metrics
+from .engine import Job, JobResult, run_job
+from .metrics import DeliveryLedger
 from .partition import mix_seed
 from .recovery import FailureEvent
 
@@ -156,26 +155,14 @@ def build_job(config: JobConfig) -> Job:
     )
 
 
-@dataclass
-class SimulationResult:
-    config: JobConfig
-    outputs: dict[PeId, list[Record]]
-    metrics: Metrics
-    # only when run_simulation was given one
-    ledger: DeliveryLedger | None
-    steps_run: int
-    elapsed: float
-
-
 def run_simulation(
     config: JobConfig,
     plan: FailurePlan | None = None,
     *,
     ledger: DeliveryLedger | None = None,
-) -> SimulationResult:
+) -> JobResult:
     """Run ``config`` once; ``ledger`` is handed to :func:`run_job`."""
-    start = time.perf_counter()
-    result = run_job(
+    return run_job(
         build_job(config),
         config.p,
         backup_mode=config.backup_mode,
@@ -184,14 +171,6 @@ def run_simulation(
         group_size=config.group_size,
         single_recoverer=config.single_recoverer,
         ledger=ledger,
-    )
-    return SimulationResult(
-        config=config,
-        outputs=result.outputs,
-        metrics=result.metrics,
-        ledger=result.ledger,
-        steps_run=result.steps_run,
-        elapsed=time.perf_counter() - start,
     )
 
 
@@ -240,8 +219,8 @@ def outputs_match(
 
 
 def verify(
-    result: SimulationResult,
-    reference: SimulationResult,
+    result: JobResult,
+    reference: JobResult,
     config: JobConfig,
     plan: FailurePlan | None,
 ) -> list[str]:
@@ -310,7 +289,7 @@ class SweepCase:
 @dataclass
 class SweepResult:
     config: JobConfig
-    reference: SimulationResult
+    reference: JobResult
     cases: list[SweepCase]
 
     @property

@@ -32,8 +32,8 @@ import logging
 from dataclasses import dataclass
 
 from .core import PeId, Record, StepId
-from .engine import ClusterState, JobError, group_entries, last_recovery_point
-from .metrics import RECOVERY, DeliveryLedger, Metrics, RecoveryRecord
+from .engine import Cluster, JobError, group_entries
+from .metrics import RECOVERY, DeliveryLedger, RecoveryRecord
 from .partition import (
     BackupMode,
     Owners,
@@ -67,47 +67,37 @@ class UnrecoverableFailure(RuntimeError):
 _Chain = dict[PeId, list[tuple[PeId, Record]]]
 
 
-def recover(
-    state: ClusterState,
-    event: FailureEvent,
-    *,
-    backup_mode: BackupMode,
-    metrics: Metrics,
-    ledger: DeliveryLedger | None = None,
-    single_recoverer: bool = False,
-) -> None:
-    """Handle one failure event; mutates cluster state in place.
+def recover(cluster: Cluster, event: FailureEvent) -> None:
+    """Handle one failure event; mutates the cluster in place.
 
-    Re-derived deliveries are noted in ``ledger`` when one is given.
-    Raises :class:`UnrecoverableFailure` when the survivors provably do
-    not hold (and cannot regenerate) the lost data.
+    Re-derived deliveries are noted in the cluster's ledger when it has
+    one.  Raises :class:`UnrecoverableFailure` when the survivors
+    provably do not hold (and cannot regenerate) the lost data.
     """
     failed = set(event.failed)
     if not failed:
         return
-    if not failed <= state.live:
-        raise ValueError(f"event fails already-dead PEs {sorted(failed - state.live)}")
-    if backup_mode is BackupMode.OFF:
+    if cluster.backup_mode is BackupMode.OFF:
         raise UnrecoverableFailure(
             "fault tolerance is off: no logs or backups exist for "
             f"PEs {sorted(failed)}"
         )
-    survivors = state.live - failed
+    survivors = cluster.live - failed
     if not survivors:
         raise UnrecoverableFailure("every PE failed; nothing holds any state")
 
     t = event.step
-    r = last_recovery_point(state, t)
+    r = cluster.recovery_point
     if r == 0:
-        if not state.source.replayable:
+        if not cluster.source.replayable:
             raise UnrecoverableFailure(
                 "no recovery point completed and the input source cannot "
                 "be replayed"
             )
     elif len(failed) > 1:
-        _require_one_group(state, failed)
+        _require_one_group(cluster, failed)
     lo = max(r, 1)
-    holes = sorted((s, pe) for (s, pe) in state.lost_logs if lo <= s <= t)
+    holes = sorted((s, pe) for (s, pe) in cluster.lost_logs if lo <= s <= t)
     if holes:
         s, pe = holes[0]
         raise UnrecoverableFailure(
@@ -115,7 +105,7 @@ def recover(
             f"PE {pe}, which were lost for good when it failed mid-interval"
         )
     inbox_holes = sorted(
-        (s, d) for (s, d) in state.lost_inboxes if d in failed and lo <= s <= t
+        (s, d) for (s, d) in cluster.lost_inboxes if d in failed and lo <= s <= t
     )
     if inbox_holes:
         s, d = inbox_holes[0]
@@ -128,21 +118,21 @@ def recover(
     # starts, so recovery can only draw on survivor-held data.  Any
     # re-protection copies the unit held for others die with it.
     for f in failed:
-        for (s, d) in state.reprotect_holdings.pop(f, set()):
+        for (s, d) in cluster.reprotect_holdings.pop(f, set()):
             if d in failed:
                 if lo <= s <= t:
                     raise UnrecoverableFailure(
                         f"the step-{s} inbox of PE {d} was protected only "
                         f"by PE {f}, which is failing in the same event"
                     )
-            elif d in state.live:
-                state.lost_inboxes.add((s, d))
-        state.pes[f].scrub()
-        state.live.discard(f)
+            elif d in cluster.live:
+                cluster.lost_inboxes.add((s, d))
+        cluster.pes[f].scrub()
+        cluster.live.discard(f)
 
-    pm_old = state.pm
-    if single_recoverer:
-        heir = _pick_heir(state, failed, r, backup_mode)
+    pm_old = cluster.pm
+    if cluster.single_recoverer:
+        heir = _pick_heir(cluster, failed, r)
         pm_new = transfer_partition(pm_old, failed, heir)
     else:
         pm_new = shrink_partition(pm_old, failed)
@@ -157,25 +147,25 @@ def recover(
     if r == 0:
         current: list[tuple[PeId, Record]] = []
         for f in sorted(failed):
-            for rec in state.source.fn(f):
+            for rec in cluster.source.fn(f):
                 current.append((owners_new[rec.key], rec))
         records_recomputed += len(current)
     else:
-        chain = _logged_to(state, r, failed)
-        chain.update(_share_entries(state, r, failed))
+        chain = _logged_to(cluster, r, failed)
+        chain.update(_share_entries(cluster, r, failed))
 
     # --- phase 2: replay up to the failure step --------------------------
     for step in range(r + 1, t + 1):
         if chain is not None:
             # the unit's Reduce of the previous step, over its rebuilt inbox
             prev = step - 1
-            if ledger is not None:
-                _note_rebuilt(ledger, prev, chain, owners_new)
-            current = _replay_reduce(state, prev, chain, owners_new)
+            if cluster.ledger is not None:
+                _note_rebuilt(cluster.ledger, prev, chain, owners_new)
+            current = _replay_reduce(cluster, prev, chain, owners_new)
             records_recomputed += sum(map(len, chain.values()))
             replayed.append(prev)
-        spec = state.step_history[step].spec
-        pm_then = state.step_history[step].pm
+        spec = cluster.step_history[step].spec
+        pm_then = cluster.step_history[step].pm
         owners_then = owners_old if pm_then is pm_old else Owners(pm_then)
         mapped: list[tuple[PeId, Record]] = []
         for holder, rec in current:
@@ -194,25 +184,25 @@ def recover(
             # The unit's own sends of this step died with its logs; with
             # no shuffle recovery point, a later input replay would need
             # them again, so re-log the recomputed copies on survivors.
-            relog_bytes += _relog_mapped(state, step, mapped, failed, owners_then)
-        chain = _logged_to(state, step, failed)
+            relog_bytes += _relog_mapped(cluster, step, mapped, failed, owners_then)
+        chain = _logged_to(cluster, step, failed)
         chain[min(failed)] = self_part  # the unit's sends to itself
 
     # chain now holds the unit's reconstructed inbox at step t
     records_recomputed += sum(map(len, chain.values()))
-    if ledger is not None:
-        _note_rebuilt(ledger, t, chain, owners_new)
-    bytes_resent = _inject(state, t, chain, owners_new)
-    repair_bytes = relog_bytes + _repair_shares(state, r, failed, backup_mode)
+    if cluster.ledger is not None:
+        _note_rebuilt(cluster.ledger, t, chain, owners_new)
+    bytes_resent = _inject(cluster, t, chain, owners_new)
+    repair_bytes = relog_bytes + _repair_shares(cluster, r, failed)
     if r == t or r == 0:
         # The unit's delivered step-t sends still sit in the survivors'
         # pending inboxes; give them live log copies while they exist.
-        repair_bytes += _relog_pending(state, t, failed)
+        repair_bytes += _relog_pending(cluster, t, failed)
     else:
         # The unit's step-r sends are gone for good (consumed by the
         # step-r reduces); refuse any later chain through step r.
-        state.lost_logs.update((r, f) for f in failed)
-    metrics.recoveries.append(
+        cluster.lost_logs.update((r, f) for f in failed)
+    cluster.metrics.recoveries.append(
         RecoveryRecord(
             step=t,
             failed=tuple(sorted(failed)),
@@ -223,7 +213,7 @@ def recover(
             backup_repair_bytes=repair_bytes,
         )
     )
-    state.pm = pm_new
+    cluster.pm = pm_new
     logger.info(
         "recovered PEs %s at step %d from recovery point %d "
         "(%d records recomputed, %d bytes re-sent)",
@@ -234,8 +224,8 @@ def recover(
 # ----------------------------------------------------------------------
 
 
-def _require_one_group(state: ClusterState, failed: set[PeId]) -> None:
-    gids = {state.group_of[f] for f in failed}
+def _require_one_group(cluster: Cluster, failed: set[PeId]) -> None:
+    gids = {cluster.group_of[f] for f in failed}
     if len(gids) != 1:
         raise UnrecoverableFailure(
             f"simultaneous failure of PEs {sorted(failed)} spans multiple "
@@ -243,7 +233,7 @@ def _require_one_group(state: ClusterState, failed: set[PeId]) -> None:
         )
     gid = gids.pop()
     members_alive = {
-        j for j in state.live if state.group_of[j] == gid
+        j for j in cluster.live if cluster.group_of[j] == gid
     }
     if failed != members_alive:
         raise UnrecoverableFailure(
@@ -252,55 +242,51 @@ def _require_one_group(state: ClusterState, failed: set[PeId]) -> None:
         )
 
 
-def _pick_heir(
-    state: ClusterState, failed: set[PeId], r: StepId, backup_mode: BackupMode
-) -> PeId:
-    survivors = sorted(state.live - failed)
-    if backup_mode is BackupMode.SINGLE and r >= 1:
-        manifest = state.step_history[r].backup_manifest.get(min(failed), [])
+def _pick_heir(cluster: Cluster, failed: set[PeId], r: StepId) -> PeId:
+    survivors = sorted(cluster.live - failed)
+    if cluster.backup_mode is BackupMode.SINGLE and r >= 1:
+        manifest = cluster.step_history[r].backup_manifest.get(min(failed), [])
         for target, _idx in manifest:
-            if target in state.live and target not in failed:
+            if target in cluster.live and target not in failed:
                 return target
     return survivors[0]
 
 
-def _logged_to(state: ClusterState, step: StepId, failed: set[PeId]) -> _Chain:
+def _logged_to(cluster: Cluster, step: StepId, failed: set[PeId]) -> _Chain:
     """What the survivors' sent logs say reached the unit at ``step``."""
     chain: _Chain = {}
-    for s in sorted(state.live):
-        log = state.pes[s].sent_log.get(step)
+    for s in sorted(cluster.live):
+        log = cluster.pes[s].sent_log.get(step)
         if log:
             chain[s] = [(s, rec) for f in sorted(failed) for rec in log.get(f, ())]
     return chain
 
 
-def _share_entries(state: ClusterState, r: StepId, failed: set[PeId]) -> _Chain:
+def _share_entries(cluster: Cluster, r: StepId, failed: set[PeId]) -> _Chain:
     """The unit-internal records backed up on peers at recovery point ``r``.
 
     Every share listed in the step's backup manifest must still be held
     by a live PE; a missing share means the data is gone for good.
     """
-    hist = state.step_history[r]
+    hist = cluster.step_history[r]
     chain: _Chain = {}
     for origin in sorted(failed):
         manifest = hist.backup_manifest.get(origin)
         if manifest is None:
-            if hist.is_recovery_point:
-                raise UnrecoverableFailure(
-                    f"no backup shares were stored for PE {origin} at "
-                    f"recovery point {r}"
-                )
-            continue
+            raise UnrecoverableFailure(
+                f"no backup shares were stored for PE {origin} at "
+                f"recovery point {r}"
+            )
         # (dst, seq, holder, record); shares hold slices of the payloads,
         # repaired ones in any order, so sort back into emission order
         collected: list[tuple[PeId, int, PeId, Record]] = []
         for target, idx in manifest:
-            if target not in state.live:
+            if target not in cluster.live:
                 raise UnrecoverableFailure(
                     f"backup share {idx} of PE {origin} at step {r} was held "
                     f"by PE {target}, which has also failed"
                 )
-            share = state.pes[target].backup_store.get(r, {}).get((origin, idx))
+            share = cluster.pes[target].backup_store.get(r, {}).get((origin, idx))
             if share is None:
                 raise UnrecoverableFailure(
                     f"backup share {idx} of PE {origin} at step {r} is missing "
@@ -314,38 +300,38 @@ def _share_entries(state: ClusterState, r: StepId, failed: set[PeId]) -> _Chain:
     return chain
 
 
-def _holder_for(state: ClusterState, dst: PeId) -> PeId:
+def _holder_for(cluster: Cluster, dst: PeId) -> PeId:
     """A live PE to hold a log copy guarding ``dst``'s inbox.
 
     Prefers a PE outside ``dst``'s failure group (group failures take the
     whole unit down at once), scanning ascending from ``dst``; falls back
     to any live peer, and to ``dst`` itself only in a one-PE cluster.
     """
-    live_sorted = sorted(state.live)
+    live_sorted = sorted(cluster.live)
     n = len(live_sorted)
     if n <= 1:
         return dst
-    start = live_sorted.index(dst) if dst in state.live else 0
-    gid = state.group_of[dst]
+    start = live_sorted.index(dst) if dst in cluster.live else 0
+    gid = cluster.group_of[dst]
     fallback = None
     for k in range(1, n + 1):
         cand = live_sorted[(start + k) % n]
         if cand == dst:
             continue
-        if state.group_of[cand] != gid:
+        if cluster.group_of[cand] != gid:
             return cand
         if fallback is None:
             fallback = cand
     return fallback if fallback is not None else dst
 
 
-def _note_holding(state: ClusterState, holder: PeId, step: StepId, dst: PeId) -> None:
+def _note_holding(cluster: Cluster, holder: PeId, step: StepId, dst: PeId) -> None:
     if holder != dst:
-        state.reprotect_holdings.setdefault(holder, set()).add((step, dst))
+        cluster.reprotect_holdings.setdefault(holder, set()).add((step, dst))
 
 
 def _log_copy(
-    state: ClusterState, holder: PeId, step: StepId, dst: PeId, rec: Record
+    cluster: Cluster, holder: PeId, step: StepId, dst: PeId, rec: Record
 ) -> PeId:
     """Log ``rec`` as a step-``step`` send to ``dst``; return the sender.
 
@@ -353,16 +339,16 @@ def _log_copy(
     then a PE outside that group takes the copy, so the log never dies
     together with the inbox it guards.
     """
-    if state.group_of[holder] != state.group_of[dst]:
+    if cluster.group_of[holder] != cluster.group_of[dst]:
         sender = holder
     else:
-        sender = _holder_for(state, dst)
-    _note_holding(state, sender, step, dst)
-    state.pes[sender].sent_log.setdefault(step, {}).setdefault(dst, []).append(rec)
+        sender = _holder_for(cluster, dst)
+    _note_holding(cluster, sender, step, dst)
+    cluster.pes[sender].sent_log.setdefault(step, {}).setdefault(dst, []).append(rec)
     return sender
 
 
-def _relog_pending(state: ClusterState, t: StepId, failed: set[PeId]) -> int:
+def _relog_pending(cluster: Cluster, t: StepId, failed: set[PeId]) -> int:
     """Give the unit's already-delivered step-``t`` sends live log copies.
 
     The exchange of step ``t`` completed before the unit died, so its
@@ -371,26 +357,26 @@ def _relog_pending(state: ClusterState, t: StepId, failed: set[PeId]) -> int:
     slice is copied into a peer's sent log (off the receiver, so the copy
     outlives a failure of the receiver itself).  Returns bytes shipped.
     """
-    live_sorted = sorted(state.live)
+    live_sorted = sorted(cluster.live)
     if len(live_sorted) < 2:
         return 0
     shipped = 0
     for owner in live_sorted:
-        inbox = state.pes[owner].inbox
+        inbox = cluster.pes[owner].inbox
         pending = [rec for src in sorted(failed) for rec in inbox.get(src, ())]
         if not pending:
             continue
-        holder = _holder_for(state, owner)
+        holder = _holder_for(cluster, owner)
         if holder == owner:
             continue
-        _note_holding(state, holder, t, owner)
-        state.pes[holder].sent_log.setdefault(t, {}).setdefault(owner, []).extend(pending)
+        _note_holding(cluster, holder, t, owner)
+        cluster.pes[holder].sent_log.setdefault(t, {}).setdefault(owner, []).extend(pending)
         shipped += sum(rec.size for rec in pending)
     return shipped
 
 
 def _relog_mapped(
-    state: ClusterState,
+    cluster: Cluster,
     step: StepId,
     mapped: list[tuple[PeId, Record]],
     failed: set[PeId],
@@ -405,17 +391,15 @@ def _relog_mapped(
     shipped = 0
     for holder, rec in mapped:
         dst = owners_then[rec.key]
-        if dst in failed or dst not in state.live:
+        if dst in failed or dst not in cluster.live:
             continue
-        sender = _log_copy(state, holder, step, dst, rec)
+        sender = _log_copy(cluster, holder, step, dst, rec)
         if sender != holder:
             shipped += rec.size
     return shipped
 
 
-def _repair_shares(
-    state: ClusterState, r: StepId, failed: set[PeId], backup_mode: BackupMode
-) -> int:
+def _repair_shares(cluster: Cluster, r: StepId, failed: set[PeId]) -> int:
     """Re-create backup shares the failed PEs were holding for survivors.
 
     A share's origin keeps the authoritative copy of its unit-internal
@@ -427,32 +411,34 @@ def _repair_shares(
     """
     if r == 0:
         return 0
-    hist = state.step_history[r]
+    hist = cluster.step_history[r]
     shipped = 0
-    for origin in sorted(state.live):
+    for origin in sorted(cluster.live):
         manifest = hist.backup_manifest.get(origin)
         if not manifest:
             continue
         lost = [(target, idx) for (target, idx) in manifest if target in failed]
         if not lost:
             continue
-        gid = state.group_of[origin]
+        gid = cluster.group_of[origin]
         full: dict[tuple[PeId, int], Record] = {}
-        for dst, payload in state.pes[origin].sent_log.get(r, {}).items():
-            if state.group_of[dst] == gid:
+        for dst, payload in cluster.pes[origin].sent_log.get(r, {}).items():
+            if cluster.group_of[dst] == gid:
                 for seq, rec in enumerate(payload):
                     full[(dst, seq)] = rec
         covered: set[tuple[PeId, int]] = set()
         for target, idx in manifest:
             if target in failed:
                 continue
-            share = state.pes[target].backup_store.get(r, {}).get((origin, idx), ())
+            share = cluster.pes[target].backup_store.get(r, {}).get((origin, idx), ())
             covered.update((dst, seq) for (_src, dst, seq, _rec) in share)
         missing = [
             (origin, dst, seq, full[(dst, seq)])
             for (dst, seq) in sorted(full.keys() - covered)
         ]
-        eligible = backup_targets(origin, state.live, backup_mode, state.group_of)
+        eligible = backup_targets(
+            origin, cluster.live, cluster.backup_mode, cluster.group_of
+        )
         if not eligible:
             logger.warning(
                 "cannot re-create the backup shares PE %s lost for PE %d: "
@@ -474,7 +460,7 @@ def _repair_shares(
         for k, (_old, idx) in enumerate(lost):
             share = missing[k :: len(lost)]
             new_target = replacement[idx]
-            store = state.pes[new_target].backup_store.setdefault(r, {})
+            store = cluster.pes[new_target].backup_store.setdefault(r, {})
             store[(origin, idx)] = share
             shipped += sum(rec.size for (_s, _d, _q, rec) in share)
         hist.backup_manifest[origin] = new_manifest
@@ -482,7 +468,7 @@ def _repair_shares(
 
 
 def _replay_reduce(
-    state: ClusterState,
+    cluster: Cluster,
     step: StepId,
     chain: _Chain,
     owners_new: Owners,
@@ -492,7 +478,7 @@ def _replay_reduce(
     Each key group is attributed to the survivor that owns the key under
     the shrunk map, mirroring where the recomputation runs.
     """
-    spec = state.step_history[step].spec
+    spec = cluster.step_history[step].spec
     out: list[tuple[PeId, Record]] = []
     inbox = {src: [rec for _holder, rec in pairs] for src, pairs in chain.items()}
     for key, values in group_entries(inbox):
@@ -506,7 +492,7 @@ def _replay_reduce(
 
 
 def _inject(
-    state: ClusterState,
+    cluster: Cluster,
     t: StepId,
     chain: _Chain,
     owners_new: Owners,
@@ -528,8 +514,8 @@ def _inject(
     for pairs in chain.values():
         for holder, rec in pairs:
             dst = owners_new[rec.key]
-            sender = _log_copy(state, holder, t, dst, rec)
-            state.pes[dst].inbox.setdefault(sender, []).append(rec)
+            sender = _log_copy(cluster, holder, t, dst, rec)
+            cluster.pes[dst].inbox.setdefault(sender, []).append(rec)
             if holder != dst:
                 bytes_resent += rec.size
             if sender != holder:

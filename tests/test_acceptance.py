@@ -155,16 +155,15 @@ def test_c05_group_failures():
         8, group_size=2,
     )
     cluster.step()
-    state = cluster.state
     shares = 0
     for holder in range(8):
-        for (origin, _idx) in state.pes[holder].backup_store.get(1, {}):
-            assert state.group_of[origin] != state.group_of[holder]
+        for (origin, _idx) in cluster.pes[holder].backup_store.get(1, {}):
+            assert cluster.group_of[origin] != cluster.group_of[holder]
             shares += 1
     assert shares > 0
-    for origin, manifest in state.step_history[1].backup_manifest.items():
+    for origin, manifest in cluster.step_history[1].backup_manifest.items():
         for target, _idx in manifest:
-            assert state.group_of[target] != state.group_of[origin]
+            assert cluster.group_of[target] != cluster.group_of[origin]
     _ok("whole failure groups (p=8, pairs) recover at every step; "
         "group-internal data is backed up outside the group only")
 
@@ -209,7 +208,7 @@ def test_c08_log_garbage_collection():
     while cluster.step():
         step = cluster.steps_run
         held_logs, held_shares, logged = set(), set(), 0
-        for pe in cluster.state.pes:
+        for pe in cluster.pes:
             held_logs |= set(pe.sent_log)
             held_shares |= set(pe.backup_store)
             logged += sum(
@@ -227,7 +226,7 @@ def test_c08_log_garbage_collection():
         step = cluster.steps_run
         newest_rp = ((step - 1) // 3) * 3 + 1
         held = set()
-        for pe in cluster.state.pes:
+        for pe in cluster.pes:
             held |= set(pe.sent_log)
         assert held == set(range(newest_rp, step + 1))
     _ok("log GC keeps exactly the steps since the newest recovery point "

@@ -1,5 +1,7 @@
 """Command-line interface: flags, files, exit codes."""
 
+import re
+
 import pytest
 
 from ftmr.cli import (
@@ -22,6 +24,7 @@ def test_run_prints_summary(capsys):
     assert main(["run", *WC]) == EXIT_OK
     out = capsys.readouterr().out
     assert "wordcount: p=4 seed=7 steps=1" in out
+    assert re.search(r"elapsed=\d+\.\d\ds\n", out)
     assert "traffic:" in out
 
 
@@ -103,9 +106,15 @@ def test_config_errors_exit_2(tmp_path, capsys):
         (["--failures", "9:9"], "failure event names unknown PEs [9]"),
         (["--benchmark", "rmat", "-p", "4", "--vertices-per-pe", "100"],
          "rmat needs a power-of-two vertex count; vertices_per_pe*p = 400"),
+        (["--benchmark", "cc", "-p", "4", "--vertices-per-pe", "16",
+          "--interval", "3", "--failures", "2:1;3:1"],
+         "failure event at step 3 fails already-dead PEs [1]"),
+        (["--benchmark", "rmat", "-p", "4", "--vertices-per-pe", "2"],
+         "120 edges cannot be distinct over 36 vertex pairs"),
     ],
     ids=["p0", "backup-mode", "interval", "group-divides", "group-spans",
-         "unknown-pe", "unknown-pe-late", "rmat-vertices"],
+         "unknown-pe", "unknown-pe-late", "rmat-vertices", "dead-pe-again",
+         "rmat-edges"],
 )
 def test_config_error_lines(flags, last_line, capsys):
     argv = ["run", "--benchmark", "wordcount", "--words-per-pe", "50", *flags]

@@ -17,7 +17,6 @@ from ftmr.engine import (
     RecordSource,
     StepSpec,
     group_entries,
-    last_recovery_point,
     recovery_point_schedule,
     run_job,
 )
@@ -292,12 +291,12 @@ def test_logs_keep_only_newest_recovery_point():
     cluster = Cluster(identity_job(12, steps=4), 4, recovery_point_interval=1)
     while cluster.step():
         step = cluster.steps_run
-        for pe in cluster.state.pes:
+        for pe in cluster.pes:
             assert set(pe.sent_log) <= {step}
             assert set(pe.backup_store) <= {step}
         logged = sum(
             rec.size
-            for pe in cluster.state.pes
+            for pe in cluster.pes
             for payloads in pe.sent_log.values()
             for payload in payloads.values()
             for rec in payload
@@ -312,12 +311,10 @@ def test_logs_accumulate_between_recovery_points():
     while cluster.step():
         step = cluster.steps_run
         held = set()
-        for pe in cluster.state.pes:
+        for pe in cluster.pes:
             held |= set(pe.sent_log)
         assert held == expected[step]
-        assert last_recovery_point(cluster.state, step) == max(
-            s for s in (1, 4) if s <= step
-        )
+        assert cluster.recovery_point == max(s for s in (1, 4) if s <= step)
 
 
 def test_backup_shares_only_at_recovery_points():
@@ -333,11 +330,10 @@ def test_backup_shares_only_at_recovery_points():
 def test_group_backups_leave_the_group():
     cluster = Cluster(identity_job(15), 8, group_size=2)
     cluster.step()
-    state = cluster.state
     stored = 0
     for holder in range(8):
-        for (origin, _idx) in state.pes[holder].backup_store.get(1, {}):
-            assert state.group_of[origin] != state.group_of[holder]
+        for (origin, _idx) in cluster.pes[holder].backup_store.get(1, {}):
+            assert cluster.group_of[origin] != cluster.group_of[holder]
             stored += 1
     assert stored > 0
     # intra-group traffic counts as self traffic, cross-group as network

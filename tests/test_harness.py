@@ -142,7 +142,6 @@ def test_run_simulation_reports_timing_and_steps():
     config = JobConfig(benchmark="wordcount", p=4, words_per_pe=10, dict_words=5)
     result = run_simulation(config)
     assert result.steps_run == 1
-    assert result.elapsed > 0
     assert sum(output_counter(result.outputs).values()) > 0
 
 

@@ -12,7 +12,6 @@ from ftmr.engine import (
     ListDriver,
     RecordSource,
     StepSpec,
-    last_recovery_point,
     run_job,
 )
 from ftmr.harness import (
@@ -24,7 +23,7 @@ from ftmr.harness import (
     sweep_failures,
 )
 from ftmr.metrics import RECOVERY, DeliveryLedger
-from ftmr.partition import BackupMode, hash_key, initial_partition, shrink_partition
+from ftmr.partition import hash_key, initial_partition, shrink_partition
 from ftmr.recovery import (
     FailureEvent,
     UnrecoverableFailure,
@@ -247,16 +246,9 @@ def test_holder_dying_in_same_event_refused():
     # must not recover that inbox from itself
     cluster = Cluster(_identity_job(0), 6, group_size=2)
     cluster.step()
-    state = cluster.state
-    state.reprotect_holdings[4] = {(1, 5)}
+    cluster.reprotect_holdings[4] = {(1, 5)}
     with pytest.raises(UnrecoverableFailure, match="failing in the same event"):
-        recover(
-            state,
-            FailureEvent(1, frozenset({4, 5})),
-            backup_mode=BackupMode.SPLIT,
-            metrics=cluster.metrics,
-            ledger=cluster.ledger,
-        )
+        recover(cluster, FailureEvent(1, frozenset({4, 5})))
 
 
 @pytest.mark.parametrize("spec, interval", [("2:1", 1), ("2:1", 3), ("3:1;5:2", 3)])
@@ -267,7 +259,6 @@ def test_cluster_state_across_recoveries(spec, interval):
     plan = parse_failure_spec(spec)
     cluster = Cluster(build_job(cc_config()), 4,
                       recovery_point_interval=interval, failure_plan=plan)
-    state = cluster.state
     live, recoveries = set(range(4)), 0
     while cluster.step():
         step = cluster.steps_run
@@ -275,11 +266,11 @@ def test_cluster_state_across_recoveries(spec, interval):
         if event is not None:
             live -= event.failed
             recoveries += 1
-        assert state.live == live
+        assert cluster.live == live
         assert len(cluster.metrics.recoveries) == recoveries
-        rp = last_recovery_point(state, step)
-        logged = set().union(*(state.pes[i].sent_log for i in live))
-        shared = set().union(*(state.pes[i].backup_store for i in live))
+        rp = cluster.recovery_point
+        logged = set().union(*(cluster.pes[i].sent_log for i in live))
+        shared = set().union(*(cluster.pes[i].backup_store for i in live))
         assert logged == set(range(max(rp, 1), step + 1))
         assert shared == {rp}
     assert cluster.steps_run > max(e.step for e in plan.events)
