@@ -315,9 +315,9 @@ class _CcDriver:
             return _cc_extract_spec()
         self.rounds += 1
         if self.rounds > self.max_rounds:
-            raise RuntimeError(
+            raise JobError(-1, index, "driver", RuntimeError(
                 f"components failed to converge within {self.max_rounds} rounds"
-            )
+            ))
         self.last = "large"
         return _cc_large_spec()
 

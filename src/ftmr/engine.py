@@ -328,14 +328,6 @@ def gc_logs(cluster: Cluster) -> None:
             del pe.sent_log[step]
         for step in [s for s in pe.backup_store if s < cut]:
             del pe.backup_store[step]
-    cluster.lost_logs = {(s, f) for (s, f) in cluster.lost_logs if s >= cut}
-    cluster.lost_inboxes = {(s, d) for (s, d) in cluster.lost_inboxes if s >= cut}
-    for holder in list(cluster.reprotect_holdings):
-        kept = {(s, d) for (s, d) in cluster.reprotect_holdings[holder] if s >= cut}
-        if kept:
-            cluster.reprotect_holdings[holder] = kept
-        else:
-            del cluster.reprotect_holdings[holder]
 
 
 @contextmanager
@@ -427,15 +419,15 @@ class Cluster:
         self.recovery_point: StepId = 0
         self.step_history: dict[StepId, StepRecord] = {}
         self.warned_unprotected: set[PeId] = set()
+        # Refusal state of the current recovery interval; every recovery
+        # chain starts at its recovery point, so each one starts empty.
         # (step, pe): pe's sends of that step are gone for good (pe died
         # mid-interval); any recovery chain touching the step must refuse
         self.lost_logs: set[tuple[StepId, PeId]] = set()
         # holder -> {(step, dst)}: re-protection log copies the holder keeps
-        # for other PEs' step inboxes (injection and re-log traffic)
+        # for other PEs' step inboxes (injection and re-log traffic); a
+        # dead holder's entries are inboxes that lost their only off-dst copy
         self.reprotect_holdings: dict[PeId, set[tuple[StepId, PeId]]] = {}
-        # (step, dst): dst's step inbox lost its only off-dst copy when a
-        # holder died; a chain needing it must refuse
-        self.lost_inboxes: set[tuple[StepId, PeId]] = set()
         if p == 1 and backup_mode is not BackupMode.OFF:
             logger.warning("single PE: no peers to back up to, backup disabled")
         self.driver = job.driver
@@ -458,6 +450,8 @@ class Cluster:
         is_rp = self.is_rp(index)
         if is_rp:
             self.recovery_point = index
+            self.lost_logs = set()
+            self.reprotect_holdings = {}
         self.step_history[index] = StepRecord(spec=spec, pm=self.pm)
         map_phase(self, spec.map_fn, index)
         shuffle(self, index, is_rp)

@@ -134,22 +134,26 @@ def initial_partition(p: int) -> PartitionMap:
     )
 
 
-def shrink_partition(pm: PartitionMap, failed: set[PeId]) -> PartitionMap:
-    """Redistribute every failed PE's range evenly over the survivors.
+def shrink_partition(pm: PartitionMap, failed: set[PeId], heirs=None) -> PartitionMap:
+    """Redistribute every failed PE's range evenly over ``heirs``.
 
-    Each failed range is cut into ``len(survivors)`` floor-sized pieces
-    assigned in ascending survivor PeId order.  Survivor ranges are left
-    untouched, so no live data has to move.
+    ``heirs`` defaults to every survivor; one heir absorbs all the failed
+    data, as in the single-recoverer mode.  Each failed range is cut into
+    ``len(heirs)`` floor-sized pieces assigned in ascending PeId order.
+    Survivor ranges are left untouched, so no live data has to move.
     """
     live = set(pm.live_pes())
     if not failed:
         return pm
     if not failed <= live:
         raise ValueError(f"failed PEs {sorted(failed - live)} not in the map")
-    survivors = sorted(live - failed)
-    if not survivors:
+    survivors = live - failed
+    heirs = sorted(survivors if heirs is None else heirs)
+    if not heirs:
         raise ValueError("no survivors to inherit the hash space")
-    s = len(survivors)
+    if not set(heirs) <= survivors:
+        raise ValueError(f"heirs {sorted(set(heirs) - survivors)} are not survivors")
+    s = len(heirs)
     out = []
     for r in pm.ranges:
         if r.pe not in failed:
@@ -158,27 +162,8 @@ def shrink_partition(pm: PartitionMap, failed: set[PeId]) -> PartitionMap:
         bounds = [r.lo + (k * r.width) // s for k in range(s + 1)]
         for k in range(s):
             if bounds[k] < bounds[k + 1]:  # skip zero-width slivers
-                out.append(Range(survivors[k], bounds[k], bounds[k + 1]))
+                out.append(Range(heirs[k], bounds[k], bounds[k + 1]))
     return PartitionMap(tuple(out))
-
-
-def transfer_partition(pm: PartitionMap, failed: set[PeId], heir: PeId) -> PartitionMap:
-    """Hand every failed range wholesale to one survivor.
-
-    Models the prototype-style recovery in which a single PE absorbs the
-    failed PE's data (and ends up with roughly twice the load).
-    """
-    live = set(pm.live_pes())
-    if not failed <= live:
-        raise ValueError("failed PEs not in the map")
-    if heir in failed or heir not in live:
-        raise ValueError("heir must be a survivor")
-    return PartitionMap(
-        tuple(
-            Range(heir, r.lo, r.hi) if r.pe in failed else r
-            for r in pm.ranges
-        )
-    )
 
 
 class BackupMode(enum.Enum):

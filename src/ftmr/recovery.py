@@ -34,13 +34,7 @@ from dataclasses import dataclass
 from .core import PeId, Record, StepId
 from .engine import Cluster, JobError, group_entries
 from .metrics import RECOVERY, DeliveryLedger, RecoveryRecord
-from .partition import (
-    BackupMode,
-    Owners,
-    backup_targets,
-    shrink_partition,
-    transfer_partition,
-)
+from .partition import BackupMode, Owners, backup_targets, shrink_partition
 
 logger = logging.getLogger(__name__)
 
@@ -96,46 +90,47 @@ def recover(cluster: Cluster, event: FailureEvent) -> None:
             )
     elif len(failed) > 1:
         _require_one_group(cluster, failed)
-    lo = max(r, 1)
-    holes = sorted((s, pe) for (s, pe) in cluster.lost_logs if lo <= s <= t)
-    if holes:
-        s, pe = holes[0]
+    # the refusal state holds only this interval's entries: Cluster.step
+    # empties it when a recovery point starts
+    if cluster.lost_logs:
+        s, pe = min(cluster.lost_logs)
         raise UnrecoverableFailure(
             f"recovering PEs {sorted(failed)} needs the step-{s} sends of "
             f"PE {pe}, which were lost for good when it failed mid-interval"
         )
-    inbox_holes = sorted(
-        (s, d) for (s, d) in cluster.lost_inboxes if d in failed and lo <= s <= t
-    )
+    holdings = cluster.reprotect_holdings
+    inbox_holes = [
+        (s, d) for h in holdings if h not in cluster.live
+        for (s, d) in holdings[h] if d in failed
+    ]
     if inbox_holes:
-        s, d = inbox_holes[0]
+        s, d = min(inbox_holes)
         raise UnrecoverableFailure(
             f"the step-{s} inbox of PE {d} lost its only off-PE copy when "
             f"an earlier failure took the holder down"
         )
 
+    same_event = [
+        (f, s, d) for f in failed for (s, d) in holdings.get(f, ()) if d in failed
+    ]
+    if same_event:
+        f, s, d = min(same_event)
+        raise UnrecoverableFailure(
+            f"the step-{s} inbox of PE {d} was protected only "
+            f"by PE {f}, which is failing in the same event"
+        )
+
     # Fail-stop: the unit's local state is gone before reconstruction
     # starts, so recovery can only draw on survivor-held data.  Any
-    # re-protection copies the unit held for others die with it.
+    # re-protection copies the unit held for others die with it; their
+    # entries stay in the holdings, as the inboxes a later failure lost.
     for f in failed:
-        for (s, d) in cluster.reprotect_holdings.pop(f, set()):
-            if d in failed:
-                if lo <= s <= t:
-                    raise UnrecoverableFailure(
-                        f"the step-{s} inbox of PE {d} was protected only "
-                        f"by PE {f}, which is failing in the same event"
-                    )
-            elif d in cluster.live:
-                cluster.lost_inboxes.add((s, d))
         cluster.pes[f].scrub()
         cluster.live.discard(f)
 
     pm_old = cluster.pm
-    if cluster.single_recoverer:
-        heir = _pick_heir(cluster, failed, r)
-        pm_new = transfer_partition(pm_old, failed, heir)
-    else:
-        pm_new = shrink_partition(pm_old, failed)
+    heirs = [_pick_heir(cluster, failed, r)] if cluster.single_recoverer else None
+    pm_new = shrink_partition(pm_old, failed, heirs)
     owners_old, owners_new = Owners(pm_old), Owners(pm_new)
 
     records_recomputed = 0
@@ -243,13 +238,12 @@ def _require_one_group(cluster: Cluster, failed: set[PeId]) -> None:
 
 
 def _pick_heir(cluster: Cluster, failed: set[PeId], r: StepId) -> PeId:
-    survivors = sorted(cluster.live - failed)
     if cluster.backup_mode is BackupMode.SINGLE and r >= 1:
         manifest = cluster.step_history[r].backup_manifest.get(min(failed), [])
         for target, _idx in manifest:
-            if target in cluster.live and target not in failed:
+            if target in cluster.live:
                 return target
-    return survivors[0]
+    return min(cluster.live)
 
 
 def _logged_to(cluster: Cluster, step: StepId, failed: set[PeId]) -> _Chain:
@@ -303,26 +297,16 @@ def _share_entries(cluster: Cluster, r: StepId, failed: set[PeId]) -> _Chain:
 def _holder_for(cluster: Cluster, dst: PeId) -> PeId:
     """A live PE to hold a log copy guarding ``dst``'s inbox.
 
-    Prefers a PE outside ``dst``'s failure group (group failures take the
-    whole unit down at once), scanning ascending from ``dst``; falls back
-    to any live peer, and to ``dst`` itself only in a one-PE cluster.
+    The single-mode backup target of ``dst``: the next live PE after it
+    outside its failure group (group failures take the whole unit down
+    at once).  Falls back to the next live peer in any group, and to
+    ``dst`` itself only in a one-PE cluster.
     """
-    live_sorted = sorted(cluster.live)
-    n = len(live_sorted)
-    if n <= 1:
-        return dst
-    start = live_sorted.index(dst) if dst in cluster.live else 0
-    gid = cluster.group_of[dst]
-    fallback = None
-    for k in range(1, n + 1):
-        cand = live_sorted[(start + k) % n]
-        if cand == dst:
-            continue
-        if cluster.group_of[cand] != gid:
-            return cand
-        if fallback is None:
-            fallback = cand
-    return fallback if fallback is not None else dst
+    for groups in (cluster.group_of, range(len(cluster.group_of))):
+        targets = backup_targets(dst, cluster.live, BackupMode.SINGLE, groups)
+        if targets:
+            return targets[0]
+    return dst
 
 
 def _note_holding(cluster: Cluster, holder: PeId, step: StepId, dst: PeId) -> None:
@@ -367,8 +351,6 @@ def _relog_pending(cluster: Cluster, t: StepId, failed: set[PeId]) -> int:
         if not pending:
             continue
         holder = _holder_for(cluster, owner)
-        if holder == owner:
-            continue
         _note_holding(cluster, holder, t, owner)
         cluster.pes[holder].sent_log.setdefault(t, {}).setdefault(owner, []).extend(pending)
         shipped += sum(rec.size for rec in pending)
@@ -445,9 +427,8 @@ def _repair_shares(cluster: Cluster, r: StepId, failed: set[PeId]) -> int:
                 "no live peer outside its failure group remains",
                 sorted(t for t, _ in lost), origin,
             )
-            hist.backup_manifest[origin] = [
-                (target, idx) for (target, idx) in manifest if target not in failed
-            ]
+            # the manifest still names the dead holders, so a later
+            # failure of the origin refuses instead of using partial shares
             continue
         holders = {target for (target, idx) in manifest if target not in failed}
         fresh = [t for t in eligible if t not in holders] or eligible

@@ -21,7 +21,7 @@ from ftmr.benchmarks import (
     word_count_job,
 )
 from ftmr.config import ConfigError, JobConfig
-from ftmr.engine import run_job
+from ftmr.engine import JobError, run_job
 from ftmr.harness import build_job, run_simulation
 from oracles import cc_expected, pagerank_expected, wordcount_expected
 
@@ -110,6 +110,16 @@ def test_rmat_job_guards():
         rmat_dedup_job(4, 0, n_vertices=100)
     with pytest.raises(ValueError, match="cannot be distinct"):
         rmat_dedup_job(4, 0, n_vertices=4, avg_degree=100)
+
+
+def test_cc_driver_gives_up_with_a_job_error():
+    # a non-converging driver must surface as a named JobError, which the
+    # CLI reports as "job error: ..." (exit 1), not a bare RuntimeError
+    job = connected_components_job(4, 3, n_vertices=64)
+    job.driver.max_rounds = 0
+    with pytest.raises(JobError, match="failed to converge") as exc:
+        run_job(job, 4)
+    assert exc.value.where == "driver"
 
 
 def test_uniform_job_record_budget():

@@ -138,6 +138,19 @@ def test_unrecoverable_exits_3(capsys):
     assert "unrecoverable failure" in capsys.readouterr().err
 
 
+def test_lost_shares_exit_3(capsys):
+    # the shares of PE 0 died with group {2, 3}; rebuilding it from the
+    # rest would silently drop records, so the run refuses
+    argv = ["run", "--benchmark", "cc", "-p", "4", "--group-size", "2",
+            "--interval", "3", "--vertices-per-pe", "16",
+            "--failures", "1:2,3;2:0", "--verify"]
+    assert main(argv) == EXIT_UNRECOVERABLE
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "unrecoverable failure: backup share 0 of PE 0 at step 1 was held "
+        "by PE 2, which has also failed"
+    )
+
+
 def test_job_error_exits_1_without_traceback(capsys):
     # 480 edges over 528 vertex pairs: the dedup cannot converge within
     # its 100 rounds, which the driver reports as a job error

@@ -17,7 +17,6 @@ from ftmr.partition import (
     shrink_partition,
     split_self_message,
     splitmix_mix,
-    transfer_partition,
 )
 
 # -- hashing ------------------------------------------------------------
@@ -121,7 +120,7 @@ def test_owners_memo_matches_owner_of(p, data):
     for pm in (
         initial_partition(p),
         shrink_partition(initial_partition(p), failed),
-        transfer_partition(initial_partition(p), failed, heir),
+        shrink_partition(initial_partition(p), failed, [heir]),
     ):
         owners = Owners(pm)
         # every key twice: the second lookup is a memo hit
@@ -194,18 +193,18 @@ def test_shrink_twice_composes():
     assert sum(r.width for r in pm.ranges) == HASH_SPACE
 
 
-def test_transfer_partition():
+def test_shrink_to_one_heir():
     pm = initial_partition(4)
-    moved = transfer_partition(pm, {1}, 3)
+    moved = shrink_partition(pm, {1}, [3])
     assert set(moved.live_pes()) == {0, 2, 3}
     assert tuple(r for r in moved.ranges if r.pe == 3) == (
         Range(3, HASH_SPACE // 4, HASH_SPACE // 2),
         Range(3, 3 * HASH_SPACE // 4, HASH_SPACE),
     )
     with pytest.raises(ValueError):
-        transfer_partition(pm, {1}, 1)
+        shrink_partition(pm, {1}, [1])
     with pytest.raises(ValueError):
-        transfer_partition(pm, {1}, 9)
+        shrink_partition(pm, {1}, [9])
 
 
 # -- backup placement ---------------------------------------------------

@@ -241,13 +241,40 @@ def test_lost_reprotection_holder_refused():
         run_simulation(config, parse_failure_spec("1:1;3:2;5:0"))
 
 
+def test_refusal_state_retires_at_the_next_recovery_point():
+    # PE 1 dies mid-interval at step 2, so its step-1 sends are gone;
+    # step 3 is a recovery point and starts a new interval, so PE 2's
+    # failure there no longer needs them and must recover
+    assert_same_outputs(cc_config(recovery_point_interval=2), "2:1;3:2")
+
+
+@pytest.mark.parametrize("config, spec", [
+    (cc_config(group_size=2, recovery_point_interval=3), "1:2,3;2:0"),
+    (JobConfig(benchmark="pagerank", p=4, group_size=2, recovery_point_interval=2,
+               vertices_per_pe=8, iterations=5), "1:2,3;2:1"),
+], ids=["cc", "pagerank"])
+def test_shares_without_live_holder_refused(config, spec):
+    # the first event kills the only group outside {0, 1}, and with it
+    # every share of PE 0 and PE 1; no eligible peer is left to re-create
+    # them on, so a later failure in {0, 1} must refuse rather than
+    # rebuild from whatever shares remain
+    with pytest.raises(UnrecoverableFailure,
+                       match=r"backup share 0 of PE \d at step 1 was held by "
+                             r"PE 2, which has also failed"):
+        run_simulation(config, parse_failure_spec(spec))
+
+
 def test_holder_dying_in_same_event_refused():
     # defense in depth: a unit that both guards an inbox and contains it
     # must not recover that inbox from itself
     cluster = Cluster(_identity_job(0), 6, group_size=2)
     cluster.step()
     cluster.reprotect_holdings[4] = {(1, 5)}
-    with pytest.raises(UnrecoverableFailure, match="failing in the same event"):
+    cluster.reprotect_holdings[5] = {(1, 4)}
+    # the refusal names the lowest failing holder's earliest inbox
+    with pytest.raises(UnrecoverableFailure,
+                       match="step-1 inbox of PE 5 was protected only by PE 4, "
+                             "which is failing in the same event"):
         recover(cluster, FailureEvent(1, frozenset({4, 5})))
 
 
