@@ -377,6 +377,8 @@ def pagerank_job(
     out uniformly so the scores keep summing to one."""
     n = n_vertices
     m = round(avg_degree * n / 2)
+    # one key object per vertex, shared by every record addressed to it
+    vertex_keys = tuple(U64.pack(v) for v in range(n))
 
     def source(pe: int) -> list[Record]:
         adj = _pagerank_adjacency(seed, n, m)
@@ -385,26 +387,27 @@ def pagerank_job(
         init = F64.pack(1.0 / n)
         return [
             Record(
-                U64.pack(v),
-                _TAG_COMBINED + init + b"".join(U64.pack(w) for w in adj[v]),
+                vertex_keys[v],
+                _TAG_COMBINED + init + b"".join(vertex_keys[w] for w in adj[v]),
             )
             for v in range(lo, hi)
         ]
 
     def map_fn(rec: Record) -> list[Record]:
-        body = rec.value
+        key, body = rec
         if body[:1] != _TAG_COMBINED:
             raise ValueError("pagerank map expects combined score+adjacency records")
         (score,) = F64.unpack(body[1:9])
         adj_bytes = body[9:]
-        out = [Record(rec.key, _TAG_ADJ + adj_bytes)]
-        # one value object per vertex: sent logs keep every out-record
+        out = [Record(key, _TAG_ADJ + adj_bytes)]
+        # one key and one value object per vertex: sent logs keep every
+        # out-record
         if adj_bytes:
             share = _TAG_SCORE + F64.pack(score / (len(adj_bytes) // 8))
-            out += [Record(adj_bytes[i : i + 8], share) for i in range(0, len(adj_bytes), 8)]
+            out += [Record(vertex_keys[w], share) for (w,) in U64.iter_unpack(adj_bytes)]
         else:
             share = _TAG_DANGLING + F64.pack(score / n)
-            out += [Record(U64.pack(w), share) for w in range(n)]
+            out += [Record(k, share) for k in vertex_keys]
         return out
 
     def reduce_fn(key: bytes, values: list[bytes]) -> list[Record]:

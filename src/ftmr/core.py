@@ -15,7 +15,7 @@ Dumps and fixtures are plain concatenations of encoded records.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # PEs and steps are identified by small ints; aliases document intent.
 PeId = int
@@ -45,9 +45,14 @@ class DecodeError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True, slots=True)
-class Record:
-    """One immutable key/value pair."""
+class Record(NamedTuple):
+    """One immutable key/value pair.
+
+    A ``NamedTuple``, so field access, hashing and equality run in C;
+    every record of a run passes through them several times.  Its hash
+    is ``hash((key, value))``, and a record equals, sorts and unpacks
+    like the tuple ``(key, value)``.
+    """
 
     key: bytes
     value: bytes

@@ -28,6 +28,8 @@ import gc
 import logging
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterable, Protocol
 
 from .core import ConfigError, PeId, Record, StepId
@@ -219,32 +221,35 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
     backup_mode = cluster.backup_mode
     ledger = cluster.ledger
     fault_tolerant = backup_mode is not BackupMode.OFF
+    ships_shares = is_recovery_point and fault_tolerant
     # the partition map is fixed within a shuffle: one lookup per key
     owners = Owners(cluster.pm)
-    # per sender: dst -> payload, and the unit-internal slice of it
+    # per sender: its unit-internal records as share entries
     unit_self: dict[PeId, list] = {}
     records = network_bytes = self_bytes = 0
 
     for src in sorted(cluster.live):
         pe = cluster.pes[src]
-        payloads: dict[PeId, list[Record]] = {}
-        internal: list = []
+        outbound, pe.outbound = pe.outbound, []
+        records += len(outbound)
+        by_dst: list[list[Record]] = [[] for _ in cluster.pes]
+        append_to = [payload.append for payload in by_dst]
+        for rec in outbound:
+            append_to[owners[rec.key]](rec)
+        payloads = {dst: payload for dst, payload in enumerate(by_dst) if payload}
         src_gid = group_of[src]
-        records += len(pe.outbound)
-        for rec in pe.outbound:
-            dst = owners[rec.key]
-            payload = payloads.setdefault(dst, [])
-            seq = len(payload)
-            payload.append(rec)
+        unit = []
+        for dst, payload in payloads.items():
+            size = sum(map(len, chain.from_iterable(payload)))
             if dst != src:
-                network_bytes += rec.size
+                network_bytes += size
             if group_of[dst] == src_gid:
-                self_bytes += rec.size
-                internal.append((src, dst, seq, rec))
-        pe.outbound = []
+                self_bytes += size
+                unit.append(dst)
         if fault_tolerant:
             pe.sent_log[step] = payloads
-        unit_self[src] = internal
+        if ships_shares:
+            unit_self[src] = _unit_entries(src, unit, payloads, outbound, owners)
         for dst, payload in payloads.items():
             cluster.pes[dst].inbox[src] = list(payload)
             if ledger is not None:
@@ -253,7 +258,7 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
     sm.network_bytes += network_bytes
     sm.self_bytes += self_bytes
 
-    if is_recovery_point and fault_tolerant:
+    if ships_shares:
         manifest = cluster.step_history[step].backup_manifest
         for src in sorted(cluster.live):
             targets = backup_targets(src, cluster.live, backup_mode, group_of)
@@ -269,9 +274,39 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
             for k, (target, share) in enumerate(split_self_message(unit_self[src], targets)):
                 store = cluster.pes[target].backup_store.setdefault(step, {})
                 store[(src, k)] = share
-                got = sum(entry[3].size for entry in share)
+                got = sum(map(len, chain.from_iterable(map(_RECORD, share))))
                 sm.backup_bytes += got
                 sm.backup_received[target] = sm.backup_received.get(target, 0) + got
+
+
+# the record of a share entry (src, dst, seq, record)
+_RECORD = itemgetter(3)
+
+
+def _unit_entries(
+    src: PeId,
+    unit: list[PeId],
+    payloads: dict[PeId, list[Record]],
+    outbound: list[Record],
+    owners: Owners,
+) -> list[tuple[PeId, PeId, int, Record]]:
+    """``(src, dst, seq, record)`` for each record ``src`` sent inside its
+    failure unit, in emission order across the unit's destinations.
+
+    ``seq`` is the record's index in its payload; the order decides which
+    share each record lands in.
+    """
+    if len(unit) <= 1:
+        return [(src, dst, seq, rec) for dst in unit for seq, rec in enumerate(payloads[dst])]
+    seqs = dict.fromkeys(unit, 0)
+    entries = []
+    for rec in outbound:
+        dst = owners[rec.key]
+        seq = seqs.get(dst)
+        if seq is not None:
+            entries.append((src, dst, seq, rec))
+            seqs[dst] = seq + 1
+    return entries
 
 
 def group_entries(inbox: dict[PeId, list[Record]]) -> list[tuple[bytes, list[bytes]]]:
@@ -283,12 +318,12 @@ def group_entries(inbox: dict[PeId, list[Record]]) -> list[tuple[bytes, list[byt
     """
     by_key: dict[bytes, list[bytes]] = {}
     for src in sorted(inbox):
-        for rec in inbox[src]:
-            values = by_key.get(rec.key)
+        for key, value in inbox[src]:
+            values = by_key.get(key)
             if values is None:
-                by_key[rec.key] = [rec.value]
+                by_key[key] = [value]
             else:
-                values.append(rec.value)
+                values.append(value)
     return [(key, by_key[key]) for key in sorted(by_key)]
 
 
@@ -378,7 +413,8 @@ class Cluster:
 
     Ingest and each step run with CPython's cyclic collector paused
     (refcounting still frees the engine's garbage); reference cycles made
-    by user functions are freed after the step.
+    by user functions are freed after the step, or after the run under
+    :func:`run_job`, which pauses the collector for the whole run.
     """
 
     @_collector_paused()
@@ -481,8 +517,14 @@ class Cluster:
         )
 
 
+@_collector_paused()
 def run_job(job: Job, p: int, **options) -> JobResult:
-    """Run a job to completion; ``options`` are :class:`Cluster`'s keywords."""
+    """Run a job to completion; ``options`` are :class:`Cluster`'s keywords.
+
+    One collector pause covers the whole run, from ingest to the
+    outputs, so no collection between steps walks the state the run
+    keeps; the cluster is freed before the collector resumes.
+    """
     cluster = Cluster(job, p, **options)
     while cluster.step():
         pass

@@ -185,9 +185,11 @@ def recover(cluster: Cluster, event: FailureEvent) -> None:
 
     # chain now holds the unit's reconstructed inbox at step t
     records_recomputed += sum(map(len, chain.values()))
-    if cluster.ledger is not None:
-        _note_rebuilt(cluster.ledger, t, chain, owners_new)
+    # the ledger counts what injection actually appended to each inbox
+    filled = _inbox_lengths(cluster) if cluster.ledger is not None else None
     bytes_resent = _inject(cluster, t, chain, owners_new)
+    if filled is not None:
+        _note_injected(cluster, t, filled)
     repair_bytes = relog_bytes + _repair_shares(cluster, r, failed)
     if r == t or r == 0:
         # The unit's delivered step-t sends still sit in the survivors'
@@ -502,6 +504,28 @@ def _inject(
             if sender != holder:
                 bytes_resent += rec.size
     return bytes_resent
+
+
+def _inbox_lengths(cluster: Cluster) -> dict[PeId, dict[PeId, int]]:
+    """The length of every live inbox's per-sender list."""
+    return {
+        i: {src: len(recs) for src, recs in cluster.pes[i].inbox.items()}
+        for i in cluster.live
+    }
+
+
+def _note_injected(
+    cluster: Cluster, t: StepId, filled: dict[PeId, dict[PeId, int]]
+) -> None:
+    """Note what each live inbox gained since ``filled``, one batch per PE."""
+    for i in sorted(cluster.live):
+        had = filled[i]
+        tails = [
+            rec for src, recs in cluster.pes[i].inbox.items()
+            for rec in recs[had.get(src, 0):]
+        ]
+        if tails:
+            cluster.ledger.note(t, i, RECOVERY, tails)
 
 
 def _note_rebuilt(

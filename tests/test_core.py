@@ -1,5 +1,7 @@
 """Record model and wire format."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -91,5 +93,27 @@ def test_oversized_field_rejected(monkeypatch):
 def test_records_hashable_and_frozen():
     rec = Record(b"k", b"v")
     assert rec in {Record(b"k", b"v")}
+    assert rec == Record(b"k", b"v") == (b"k", b"v")
+    assert hash(rec) == hash(Record(b"k", b"v")) == hash((b"k", b"v"))
+    assert Record(b"ab", b"c") != Record(b"a", b"bc")
     with pytest.raises(AttributeError):
         rec.key = b"other"
+    with pytest.raises(AttributeError):
+        rec.value = b"other"
+    assert Record(b"ab", b"xyz").size == 5
+    # perfbench pickles its reference ledgers, keyed by records
+    back = pickle.loads(pickle.dumps(rec))
+    assert back == rec and type(back) is Record
+    # the ledger and every Counter of records hash each record; a
+    # Python-level __hash__ would put that cost back per record
+    assert Record.__hash__ is tuple.__hash__
+    assert Record.__eq__ is tuple.__eq__
+
+
+def test_record_unpacks_and_sorts_like_its_tuple():
+    key, value = Record(b"k", b"v")
+    assert (key, value) == (b"k", b"v")
+    assert sorted([Record(b"b", b""), Record(b"a", b"z"), Record(b"a", b"y")]) == [
+        (b"a", b"y"), (b"a", b"z"), (b"b", b""),
+    ]
+

@@ -4,7 +4,7 @@ import gc
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftmr.config import ConfigError, JobConfig
@@ -15,14 +15,16 @@ from ftmr.engine import (
     JobError,
     ListDriver,
     RecordSource,
+    StepRecord,
     StepSpec,
     group_entries,
     recovery_point_schedule,
     run_job,
+    shuffle,
 )
 from ftmr.harness import build_job, parse_failure_spec
 from ftmr.metrics import ORIGINAL, DeliveryLedger
-from ftmr.partition import BackupMode, hash_key, initial_partition
+from ftmr.partition import BackupMode, backup_targets, hash_key, initial_partition
 from ftmr.recovery import UnrecoverableFailure
 
 
@@ -108,6 +110,80 @@ def test_shuffle_hashes_each_key_once_per_step(monkeypatch):
     keys = {rec.key for recs in result.outputs.values() for rec in recs}
     assert len(keys) == 32
     assert len(calls) == result.steps_run * len(keys)
+
+
+def naive_shuffle(pm, group_of, backup_mode, is_rp, outbound):
+    """Shuffle's effects, worked out one record at a time."""
+    p = len(group_of)
+    live = set(range(p))
+    want = dict(network=0, self=0, backup=0, received={},
+                logs={}, inboxes={i: {} for i in range(p)}, stores={})
+    internal = {}
+    for src in range(p):
+        payloads = {}
+        internal[src] = []
+        for rec in outbound[src]:
+            dst = pm.owner_of(hash_key(rec.key))
+            payloads.setdefault(dst, []).append(rec)
+            if dst != src:
+                want["network"] += rec.size
+            if group_of[dst] == group_of[src]:
+                want["self"] += rec.size
+                internal[src].append((src, dst, len(payloads[dst]) - 1, rec))
+        if backup_mode is not BackupMode.OFF:
+            want["logs"][src] = payloads
+        for dst, payload in payloads.items():
+            want["inboxes"][dst][src] = payload
+    if is_rp and backup_mode is not BackupMode.OFF:
+        for src in range(p):
+            targets = backup_targets(src, live, backup_mode, group_of)
+            for k, target in enumerate(targets):
+                share = internal[src][k :: len(targets)]
+                want["stores"].setdefault(target, {})[(src, k)] = share
+                size = sum(entry[3].size for entry in share)
+                want["backup"] += size
+                want["received"][target] = want["received"].get(target, 0) + size
+    return want
+
+
+@st.composite
+def shuffle_setups(draw):
+    p = draw(st.integers(2, 8))
+    mode = draw(st.sampled_from(list(BackupMode)))
+    sizes = [g for g in range(1, p + 1) if p % g == 0]
+    if mode is not BackupMode.OFF:
+        sizes.remove(p)
+    group_size = draw(st.sampled_from(sizes))
+    field = st.binary(max_size=3)
+    outbound = [
+        draw(st.lists(st.builds(Record, field, field), max_size=12))
+        for _ in range(p)
+    ]
+    return p, mode, group_size, draw(st.booleans()), outbound
+
+
+@settings(max_examples=200)
+@given(shuffle_setups())
+def test_shuffle_matches_a_per_record_reference(setup):
+    p, mode, group_size, is_rp, outbound = setup
+    cluster = Cluster(Job(RecordSource(lambda pe: []), ListDriver([])), p,
+                      backup_mode=mode, group_size=group_size)
+    cluster.step_history[1] = StepRecord(spec=identity_spec(), pm=cluster.pm)
+    for pe, records in zip(cluster.pes, outbound):
+        pe.outbound = list(records)
+    shuffle(cluster, 1, is_rp)
+    want = naive_shuffle(cluster.pm, cluster.group_of, mode, is_rp, outbound)
+    sm = cluster.metrics.step_metrics(1)
+    assert sm.records == sum(map(len, outbound))
+    assert (sm.network_bytes, sm.self_bytes) == (want["network"], want["self"])
+    assert sm.backup_bytes == want["backup"]
+    assert sm.backup_received == want["received"]
+    assert {i: pe.sent_log[1] for i, pe in enumerate(cluster.pes) if pe.sent_log} == want["logs"]
+    assert {i: pe.inbox for i, pe in enumerate(cluster.pes)} == want["inboxes"]
+    assert {
+        i: pe.backup_store[1] for i, pe in enumerate(cluster.pes) if pe.backup_store
+    } == want["stores"]
+    assert all(pe.outbound == [] for pe in cluster.pes)
 
 
 # -- grouping -----------------------------------------------------------
@@ -362,6 +438,46 @@ def test_ingest_and_steps_run_with_the_collector_paused():
         assert gc.isenabled()
     assert len(seen) == 4 + 2 * 4
     assert not any(seen)
+
+
+class _SpanDriver:
+    """Forwards to a driver; ``in_span`` holds from its first ``next_step``
+    call until the call that ends the job."""
+
+    def __init__(self, driver):
+        self.driver = driver
+        self.in_span = False
+
+    def next_step(self, index, prev_aggregate):
+        self.in_span = True
+        spec = self.driver.next_step(index, prev_aggregate)
+        self.in_span = spec is not None
+        return spec
+
+
+def test_run_job_pauses_the_collector_across_steps():
+    config = JobConfig(
+        benchmark="pagerank", p=4, vertices_per_pe=16, iterations=8,
+        recovery_point_interval=24,
+    )
+    job = build_job(config)
+    driver = _SpanDriver(job.driver)
+    collections = []
+
+    def watch(phase, info):
+        if phase == "start" and driver.in_span:
+            collections.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.callbacks.append(watch)
+    try:
+        result = run_job(Job(job.source, driver), config.p,
+                         recovery_point_interval=24)
+    finally:
+        gc.callbacks.remove(watch)
+    assert result.steps_run == 8
+    assert collections == []
+    assert gc.isenabled()
 
 
 def _raise_key_error(rec):

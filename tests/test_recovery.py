@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+import ftmr.recovery
 from ftmr.config import JobConfig
 from ftmr.core import Record, encode_record
 from ftmr.engine import (
@@ -21,6 +22,7 @@ from ftmr.harness import (
     parse_failure_spec,
     run_simulation,
     sweep_failures,
+    verify,
 )
 from ftmr.metrics import RECOVERY, DeliveryLedger
 from ftmr.partition import hash_key, initial_partition, shrink_partition
@@ -90,6 +92,27 @@ def test_recovery_notes_land_on_new_owners():
     assert {step for (step, _dst, _gen) in recovered} == {1, 2, 3}
     for (_step, dst, _gen), bucket in recovered.items():
         assert {pm_new.owner_of(hash_key(rec.key)) for rec in bucket} == {dst}
+
+
+def test_ledger_sees_what_injection_delivered(monkeypatch):
+    # cc's reducers ignore duplicate edges, so only the ledger can tell
+    # that injection delivered a recovered record twice
+    config = cc_config(seed=5, recovery_point_interval=3)
+    plan = parse_failure_spec("2:1")
+    reference = run_simulation(config, ledger=DeliveryLedger())
+    inject = ftmr.recovery._inject
+
+    def inject_one_twice(cluster, t, chain, owners_new):
+        sent = inject(cluster, t, chain, owners_new)
+        holder, rec = next(pair for pairs in chain.values() for pair in pairs)
+        cluster.pes[owners_new[rec.key]].inbox.setdefault(holder, []).append(rec)
+        return sent
+
+    monkeypatch.setattr(ftmr.recovery, "_inject", inject_one_twice)
+    result = run_simulation(config, plan, ledger=DeliveryLedger())
+    assert verify(result, reference, config, plan) == [
+        "step 2: recovered stream mismatch (0 missing, 1 duplicated/re-sent)"
+    ]
 
 
 def test_single_failure_wordcount():
