@@ -15,7 +15,8 @@ Dumps and fixtures are plain concatenations of encoded records.
 from __future__ import annotations
 
 import struct
-from typing import NamedTuple
+from itertools import chain
+from typing import Iterable, NamedTuple
 
 # PEs and steps are identified by small ints; aliases document intent.
 PeId = int
@@ -61,6 +62,15 @@ class Record(NamedTuple):
     def size(self) -> int:
         """Payload size in bytes, excluding framing overhead."""
         return len(self.key) + len(self.value)
+
+
+def records_size(records: Iterable[Record]) -> int:
+    """Sum of :attr:`Record.size` over ``records``.
+
+    A record iterates to exactly its key and value, so the sum runs over
+    the fields in C instead of one property call per record.
+    """
+    return sum(map(len, chain.from_iterable(records)))
 
 
 def encode_record(record: Record) -> bytes:

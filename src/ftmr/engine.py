@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import gc
 import logging
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import itemgetter
 from typing import Callable, Iterable, Protocol
 
-from .core import ConfigError, PeId, Record, StepId
+from .core import ConfigError, PeId, Record, StepId, records_size
 from .metrics import ORIGINAL, DeliveryLedger, Metrics
 from .partition import (
     BackupMode,
@@ -232,15 +231,14 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
         pe = cluster.pes[src]
         outbound, pe.outbound = pe.outbound, []
         records += len(outbound)
-        by_dst: list[list[Record]] = [[] for _ in cluster.pes]
-        append_to = [payload.append for payload in by_dst]
+        routed: defaultdict[PeId, list[Record]] = defaultdict(list)
         for rec in outbound:
-            append_to[owners[rec.key]](rec)
-        payloads = {dst: payload for dst, payload in enumerate(by_dst) if payload}
+            routed[owners[rec.key]].append(rec)
+        payloads = {dst: routed[dst] for dst in sorted(routed)}
         src_gid = group_of[src]
         unit = []
         for dst, payload in payloads.items():
-            size = sum(map(len, chain.from_iterable(payload)))
+            size = records_size(payload)
             if dst != src:
                 network_bytes += size
             if group_of[dst] == src_gid:
@@ -249,7 +247,7 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
         if fault_tolerant:
             pe.sent_log[step] = payloads
         if ships_shares:
-            unit_self[src] = _unit_entries(src, unit, payloads, outbound, owners)
+            unit_self[src] = _unit_entries(src, unit, outbound, owners)
         for dst, payload in payloads.items():
             cluster.pes[dst].inbox[src] = list(payload)
             if ledger is not None:
@@ -274,21 +272,13 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
             for k, (target, share) in enumerate(split_self_message(unit_self[src], targets)):
                 store = cluster.pes[target].backup_store.setdefault(step, {})
                 store[(src, k)] = share
-                got = sum(map(len, chain.from_iterable(map(_RECORD, share))))
+                got = records_size(entry[3] for entry in share)
                 sm.backup_bytes += got
                 sm.backup_received[target] = sm.backup_received.get(target, 0) + got
 
 
-# the record of a share entry (src, dst, seq, record)
-_RECORD = itemgetter(3)
-
-
 def _unit_entries(
-    src: PeId,
-    unit: list[PeId],
-    payloads: dict[PeId, list[Record]],
-    outbound: list[Record],
-    owners: Owners,
+    src: PeId, unit: list[PeId], outbound: list[Record], owners: Owners
 ) -> list[tuple[PeId, PeId, int, Record]]:
     """``(src, dst, seq, record)`` for each record ``src`` sent inside its
     failure unit, in emission order across the unit's destinations.
@@ -296,8 +286,6 @@ def _unit_entries(
     ``seq`` is the record's index in its payload; the order decides which
     share each record lands in.
     """
-    if len(unit) <= 1:
-        return [(src, dst, seq, rec) for dst in unit for seq, rec in enumerate(payloads[dst])]
     seqs = dict.fromkeys(unit, 0)
     entries = []
     for rec in outbound:

@@ -23,6 +23,7 @@ import logging
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .benchmarks import (
     DEFAULT_DEGREES,
@@ -179,9 +180,7 @@ def run_simulation(
 
 def output_counter(outputs: dict[PeId, list[Record]]) -> Counter:
     """Global output multiset, ignoring which PE holds what."""
-    return Counter(
-        (rec.key, rec.value) for recs in outputs.values() for rec in recs
-    )
+    return Counter(chain.from_iterable(outputs.values()))
 
 
 def outputs_match(
