@@ -90,14 +90,21 @@ def rmat_edge(rng: random.Random, scale: int, probs=RMAT_GRAPH500) -> tuple[int,
     return u, v
 
 
+def rmat_scale(n: int) -> int:
+    """``log2 n`` of an R-MAT vertex count ``n``, a power of two >= 2."""
+    if n < 2 or n & (n - 1):
+        raise ConfigError(
+            f"rmat needs a power-of-two vertex count of at least 2; got {n}"
+        )
+    return n.bit_length() - 1
+
+
 def gen_rmat(seed: int, n: int, m: int, probs=RMAT_GRAPH500) -> list[tuple[int, int]]:
     """``m`` R-MAT edges over ``n`` vertices (``n`` a power of two)."""
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"vertex count {n} must be a power of two")
+    scale = rmat_scale(n)
     if abs(sum(probs) - 1.0) > 1e-9:
         raise ValueError(f"quadrant probabilities {probs} do not sum to 1")
     rng = random.Random(seed)
-    scale = n.bit_length() - 1
     return [rmat_edge(rng, scale, probs) for _ in range(m)]
 
 
@@ -171,15 +178,13 @@ def rmat_dedup_job(
     remain.  Output: one record per distinct pair, cardinality equal to
     the requested edge count."""
     n = n_vertices
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"vertex count {n} must be a power of two")
+    scale = rmat_scale(n)
     m = round(avg_degree * n / 2)
     distinct_pairs = n * (n + 1) // 2
     if m > distinct_pairs:
         raise ConfigError(
             f"{m} edges cannot be distinct over {distinct_pairs} vertex pairs"
         )
-    scale = n.bit_length() - 1
 
     def source(pe: int) -> list[Record]:
         edges = gen_rmat(mix_seed(seed, pe), n, _per_pe_count(m, p, pe), probs)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from .benchmarks import rmat_scale
 from .core import ConfigError
 from .engine import INPUT_ONLY, failure_groups, recovery_point_schedule
 from .partition import BackupMode
@@ -58,12 +59,7 @@ class JobConfig:
         if self.avg_degree is not None and self.avg_degree <= 0:
             raise ConfigError("avg_degree must be positive when set")
         if self.benchmark == "rmat":
-            n = self.vertices_per_pe * self.p
-            if n & (n - 1):
-                raise ConfigError(
-                    f"rmat needs a power-of-two vertex count; "
-                    f"vertices_per_pe*p = {n}"
-                )
+            rmat_scale(self.vertices_per_pe * self.p)
         return self
 
     # -- text round-trip -------------------------------------------------

@@ -398,14 +398,8 @@ class Cluster:
     mode, recovery point interval, failure groups, a failure event
     naming an unknown or already-failed PE) raise :class:`ConfigError`
     before ingest.
-
-    Ingest and each step run with CPython's cyclic collector paused
-    (refcounting still frees the engine's garbage); reference cycles made
-    by user functions are freed after the step, or after the run under
-    :func:`run_job`, which pauses the collector for the whole run.
     """
 
-    @_collector_paused()
     def __init__(
         self,
         job: Job,
@@ -452,17 +446,15 @@ class Cluster:
         # for other PEs' step inboxes (injection and re-log traffic); a
         # dead holder's entries are inboxes that lost their only off-dst copy
         self.reprotect_holdings: dict[PeId, set[tuple[StepId, PeId]]] = {}
-        if p == 1 and backup_mode is not BackupMode.OFF:
-            logger.warning("single PE: no peers to back up to, backup disabled")
         self.driver = job.driver
         self.backup_mode = backup_mode
-        self.failure_plan = failure_plan
+        # step -> its failure event; step() pops each one as it fires
+        self.events = {event.step: event for event in events}
         self.single_recoverer = single_recoverer
         self.ledger = ledger
         self.prev_aggregate: int | None = None
         self.steps_run = 0
 
-    @_collector_paused()
     def step(self) -> bool:
         """Run the next MapReduce step; False once the driver is done."""
         index = self.steps_run + 1
@@ -479,8 +471,7 @@ class Cluster:
         self.step_history[index] = StepRecord(spec=spec, pm=self.pm)
         map_phase(self, spec.map_fn, index)
         shuffle(self, index, is_rp)
-        plan = self.failure_plan
-        event = plan.event_at(index) if plan is not None else None
+        event = self.events.pop(index, None)
         if event is not None:
             from .recovery import recover  # deferred: recovery imports this module
 
@@ -492,12 +483,11 @@ class Cluster:
 
     def result(self) -> JobResult:
         """Warn about plan events that never fired; collect the outputs."""
-        if self.failure_plan is not None:
-            for event in self.failure_plan.remaining_after(self.steps_run):
-                logger.warning(
-                    "failure event at step %d never fired (job ran %d steps)",
-                    event.step, self.steps_run,
-                )
+        for event in self.events.values():
+            logger.warning(
+                "failure event at step %d never fired (job ran %d steps)",
+                event.step, self.steps_run,
+            )
         outputs = {i: list(self.pes[i].current_records) for i in sorted(self.live)}
         return JobResult(
             outputs=outputs, metrics=self.metrics, ledger=self.ledger,

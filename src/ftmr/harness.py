@@ -22,7 +22,7 @@ import contextlib
 import logging
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 from .benchmarks import (
@@ -58,15 +58,6 @@ class FailurePlan:
         object.__setattr__(
             self, "events", tuple(sorted(self.events, key=lambda e: e.step))
         )
-
-    def event_at(self, step: StepId) -> FailureEvent | None:
-        for event in self.events:
-            if event.step == step:
-                return event
-        return None
-
-    def remaining_after(self, steps_run: StepId) -> list[FailureEvent]:
-        return [e for e in self.events if e.step > steps_run]
 
 
 def parse_failure_spec(text: str) -> FailurePlan:
@@ -282,12 +273,11 @@ def _quiet(log: logging.Logger):
 class SweepCase:
     step: StepId
     failed: tuple[PeId, ...]
-    problems: list[str] = field(default_factory=list)
+    problems: list[str]
 
 
 @dataclass
 class SweepResult:
-    config: JobConfig
     reference: JobResult
     cases: list[SweepCase]
 
@@ -315,7 +305,8 @@ def sweep_failures(
     *,
     steps: list[StepId] | None = None,
 ) -> SweepResult:
-    """Fail every unit at every step (or the given steps), one run each.
+    """Fail every unit at every step (or the given steps, each once), one
+    run each.
 
     Each faulty run must pass :func:`verify` against the reference,
     including the delivery-ledger exactly-once checks.  A given step
@@ -332,7 +323,7 @@ def sweep_failures(
         tuple(range(gid * config.group_size, (gid + 1) * config.group_size))
         for gid in range(config.p // config.group_size)
     ]
-    step_list = list(steps) if steps is not None else list(
+    step_list = list(dict.fromkeys(steps)) if steps is not None else list(
         range(1, reference.steps_run + 1)
     )
     outside = sorted({s for s in step_list if not 1 <= s <= reference.steps_run})
@@ -344,13 +335,11 @@ def sweep_failures(
     engine_log = logging.getLogger("ftmr")
     for step in step_list:
         for unit in units:
-            case = SweepCase(step=step, failed=unit)
             plan = FailurePlan((FailureEvent(step, frozenset(unit)),))
             with _quiet(engine_log):
                 result = run_simulation(config, plan, ledger=DeliveryLedger())
-            case.problems.extend(verify(result, reference, config, plan))
-            cases.append(case)
-    return SweepResult(config=config, reference=reference, cases=cases)
+            cases.append(SweepCase(step, unit, verify(result, reference, config, plan)))
+    return SweepResult(reference=reference, cases=cases)
 
 
 # -- communication overhead ---------------------------------------------
@@ -387,7 +376,6 @@ def measure_overhead(
     *,
     total_records: int = 100_000,
     recovery_point_interval: int | str = 1,
-    backup_mode: str = "split",
 ) -> OverheadResult:
     """Run the uniform workload and relate backup bytes to network bytes.
 
@@ -400,7 +388,6 @@ def measure_overhead(
         p=p,
         seed=seed,
         total_records=total_records,
-        backup_mode=backup_mode,
         recovery_point_interval=recovery_point_interval,
     )
     result = run_simulation(config)

@@ -311,11 +311,6 @@ def _holder_for(cluster: Cluster, dst: PeId) -> PeId:
     return dst
 
 
-def _note_holding(cluster: Cluster, holder: PeId, step: StepId, dst: PeId) -> None:
-    if holder != dst:
-        cluster.reprotect_holdings.setdefault(holder, set()).add((step, dst))
-
-
 def _log_copy(
     cluster: Cluster, holder: PeId, step: StepId, dst: PeId, rec: Record
 ) -> PeId:
@@ -323,13 +318,15 @@ def _log_copy(
 
     The sender is ``holder`` unless it sits in ``dst``'s failure group;
     then a PE outside that group takes the copy, so the log never dies
-    together with the inbox it guards.
+    together with the inbox it guards.  The sender is noted as holding a
+    copy of ``dst``'s step inbox.
     """
     if cluster.group_of[holder] != cluster.group_of[dst]:
         sender = holder
     else:
         sender = _holder_for(cluster, dst)
-    _note_holding(cluster, sender, step, dst)
+    if sender != dst:
+        cluster.reprotect_holdings.setdefault(sender, set()).add((step, dst))
     cluster.pes[sender].sent_log.setdefault(step, {}).setdefault(dst, []).append(rec)
     return sender
 
@@ -348,14 +345,12 @@ def _relog_pending(cluster: Cluster, t: StepId, failed: set[PeId]) -> int:
         return 0
     shipped = 0
     for owner in live_sorted:
-        inbox = cluster.pes[owner].inbox
-        pending = [rec for src in sorted(failed) for rec in inbox.get(src, ())]
-        if not pending:
-            continue
         holder = _holder_for(cluster, owner)
-        _note_holding(cluster, holder, t, owner)
-        cluster.pes[holder].sent_log.setdefault(t, {}).setdefault(owner, []).extend(pending)
-        shipped += sum(rec.size for rec in pending)
+        inbox = cluster.pes[owner].inbox
+        for src in sorted(failed):
+            for rec in inbox.get(src, ()):
+                _log_copy(cluster, holder, t, owner, rec)
+                shipped += rec.size
     return shipped
 
 

@@ -66,7 +66,7 @@ def test_gen_rmat_bounds_and_determinism():
     assert len(edges) == 500
     assert all(0 <= u < 256 and 0 <= v < 256 for u, v in edges)
     assert gen_rmat(9, 256, 500) == edges
-    with pytest.raises(ValueError, match="power of two"):
+    with pytest.raises(ConfigError, match="power-of-two"):
         gen_rmat(9, 100, 10)
     with pytest.raises(ValueError, match="sum to 1"):
         gen_rmat(9, 256, 10, probs=(0.5, 0.4, 0.3, 0.2))
@@ -106,7 +106,7 @@ def test_build_job_rejects_unknown():
 
 
 def test_rmat_job_guards():
-    with pytest.raises(ValueError, match="power of two"):
+    with pytest.raises(ConfigError, match="power-of-two"):
         rmat_dedup_job(4, 0, n_vertices=100)
     with pytest.raises(ValueError, match="cannot be distinct"):
         rmat_dedup_job(4, 0, n_vertices=4, avg_degree=100)

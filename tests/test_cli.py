@@ -105,7 +105,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
         (["--failures", "1:9"], "failure event names unknown PEs [9]"),
         (["--failures", "9:9"], "failure event names unknown PEs [9]"),
         (["--benchmark", "rmat", "-p", "4", "--vertices-per-pe", "100"],
-         "rmat needs a power-of-two vertex count; vertices_per_pe*p = 400"),
+         "rmat needs a power-of-two vertex count of at least 2; got 400"),
+        (["--benchmark", "rmat", "-p", "1", "--vertices-per-pe", "1"],
+         "rmat needs a power-of-two vertex count of at least 2; got 1"),
         (["--benchmark", "cc", "-p", "4", "--vertices-per-pe", "16",
           "--interval", "3", "--failures", "2:1;3:1"],
          "failure event at step 3 fails already-dead PEs [1]"),
@@ -113,7 +115,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
          "120 edges cannot be distinct over 36 vertex pairs"),
     ],
     ids=["p0", "backup-mode", "interval", "group-divides", "group-spans",
-         "unknown-pe", "unknown-pe-late", "rmat-vertices", "dead-pe-again",
+         "unknown-pe", "unknown-pe-late", "rmat-vertices", "rmat-one-vertex",
+         "dead-pe-again",
          "rmat-edges"],
 )
 def test_config_error_lines(flags, last_line, capsys):

@@ -89,7 +89,7 @@ def test_single_pe_runs(caplog):
     assert list(result.outputs) == [0]
     assert len(result.outputs[0]) == 30
     assert result.metrics.total_network_bytes == 0
-    assert any("single PE" in r.message for r in caplog.records)
+    assert any("no backup target" in r.message for r in caplog.records)
 
 
 def test_ledger_counts_every_delivery():
@@ -432,10 +432,9 @@ def test_ingest_and_steps_run_with_the_collector_paused():
         return [rec]
 
     spec = StepSpec("watch", map_fn, lambda k, v: [Record(k, x) for x in v])
-    cluster = Cluster(Job(RecordSource(source), ListDriver([spec] * 2)), 4)
     assert gc.isenabled()
-    while cluster.step():
-        assert gc.isenabled()
+    run_job(Job(RecordSource(source), ListDriver([spec] * 2)), 4)
+    assert gc.isenabled()
     assert len(seen) == 4 + 2 * 4
     assert not any(seen)
 
@@ -484,44 +483,60 @@ def _raise_key_error(rec):
     raise KeyError("boom")
 
 
-def _step_once(job, p, **options):
-    Cluster(job, p, **options).step()
+def _watched(job, seen, fail=False):
+    """``job`` with a source that notes whether the collector is on, then
+    raises ``ValueError`` during ingest when ``fail`` is set."""
+
+    def fn(pe):
+        seen.append(gc.isenabled())
+        if fail:
+            raise ValueError("ingest failed")
+        return job.source.fn(pe)
+
+    return Job(RecordSource(fn), job.driver)
 
 
 @pytest.mark.parametrize("was_enabled", [True, False], ids=["gc-on", "gc-off"])
 @pytest.mark.parametrize(
     "action, raises",
     [
-        (lambda: _step_once(identity_job(10), 4), None),
+        (lambda seen: run_job(_watched(identity_job(10), seen), 4), None),
         (
-            lambda: _step_once(
-                Job(random_source(7), ListDriver([
+            lambda seen: run_job(
+                _watched(Job(random_source(7), ListDriver([
                     StepSpec("bad", _raise_key_error, lambda k, v: [])
-                ])),
+                ])), seen),
                 4,
             ),
             JobError,
         ),
         (
-            lambda: _step_once(
-                identity_job(11), 4, backup_mode=BackupMode.OFF,
+            lambda seen: run_job(
+                _watched(identity_job(11), seen), 4, backup_mode=BackupMode.OFF,
                 failure_plan=parse_failure_spec("1:1"),
             ),
             UnrecoverableFailure,
         ),
-        (lambda: Cluster(identity_job(9), 4, group_size=4), ValueError),
+        (
+            lambda seen: run_job(_watched(identity_job(9), seen, fail=True), 4),
+            ValueError,
+        ),
     ],
     ids=["step", "step-job-error", "step-unrecoverable", "init-value-error"],
 )
 def test_collector_state_restored_on_every_exit(action, raises, was_enabled):
+    # run_job holds the collector off while the job runs (the source sees
+    # it off) and leaves it as the caller had it, however the run ends
     before = gc.isenabled()
     (gc.enable if was_enabled else gc.disable)()
+    seen = []
     try:
         if raises is None:
-            action()
+            action(seen)
         else:
             with pytest.raises(raises):
-                action()
+                action(seen)
         assert gc.isenabled() is was_enabled
     finally:
         (gc.enable if before else gc.disable)()
+    assert seen and not any(seen)

@@ -37,10 +37,9 @@ def test_plan_sorts_and_rejects_shared_steps():
         FailureEvent(4, frozenset({0})),
         FailureEvent(2, frozenset({1})),
     ))
-    assert [e.step for e in plan.events] == [2, 4]
-    assert plan.event_at(2).failed == frozenset({1})
-    assert plan.event_at(3) is None
-    assert [e.step for e in plan.remaining_after(2)] == [4]
+    assert [(e.step, e.failed) for e in plan.events] == [
+        (2, frozenset({1})), (4, frozenset({0})),
+    ]
     with pytest.raises(ValueError, match="share a step"):
         FailurePlan((
             FailureEvent(2, frozenset({0})),
@@ -227,9 +226,13 @@ def test_sweep_units_are_groups():
 
 
 def test_sweep_step_subset():
+    # the given steps in their order, each run once
     config = JobConfig(benchmark="cc", p=4, seed=3, vertices_per_pe=16)
-    result = sweep_failures(config, steps=[2])
-    assert {c.step for c in result.cases} == {2}
+    result = sweep_failures(config, steps=[2, 1, 2])
+    assert [(c.step, c.failed) for c in result.cases] == [
+        (2, (0,)), (2, (1,)), (2, (2,)), (2, (3,)),
+        (1, (0,)), (1, (1,)), (1, (2,)), (1, (3,)),
+    ]
     assert result.ok
 
 
@@ -258,9 +261,3 @@ def test_overhead_ratio_near_analytic_value():
     assert result.ratio == pytest.approx(result.expected, rel=0.25)
     assert result.share_balance >= 1.0
     assert "backup/network" in result.describe()
-
-
-def test_overhead_with_backup_off_is_zero():
-    result = measure_overhead(4, 1, total_records=5_000, backup_mode="off")
-    assert result.backup_bytes == 0
-    assert result.ratio == 0.0
