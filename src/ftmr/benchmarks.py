@@ -22,8 +22,10 @@ from __future__ import annotations
 import random
 import struct
 from functools import lru_cache
+from itertools import repeat
+from operator import itemgetter
 
-from .core import ConfigError, Record
+from .core import ConfigError, Record, record_from_pair
 from .engine import Job, JobError, ListDriver, RecordSource, StepSpec
 from .partition import hash_key, mix_seed
 
@@ -398,34 +400,42 @@ def pagerank_job(
             for v in range(lo, hi)
         ]
 
+    vertex_key = vertex_keys.__getitem__
+    first = itemgetter(0)
+    adj_tag = _TAG_ADJ[0]
+    unpack_score = F64.unpack_from
+
     def map_fn(rec: Record) -> list[Record]:
         key, body = rec
         if body[:1] != _TAG_COMBINED:
             raise ValueError("pagerank map expects combined score+adjacency records")
-        (score,) = F64.unpack(body[1:9])
+        (score,) = unpack_score(body, 1)
         adj_bytes = body[9:]
         out = [Record(key, _TAG_ADJ + adj_bytes)]
         # one key and one value object per vertex: sent logs keep every
         # out-record
         if adj_bytes:
             share = _TAG_SCORE + F64.pack(score / (len(adj_bytes) // 8))
-            out += [Record(vertex_keys[w], share) for (w,) in U64.iter_unpack(adj_bytes)]
+            targets = map(vertex_key, map(first, U64.iter_unpack(adj_bytes)))
         else:
             share = _TAG_DANGLING + F64.pack(score / n)
-            out += [Record(k, share) for k in vertex_keys]
+            targets = vertex_keys
+        out += map(record_from_pair, zip(targets, repeat(share)))
         return out
 
     def reduce_fn(key: bytes, values: list[bytes]) -> list[Record]:
+        # a left-to-right fold: builtin sum compensates float sums from
+        # Python 3.12 on and math.fsum rounds differently, so either would
+        # change the output bytes
         total = 0.0
         adj_bytes = None
         for val in values:
-            tag = val[:1]
-            if tag == _TAG_ADJ:
+            if val[0] == adj_tag:
                 if adj_bytes is not None:
                     raise ValueError(f"duplicate adjacency for vertex key {key!r}")
                 adj_bytes = val[1:]
             else:
-                total += F64.unpack(val[1:9])[0]
+                total += unpack_score(val, 1)[0]
         if adj_bytes is None:
             raise ValueError(f"no adjacency arrived for vertex key {key!r}")
         score = (1.0 - damping) / n + damping * total

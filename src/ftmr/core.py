@@ -15,6 +15,7 @@ Dumps and fixtures are plain concatenations of encoded records.
 from __future__ import annotations
 
 import struct
+from functools import partial
 from itertools import chain
 from typing import Iterable, NamedTuple
 
@@ -71,6 +72,13 @@ def records_size(records: Iterable[Record]) -> int:
     the fields in C instead of one property call per record.
     """
     return sum(map(len, chain.from_iterable(records)))
+
+
+# Build a record from one ``(key, value)`` pair, as in
+# ``map(record_from_pair, zip(keys, values))``.  The ``NamedTuple``
+# constructor is a Python-level function; this calls ``tuple.__new__``
+# directly, so building many records stays in C.
+record_from_pair = partial(tuple.__new__, Record)
 
 
 def encode_record(record: Record) -> bytes:

@@ -304,14 +304,10 @@ def group_entries(inbox: dict[PeId, list[Record]]) -> list[tuple[bytes, list[byt
     sender, then emission order, so grouping does not depend on the order
     in which senders delivered.
     """
-    by_key: dict[bytes, list[bytes]] = {}
+    by_key: defaultdict[bytes, list[bytes]] = defaultdict(list)
     for src in sorted(inbox):
         for key, value in inbox[src]:
-            values = by_key.get(key)
-            if values is None:
-                by_key[key] = [value]
-            else:
-                values.append(value)
+            by_key[key].append(value)
     return [(key, by_key[key]) for key in sorted(by_key)]
 
 
@@ -360,8 +356,15 @@ def _collector_paused():
     The retained logs, shares and ledger buckets are what keeps a run
     recoverable, and every full collection would re-walk all of them.
     The engine makes no reference cycles, so refcounting frees its
-    garbage; cycles a user function makes wait for the next collection
-    after the block.  A collector the caller already disabled stays off.
+    garbage; cycles a user function makes wait for the next full
+    collection after the block.  A collector the caller already disabled
+    stays off.
+
+    Before the collector resumes, the block's survivors (the result and
+    the ledger) move straight to the oldest generation: ``gc.freeze()``
+    then ``gc.unfreeze()`` promotes every tracked object without a walk,
+    so the first allocation afterwards does not scan them all.  A caller
+    that froze objects itself keeps them frozen: then nothing is promoted.
     """
     if not gc.isenabled():
         yield
@@ -370,6 +373,9 @@ def _collector_paused():
     try:
         yield
     finally:
+        if gc.get_freeze_count() == 0:
+            gc.freeze()
+            gc.unfreeze()
         gc.enable()
 
 

@@ -29,9 +29,12 @@ later failure before the next recovery point recoverable as well.
 from __future__ import annotations
 
 import logging
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 
-from .core import PeId, Record, StepId
+from .core import PeId, Record, StepId, records_size
 from .engine import Cluster, JobError, group_entries
 from .metrics import RECOVERY, DeliveryLedger, RecoveryRecord
 from .partition import BackupMode, Owners, backup_targets, shrink_partition
@@ -168,7 +171,7 @@ def recover(cluster: Cluster, event: FailureEvent) -> None:
                 produced = spec.map_fn(rec)
             except Exception as exc:  # noqa: BLE001
                 raise JobError(holder, step, "map during replay", exc) from exc
-            mapped.extend((holder, out) for out in produced)
+            mapped.extend(zip(repeat(holder), produced))
         # Keep only what the unit would have sent to itself; the rest
         # already reached surviving owners before the failure.
         self_part = [
@@ -348,9 +351,10 @@ def _relog_pending(cluster: Cluster, t: StepId, failed: set[PeId]) -> int:
         holder = _holder_for(cluster, owner)
         inbox = cluster.pes[owner].inbox
         for src in sorted(failed):
-            for rec in inbox.get(src, ()):
+            recs = inbox.get(src, ())
+            for rec in recs:
                 _log_copy(cluster, holder, t, owner, rec)
-                shipped += rec.size
+            shipped += records_size(recs)
     return shipped
 
 
@@ -440,7 +444,7 @@ def _repair_shares(cluster: Cluster, r: StepId, failed: set[PeId]) -> int:
             new_target = replacement[idx]
             store = cluster.pes[new_target].backup_store.setdefault(r, {})
             store[(origin, idx)] = share
-            shipped += sum(rec.size for (_s, _d, _q, rec) in share)
+            shipped += records_size(map(itemgetter(3), share))
         hist.backup_manifest[origin] = new_manifest
     return shipped
 
@@ -465,7 +469,7 @@ def _replay_reduce(
             produced = spec.reduce_fn(key, values)
         except Exception as exc:  # noqa: BLE001
             raise JobError(owner, step, "reduce during replay", exc) from exc
-        out.extend((owner, rec) for rec in produced)
+        out.extend(zip(repeat(owner), produced))
     return out
 
 
@@ -527,9 +531,9 @@ def _note_rebuilt(
     ledger: DeliveryLedger, step: StepId, chain: _Chain, owners_new: Owners
 ) -> None:
     """Note a rebuilt step inbox in ``ledger``, one batch per new owner."""
-    by_dst: dict[PeId, list[Record]] = {}
+    by_dst: defaultdict[PeId, list[Record]] = defaultdict(list)
     for pairs in chain.values():
         for _holder, rec in pairs:
-            by_dst.setdefault(owners_new[rec.key], []).append(rec)
+            by_dst[owners_new[rec.key]].append(rec)
     for dst, recs in by_dst.items():
         ledger.note(step, dst, RECOVERY, recs)

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ftmr.benchmarks import (
+    F64,
     PAIR,
     U64,
     connected_components_job,
@@ -21,7 +22,8 @@ from ftmr.benchmarks import (
     word_count_job,
 )
 from ftmr.config import ConfigError, JobConfig
-from ftmr.engine import JobError, run_job
+from ftmr.core import Record
+from ftmr.engine import Job, JobError, RecordSource, run_job
 from ftmr.harness import build_job, run_simulation
 from oracles import cc_expected, pagerank_expected, wordcount_expected
 
@@ -214,3 +216,34 @@ def test_pagerank_two_vertices():
     assert abs(scores[0] - want[0]) <= 1e-12
     assert abs(scores[1] - want[1]) <= 1e-12
     assert abs(sum(scores.values()) - 1.0) <= 1e-12
+
+
+def _pagerank_spec():
+    job = build_job(JobConfig(benchmark="pagerank", p=2, seed=1,
+                              vertices_per_pe=2, iterations=1))
+    return job, job.driver.steps[0]
+
+
+def test_pagerank_reduce_refusals():
+    _job, spec = _pagerank_spec()
+    key = U64.pack(0)
+    adjacency = b"a" + U64.pack(1)
+    score = b"s" + F64.pack(0.25)
+    assert spec.reduce_fn(key, [score, adjacency, score])  # the valid shape
+    with pytest.raises(ValueError, match="duplicate adjacency"):
+        spec.reduce_fn(key, [adjacency, score, adjacency])
+    with pytest.raises(ValueError, match="no adjacency arrived"):
+        spec.reduce_fn(key, [score, score])
+    with pytest.raises(IndexError):
+        spec.reduce_fn(key, [adjacency, b""])
+
+
+def test_pagerank_map_refuses_a_non_combined_record():
+    job, spec = _pagerank_spec()
+    stray = Record(U64.pack(0), b"s" + F64.pack(0.25))
+    with pytest.raises(ValueError, match=r"combined score\+adjacency"):
+        spec.map_fn(stray)
+    bad = Job(RecordSource(lambda pe: [stray]), job.driver)
+    with pytest.raises(JobError, match="step 1, map of record") as info:
+        run_job(bad, 2)
+    assert isinstance(info.value.__cause__, ValueError)

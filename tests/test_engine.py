@@ -2,6 +2,7 @@
 
 import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -540,3 +541,50 @@ def test_collector_state_restored_on_every_exit(action, raises, was_enabled):
     finally:
         (gc.enable if before else gc.disable)()
     assert seen and not any(seen)
+
+
+class _SelfRef:
+    """Refers to itself, so only the cyclic collector can free it."""
+
+    def __init__(self):
+        self.me = self
+
+
+def _pagerank_making_cycles(refs):
+    """A small PageRank job whose map makes one reference cycle per call
+    and watches it through a weak reference appended to ``refs``."""
+    job = build_job(JobConfig(benchmark="pagerank", p=4, seed=3,
+                              vertices_per_pe=8, iterations=3))
+    spec = job.driver.steps[0]
+
+    def map_fn(rec):
+        refs.append(weakref.ref(_SelfRef()))
+        return spec.map_fn(rec)
+
+    cycling = StepSpec(spec.name, map_fn, spec.reduce_fn)
+    return Job(job.source, ListDriver([cycling] * len(job.driver.steps)))
+
+
+def test_run_survivors_land_in_the_oldest_generation():
+    refs = []
+    job = _pagerank_making_cycles(refs)
+    gc.collect()  # no young-generation collection is due during the run
+    result = run_job(job, 4)
+    oldest = {id(obj) for obj in gc.get_objects(generation=2)}
+    assert all(id(records) in oldest for records in result.outputs.values())
+    # promoted, not frozen: a full collection still frees the map's cycles
+    assert gc.get_freeze_count() == 0
+    assert refs
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+def test_a_callers_frozen_objects_stay_frozen():
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        run_job(_pagerank_making_cycles([]), 4)
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()

@@ -193,6 +193,27 @@ def test_single_recoverer_transfers_whole_range():
         assert counter(result.outputs[pe]) == counter(reference.outputs[pe])
 
 
+def test_single_recoverer_heir_is_the_backup_holder():
+    # interval 2 puts recovery points at steps 1 and 3; PE 1 fails at
+    # step 4, so its single backup share of step 3 names the heir: PE 2,
+    # the next PE, not the lowest survivor
+    config = JobConfig(benchmark="pagerank", p=4, seed=7, vertices_per_pe=8,
+                       iterations=4, recovery_point_interval=2,
+                       backup_mode="single", single_recoverer=True)
+    reference, result = run_pair(config, "4:1")
+    assert outputs_match(reference.outputs, result.outputs, "pagerank") == []
+
+    def keys(records):
+        return {rec.key for rec in records}
+
+    assert keys(result.outputs[2]) == keys(reference.outputs[1] + reference.outputs[2])
+    for pe in (0, 3):
+        assert keys(result.outputs[pe]) == keys(reference.outputs[pe])
+    (rec,) = result.metrics.recoveries
+    assert (rec.recovery_point, rec.replayed_steps) == (3, (3,))
+    assert rec.bytes_resent == 4604
+
+
 # -- several failures inside one protection interval --------------------
 
 
