@@ -29,6 +29,8 @@ import logging
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import itemgetter
 from typing import Callable, Iterable, Protocol
 
 from .core import ConfigError, PeId, Record, StepId, records_size
@@ -221,8 +223,10 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
     ledger = cluster.ledger
     fault_tolerant = backup_mode is not BackupMode.OFF
     ships_shares = is_recovery_point and fault_tolerant
-    # the partition map is fixed within a shuffle: one lookup per key
-    owners = Owners(cluster.pm)
+    # the memo outlives the shuffle, so a key is hashed once per map; it
+    # is emptied below if no key repeated (see Owners)
+    owners = cluster.owners
+    known = len(owners)
     # per sender: its unit-internal records as share entries
     unit_self: dict[PeId, list] = {}
     records = network_bytes = self_bytes = 0
@@ -252,6 +256,8 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
             cluster.pes[dst].inbox[src] = list(payload)
             if ledger is not None:
                 ledger.note(step, dst, ORIGINAL, payload)
+    if records and len(owners) - known == records:
+        owners.clear()
     sm.records += records
     sm.network_bytes += network_bytes
     sm.self_bytes += self_bytes
@@ -272,7 +278,7 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
             for k, (target, share) in enumerate(split_self_message(unit_self[src], targets)):
                 store = cluster.pes[target].backup_store.setdefault(step, {})
                 store[(src, k)] = share
-                got = records_size(entry[3] for entry in share)
+                got = records_size(map(itemgetter(3), share))
                 sm.backup_bytes += got
                 sm.backup_received[target] = sm.backup_received.get(target, 0) + got
 
@@ -284,16 +290,16 @@ def _unit_entries(
     failure unit, in emission order across the unit's destinations.
 
     ``seq`` is the record's index in its payload; the order decides which
-    share each record lands in.
+    share each record lands in.  Only unit-internal records are visited
+    in Python; their owners come from one C-level pass.
     """
+    dsts = list(map(owners.__getitem__, map(itemgetter(0), outbound)))
     seqs = dict.fromkeys(unit, 0)
     entries = []
-    for rec in outbound:
-        dst = owners[rec.key]
-        seq = seqs.get(dst)
-        if seq is not None:
-            entries.append((src, dst, seq, rec))
-            seqs[dst] = seq + 1
+    for dst, rec in compress(zip(dsts, outbound), map(seqs.__contains__, dsts)):
+        seq = seqs[dst]
+        entries.append((src, dst, seq, rec))
+        seqs[dst] = seq + 1
     return entries
 
 
@@ -438,7 +444,9 @@ class Cluster:
         self.source = job.source
         self.pes = ingest(job.source, p)
         self.live = set(range(p))
-        self.pm = initial_partition(p)
+        # owner memo of the current partition map; recovery installs the
+        # next map's memo, and the map itself is read through it (pm)
+        self.owners = Owners(initial_partition(p))
         # newest shuffle that was a recovery point; 0 means the input
         self.recovery_point: StepId = 0
         self.step_history: dict[StepId, StepRecord] = {}
@@ -460,6 +468,11 @@ class Cluster:
         self.ledger = ledger
         self.prev_aggregate: int | None = None
         self.steps_run = 0
+
+    @property
+    def pm(self) -> PartitionMap:
+        """The current partition map, the one ``owners`` memoizes."""
+        return self.owners.pm
 
     def step(self) -> bool:
         """Run the next MapReduce step; False once the driver is done."""

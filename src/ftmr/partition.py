@@ -106,9 +106,13 @@ class Owners(dict):
     """Owning PE of each key under one partition map, memoized.
 
     ``owners[key]`` hashes a key the first time it is asked for and looks
-    its owner up in ``pm``; later lookups are one dict subscript.  The
-    memo keeps every key it has seen, so it lives as long as one shuffle
-    or one recovery, not as long as the map.
+    its owner up in ``pm``; later lookups are one dict subscript.  A
+    cluster keeps one memo for its current map until a failure replaces
+    the map, so a key whose owner has not changed is hashed once per
+    map, not once per step.  The memo is kept only while keys repeat:
+    after a shuffle in which every routed record brought a key the memo
+    had not seen, the shuffle empties it, so single-pass traffic over
+    distinct keys holds no more memory than before the shuffle.
     """
 
     def __init__(self, pm: PartitionMap):
@@ -228,7 +232,5 @@ def split_self_message(
     """
     if not targets:
         raise ValueError("no backup targets to split over")
-    shares = [(t, []) for t in targets]
-    for idx, rec in enumerate(records):
-        shares[idx % len(targets)][1].append(rec)
-    return shares
+    n = len(targets)
+    return [(t, records[k::n]) for k, t in enumerate(targets)]

@@ -131,10 +131,12 @@ def recover(cluster: Cluster, event: FailureEvent) -> None:
         cluster.pes[f].scrub()
         cluster.live.discard(f)
 
-    pm_old = cluster.pm
+    owners_old = cluster.owners
     heirs = [_pick_heir(cluster, failed, r)] if cluster.single_recoverer else None
-    pm_new = shrink_partition(pm_old, failed, heirs)
-    owners_old, owners_new = Owners(pm_old), Owners(pm_new)
+    owners_new = Owners(shrink_partition(owners_old.pm, failed, heirs))
+    # one memo per map for this recovery: replayed steps may predate the
+    # current map when an input-only run fails a second time
+    memos = {owners_old.pm: owners_old}
 
     records_recomputed = 0
     relog_bytes = 0
@@ -164,7 +166,9 @@ def recover(cluster: Cluster, event: FailureEvent) -> None:
             replayed.append(prev)
         spec = cluster.step_history[step].spec
         pm_then = cluster.step_history[step].pm
-        owners_then = owners_old if pm_then is pm_old else Owners(pm_then)
+        owners_then = memos.get(pm_then)
+        if owners_then is None:
+            owners_then = memos[pm_then] = Owners(pm_then)
         mapped: list[tuple[PeId, Record]] = []
         for holder, rec in current:
             try:
@@ -213,7 +217,7 @@ def recover(cluster: Cluster, event: FailureEvent) -> None:
             backup_repair_bytes=repair_bytes,
         )
     )
-    cluster.pm = pm_new
+    cluster.owners = owners_new
     logger.info(
         "recovered PEs %s at step %d from recovery point %d "
         "(%d records recomputed, %d bytes re-sent)",

@@ -100,17 +100,38 @@ def test_ledger_counts_every_delivery():
     assert sm.records == 120
 
 
-def test_shuffle_hashes_each_key_once_per_step(monkeypatch):
+PAGERANK_32 = JobConfig(benchmark="pagerank", p=4, seed=3, vertices_per_pe=8, iterations=3)
+
+
+def test_shuffle_hashes_each_key_once_per_map(monkeypatch):
     calls = []
     monkeypatch.setattr(
         "ftmr.partition.hash_key", lambda key: calls.append(key) or hash_key(key)
     )
-    config = JobConfig(benchmark="pagerank", p=4, seed=3, vertices_per_pe=8, iterations=3)
-    result = run_job(build_job(config), 4)
-    # every vertex is a key each step: its adjacency and its in-edge scores
+    result = run_job(build_job(PAGERANK_32), 4)
+    # every vertex is a key each step (its adjacency and its in-edge
+    # scores), and without a failure the map never changes
     keys = {rec.key for recs in result.outputs.values() for rec in recs}
+    assert result.steps_run == 3
     assert len(keys) == 32
-    assert len(calls) == result.steps_run * len(keys)
+    assert sorted(calls) == sorted(keys)
+
+
+@pytest.mark.parametrize("job", [
+    identity_job(5),
+    build_job(JobConfig(benchmark="uniform", p=4, seed=5, total_records=400)),
+], ids=["identity", "uniform"])
+def test_owner_memo_dropped_after_distinct_keys(job):
+    cluster = Cluster(job, 4)
+    assert cluster.step()
+    assert cluster.metrics.steps[0].records > 0
+    assert len(cluster.owners) == 0
+
+
+def test_owner_memo_kept_when_keys_repeat():
+    cluster = Cluster(build_job(PAGERANK_32), 4)
+    assert cluster.step()
+    assert len(cluster.owners) == 32
 
 
 def naive_shuffle(pm, group_of, backup_mode, is_rp, outbound):
@@ -174,6 +195,10 @@ def test_shuffle_matches_a_per_record_reference(setup):
         pe.outbound = list(records)
     shuffle(cluster, 1, is_rp)
     want = naive_shuffle(cluster.pm, cluster.group_of, mode, is_rp, outbound)
+    # the owner memo keeps its keys only when some key repeated
+    keys = [rec.key for records in outbound for rec in records]
+    repeated = len(set(keys)) < len(keys)
+    assert len(cluster.owners) == (len(set(keys)) if repeated else 0)
     sm = cluster.metrics.step_metrics(1)
     assert sm.records == sum(map(len, outbound))
     assert (sm.network_bytes, sm.self_bytes) == (want["network"], want["self"])

@@ -1,6 +1,8 @@
 """Failure injection and recovery: rebuild, replay, refusal."""
 
 import hashlib
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,7 +27,7 @@ from ftmr.harness import (
     verify,
 )
 from ftmr.metrics import RECOVERY, DeliveryLedger
-from ftmr.partition import hash_key, initial_partition, shrink_partition
+from ftmr.partition import PartitionMap, hash_key, initial_partition, shrink_partition
 from ftmr.recovery import (
     FailureEvent,
     UnrecoverableFailure,
@@ -92,6 +94,41 @@ def test_recovery_notes_land_on_new_owners():
     assert {step for (step, _dst, _gen) in recovered} == {1, 2, 3}
     for (_step, dst, _gen), bucket in recovered.items():
         assert {pm_new.owner_of(hash_key(rec.key)) for rec in bucket} == {dst}
+
+
+@pytest.fixture
+def hash_log(monkeypatch):
+    """Every key hashed (``keys``) and every owner lookup (``lookups``,
+    as ``(map, key hash)``) the run makes."""
+    log = SimpleNamespace(keys=[], lookups=[])
+    owner_of = PartitionMap.owner_of
+    monkeypatch.setattr(
+        "ftmr.partition.hash_key", lambda key: log.keys.append(key) or hash_key(key)
+    )
+    monkeypatch.setattr(
+        PartitionMap, "owner_of", lambda pm, h: log.lookups.append((pm, h)) or owner_of(pm, h)
+    )
+    return log
+
+
+def test_single_failure_hashes_each_key_once_per_map(hash_log):
+    config = JobConfig(benchmark="pagerank", p=4, seed=3, vertices_per_pe=8,
+                       iterations=6, recovery_point_interval=3)
+    run_simulation(config, parse_failure_spec("5:1"))
+    assert len(hash_log.keys) == len(hash_log.lookups)
+    assert len({pm for pm, _h in hash_log.lookups}) == 2
+    assert set(Counter(hash_log.lookups).values()) == {1}
+
+
+def test_input_only_replay_hashes_once_per_map(hash_log):
+    # the second failure replays steps 1-3 under the first map and
+    # steps 4-6 under the second: each map's 32 keys are hashed once
+    # per recovery at most
+    config = JobConfig(benchmark="pagerank", p=4, seed=3, vertices_per_pe=8,
+                       iterations=8, recovery_point_interval="input-only")
+    run_simulation(config, parse_failure_spec("3:1;6:2"))
+    assert len({pm for pm, _h in hash_log.lookups}) == 3
+    assert len(hash_log.keys) <= 4 * 32
 
 
 def test_ledger_sees_what_injection_delivered(monkeypatch):
