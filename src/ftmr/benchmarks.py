@@ -233,9 +233,7 @@ def _cc_large_spec() -> StepSpec:
     def map_fn(rec: Record) -> list[Record]:
         if rec.value == _MARKER:
             return [rec]
-        (u,) = U64.unpack(rec.key)
-        (v,) = U64.unpack(rec.value)
-        return [Record(rec.key, rec.value), Record(rec.value, rec.key)]
+        return [rec, Record(rec.value, rec.key)]
 
     def reduce_fn(key: bytes, values: list[bytes]) -> list[Record]:
         (u,) = U64.unpack(key)

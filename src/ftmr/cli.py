@@ -178,6 +178,8 @@ def cmd_overhead(args: argparse.Namespace) -> int:
     p_list = [int(x) for x in args.p_list.split(",")]
     if any(p < 2 for p in p_list):
         raise ConfigError("overhead needs p >= 2 (a lone PE has no peers)")
+    if args.seeds < 1:
+        raise ConfigError(f"overhead needs --seeds >= 1, got {args.seeds}")
     rows = []
     for p in p_list:
         for s in range(args.seeds):

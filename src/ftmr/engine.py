@@ -38,7 +38,6 @@ from .metrics import ORIGINAL, DeliveryLedger, Metrics
 from .partition import (
     BackupMode,
     Owners,
-    PartitionMap,
     backup_targets,
     initial_partition,
     split_self_message,
@@ -138,12 +137,13 @@ class PeState:
 
 @dataclass
 class StepRecord:
-    """Execution history needed to replay a step during recovery."""
+    """What recovery reads of one step; retired with the step's logs."""
 
     spec: StepSpec
-    pm: PartitionMap
-    # origin -> ordered list of (target, share index) actually stored
-    backup_manifest: dict[PeId, list[tuple[PeId, int]]] = field(default_factory=dict)
+    # the owner memo of the map the step shuffled under
+    owners: Owners
+    # origin -> share holders: manifest[k] holds share (origin, k)
+    backup_manifest: dict[PeId, list[PeId]] = field(default_factory=dict)
 
 
 def recovery_point_schedule(interval) -> Callable[[StepId], bool]:
@@ -227,8 +227,7 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
     # is emptied below if no key repeated (see Owners)
     owners = cluster.owners
     known = len(owners)
-    # per sender: its unit-internal records as share entries
-    unit_self: dict[PeId, list] = {}
+    manifest = cluster.step_history[step].backup_manifest
     records = network_bytes = self_bytes = 0
 
     for src in sorted(cluster.live):
@@ -250,37 +249,34 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
                 unit.append(dst)
         if fault_tolerant:
             pe.sent_log[step] = payloads
-        if ships_shares:
-            unit_self[src] = _unit_entries(src, unit, outbound, owners)
         for dst, payload in payloads.items():
             cluster.pes[dst].inbox[src] = list(payload)
             if ledger is not None:
                 ledger.note(step, dst, ORIGINAL, payload)
+        if not ships_shares:
+            continue
+        targets = backup_targets(src, cluster.live, backup_mode, group_of)
+        if not targets:
+            log = logger.debug if src in cluster.warned_unprotected else logger.warning
+            cluster.warned_unprotected.add(src)
+            log(
+                "PE %d has no backup target (first at step %d); its "
+                "self-messages are unprotected", src, step,
+            )
+            continue
+        manifest[src] = targets
+        entries = _unit_entries(src, unit, outbound, owners)
+        for k, (target, share) in enumerate(split_self_message(entries, targets)):
+            store = cluster.pes[target].backup_store.setdefault(step, {})
+            store[(src, k)] = share
+            got = records_size(map(itemgetter(3), share))
+            sm.backup_bytes += got
+            sm.backup_received[target] = sm.backup_received.get(target, 0) + got
     if records and len(owners) - known == records:
         owners.clear()
     sm.records += records
     sm.network_bytes += network_bytes
     sm.self_bytes += self_bytes
-
-    if ships_shares:
-        manifest = cluster.step_history[step].backup_manifest
-        for src in sorted(cluster.live):
-            targets = backup_targets(src, cluster.live, backup_mode, group_of)
-            if not targets:
-                log = logger.debug if src in cluster.warned_unprotected else logger.warning
-                cluster.warned_unprotected.add(src)
-                log(
-                    "PE %d has no backup target (first at step %d); its "
-                    "self-messages are unprotected", src, step,
-                )
-                continue
-            manifest[src] = [(t, k) for k, t in enumerate(targets)]
-            for k, (target, share) in enumerate(split_self_message(unit_self[src], targets)):
-                store = cluster.pes[target].backup_store.setdefault(step, {})
-                store[(src, k)] = share
-                got = records_size(map(itemgetter(3), share))
-                sm.backup_bytes += got
-                sm.backup_received[target] = sm.backup_received.get(target, 0) + got
 
 
 def _unit_entries(
@@ -341,12 +337,15 @@ def reduce_phase(
 
 
 def gc_logs(cluster: Cluster) -> None:
-    """Drop logs and shares strictly older than the newest recovery point.
+    """Drop logs, shares and step records strictly older than the newest
+    recovery point.
 
     Anything at least as new as the newest recovery point is still
     needed to reconstruct a failure before the next one completes.
     """
     cut = cluster.recovery_point
+    for step in [s for s in cluster.step_history if s < cut]:
+        del cluster.step_history[step]
     for i in cluster.live:
         pe = cluster.pes[i]
         for step in [s for s in pe.sent_log if s < cut]:
@@ -444,11 +443,12 @@ class Cluster:
         self.source = job.source
         self.pes = ingest(job.source, p)
         self.live = set(range(p))
-        # owner memo of the current partition map; recovery installs the
-        # next map's memo, and the map itself is read through it (pm)
+        # owner memo of the current partition map (the map is owners.pm);
+        # recovery installs the next map's memo
         self.owners = Owners(initial_partition(p))
         # newest shuffle that was a recovery point; 0 means the input
         self.recovery_point: StepId = 0
+        # step -> its record, from the recovery point on (gc_logs)
         self.step_history: dict[StepId, StepRecord] = {}
         self.warned_unprotected: set[PeId] = set()
         # Refusal state of the current recovery interval; every recovery
@@ -469,11 +469,6 @@ class Cluster:
         self.prev_aggregate: int | None = None
         self.steps_run = 0
 
-    @property
-    def pm(self) -> PartitionMap:
-        """The current partition map, the one ``owners`` memoizes."""
-        return self.owners.pm
-
     def step(self) -> bool:
         """Run the next MapReduce step; False once the driver is done."""
         index = self.steps_run + 1
@@ -487,7 +482,7 @@ class Cluster:
             self.recovery_point = index
             self.lost_logs = set()
             self.reprotect_holdings = {}
-        self.step_history[index] = StepRecord(spec=spec, pm=self.pm)
+        self.step_history[index] = StepRecord(spec=spec, owners=self.owners)
         map_phase(self, spec.map_fn, index)
         shuffle(self, index, is_rp)
         event = self.events.pop(index, None)

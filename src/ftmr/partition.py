@@ -109,10 +109,13 @@ class Owners(dict):
     its owner up in ``pm``; later lookups are one dict subscript.  A
     cluster keeps one memo for its current map until a failure replaces
     the map, so a key whose owner has not changed is hashed once per
-    map, not once per step.  The memo is kept only while keys repeat:
-    after a shuffle in which every routed record brought a key the memo
-    had not seen, the shuffle empties it, so single-pass traffic over
-    distinct keys holds no more memory than before the shuffle.
+    map, not once per step.  Each step's record holds the memo the step
+    shuffled with, so the memo lives until the last step under its map
+    is retired with the logs, and a replay of that step reuses it.  The
+    memo is kept only while keys repeat: after a shuffle in which every
+    routed record brought a key the memo had not seen, the shuffle
+    empties it, so single-pass traffic over distinct keys holds no more
+    memory than before the shuffle.
     """
 
     def __init__(self, pm: PartitionMap):

@@ -134,9 +134,6 @@ def recover(cluster: Cluster, event: FailureEvent) -> None:
     owners_old = cluster.owners
     heirs = [_pick_heir(cluster, failed, r)] if cluster.single_recoverer else None
     owners_new = Owners(shrink_partition(owners_old.pm, failed, heirs))
-    # one memo per map for this recovery: replayed steps may predate the
-    # current map when an input-only run fails a second time
-    memos = {owners_old.pm: owners_old}
 
     records_recomputed = 0
     relog_bytes = 0
@@ -165,10 +162,7 @@ def recover(cluster: Cluster, event: FailureEvent) -> None:
             records_recomputed += sum(map(len, chain.values()))
             replayed.append(prev)
         spec = cluster.step_history[step].spec
-        pm_then = cluster.step_history[step].pm
-        owners_then = memos.get(pm_then)
-        if owners_then is None:
-            owners_then = memos[pm_then] = Owners(pm_then)
+        owners_then = cluster.step_history[step].owners
         mapped: list[tuple[PeId, Record]] = []
         for holder, rec in current:
             try:
@@ -248,8 +242,7 @@ def _require_one_group(cluster: Cluster, failed: set[PeId]) -> None:
 
 def _pick_heir(cluster: Cluster, failed: set[PeId], r: StepId) -> PeId:
     if cluster.backup_mode is BackupMode.SINGLE and r >= 1:
-        manifest = cluster.step_history[r].backup_manifest.get(min(failed), [])
-        for target, _idx in manifest:
+        for target in cluster.step_history[r].backup_manifest.get(min(failed), []):
             if target in cluster.live:
                 return target
     return min(cluster.live)
@@ -283,7 +276,7 @@ def _share_entries(cluster: Cluster, r: StepId, failed: set[PeId]) -> _Chain:
         # (dst, seq, holder, record); shares hold slices of the payloads,
         # repaired ones in any order, so sort back into emission order
         collected: list[tuple[PeId, int, PeId, Record]] = []
-        for target, idx in manifest:
+        for idx, target in enumerate(manifest):
             if target not in cluster.live:
                 raise UnrecoverableFailure(
                     f"backup share {idx} of PE {origin} at step {r} was held "
@@ -404,7 +397,7 @@ def _repair_shares(cluster: Cluster, r: StepId, failed: set[PeId]) -> int:
         manifest = hist.backup_manifest.get(origin)
         if not manifest:
             continue
-        lost = [(target, idx) for (target, idx) in manifest if target in failed]
+        lost = [k for k, target in enumerate(manifest) if target in failed]
         if not lost:
             continue
         gid = cluster.group_of[origin]
@@ -414,7 +407,7 @@ def _repair_shares(cluster: Cluster, r: StepId, failed: set[PeId]) -> int:
                 for seq, rec in enumerate(payload):
                     full[(dst, seq)] = rec
         covered: set[tuple[PeId, int]] = set()
-        for target, idx in manifest:
+        for idx, target in enumerate(manifest):
             if target in failed:
                 continue
             share = cluster.pes[target].backup_store.get(r, {}).get((origin, idx), ())
@@ -430,26 +423,19 @@ def _repair_shares(cluster: Cluster, r: StepId, failed: set[PeId]) -> int:
             logger.warning(
                 "cannot re-create the backup shares PE %s lost for PE %d: "
                 "no live peer outside its failure group remains",
-                sorted(t for t, _ in lost), origin,
+                sorted(manifest[k] for k in lost), origin,
             )
             # the manifest still names the dead holders, so a later
             # failure of the origin refuses instead of using partial shares
             continue
-        holders = {target for (target, idx) in manifest if target not in failed}
-        fresh = [t for t in eligible if t not in holders] or eligible
-        new_manifest = []
-        replacement = {}
-        for k, (target, idx) in enumerate(lost):
-            replacement[idx] = fresh[k % len(fresh)]
-        for target, idx in manifest:
-            new_manifest.append((replacement.get(idx, target), idx))
-        for k, (_old, idx) in enumerate(lost):
-            share = missing[k :: len(lost)]
-            new_target = replacement[idx]
-            store = cluster.pes[new_target].backup_store.setdefault(r, {})
-            store[(origin, idx)] = share
+        # the lost slots are refilled in place, off the surviving holders
+        # while any eligible peer holds none
+        fresh = [t for t in eligible if t not in manifest] or eligible
+        for j, idx in enumerate(lost):
+            target = manifest[idx] = fresh[j % len(fresh)]
+            share = missing[j :: len(lost)]
+            cluster.pes[target].backup_store.setdefault(r, {})[(origin, idx)] = share
             shipped += records_size(map(itemgetter(3), share))
-        hist.backup_manifest[origin] = new_manifest
     return shipped
 
 

@@ -162,7 +162,7 @@ def test_c05_group_failures():
             shares += 1
     assert shares > 0
     for origin, manifest in cluster.step_history[1].backup_manifest.items():
-        for target, _idx in manifest:
+        for target in manifest:
             assert cluster.group_of[target] != cluster.group_of[origin]
     _ok("whole failure groups (p=8, pairs) recover at every step; "
         "group-internal data is backed up outside the group only")

@@ -211,6 +211,17 @@ def test_overhead_table(tmp_path, capsys):
     assert main(["overhead", "--p-list", "1"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_overhead_refuses_no_seeds(seeds, tmp_path, capsys):
+    csv = tmp_path / "overhead.csv"
+    argv = ["overhead", "--p-list", "4", "--seeds", seeds, "--csv", str(csv)]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: overhead needs --seeds >= 1, got {seeds}\n"
+    assert not csv.exists()
+
+
 def test_verify_catches_divergence(monkeypatch, capsys):
     # force the shadow run to disagree by tampering with the comparison
     import ftmr.harness as harness

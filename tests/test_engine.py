@@ -138,7 +138,7 @@ def naive_shuffle(pm, group_of, backup_mode, is_rp, outbound):
     """Shuffle's effects, worked out one record at a time."""
     p = len(group_of)
     live = set(range(p))
-    want = dict(network=0, self=0, backup=0, received={},
+    want = dict(network=0, self=0, backup=0, received={}, manifest={},
                 logs={}, inboxes={i: {} for i in range(p)}, stores={})
     internal = {}
     for src in range(p):
@@ -159,6 +159,8 @@ def naive_shuffle(pm, group_of, backup_mode, is_rp, outbound):
     if is_rp and backup_mode is not BackupMode.OFF:
         for src in range(p):
             targets = backup_targets(src, live, backup_mode, group_of)
+            if targets:
+                want["manifest"][src] = targets
             for k, target in enumerate(targets):
                 share = internal[src][k :: len(targets)]
                 want["stores"].setdefault(target, {})[(src, k)] = share
@@ -190,11 +192,11 @@ def test_shuffle_matches_a_per_record_reference(setup):
     p, mode, group_size, is_rp, outbound = setup
     cluster = Cluster(Job(RecordSource(lambda pe: []), ListDriver([])), p,
                       backup_mode=mode, group_size=group_size)
-    cluster.step_history[1] = StepRecord(spec=identity_spec(), pm=cluster.pm)
+    cluster.step_history[1] = StepRecord(spec=identity_spec(), owners=cluster.owners)
     for pe, records in zip(cluster.pes, outbound):
         pe.outbound = list(records)
     shuffle(cluster, 1, is_rp)
-    want = naive_shuffle(cluster.pm, cluster.group_of, mode, is_rp, outbound)
+    want = naive_shuffle(cluster.owners.pm, cluster.group_of, mode, is_rp, outbound)
     # the owner memo keeps its keys only when some key repeated
     keys = [rec.key for records in outbound for rec in records]
     repeated = len(set(keys)) < len(keys)
@@ -204,6 +206,7 @@ def test_shuffle_matches_a_per_record_reference(setup):
     assert (sm.network_bytes, sm.self_bytes) == (want["network"], want["self"])
     assert sm.backup_bytes == want["backup"]
     assert sm.backup_received == want["received"]
+    assert cluster.step_history[1].backup_manifest == want["manifest"]
     assert {i: pe.sent_log[1] for i, pe in enumerate(cluster.pes) if pe.sent_log} == want["logs"]
     assert {i: pe.inbox for i, pe in enumerate(cluster.pes)} == want["inboxes"]
     assert {

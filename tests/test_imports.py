@@ -1,9 +1,13 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name the package binds is read: imports and function locals.
 
-A stdlib ``ast`` scan: the names an ``import`` binds, less the names the
-module reads (as a name, an attribute base, or inside a string such as a
-quoted annotation or an ``__all__`` entry).  ``__init__.py`` is skipped,
-since re-exporting is its job.
+Two stdlib ``ast`` scans.  The first takes the names an ``import``
+binds, less the names the module reads (as a name, an attribute base,
+or inside a string such as a quoted annotation or an ``__all__`` entry);
+``__init__.py`` is skipped, since re-exporting is its job.  The second
+takes the names each function assigns in its own scope, less the names
+it or a function nested in it reads; ``_``-prefixed names are exempt,
+and so are names a ``global`` or ``nonlocal`` statement hands outward.
+An augmented assignment (``n += 1``) is a write, not a read.
 """
 
 import ast
@@ -51,3 +55,60 @@ def test_no_unused_imports(path):
 def test_scan_flags_an_unused_name():
     source = "from x import a, b\nimport c.d\nprint(a)\ndef f() -> 'c.T': ...\n"
     assert unused_imports(source) == ["line 1: b"]
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(fn: ast.AST):
+    """The nodes of ``fn`` outside the scopes nested in it."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unread_locals(source: str) -> list[str]:
+    found: list[tuple[int, str, str]] = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored: dict[str, int] = {}
+        outward: set[str] = set()
+        for node in _own_nodes(fn):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored[node.id] = min(node.lineno, stored.get(node.id, node.lineno))
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                outward.update(node.names)
+        read = {
+            node.id for node in ast.walk(fn)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        found += [
+            (line, fn.name, name) for name, line in stored.items()
+            if name not in read and name not in outward and not name.startswith("_")
+        ]
+    return [f"line {line}: {fn}: {name}" for line, fn, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unread_locals(path):
+    assert unread_locals(path.read_text()) == []
+
+
+def test_scan_flags_an_unread_local():
+    source = (
+        "def f(a):\n"
+        "    (u,) = a\n"
+        "    n = 0\n"
+        "    n += 1\n"
+        "    _skip = w = x = y = 2\n"
+        "    def g():\n"
+        "        nonlocal y\n"
+        "        y = 3\n"
+        "        return x\n"
+        "    return g, [z for z in a], w, y\n"
+    )
+    assert unread_locals(source) == ["line 2: f: u", "line 3: f: n"]

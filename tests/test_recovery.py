@@ -122,13 +122,13 @@ def test_single_failure_hashes_each_key_once_per_map(hash_log):
 
 def test_input_only_replay_hashes_once_per_map(hash_log):
     # the second failure replays steps 1-3 under the first map and
-    # steps 4-6 under the second: each map's 32 keys are hashed once
-    # per recovery at most
+    # steps 4-6 under the second, through the memos the steps shuffled
+    # with: each of the 3 maps' 32 keys is hashed once per run
     config = JobConfig(benchmark="pagerank", p=4, seed=3, vertices_per_pe=8,
                        iterations=8, recovery_point_interval="input-only")
     run_simulation(config, parse_failure_spec("3:1;6:2"))
     assert len({pm for pm, _h in hash_log.lookups}) == 3
-    assert len(hash_log.keys) <= 4 * 32
+    assert len(hash_log.keys) <= 3 * 32
 
 
 def test_ledger_sees_what_injection_delivered(monkeypatch):
@@ -292,6 +292,23 @@ def test_sequential_failure_uses_repaired_shares():
     assert result.metrics.recoveries[0].backup_repair_bytes > 0
 
 
+def test_repaired_manifest_names_live_holders():
+    # PE 1 dies at the step-1 recovery point with the shares it held for
+    # the others; each lost slot is refilled on a live peer that holds
+    # the share under the slot's index
+    cluster = Cluster(build_job(cc_config()), 4, recovery_point_interval=2,
+                      failure_plan=parse_failure_spec("1:1"))
+    assert cluster.step()
+    assert cluster.metrics.recoveries[0].backup_repair_bytes > 0
+    r = cluster.recovery_point
+    manifest = cluster.step_history[r].backup_manifest
+    for origin in sorted(cluster.live):
+        assert len(manifest[origin]) == 3
+        for k, holder in enumerate(manifest[origin]):
+            assert holder in cluster.live
+            assert (origin, k) in cluster.pes[holder].backup_store[r]
+
+
 def test_sequential_failures_input_only():
     config = cc_config(recovery_point_interval="input-only")
     assert_same_outputs(config, "1:1;3:2")
@@ -383,6 +400,18 @@ def test_cluster_state_across_recoveries(spec, interval):
         assert logged == set(range(max(rp, 1), step + 1))
         assert shared == {rp}
     assert cluster.steps_run > max(e.step for e in plan.events)
+
+
+@pytest.mark.parametrize("interval", [1, 3, "input-only"])
+def test_step_records_retire_with_the_logs(interval):
+    # recovery reads no step record older than the recovery point, so
+    # log GC drops those; an input-only run (recovery point 0) keeps all
+    cluster = Cluster(build_job(cc_config()), 4, recovery_point_interval=interval,
+                      failure_plan=parse_failure_spec("1:1"))
+    while cluster.step():
+        want = range(max(1, cluster.recovery_point), cluster.steps_run + 1)
+        assert sorted(cluster.step_history) == list(want)
+    assert cluster.steps_run > 3
 
 
 # -- refusal and validation paths ---------------------------------------
