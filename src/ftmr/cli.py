@@ -180,17 +180,10 @@ def cmd_overhead(args: argparse.Namespace) -> int:
         raise ConfigError("overhead needs p >= 2 (a lone PE has no peers)")
     if args.seeds < 1:
         raise ConfigError(f"overhead needs --seeds >= 1, got {args.seeds}")
-    rows = []
-    for p in p_list:
-        for s in range(args.seeds):
-            rows.append(
-                measure_overhead(
-                    p,
-                    seed + s,
-                    total_records=args.records,
-                    recovery_point_interval=args.interval,
-                )
-            )
+    rows = [
+        measure_overhead(p, seed + s, total_records=args.records)
+        for p in p_list for s in range(args.seeds)
+    ]
     for row in rows:
         print(row.describe())
     if args.csv:
@@ -250,10 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     overhead.add_argument("--seeds", type=int, default=1, help="seeds per size")
     overhead.add_argument("--seed", type=int, help="base seed (default: $FTMR_SEED or 0)")
     overhead.add_argument("--records", type=int, default=100_000, help="records per run")
-    overhead.add_argument(
-        "--interval", type=_parse_interval, default=1,
-        help="recovery point interval for the measured run",
-    )
     overhead.add_argument("--csv", type=Path, help="write the table here")
     overhead.set_defaults(func=cmd_overhead)
     return parser

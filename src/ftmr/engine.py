@@ -19,7 +19,8 @@ without checkpoints; see :mod:`ftmr.recovery`.
 
 Failures are injected at the shuffle barrier: the exchange of the step
 completes (real failures are detected at the synchronization point), then
-the failed PEs lose all local state.
+the failed PEs lose all local state.  A run's delivery ledger is noted
+by the step loop alone, before each reduce and after a recovery.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Protocol
 
 from .core import ConfigError, PeId, Record, StepId, records_size
-from .metrics import ORIGINAL, DeliveryLedger, Metrics
+from .metrics import ORIGINAL, RECOVERY, DeliveryLedger, Metrics
 from .partition import (
     BackupMode,
     Owners,
@@ -214,13 +215,11 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
     internal traffic when the step is a recovery point, and tallies the
     traffic volumes.  Each destination's inbox keeps a copy of each
     sender's payload, in emission order, under the sender's id (a copy,
-    because recovery later appends to the logged payload).  Every
-    payload is noted in the cluster's ledger when it has one.
+    because recovery later appends to the logged payload).
     """
     sm = cluster.metrics.step_metrics(step)
     group_of = cluster.group_of
     backup_mode = cluster.backup_mode
-    ledger = cluster.ledger
     fault_tolerant = backup_mode is not BackupMode.OFF
     ships_shares = is_recovery_point and fault_tolerant
     # the memo outlives the shuffle, so a key is hashed once per map; it
@@ -251,8 +250,6 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
             pe.sent_log[step] = payloads
         for dst, payload in payloads.items():
             cluster.pes[dst].inbox[src] = list(payload)
-            if ledger is not None:
-                ledger.note(step, dst, ORIGINAL, payload)
         if not ships_shares:
             continue
         targets = backup_targets(src, cluster.live, backup_mode, group_of)
@@ -384,6 +381,22 @@ def _collector_paused():
         gc.enable()
 
 
+def _note_inboxes(cluster: Cluster, step: StepId, had: dict | None = None) -> None:
+    """Note each live inbox in the cluster's ledger.
+
+    Each sender list is one ``ORIGINAL`` batch; given the sender-list
+    lengths ``had`` taken before a recovery, what each inbox gained since
+    is one ``RECOVERY`` batch instead.
+    """
+    for i in sorted(cluster.live):
+        inbox = cluster.pes[i].inbox
+        if had is None:
+            for recs in inbox.values():
+                cluster.ledger.note(step, i, ORIGINAL, recs)
+        elif tails := [r for s, recs in inbox.items() for r in recs[had[i].get(s, 0):]]:
+            cluster.ledger.note(step, i, RECOVERY, tails)
+
+
 @dataclass
 class JobResult:
     outputs: dict[PeId, list[Record]]
@@ -405,10 +418,11 @@ class Cluster:
     simulator executes PEs sequentially in PE order, which makes runs
     with equal seeds, plans, and failure plans byte-identical.  Pass a
     :class:`DeliveryLedger` to record every delivery for an exactly-once
-    check; without one the run notes nothing.  Bad settings (backup
-    mode, recovery point interval, failure groups, a failure event
-    naming an unknown or already-failed PE) raise :class:`ConfigError`
-    before ingest.
+    check: :meth:`step` notes what each reduce reads, the shuffle's
+    deliveries and then a recovery's.  Without one the run notes nothing.
+    Bad settings (backup mode, recovery point interval, failure groups,
+    a failure event naming an unknown or already-failed PE) raise
+    :class:`ConfigError` before ingest.
     """
 
     def __init__(
@@ -485,11 +499,20 @@ class Cluster:
         self.step_history[index] = StepRecord(spec=spec, owners=self.owners)
         map_phase(self, spec.map_fn, index)
         shuffle(self, index, is_rp)
+        if self.ledger is not None:
+            _note_inboxes(self, index)  # before the event scrubs failed inboxes
         event = self.events.pop(index, None)
         if event is not None:
             from .recovery import recover  # deferred: recovery imports this module
 
-            recover(self, event)
+            if self.ledger is None:
+                recover(self, event)
+            else:
+                had = {
+                    i: {s: len(r) for s, r in self.pes[i].inbox.items()} for i in self.live
+                }
+                recover(self, event)
+                _note_inboxes(self, index, had)
         self.prev_aggregate = reduce_phase(self, spec.reduce_fn, index, spec.counter_fn)
         gc_logs(self)
         self.steps_run = index

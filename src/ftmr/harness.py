@@ -375,7 +375,6 @@ def measure_overhead(
     seed: int,
     *,
     total_records: int = 100_000,
-    recovery_point_interval: int | str = 1,
 ) -> OverheadResult:
     """Run the uniform workload and relate backup bytes to network bytes.
 
@@ -388,7 +387,6 @@ def measure_overhead(
         p=p,
         seed=seed,
         total_records=total_records,
-        recovery_point_interval=recovery_point_interval,
     )
     result = run_simulation(config)
     balance = 0.0

@@ -19,7 +19,9 @@ the count key, so equal contents compare equal across runs and
 processes) per ``(step, destination, generation)``.  Each ``note`` call
 counts one delivered batch, such as a sender's whole payload to one
 destination.  Runs only carry a ledger when a caller passes it in; the
-fault-free hot path does no ledger work.
+fault-free hot path does no ledger work.  :meth:`ftmr.engine.Cluster.step`
+notes it before each reduce and after a recovery; recovery itself notes
+only the rebuilt inboxes of the steps it replays.
 
 CSV schema (stable): ``step,phase,network_bytes,self_bytes,backup_bytes,records``
 with ``phase=shuffle`` rows per step and one ``phase=recovery`` row per
@@ -124,8 +126,9 @@ RECOVERY = "recovery"
 class DeliveryLedger:
     """Counts every logical delivery ``(step, destination, generation)``.
 
-    The ledger is a verification instrument, not part of the protocol,
-    and :func:`ftmr.engine.run_job` only keeps one when it is passed in.
+    The ledger is a verification instrument, not part of the protocol:
+    a run keeps one only when it is passed in, and the step loop, not the
+    shuffle or recovery's injection, notes what each reduce reads.
     Each bucket is a ``Counter`` keyed by the delivered records
     themselves: ``Record`` is frozen and hashes and compares by content,
     so two deliveries of equal records count as one key, and records

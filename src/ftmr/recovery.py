@@ -53,6 +53,8 @@ class FailureEvent:
         object.__setattr__(self, "failed", frozenset(self.failed))
         if self.step < 1:
             raise ValueError("failures fire at MapReduce steps (step >= 1)")
+        if not self.failed:
+            raise ValueError("a failure event fails at least one PE")
 
 
 class UnrecoverableFailure(RuntimeError):
@@ -67,13 +69,13 @@ _Chain = dict[PeId, list[tuple[PeId, Record]]]
 def recover(cluster: Cluster, event: FailureEvent) -> None:
     """Handle one failure event; mutates the cluster in place.
 
-    Re-derived deliveries are noted in the cluster's ledger when it has
-    one.  Raises :class:`UnrecoverableFailure` when the survivors
-    provably do not hold (and cannot regenerate) the lost data.
+    The rebuilt inboxes of replayed steps are noted in the cluster's
+    ledger when it has one (what injection delivers is noted by
+    :meth:`Cluster.step`).  Raises :class:`UnrecoverableFailure` when
+    the survivors provably do not hold (and cannot regenerate) the lost
+    data.
     """
     failed = set(event.failed)
-    if not failed:
-        return
     if cluster.backup_mode is BackupMode.OFF:
         raise UnrecoverableFailure(
             "fault tolerance is off: no logs or backups exist for "
@@ -186,11 +188,7 @@ def recover(cluster: Cluster, event: FailureEvent) -> None:
 
     # chain now holds the unit's reconstructed inbox at step t
     records_recomputed += sum(map(len, chain.values()))
-    # the ledger counts what injection actually appended to each inbox
-    filled = _inbox_lengths(cluster) if cluster.ledger is not None else None
     bytes_resent = _inject(cluster, t, chain, owners_new)
-    if filled is not None:
-        _note_injected(cluster, t, filled)
     repair_bytes = relog_bytes + _repair_shares(cluster, r, failed)
     if r == t or r == 0:
         # The unit's delivered step-t sends still sit in the survivors'
@@ -493,28 +491,6 @@ def _inject(
             if sender != holder:
                 bytes_resent += rec.size
     return bytes_resent
-
-
-def _inbox_lengths(cluster: Cluster) -> dict[PeId, dict[PeId, int]]:
-    """The length of every live inbox's per-sender list."""
-    return {
-        i: {src: len(recs) for src, recs in cluster.pes[i].inbox.items()}
-        for i in cluster.live
-    }
-
-
-def _note_injected(
-    cluster: Cluster, t: StepId, filled: dict[PeId, dict[PeId, int]]
-) -> None:
-    """Note what each live inbox gained since ``filled``, one batch per PE."""
-    for i in sorted(cluster.live):
-        had = filled[i]
-        tails = [
-            rec for src, recs in cluster.pes[i].inbox.items()
-            for rec in recs[had.get(src, 0):]
-        ]
-        if tails:
-            cluster.ledger.note(t, i, RECOVERY, tails)
 
 
 def _note_rebuilt(

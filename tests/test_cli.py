@@ -222,6 +222,15 @@ def test_overhead_refuses_no_seeds(seeds, tmp_path, capsys):
     assert not csv.exists()
 
 
+def test_overhead_has_no_interval_flag(capsys):
+    # the uniform job is one step, and step 1 is a recovery point at
+    # every interval, so the flag could not change the measured row
+    with pytest.raises(SystemExit) as exc:
+        main(["overhead", "--p-list", "4", "--records", "500", "--interval", "3"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --interval 3" in capsys.readouterr().err
+
+
 def test_verify_catches_divergence(monkeypatch, capsys):
     # force the shadow run to disagree by tampering with the comparison
     import ftmr.harness as harness

@@ -100,6 +100,17 @@ def test_ledger_counts_every_delivery():
     assert sm.records == 120
 
 
+def test_shuffle_notes_nothing():
+    # the step loop notes the ledger; the shuffle itself never does
+    cluster = Cluster(identity_job(4), 4, ledger=DeliveryLedger())
+    cluster.step_history[1] = StepRecord(spec=identity_spec(), owners=cluster.owners)
+    for pe in cluster.pes:
+        pe.outbound, pe.current_records = pe.current_records, []
+    shuffle(cluster, 1, True)
+    assert sum(len(recs) for pe in cluster.pes for recs in pe.inbox.values()) == 120
+    assert cluster.ledger.deliveries == {}
+
+
 PAGERANK_32 = JobConfig(benchmark="pagerank", p=4, seed=3, vertices_per_pe=8, iterations=3)
 
 

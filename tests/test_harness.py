@@ -28,6 +28,8 @@ from ftmr.recovery import FailureEvent
 def test_failure_event_validation():
     with pytest.raises(ValueError, match="step >= 1"):
         FailureEvent(0, frozenset({1}))
+    with pytest.raises(ValueError, match="at least one PE"):
+        FailureEvent(2, frozenset())
     event = FailureEvent(2, {3, 1})
     assert event.failed == frozenset({1, 3})
 

@@ -8,6 +8,10 @@ takes the names each function assigns in its own scope, less the names
 it or a function nested in it reads; ``_``-prefixed names are exempt,
 and so are names a ``global`` or ``nonlocal`` statement hands outward.
 An augmented assignment (``n += 1``) is a write, not a read.
+
+A third scan keeps the delivery ledger off the protocol path: the
+shuffle and recovery's injection name no ledger (as a name, an
+attribute or a parameter); the step loop notes it.
 """
 
 import ast
@@ -112,3 +116,43 @@ def test_scan_flags_an_unread_local():
         "    return g, [z for z in a], w, y\n"
     )
     assert unread_locals(source) == ["line 2: f: u", "line 3: f: n"]
+
+
+def ledger_names(source: str, function: str) -> list[str]:
+    (fn,) = [
+        node for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name == function
+    ]
+    found = []
+    for node in ast.walk(fn):
+        name = (
+            node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute)
+            else node.arg if isinstance(node, ast.arg)
+            else ""
+        )
+        if "ledger" in name.lower():
+            found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+@pytest.mark.parametrize("module, function", [
+    ("engine.py", "shuffle"),
+    ("recovery.py", "_inject"),
+])
+def test_protocol_path_names_no_ledger(module, function):
+    assert ledger_names((PACKAGE / module).read_text(), function) == []
+
+
+def test_scan_flags_a_ledger_name():
+    source = (
+        "def f(cluster, ledger=None):\n"
+        "    \"the ledger is not named here\"\n"
+        "    book = cluster.ledger\n"
+        "    return DeliveryLedger, book\n"
+        "def g(ledger):\n"
+        "    return ledger\n"
+    )
+    assert ledger_names(source, "f") == [
+        "line 1: ledger", "line 3: ledger", "line 4: DeliveryLedger",
+    ]

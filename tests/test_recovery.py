@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import ftmr.engine
 import ftmr.recovery
 from ftmr.config import JobConfig
 from ftmr.core import Record, encode_record
@@ -26,7 +27,7 @@ from ftmr.harness import (
     sweep_failures,
     verify,
 )
-from ftmr.metrics import RECOVERY, DeliveryLedger
+from ftmr.metrics import ORIGINAL, RECOVERY, DeliveryLedger
 from ftmr.partition import PartitionMap, hash_key, initial_partition, shrink_partition
 from ftmr.recovery import (
     FailureEvent,
@@ -150,6 +151,31 @@ def test_ledger_sees_what_injection_delivered(monkeypatch):
     assert verify(result, reference, config, plan) == [
         "step 2: recovered stream mismatch (0 missing, 1 duplicated/re-sent)"
     ]
+
+
+def test_ledger_holds_what_each_reduce_reads(monkeypatch):
+    # the failure falls mid-interval, so recovery replays step 1 as well
+    read = {}
+    reduce_phase = ftmr.engine.reduce_phase
+
+    def snapshot(cluster, reduce_fn, step, counter_fn):
+        for i in cluster.live:
+            inbox = cluster.pes[i].inbox
+            read[(step, i)] = Counter(rec for recs in inbox.values() for rec in recs)
+        return reduce_phase(cluster, reduce_fn, step, counter_fn)
+
+    monkeypatch.setattr(ftmr.engine, "reduce_phase", snapshot)
+    config = cc_config(seed=5, recovery_point_interval=3)
+    result = run_simulation(config, parse_failure_spec("2:1"), ledger=DeliveryLedger())
+    ledger = result.ledger
+    assert result.metrics.recoveries[0].replayed_steps == (1,)
+    assert {s for s, _ in read} == set(range(1, result.steps_run + 1))
+    for (step, i), inbox in read.items():
+        # a replayed step's recovery notes are the failed PE's rebuilt
+        # inbox, which that PE read before it failed
+        injected = ledger.bucket(step, i, RECOVERY) if step == 2 else Counter()
+        assert ledger.bucket(step, i, ORIGINAL) + injected == inbox, (step, i)
+    assert ledger.step_total(1, RECOVERY) == read[(1, 1)]
 
 
 def test_single_failure_wordcount():
