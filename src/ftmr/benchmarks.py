@@ -23,6 +23,7 @@ import random
 import struct
 from functools import lru_cache
 from itertools import repeat
+from math import fsum
 from operator import itemgetter
 
 from .core import ConfigError, Record, record_from_pair
@@ -422,10 +423,11 @@ def pagerank_job(
         return out
 
     def reduce_fn(key: bytes, values: list[bytes]) -> list[Record]:
-        # a left-to-right fold: builtin sum compensates float sums from
-        # Python 3.12 on and math.fsum rounds differently, so either would
-        # change the output bytes
-        total = 0.0
+        # fsum rounds the exact sum once, so the score is the same in
+        # whatever order the shares arrive (after a failure the heirs send
+        # the dead PE's shares); builtin sum depends on the order, also
+        # with the compensation it has from Python 3.12 on
+        shares = []
         adj_bytes = None
         for val in values:
             if val[0] == adj_tag:
@@ -433,26 +435,15 @@ def pagerank_job(
                     raise ValueError(f"duplicate adjacency for vertex key {key!r}")
                 adj_bytes = val[1:]
             else:
-                total += unpack_score(val, 1)[0]
+                shares.append(unpack_score(val, 1)[0])
         if adj_bytes is None:
             raise ValueError(f"no adjacency arrived for vertex key {key!r}")
-        score = (1.0 - damping) / n + damping * total
+        score = (1.0 - damping) / n + damping * fsum(shares)
         return [Record(key, _TAG_COMBINED + F64.pack(score) + adj_bytes)]
 
     spec = StepSpec("pagerank", map_fn, reduce_fn)
     driver = ListDriver([spec] * iterations)
     return Job(RecordSource(source), driver)
-
-
-def pagerank_scores(outputs: dict[int, list[Record]]) -> dict[int, float]:
-    """Decode per-vertex scores from a finished PageRank run."""
-    scores = {}
-    for records in outputs.values():
-        for rec in records:
-            (v,) = U64.unpack(rec.key)
-            (score,) = F64.unpack(rec.value[1:9])
-            scores[v] = score
-    return scores
 
 
 # -- synthetic uniform workload (overhead measurements) -----------------

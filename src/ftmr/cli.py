@@ -149,7 +149,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         args.save_config.write_text(config.to_text())
     if args.verify:
         reference = run_simulation(config, ledger=DeliveryLedger())
-        problems = verify(result, reference, config, plan)
+        problems = verify(result, reference, plan)
         if problems:
             for problem in problems:
                 print(f"VERIFY FAILED: {problem}", file=sys.stderr)

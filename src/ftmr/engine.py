@@ -70,9 +70,12 @@ class JobError(RuntimeError):
 class StepSpec:
     """User functions for one MapReduce step.
 
+    ``reduce_fn`` must be order-insensitive in the value list, float
+    rounding included: recovery re-delivers a failed PE's records from
+    other senders, so a key's values may arrive in another order, and
+    the outputs must still match the fault-free run byte for byte.
     ``counter_fn`` feeds the per-step global aggregate that iterative
-    drivers use for termination; it must be order-insensitive in the
-    value list, like the reducers themselves.
+    drivers use for termination; it must be order-insensitive too.
     """
 
     name: str

@@ -29,7 +29,6 @@ from .benchmarks import (
     DEFAULT_DEGREES,
     connected_components_job,
     pagerank_job,
-    pagerank_scores,
     rmat_dedup_job,
     uniform_job,
     word_count_job,
@@ -177,28 +176,15 @@ def output_counter(outputs: dict[PeId, list[Record]]) -> Counter:
 def outputs_match(
     reference: dict[PeId, list[Record]],
     got: dict[PeId, list[Record]],
-    benchmark: str,
-    tol: float = 1e-12,
+    _benchmark: str | None = None,
 ) -> list[str]:
-    """Compare global outputs; returns human-readable problems.
+    """Compare global outputs as exact record multisets; returns
+    human-readable problems.
 
-    PageRank outputs are compared as per-vertex scores within ``tol``
-    (replay may re-add floats in a different order); everything else must
-    match as an exact multiset of records.
+    One comparison serves every workload: PageRank's reduce sums its
+    float shares with ``math.fsum``, whose result does not depend on the
+    order recovery re-delivers them in.  The third parameter is unread.
     """
-    if benchmark == "pagerank":
-        want = pagerank_scores(reference)
-        have = pagerank_scores(got)
-        problems = []
-        if want.keys() != have.keys():
-            missing = sorted(want.keys() - have.keys())[:5]
-            extra = sorted(have.keys() - want.keys())[:5]
-            problems.append(f"vertex sets differ (missing {missing}, extra {extra})")
-        else:
-            worst = max((abs(want[v] - have[v]) for v in want), default=0.0)
-            if worst > tol:
-                problems.append(f"max score deviation {worst:.3e} exceeds {tol:.1e}")
-        return problems
     want_counter = output_counter(reference)
     got_counter = output_counter(got)
     if want_counter == got_counter:
@@ -211,22 +197,19 @@ def outputs_match(
 def verify(
     result: JobResult,
     reference: JobResult,
-    config: JobConfig,
     plan: FailurePlan | None,
 ) -> list[str]:
     """Check a run against a fault-free reference; returns the problems.
 
-    The outputs and the step count must match, and the run must record
-    one recovery per plan event (an event past the job's last step never
-    fires, and that is reported too).  When the plan holds exactly one
-    event, the run's ledger must also pass
-    :meth:`DeliveryLedger.check_against` the reference ledger, which is
-    a single-failure check; both runs then need a ledger.  PageRank's
-    floats may legitimately shift in the last ulp after the failure, and
-    also in the recovered stream of a multi-PE unit, so those are
-    compared by delivery count.
+    The outputs must match as exact record multisets and the step count
+    must match, and the run must record one recovery per plan event (an
+    event past the job's last step never fires, and that is reported
+    too).  When the plan holds exactly one event, the run's ledger must
+    also pass :meth:`DeliveryLedger.check_against` the reference ledger,
+    record for record; that is a single-failure check, and both runs
+    then need a ledger.
     """
-    problems = outputs_match(reference.outputs, result.outputs, config.benchmark)
+    problems = outputs_match(reference.outputs, result.outputs)
     if result.steps_run != reference.steps_run:
         problems.append(
             f"ran {result.steps_run} steps, fault-free reference ran "
@@ -242,15 +225,12 @@ def verify(
         if result.ledger is None or reference.ledger is None:
             raise ValueError("a single-failure check needs both runs' ledgers")
         (event,) = events
-        floats = config.benchmark == "pagerank"
         problems.extend(
             result.ledger.check_against(
                 reference.ledger,
                 set(event.failed),
                 event_step=event.step,
                 recovery_point=recoveries[0].recovery_point,
-                exact_after=not floats,
-                exact_recovered=not (floats and len(event.failed) > 1),
             )
         )
     return problems
@@ -338,7 +318,7 @@ def sweep_failures(
             plan = FailurePlan((FailureEvent(step, frozenset(unit)),))
             with _quiet(engine_log):
                 result = run_simulation(config, plan, ledger=DeliveryLedger())
-            cases.append(SweepCase(step, unit, verify(result, reference, config, plan)))
+            cases.append(SweepCase(step, unit, verify(result, reference, plan)))
     return SweepResult(reference=reference, cases=cases)
 
 

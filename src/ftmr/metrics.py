@@ -168,9 +168,6 @@ class DeliveryLedger:
                 total.update(bucket)
         return total
 
-    def steps(self) -> list[StepId]:
-        return sorted({s for (s, _, _) in self.deliveries})
-
     # -- verification ----------------------------------------------------
 
     def check_against(
@@ -180,7 +177,6 @@ class DeliveryLedger:
         event_step: StepId,
         recovery_point: StepId,
         exact_after: bool = True,
-        exact_recovered: bool = True,
     ) -> list[str]:
         """Compare a single-failure run against a fault-free shadow run.
 
@@ -188,57 +184,42 @@ class DeliveryLedger:
         the run was exactly-once):
 
         * the original-generation deliveries match the reference exactly
-          through the failure step (the runs are identical up to there);
+          through the failure step, at every destination either ledger
+          names (the runs are identical up to there);
         * per replayed step, the recovery-generation deliveries equal the
           reference deliveries into the failed PEs: each lost record was
           re-derived once, nothing already delivered was re-sent;
         * after the failure step the global per-step delivery multiset
           still matches.
 
-        The exactness flags relax a record-by-record comparison to a delivery
-        count, for float-carrying workloads where a different summation
-        order legitimately shifts the bytes in the last ulp:
-        ``exact_after`` covers the post-failure steps (reduce groups move
-        to new owners, so value order changes); ``exact_recovered``
-        covers the recovered stream (single-PE replay preserves value
-        order and stays byte-exact even for floats; multi-PE units may
-        interleave member streams differently).
+        Every check compares record for record, for every workload (the
+        reducers ignore value order, float rounding included).
+        ``exact_after=False`` relaxes the post-failure check to a
+        delivery count.
         """
         problems = []
-        ref_steps = reference.steps()
-        for step in ref_steps:
-            if step <= event_step:
-                for dst in {d for (s, d, _) in reference.deliveries if s == step}:
-                    got = self.bucket(step, dst, ORIGINAL)
-                    want = reference.bucket(step, dst, ORIGINAL)
-                    if got != want:
-                        problems.append(
-                            f"step {step} PE {dst}: original deliveries diverge"
-                        )
-            else:
-                got_all = self.step_total(step)
-                want_all = reference.step_total(step)
-                if exact_after:
-                    if got_all != want_all:
-                        problems.append(f"step {step}: post-failure deliveries diverge")
-                elif sum(got_all.values()) != sum(want_all.values()):
-                    problems.append(f"step {step}: post-failure delivery count diverges")
+        seen = self.deliveries.keys() | reference.deliveries.keys()
+        for step, dst in sorted({(s, d) for (s, d, _) in seen if s <= event_step}):
+            if self.bucket(step, dst, ORIGINAL) != reference.bucket(step, dst, ORIGINAL):
+                problems.append(f"step {step} PE {dst}: original deliveries diverge")
+        for step in sorted({s for (s, _, _) in seen if s > event_step}):
+            got_all = self.step_total(step)
+            want_all = reference.step_total(step)
+            if exact_after:
+                if got_all != want_all:
+                    problems.append(f"step {step}: post-failure deliveries diverge")
+            elif sum(got_all.values()) != sum(want_all.values()):
+                problems.append(f"step {step}: post-failure delivery count diverges")
         for step in range(max(recovery_point, 1), event_step + 1):
             want: Counter = Counter()
             for f in failed:
                 want.update(reference.bucket(step, f, ORIGINAL))
             got = self.step_total(step, RECOVERY)
-            if exact_recovered:
-                if got != want:
-                    missing = sum((want - got).values())
-                    extra = sum((got - want).values())
-                    problems.append(
-                        f"step {step}: recovered stream mismatch "
-                        f"({missing} missing, {extra} duplicated/re-sent)"
-                    )
-            elif sum(got.values()) != sum(want.values()):
+            if got != want:
+                missing = sum((want - got).values())
+                extra = sum((got - want).values())
                 problems.append(
-                    f"step {step}: recovered stream count mismatch "
-                    f"({sum(got.values())} vs {sum(want.values())})"
+                    f"step {step}: recovered stream mismatch "
+                    f"({missing} missing, {extra} duplicated/re-sent)"
                 )
         return problems

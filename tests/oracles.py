@@ -14,7 +14,9 @@ from collections import Counter
 import numpy as np
 
 from ftmr.benchmarks import (
+    F64,
     PAGERANK_DAMPING,
+    U64,
     default_dictionary,
     gen_gnm,
     gen_text,
@@ -66,6 +68,15 @@ def cc_expected(p: int, seed: int, n: int, m: int) -> dict[int, int]:
         uf.union(u, v)
     # union-by-min keeps the smallest member as the root
     return {v: uf.find(v) for v in range(n)}
+
+
+def pagerank_scores(outputs: dict[int, list]) -> dict[int, float]:
+    """Decode per-vertex scores from a finished PageRank run."""
+    return {
+        U64.unpack(rec.key)[0]: F64.unpack_from(rec.value, 1)[0]
+        for records in outputs.values()
+        for rec in records
+    }
 
 
 def pagerank_expected(

@@ -1,6 +1,9 @@
 """Benchmark generators and end-to-end results against independent oracles."""
 
+import dataclasses
+import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -16,7 +19,6 @@ from ftmr.benchmarks import (
     gen_gnm,
     gen_rmat,
     gen_text,
-    pagerank_scores,
     rmat_dedup_job,
     uniform_job,
     word_count_job,
@@ -25,7 +27,7 @@ from ftmr.config import ConfigError, JobConfig
 from ftmr.core import Record
 from ftmr.engine import Job, JobError, RecordSource, run_job
 from ftmr.harness import build_job, run_simulation
-from oracles import cc_expected, pagerank_expected, wordcount_expected
+from oracles import cc_expected, pagerank_expected, pagerank_scores, wordcount_expected
 
 # -- generators ---------------------------------------------------------
 
@@ -247,3 +249,49 @@ def test_pagerank_map_refuses_a_non_combined_record():
     with pytest.raises(JobError, match="step 1, map of record") as info:
         run_job(bad, 2)
     assert isinstance(info.value.__cause__, ValueError)
+
+
+# -- the StepSpec contract ----------------------------------------------
+
+ORDER_SCALES = {
+    "wordcount": dict(words_per_pe=100, dict_words=20),
+    "rmat": dict(vertices_per_pe=16, avg_degree=4),
+    "cc": dict(vertices_per_pe=16),
+    "pagerank": dict(vertices_per_pe=8, iterations=3),
+    "uniform": dict(total_records=400),
+}
+
+
+@pytest.mark.parametrize("workload", list(ORDER_SCALES))
+def test_reducers_ignore_value_order(workload):
+    # recovery hands a key's values to its reduce in another order, so
+    # every reducer and counter must give the same records and aggregate
+    # for any order of the same values, float rounding included
+    config = JobConfig(benchmark=workload, p=4, seed=3, **ORDER_SCALES[workload])
+    job = build_job(config)
+    groups = []
+
+    def next_step(index, prev_aggregate):
+        spec = job.driver.next_step(index, prev_aggregate)
+        if spec is None:
+            return None
+
+        def reduce_fn(key, values):
+            groups.append((spec, key, list(values)))
+            return spec.reduce_fn(key, values)
+
+        return dataclasses.replace(spec, reduce_fn=reduce_fn)
+
+    run_job(Job(job.source, SimpleNamespace(next_step=next_step)), config.p)
+    # uniform draws distinct keys, so each of its groups holds one value
+    assert groups
+    assert workload == "uniform" or any(len(values) > 1 for *_, values in groups)
+    rng = random.Random(11)
+    for spec, key, values in groups:
+        shuffled = rng.sample(values, len(values))
+        for other in (values[::-1], shuffled):
+            assert Counter(spec.reduce_fn(key, other)) == Counter(
+                spec.reduce_fn(key, values)
+            ), (spec.name, key)
+            if spec.counter_fn is not None:
+                assert spec.counter_fn(key, other) == spec.counter_fn(key, values)

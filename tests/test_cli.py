@@ -236,7 +236,7 @@ def test_verify_catches_divergence(monkeypatch, capsys):
     import ftmr.harness as harness
 
     monkeypatch.setattr(
-        harness, "outputs_match", lambda ref, got, benchmark: ["forced mismatch"]
+        harness, "outputs_match", lambda ref, got: ["forced mismatch"]
     )
     assert main(["run", *WC, "--verify"]) == EXIT_VERIFY
     assert "VERIFY FAILED: forced mismatch" in capsys.readouterr().err

@@ -31,7 +31,7 @@ DIGESTS = {
     "wordcount": "dc11fb135eba400b63b030d50b140e93b6ac15cb5f08cc800fc8e86a09ba38ba",
     "rmat": "38b18c5c52cbffc48c76dafda8f1eea8f4cc68e442a6eda9aa7088b5c8bf7a4b",
     "cc": "bbc72d61ca44f9e4351f8c6216610867247cc9ea7d79ba757e3da4f66b0214b9",
-    "pagerank": "9099c07607d47a71aa6bdff43b7d3e8d121445d5d9ec40f57fe58d27aeb75712",
+    "pagerank": "0c2e2441a992fcf811da5b00641afb467f94e2d783b84861970d717d8581d4d8",
     "uniform": "84bb71da14b35ee56428e5bee957ea6bbb2bcc59a143a4999a8c2a5cfb790663",
 }
 

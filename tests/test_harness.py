@@ -106,13 +106,13 @@ def test_output_counter_ignores_placement():
 def test_outputs_match_multisets():
     ref = {0: [Record(b"k", b"1")], 1: [Record(b"j", b"2")]}
     same = {0: [Record(b"j", b"2"), Record(b"k", b"1")], 1: []}
-    assert outputs_match(ref, same, "wordcount") == []
+    assert outputs_match(ref, same) == []
     different = {0: [Record(b"k", b"1")], 1: [Record(b"j", b"3")]}
-    (problem,) = outputs_match(ref, different, "wordcount")
+    (problem,) = outputs_match(ref, different)
     assert "1 missing, 1 extra" in problem
 
 
-def test_outputs_match_pagerank_tolerance():
+def test_outputs_match_pagerank_exact():
     from ftmr.benchmarks import F64, _TAG_COMBINED, U64
 
     def out(score0):
@@ -122,12 +122,14 @@ def test_outputs_match_pagerank_tolerance():
         }
 
     ref = out(0.5)
-    assert outputs_match(ref, out(0.5 + 1e-13), "pagerank") == []
-    (problem,) = outputs_match(ref, out(0.5 + 1e-9), "pagerank")
-    assert "deviation" in problem
+    assert outputs_match(ref, out(0.5)) == []
+    # scores compare bit for bit: no tolerance, and NaN equals nothing
+    for shifted in (0.5 + 1e-13, float("nan")):
+        (problem,) = outputs_match(ref, out(shifted))
+        assert "1 missing, 1 extra" in problem
     missing_vertex = {0: ref[0], 1: []}
-    (problem,) = outputs_match(ref, missing_vertex, "pagerank")
-    assert "vertex sets differ" in problem
+    (problem,) = outputs_match(ref, missing_vertex)
+    assert "1 missing, 0 extra" in problem
 
 
 # -- simulation runs ----------------------------------------------------
@@ -187,24 +189,24 @@ def test_verify_checks_the_ledger_for_a_single_failure():
     plan = parse_failure_spec("2:1")
     result = run_simulation(config, plan, ledger=DeliveryLedger())
     reference = run_simulation(config, ledger=DeliveryLedger())
-    assert verify(result, reference, config, plan) == []
+    assert verify(result, reference, plan) == []
     # a reference from another seed diverges in the ledger, too
     other = run_simulation(dataclasses.replace(config, seed=6),
                            ledger=DeliveryLedger())
-    problems = verify(result, other, config, plan)
+    problems = verify(result, other, plan)
     assert any("original deliveries diverge" in p for p in problems), problems
     # the exactly-once check cannot run without both ledgers
     with pytest.raises(ValueError, match="ledgers"):
-        verify(run_simulation(config, plan), reference, config, plan)
+        verify(run_simulation(config, plan), reference, plan)
 
 
 def test_verify_counts_recoveries_per_plan_event():
     config = OBSERVED[2]
     reference = run_simulation(config)
     late = parse_failure_spec(f"{reference.steps_run + 1}:1")
-    problems = verify(run_simulation(config, late), reference, config, late)
+    problems = verify(run_simulation(config, late), reference, late)
     assert problems == ["0 recoveries recorded, wanted 1"]
-    assert verify(run_simulation(config), reference, config, None) == []
+    assert verify(run_simulation(config), reference, None) == []
 
 
 # -- sweeps -------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Failure injection and recovery: rebuild, replay, refusal."""
 
-import hashlib
 from collections import Counter
 from types import SimpleNamespace
 
@@ -9,7 +8,7 @@ import pytest
 import ftmr.engine
 import ftmr.recovery
 from ftmr.config import JobConfig
-from ftmr.core import Record, encode_record
+from ftmr.core import Record
 from ftmr.engine import (
     Cluster,
     Job,
@@ -52,7 +51,7 @@ def run_pair(config, spec, ledger=None):
 
 def assert_same_outputs(config, spec, ledger=None):
     reference, result = run_pair(config, spec, ledger)
-    assert outputs_match(reference.outputs, result.outputs, config.benchmark) == []
+    assert outputs_match(reference.outputs, result.outputs) == []
     assert result.steps_run == reference.steps_run
     return result
 
@@ -60,28 +59,18 @@ def assert_same_outputs(config, spec, ledger=None):
 # -- single failures ----------------------------------------------------
 
 
-@pytest.mark.parametrize("options, spec, digest", [
-    (dict(p=4, recovery_point_interval=3), "3:2",
-     "7ccead32a76f8c50656c95f20430fadb67db43e866fbf88f764cb007bc8f8f72"),
-    (dict(p=4, recovery_point_interval="input-only"), "2:1;4:3",
-     "34ef6df02a54809d69a9032939971a8ee2079c113602dba1bccd4961de654fe7"),
-    (dict(p=8, group_size=2, recovery_point_interval=3), "2:0,1;4:4,5",
-     "1afe984b71f8efe28880c251241b58026e377a502f7bb8761762f84e12962eac"),
+@pytest.mark.parametrize("options, spec", [
+    (dict(p=4, recovery_point_interval=3), "3:2"),
+    (dict(p=4, recovery_point_interval="input-only"), "2:1;4:3"),
+    (dict(p=8, group_size=2, recovery_point_interval=3), "2:0,1;4:4,5"),
 ], ids=["rp3", "input-only", "groups"])
-def test_recovered_value_order_is_pinned(options, spec, digest):
-    # PageRank sums floats in reduce value order, so the exact output
-    # bytes pin the order in which recovery rebuilds and re-delivers
-    # records; outputs_match's tolerance would not notice a change
+def test_recovered_value_order_is_pinned(options, spec):
+    # recovery hands a dead PE's score shares to its reduce in another
+    # order; PageRank's reduce ignores that order, so the recovered
+    # outputs equal the fault-free ones bit for bit
     config = JobConfig(benchmark="pagerank", seed=7, vertices_per_pe=8,
                        avg_degree=4, iterations=4, **options)
-    result = run_simulation(config, parse_failure_spec(spec))
-    h = hashlib.sha256()
-    for pe in sorted(result.outputs):
-        h.update(b"%d:" % pe)
-        for rec in result.outputs[pe]:
-            h.update(encode_record(rec))
-    h.update(result.metrics.to_csv().encode())
-    assert h.hexdigest() == digest
+    assert_same_outputs(config, spec)
 
 
 def test_recovery_notes_land_on_new_owners():
@@ -148,7 +137,7 @@ def test_ledger_sees_what_injection_delivered(monkeypatch):
 
     monkeypatch.setattr(ftmr.recovery, "_inject", inject_one_twice)
     result = run_simulation(config, plan, ledger=DeliveryLedger())
-    assert verify(result, reference, config, plan) == [
+    assert verify(result, reference, plan) == [
         "step 2: recovered stream mismatch (0 missing, 1 duplicated/re-sent)"
     ]
 
@@ -264,7 +253,7 @@ def test_single_recoverer_heir_is_the_backup_holder():
                        iterations=4, recovery_point_interval=2,
                        backup_mode="single", single_recoverer=True)
     reference, result = run_pair(config, "4:1")
-    assert outputs_match(reference.outputs, result.outputs, "pagerank") == []
+    assert outputs_match(reference.outputs, result.outputs) == []
 
     def keys(records):
         return {rec.key for rec in records}
@@ -298,7 +287,7 @@ def test_sequential_failures_every_pair_interval_1():
                     ))
                     result = run_simulation(config, plan)
                     assert outputs_match(
-                        reference.outputs, result.outputs, "cc"
+                        reference.outputs, result.outputs
                     ) == [], f"failing {u1}@{s1} then {u2}@{s2}"
                     tried += 1
     assert tried == 72
