@@ -403,6 +403,11 @@ def pagerank_job(
     first = itemgetter(0)
     adj_tag = _TAG_ADJ[0]
     unpack_score = F64.unpack_from
+    # adjacency bytes -> (the adjacency record's value, its target keys):
+    # a vertex's adjacency never changes, so every step re-sends one value
+    # object (the retained logs keep one copy, not one per step) and
+    # decodes each adjacency once per job
+    parsed: dict[bytes, tuple[bytes, tuple[bytes, ...]]] = {}
 
     def map_fn(rec: Record) -> list[Record]:
         key, body = rec
@@ -410,12 +415,18 @@ def pagerank_job(
             raise ValueError("pagerank map expects combined score+adjacency records")
         (score,) = unpack_score(body, 1)
         adj_bytes = body[9:]
-        out = [Record(key, _TAG_ADJ + adj_bytes)]
+        entry = parsed.get(adj_bytes)
+        if entry is None:
+            entry = parsed[adj_bytes] = (
+                _TAG_ADJ + adj_bytes,
+                tuple(map(vertex_key, map(first, U64.iter_unpack(adj_bytes)))),
+            )
+        adj_value, targets = entry
+        out = [Record(key, adj_value)]
         # one key and one value object per vertex: sent logs keep every
         # out-record
-        if adj_bytes:
-            share = _TAG_SCORE + F64.pack(score / (len(adj_bytes) // 8))
-            targets = map(vertex_key, map(first, U64.iter_unpack(adj_bytes)))
+        if targets:
+            share = _TAG_SCORE + F64.pack(score / len(targets))
         else:
             share = _TAG_DANGLING + F64.pack(score / n)
             targets = vertex_keys

@@ -14,11 +14,14 @@ Each recovery contributes one :class:`RecoveryRecord` with the bytes
 re-sent to survivors and the records recomputed during replay.
 
 The :class:`DeliveryLedger` is an opt-in verification instrument: it
-counts every delivered :class:`~ftmr.core.Record` (the record itself is
-the count key, so equal contents compare equal across runs and
-processes) per ``(step, destination, generation)``.  Each ``note`` call
-counts one delivered batch, such as a sender's whole payload to one
-destination.  Runs only carry a ledger when a caller passes it in; the
+keeps every delivered :class:`~ftmr.core.Record` per ``(step,
+destination, generation)``, as a list in note order.  Each ``note``
+call appends one delivered batch, such as a sender's whole payload to
+one destination, and hashes nothing; records are counted (the record
+itself is the count key, so equal contents compare equal across runs
+and processes) only when a bucket is read or a run is checked.  The
+ledger costs 8 bytes per delivered record plus the records it keeps
+alive.  Runs only carry a ledger when a caller passes it in; the
 fault-free hot path does no ledger work.  :meth:`ftmr.engine.Cluster.step`
 notes it before each reduce and after a recovery; recovery itself notes
 only the rebuilt inboxes of the steps it replays.
@@ -124,42 +127,46 @@ RECOVERY = "recovery"
 
 
 class DeliveryLedger:
-    """Counts every logical delivery ``(step, destination, generation)``.
+    """Keeps every logical delivery ``(step, destination, generation)``.
 
     The ledger is a verification instrument, not part of the protocol:
     a run keeps one only when it is passed in, and the step loop, not the
     shuffle or recovery's injection, notes what each reduce reads.
-    Each bucket is a ``Counter`` keyed by the delivered records
-    themselves: ``Record`` is frozen and hashes and compares by content,
-    so two deliveries of equal records count as one key, and records
-    with the same concatenated bytes but a different key/value split
-    stay apart.  ``generation`` separates deliveries of the original
-    execution from records re-delivered (or re-derived) while
-    reconstructing a failed PE.  One :meth:`note` call counts one
-    delivered batch.  Comparing a faulty run's ledger with a fault-free
-    shadow run proves that recovery re-delivered every lost record
-    exactly once and never re-sent data that had already reached a
-    surviving PE.
+    Each bucket is a list of the delivered records in note order; one
+    :meth:`note` call appends one delivered batch and never hashes a
+    record, so the ledger costs a list slot (8 bytes) per delivery plus
+    the records it keeps alive.  Counting happens only when checking:
+    :meth:`bucket` and :meth:`step_total` build a ``Counter`` keyed by
+    the records themselves.  ``Record`` is frozen and hashes and
+    compares by content, so two deliveries of equal records count as
+    one key, and records with the same concatenated bytes but a
+    different key/value split stay apart.  ``generation`` separates
+    deliveries of the original execution from records re-delivered (or
+    re-derived) while reconstructing a failed PE.  Comparing a faulty
+    run's ledger with a fault-free shadow run proves that recovery
+    re-delivered every lost record exactly once and never re-sent data
+    that had already reached a surviving PE.
     """
 
     def __init__(self):
-        # (step, dst, generation) -> Counter of delivered records
-        self.deliveries: dict[tuple[StepId, PeId, str], Counter] = {}
+        # (step, dst, generation) -> delivered records, in note order
+        self.deliveries: dict[tuple[StepId, PeId, str], list[Record]] = {}
 
     def note(
         self, step: StepId, dst: PeId, generation: str, records: Iterable[Record]
     ) -> None:
-        """Count every record of one batch delivered to ``dst``, repeats too."""
+        """Append every record of one batch delivered to ``dst``, repeats too."""
         key = (step, dst, generation)
         bucket = self.deliveries.get(key)
         if bucket is None:
-            bucket = self.deliveries[key] = Counter()
-        bucket.update(records)
+            self.deliveries[key] = list(records)
+        else:
+            bucket.extend(records)
 
     # -- views -----------------------------------------------------------
 
     def bucket(self, step: StepId, dst: PeId, generation: str) -> Counter:
-        return self.deliveries.get((step, dst, generation), Counter())
+        return Counter(self.deliveries.get((step, dst, generation), ()))
 
     def step_total(self, step: StepId, generation: str | None = None) -> Counter:
         total: Counter = Counter()
@@ -189,6 +196,8 @@ class DeliveryLedger:
         * per replayed step, the recovery-generation deliveries equal the
           reference deliveries into the failed PEs: each lost record was
           re-derived once, nothing already delivered was re-sent;
+        * no recovery-generation delivery lies outside the replayed
+          steps ``max(recovery_point, 1)`` .. ``event_step``;
         * after the failure step the global per-step delivery multiset
           still matches.
 
@@ -198,10 +207,21 @@ class DeliveryLedger:
         delivery count.
         """
         problems = []
+        first_replayed = max(recovery_point, 1)
         seen = self.deliveries.keys() | reference.deliveries.keys()
         for step, dst in sorted({(s, d) for (s, d, _) in seen if s <= event_step}):
             if self.bucket(step, dst, ORIGINAL) != reference.bucket(step, dst, ORIGINAL):
                 problems.append(f"step {step} PE {dst}: original deliveries diverge")
+        stray = sorted(
+            (step, dst, len(bucket))
+            for (step, dst, gen), bucket in self.deliveries.items()
+            if gen == RECOVERY and bucket and not first_replayed <= step <= event_step
+        )
+        for step, dst, count in stray:
+            problems.append(
+                f"step {step} PE {dst}: {count} recovery deliveries outside "
+                f"the replay window (steps {first_replayed}..{event_step})"
+            )
         for step in sorted({s for (s, _, _) in seen if s > event_step}):
             got_all = self.step_total(step)
             want_all = reference.step_total(step)
@@ -210,10 +230,10 @@ class DeliveryLedger:
                     problems.append(f"step {step}: post-failure deliveries diverge")
             elif sum(got_all.values()) != sum(want_all.values()):
                 problems.append(f"step {step}: post-failure delivery count diverges")
-        for step in range(max(recovery_point, 1), event_step + 1):
+        for step in range(first_replayed, event_step + 1):
             want: Counter = Counter()
             for f in failed:
-                want.update(reference.bucket(step, f, ORIGINAL))
+                want.update(reference.deliveries.get((step, f, ORIGINAL), ()))
             got = self.step_total(step, RECOVERY)
             if got != want:
                 missing = sum((want - got).values())

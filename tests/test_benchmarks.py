@@ -251,6 +251,33 @@ def test_pagerank_map_refuses_a_non_combined_record():
     assert isinstance(info.value.__cause__, ValueError)
 
 
+def _decoded_map(rec, n):
+    # PageRank's map, decoding the record afresh
+    key, body = rec
+    (score,) = F64.unpack(body[1:9])
+    adj = [body[i:i + 8] for i in range(9, len(body), 8)]
+    if adj:
+        share, targets = b"s" + F64.pack(score / len(adj)), adj
+    else:
+        share, targets = b"d" + F64.pack(score / n), [U64.pack(v) for v in range(n)]
+    return [Record(key, b"a" + body[9:])] + [Record(t, share) for t in targets]
+
+
+def test_pagerank_map_decodes_each_adjacency_once():
+    job, spec = _pagerank_spec()
+    n = 4
+    dangling = Record(U64.pack(0), b"c" + F64.pack(0.25))
+    parallel = Record(U64.pack(1), b"c" + F64.pack(0.5) + U64.pack(2) * 2 + U64.pack(3))
+    for rec in [*job.source.fn(0), dangling, parallel]:
+        first, second = spec.map_fn(rec), spec.map_fn(rec)
+        assert first == second == _decoded_map(rec, n)
+        # the adjacency record re-sends one value object
+        assert first[0].value is second[0].value
+    # a later step's record with the same adjacency and a new score
+    moved = Record(U64.pack(1), b"c" + F64.pack(0.125) + parallel.value[9:])
+    assert spec.map_fn(moved) == _decoded_map(moved, n)
+
+
 # -- the StepSpec contract ----------------------------------------------
 
 ORDER_SCALES = {

@@ -101,10 +101,10 @@ def test_records_hashable_and_frozen():
     with pytest.raises(AttributeError):
         rec.value = b"other"
     assert Record(b"ab", b"xyz").size == 5
-    # perfbench pickles its reference ledgers, keyed by records
+    # perfbench pickles its reference ledgers, which hold records
     back = pickle.loads(pickle.dumps(rec))
     assert back == rec and type(back) is Record
-    # the ledger and every Counter of records hash each record; a
+    # the ledger checks and every Counter of records hash each record; a
     # Python-level __hash__ would put that cost back per record
     assert Record.__hash__ is tuple.__hash__
     assert Record.__eq__ is tuple.__eq__

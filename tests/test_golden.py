@@ -11,6 +11,7 @@ is; a change that means to alter behaviour re-pins them and says why.
 """
 
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -57,7 +58,7 @@ def _run_text(config, spec):
         for pe, recs in result.outputs.items()
     ))
     ledger = repr(sorted(
-        (key, sorted((rec.key, rec.value, n) for rec, n in bucket.items()))
+        (key, sorted((rec.key, rec.value, n) for rec, n in Counter(bucket).items()))
         for key, bucket in result.ledger.deliveries.items()
     ))
     return f"{outputs}\n{result.metrics.to_csv()}\n{result.steps_run}\n{ledger}"

@@ -1,6 +1,11 @@
 """Volume accounting and the delivery ledger."""
 
+import pickle
+import tracemalloc
+
+from ftmr.config import JobConfig
 from ftmr.core import Record
+from ftmr.harness import parse_failure_spec, run_simulation
 from ftmr.metrics import (
     CSV_HEADER,
     ORIGINAL,
@@ -159,6 +164,71 @@ def test_check_against_flags_a_stray_prefix_delivery():
         _reference_ledger(), {1}, event_step=2, recovery_point=2
     )
     assert problems == ["step 1 PE 2: original deliveries diverge"]
+
+
+def test_check_against_flags_a_recovery_delivery_before_the_replay_window():
+    # the run equals the reference and recovered PE 1's step-3 input once;
+    # a recovery delivery at step 1 lies before the replayed steps
+    run = _reference_ledger()
+    run.note(3, 0, RECOVERY, [rec(b"k31")])
+    assert run.check_against(
+        _reference_ledger(), {1}, event_step=3, recovery_point=3
+    ) == []
+    run.note(1, 0, RECOVERY, [rec(b"stray")])
+    problems = run.check_against(
+        _reference_ledger(), {1}, event_step=3, recovery_point=3
+    )
+    assert problems == [
+        "step 1 PE 0: 1 recovery deliveries outside the replay window (steps 3..3)"
+    ]
+
+
+def test_ledger_keeps_each_bucket_in_note_order():
+    led = DeliveryLedger()
+    led.note(1, 0, ORIGINAL, [rec(b"b"), rec(b"a")])
+    led.note(1, 0, ORIGINAL, (r for r in [rec(b"b")]))
+    assert led.deliveries == {(1, 0, ORIGINAL): [rec(b"b"), rec(b"a"), rec(b"b")]}
+
+
+def test_ledger_costs_a_list_slot_per_record():
+    # noting hashes no record and builds no per-record entry: 100,000
+    # records across 40 buckets grow traced memory by at most 16 B each
+    # (a list slot is 8 B; counting them into Counters costs about 30 B)
+    records = [rec(b"%08d" % i) for i in range(100_000)]
+    batches = [records[i:i + 250] for i in range(0, len(records), 250)]
+    led = DeliveryLedger()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i, batch in enumerate(batches):
+            led.note(1 + i % 40 // 10, i % 10, ORIGINAL, batch)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(led.deliveries) == 40
+    assert sum(map(len, led.deliveries.values())) == len(records)
+    assert grown / len(records) <= 16, grown / len(records)
+
+
+def test_ledger_pickles_for_a_cross_process_check():
+    # the path a reference ledger takes when it is written by one process
+    # and checked in another
+    config = JobConfig(benchmark="pagerank", p=4, seed=2, vertices_per_pe=8,
+                       iterations=7, recovery_point_interval=3)
+    reference = run_simulation(config, ledger=DeliveryLedger())
+    result = run_simulation(config, parse_failure_spec("6:1"), ledger=DeliveryLedger())
+    (recovery,) = result.metrics.recoveries
+    assert recovery.recovery_point == 4
+    assert any(gen == RECOVERY for _, _, gen in result.ledger.deliveries)
+    run = pickle.loads(pickle.dumps(result.ledger))
+    ref = pickle.loads(pickle.dumps(reference.ledger))
+    assert run.deliveries == result.ledger.deliveries
+    assert ref.deliveries == reference.ledger.deliveries
+    for exact_after in (True, False):
+        assert run.check_against(
+            ref, {1}, event_step=6, recovery_point=recovery.recovery_point,
+            exact_after=exact_after,
+        ) == []
 
 
 def test_check_against_count_relaxations():
