@@ -408,6 +408,8 @@ def pagerank_job(
     # object (the retained logs keep one copy, not one per step) and
     # decodes each adjacency once per job
     parsed: dict[bytes, tuple[bytes, tuple[bytes, ...]]] = {}
+    # vertex key -> its adjacency record, re-sent while its value is current
+    adj_records: dict[bytes, Record] = {}
 
     def map_fn(rec: Record) -> list[Record]:
         key, body = rec
@@ -422,7 +424,10 @@ def pagerank_job(
                 tuple(map(vertex_key, map(first, U64.iter_unpack(adj_bytes)))),
             )
         adj_value, targets = entry
-        out = [Record(key, adj_value)]
+        adj_rec = adj_records.get(key)
+        if adj_rec is None or adj_rec.value is not adj_value:
+            adj_rec = adj_records[key] = Record(key, adj_value)
+        out = [adj_rec]
         # one key and one value object per vertex: sent logs keep every
         # out-record
         if targets:

@@ -56,8 +56,8 @@ class JobConfig:
                      "iterations", "total_records"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
-        if self.avg_degree is not None and self.avg_degree <= 0:
-            raise ConfigError("avg_degree must be positive when set")
+        if self.avg_degree is not None and not 0 < self.avg_degree < float("inf"):
+            raise ConfigError("avg_degree must be positive and finite when set")
         if self.benchmark == "rmat":
             rmat_scale(self.vertices_per_pe * self.p)
         return self

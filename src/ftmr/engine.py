@@ -17,6 +17,11 @@ to completion.  The shuffle doubles as the fault-tolerance mechanism:
 Together the logs and shares let recovery rebuild any failed PE's inbox
 without checkpoints; see :mod:`ftmr.recovery`.
 
+An iterative job sends the same key sequence from a PE step after step,
+so the shuffle keeps each sender's :class:`Route`, the layout of its key
+list under the current owner memo; while both are unchanged, payloads,
+sizes and share entries are gathered in C, with no per-record lookup.
+
 Failures are injected at the shuffle barrier: the exchange of the step
 completes (real failures are detected at the synchronization point), then
 the failed PEs lose all local state.  A run's delivery ledger is noted
@@ -27,12 +32,13 @@ from __future__ import annotations
 
 import gc
 import logging
+from array import array
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable, NamedTuple, Protocol
 
 from .core import ConfigError, PeId, Record, StepId, records_size
 from .metrics import ORIGINAL, RECOVERY, DeliveryLedger, Metrics
@@ -211,6 +217,33 @@ def map_phase(cluster: Cluster, map_fn: MapFn, step: StepId) -> None:
         pe.current_records = []
 
 
+class Route(NamedTuple):
+    """The layout of one sender's outbound key list under one owner memo."""
+
+    owners: Owners
+    keys: list[bytes]
+    # (dst, positions of its records, their key bytes), ascending dst
+    payloads: list[tuple[PeId, array, int]]
+    # position, dst and seq of each unit-internal record, in emission order
+    unit: tuple[array, array, array]
+
+
+def _route(owners: Owners, keys: list[bytes], group_of: tuple, gid: int) -> Route:
+    by_dst: defaultdict[PeId, list[int]] = defaultdict(list)
+    for pos, dst in enumerate(map(owners.__getitem__, keys)):
+        by_dst[dst].append(pos)
+    payloads = [
+        (dst, array("I", by_dst[dst]), sum(map(len, map(keys.__getitem__, by_dst[dst]))))
+        for dst in sorted(by_dst)
+    ]
+    internal = sorted(
+        (pos, dst, seq) for dst, positions in by_dst.items() if group_of[dst] == gid
+        for seq, pos in enumerate(positions)
+    )
+    return Route(owners, keys, payloads,
+                 tuple(array("I", map(itemgetter(i), internal)) for i in range(3)))
+
+
 def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
     """Route outbound records to their hash-range owners.
 
@@ -230,25 +263,31 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
     owners = cluster.owners
     known = len(owners)
     manifest = cluster.step_history[step].backup_manifest
+    routes, cluster.routes = cluster.routes, {}
     records = network_bytes = self_bytes = 0
 
     for src in sorted(cluster.live):
         pe = cluster.pes[src]
         outbound, pe.outbound = pe.outbound, []
         records += len(outbound)
-        routed: defaultdict[PeId, list[Record]] = defaultdict(list)
-        for rec in outbound:
-            routed[owners[rec.key]].append(rec)
-        payloads = {dst: routed[dst] for dst in sorted(routed)}
         src_gid = group_of[src]
-        unit = []
-        for dst, payload in payloads.items():
-            size = records_size(payload)
+        keys = list(map(itemgetter(0), outbound))
+        before = len(owners)
+        route = routes.get(src)
+        if route is None or route.owners is not owners or route.keys != keys:
+            route = _route(owners, keys, group_of, src_gid)
+        # kept unless every key was new to the memo (a reused route adds none)
+        if len(owners) - before < len(keys):
+            cluster.routes[src] = route
+        gather = outbound.__getitem__
+        payloads = {}
+        for dst, positions, key_bytes in route.payloads:
+            payload = payloads[dst] = list(map(gather, positions))
+            size = key_bytes + sum(map(len, map(itemgetter(1), payload)))
             if dst != src:
                 network_bytes += size
             if group_of[dst] == src_gid:
                 self_bytes += size
-                unit.append(dst)
         if fault_tolerant:
             pe.sent_log[step] = payloads
         for dst, payload in payloads.items():
@@ -265,7 +304,8 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
             )
             continue
         manifest[src] = targets
-        entries = _unit_entries(src, unit, outbound, owners)
+        positions, dsts, seqs = route.unit
+        entries = list(zip(repeat(src), dsts, seqs, map(gather, positions)))
         for k, (target, share) in enumerate(split_self_message(entries, targets)):
             store = cluster.pes[target].backup_store.setdefault(step, {})
             store[(src, k)] = share
@@ -277,26 +317,6 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
     sm.records += records
     sm.network_bytes += network_bytes
     sm.self_bytes += self_bytes
-
-
-def _unit_entries(
-    src: PeId, unit: list[PeId], outbound: list[Record], owners: Owners
-) -> list[tuple[PeId, PeId, int, Record]]:
-    """``(src, dst, seq, record)`` for each record ``src`` sent inside its
-    failure unit, in emission order across the unit's destinations.
-
-    ``seq`` is the record's index in its payload; the order decides which
-    share each record lands in.  Only unit-internal records are visited
-    in Python; their owners come from one C-level pass.
-    """
-    dsts = list(map(owners.__getitem__, map(itemgetter(0), outbound)))
-    seqs = dict.fromkeys(unit, 0)
-    entries = []
-    for dst, rec in compress(zip(dsts, outbound), map(seqs.__contains__, dsts)):
-        seq = seqs[dst]
-        entries.append((src, dst, seq, rec))
-        seqs[dst] = seq + 1
-    return entries
 
 
 def group_entries(inbox: dict[PeId, list[Record]]) -> list[tuple[bytes, list[bytes]]]:
@@ -463,6 +483,8 @@ class Cluster:
         # owner memo of the current partition map (the map is owners.pm);
         # recovery installs the next map's memo
         self.owners = Owners(initial_partition(p))
+        # sender -> its route under owners (see shuffle); recovery drops them
+        self.routes: dict[PeId, Route] = {}
         # newest shuffle that was a recovery point; 0 means the input
         self.recovery_point: StepId = 0
         # step -> its record, from the recovery point on (gc_logs)

@@ -115,7 +115,9 @@ class Owners(dict):
     memo is kept only while keys repeat: after a shuffle in which every
     routed record brought a key the memo had not seen, the shuffle
     empties it, so single-pass traffic over distinct keys holds no more
-    memory than before the shuffle.
+    memory than before the shuffle.  The shuffle's per-sender routes
+    (:class:`ftmr.engine.Route`) follow the same rule; each is valid only
+    under the memo it was built with, and recovery drops them all.
     """
 
     def __init__(self, pm: PartitionMap):

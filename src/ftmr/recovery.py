@@ -210,6 +210,7 @@ def recover(cluster: Cluster, event: FailureEvent) -> None:
         )
     )
     cluster.owners = owners_new
+    cluster.routes = {}
     logger.info(
         "recovered PEs %s at step %d from recovery point %d "
         "(%d records recomputed, %d bytes re-sent)",

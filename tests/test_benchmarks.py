@@ -271,8 +271,8 @@ def test_pagerank_map_decodes_each_adjacency_once():
     for rec in [*job.source.fn(0), dangling, parallel]:
         first, second = spec.map_fn(rec), spec.map_fn(rec)
         assert first == second == _decoded_map(rec, n)
-        # the adjacency record re-sends one value object
-        assert first[0].value is second[0].value
+        # the adjacency record is re-sent as one object
+        assert first[0] is second[0]
     # a later step's record with the same adjacency and a new score
     moved = Record(U64.pack(1), b"c" + F64.pack(0.125) + parallel.value[9:])
     assert spec.map_fn(moved) == _decoded_map(moved, n)

@@ -113,11 +113,17 @@ def test_config_errors_exit_2(tmp_path, capsys):
          "failure event at step 3 fails already-dead PEs [1]"),
         (["--benchmark", "rmat", "-p", "4", "--vertices-per-pe", "2"],
          "120 edges cannot be distinct over 36 vertex pairs"),
+        (["--benchmark", "pagerank", "-p", "2", "--vertices-per-pe", "4",
+          "--iterations", "1", "--avg-degree", "inf"],
+         "avg_degree must be positive and finite when set"),
+        (["--benchmark", "pagerank", "-p", "2", "--vertices-per-pe", "4",
+          "--iterations", "1", "--avg-degree", "nan"],
+         "avg_degree must be positive and finite when set"),
     ],
     ids=["p0", "backup-mode", "interval", "group-divides", "group-spans",
          "unknown-pe", "unknown-pe-late", "rmat-vertices", "rmat-one-vertex",
          "dead-pe-again",
-         "rmat-edges"],
+         "rmat-edges", "degree-inf", "degree-nan"],
 )
 def test_config_error_lines(flags, last_line, capsys):
     argv = ["run", "--benchmark", "wordcount", "--words-per-pe", "50", *flags]

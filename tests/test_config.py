@@ -86,11 +86,19 @@ def test_from_text_errors_carry_line_numbers(text, fragment):
         (dict(words_per_pe=-1), "must be positive"),
         (dict(avg_degree=0.0), "avg_degree must be positive"),
         (dict(benchmark="rmat", vertices_per_pe=100), "power-of-two"),
+        (dict(avg_degree=float("inf")), "positive and finite"),
+        (dict(avg_degree=float("nan")), "positive and finite"),
     ],
 )
 def test_validate_rejects(kwargs, fragment):
     with pytest.raises(ConfigError, match=fragment):
         JobConfig(**kwargs).validate()
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan", "Infinity"])
+def test_from_text_rejects_a_non_finite_degree(text):
+    with pytest.raises(ConfigError, match="avg_degree must be positive and finite"):
+        JobConfig.from_text(f"benchmark = pagerank\navg_degree = {text}\n")
 
 
 def test_group_spanning_cluster_allowed_with_backup_off():

@@ -1,5 +1,6 @@
 """Fault-free engine behavior: stepping, shuffling, logs, determinism."""
 
+import dataclasses
 import gc
 import random
 import weakref
@@ -137,6 +138,62 @@ def test_owner_memo_dropped_after_distinct_keys(job):
     assert cluster.step()
     assert cluster.metrics.steps[0].records > 0
     assert len(cluster.owners) == 0
+    # no key repeated, so no sender's route is kept either
+    assert cluster.routes == {}
+
+
+def test_routes_dropped_by_recovery_and_rebuilt_under_the_new_memo():
+    config = dataclasses.replace(PAGERANK_32, iterations=4)
+    cluster = Cluster(build_job(config), 4, failure_plan=parse_failure_spec("3:1"))
+    assert cluster.step()
+    # step 1 sends in ingest order and step 2 in the reduce's key order
+    assert cluster.step()
+    routes = dict(cluster.routes)
+    assert set(routes) == {0, 1, 2, 3}
+    old = cluster.owners
+    assert all(route.owners is old for route in routes.values())
+    # recovery from the step-3 failure installs a new memo and drops
+    # every route
+    assert cluster.step()
+    assert cluster.owners is not old
+    assert cluster.routes == {}
+    # the next shuffle routes the survivors under the new memo
+    assert cluster.step()
+    assert set(cluster.routes) == cluster.live == {0, 2, 3}
+    assert all(route.owners is cluster.owners for route in cluster.routes.values())
+
+
+@pytest.mark.parametrize("config", [
+    JobConfig(benchmark="pagerank", p=8, seed=6, vertices_per_pe=8, iterations=5),
+    JobConfig(benchmark="pagerank", p=8, seed=6, vertices_per_pe=8, iterations=5,
+              group_size=2),
+    JobConfig(benchmark="cc", p=8, seed=6, vertices_per_pe=16, group_size=2),
+], ids=["pagerank", "pagerank-groups", "cc-groups"])
+def test_reused_routes_shuffle_like_fresh_ones(config):
+    def cluster():
+        return Cluster(build_job(config), config.p, group_size=config.group_size,
+                       ledger=DeliveryLedger())
+
+    kept, fresh = cluster(), cluster()
+    reused = 0
+    while True:
+        before = dict(kept.routes)
+        fresh.routes = {}
+        stepped = kept.step()
+        assert fresh.step() == stepped
+        if not stepped:
+            break
+        reused += sum(kept.routes.get(src) is route for src, route in before.items())
+        for a, b in zip(kept.pes, fresh.pes):
+            assert (a.sent_log, a.backup_store) == (b.sent_log, b.backup_store)
+            assert a.current_records == b.current_records
+        step = kept.steps_run
+        assert (kept.step_history[step].backup_manifest
+                == fresh.step_history[step].backup_manifest)
+        assert kept.metrics.steps[-1] == fresh.metrics.steps[-1]
+    # the ledger holds every inbox, sender lists in delivery order
+    assert kept.ledger.deliveries == fresh.ledger.deliveries
+    assert reused > 0 if config.benchmark == "pagerank" else reused == 0
 
 
 def test_owner_memo_kept_when_keys_repeat():
@@ -194,36 +251,65 @@ def shuffle_setups(draw):
         draw(st.lists(st.builds(Record, field, field), max_size=12))
         for _ in range(p)
     ]
-    return p, mode, group_size, draw(st.booleans()), outbound
+    # the next step's outbound: the same keys (a route hit, with the same
+    # or new values), the same records permuted, or new records
+    change = draw(st.sampled_from(["same", "revalued", "permuted", "new"]))
+    if change == "same":
+        again = outbound
+    elif change == "revalued":
+        again = [[Record(key, draw(field)) for key, _ in recs] for recs in outbound]
+    elif change == "permuted":
+        again = [draw(st.permutations(recs)) for recs in outbound]
+    else:
+        again = [
+            draw(st.lists(st.builds(Record, field, field), max_size=12))
+            for _ in range(p)
+        ]
+    return p, mode, group_size, draw(st.booleans()), outbound, again
+
+
+def check_shuffle(cluster, step, mode, is_rp, outbound):
+    cluster.step_history[step] = StepRecord(spec=identity_spec(), owners=cluster.owners)
+    for pe, records in zip(cluster.pes, outbound):
+        pe.outbound = list(records)
+        pe.inbox = {}
+    shuffle(cluster, step, is_rp)
+    want = naive_shuffle(cluster.owners.pm, cluster.group_of, mode, is_rp, outbound)
+    sm = cluster.metrics.step_metrics(step)
+    assert sm.records == sum(map(len, outbound))
+    assert (sm.network_bytes, sm.self_bytes) == (want["network"], want["self"])
+    assert sm.backup_bytes == want["backup"]
+    assert sm.backup_received == want["received"]
+    assert cluster.step_history[step].backup_manifest == want["manifest"]
+    assert {
+        i: pe.sent_log[step] for i, pe in enumerate(cluster.pes) if step in pe.sent_log
+    } == want["logs"]
+    assert {i: pe.inbox for i, pe in enumerate(cluster.pes)} == want["inboxes"]
+    assert {
+        i: pe.backup_store[step] for i, pe in enumerate(cluster.pes)
+        if step in pe.backup_store
+    } == want["stores"]
+    assert all(pe.outbound == [] for pe in cluster.pes)
 
 
 @settings(max_examples=200)
 @given(shuffle_setups())
 def test_shuffle_matches_a_per_record_reference(setup):
-    p, mode, group_size, is_rp, outbound = setup
+    p, mode, group_size, is_rp, outbound, again = setup
     cluster = Cluster(Job(RecordSource(lambda pe: []), ListDriver([])), p,
                       backup_mode=mode, group_size=group_size)
-    cluster.step_history[1] = StepRecord(spec=identity_spec(), owners=cluster.owners)
-    for pe, records in zip(cluster.pes, outbound):
-        pe.outbound = list(records)
-    shuffle(cluster, 1, is_rp)
-    want = naive_shuffle(cluster.owners.pm, cluster.group_of, mode, is_rp, outbound)
+    check_shuffle(cluster, 1, mode, is_rp, outbound)
     # the owner memo keeps its keys only when some key repeated
     keys = [rec.key for records in outbound for rec in records]
     repeated = len(set(keys)) < len(keys)
     assert len(cluster.owners) == (len(set(keys)) if repeated else 0)
-    sm = cluster.metrics.step_metrics(1)
-    assert sm.records == sum(map(len, outbound))
-    assert (sm.network_bytes, sm.self_bytes) == (want["network"], want["self"])
-    assert sm.backup_bytes == want["backup"]
-    assert sm.backup_received == want["received"]
-    assert cluster.step_history[1].backup_manifest == want["manifest"]
-    assert {i: pe.sent_log[1] for i, pe in enumerate(cluster.pes) if pe.sent_log} == want["logs"]
-    assert {i: pe.inbox for i, pe in enumerate(cluster.pes)} == want["inboxes"]
-    assert {
-        i: pe.backup_store[1] for i, pe in enumerate(cluster.pes) if pe.backup_store
-    } == want["stores"]
-    assert all(pe.outbound == [] for pe in cluster.pes)
+    # a second shuffle on the same cluster reuses a kept route when the
+    # sender's keys are unchanged and builds a new one otherwise
+    routes = dict(cluster.routes)
+    check_shuffle(cluster, 2, mode, is_rp, again)
+    for src, route in routes.items():
+        same_keys = [rec.key for rec in again[src]] == route.keys
+        assert (cluster.routes.get(src) is route) == same_keys
 
 
 # -- grouping -----------------------------------------------------------
