@@ -59,6 +59,19 @@ def _parse_interval(text: str):
         )
 
 
+def _number(kind: type, text: str, what: str):
+    """``kind(text)``; a text that is no such number names ``what``."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{what} must be {noun}, got {text!r}") from None
+
+
+def _env_seed() -> int:
+    return _number(int, os.environ.get("FTMR_SEED", "0"), "FTMR_SEED")
+
+
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", type=Path, help="key = value config file to start from")
     sub.add_argument("--benchmark", help="wordcount | rmat | cc | pagerank | uniform")
@@ -91,7 +104,7 @@ def _resolve_config(args: argparse.Namespace) -> JobConfig:
         if value is not None:
             setattr(config, f.name, value)
     if args.seed is None and args.config is None:
-        config.seed = int(os.environ.get("FTMR_SEED", "0"))
+        config.seed = _env_seed()
     return config.validate()
 
 
@@ -99,7 +112,7 @@ def _resolve_plan(args: argparse.Namespace, config: JobConfig) -> FailurePlan | 
     if not args.failures:
         return None
     if args.failures.startswith("random:"):
-        fraction = float(args.failures.split(":", 1)[1])
+        fraction = _number(float, args.failures[len("random:"):], "the random: fraction")
         return random_failure_plan(
             config.p,
             config.seed,
@@ -167,15 +180,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     steps = None
     if args.steps:
-        steps = [int(s) for s in args.steps.split(",")]
+        steps = [_number(int, s, "a --steps entry") for s in args.steps.split(",")]
     result = sweep_failures(config, steps=steps)
     print(result.describe())
     return EXIT_OK if result.ok else EXIT_VERIFY
 
 
 def cmd_overhead(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else int(os.environ.get("FTMR_SEED", "0"))
-    p_list = [int(x) for x in args.p_list.split(",")]
+    seed = args.seed if args.seed is not None else _env_seed()
+    p_list = [_number(int, x, "a --p-list entry") for x in args.p_list.split(",")]
     if any(p < 2 for p in p_list):
         raise ConfigError("overhead needs p >= 2 (a lone PE has no peers)")
     if args.seeds < 1:

@@ -11,16 +11,16 @@ to completion.  The shuffle doubles as the fault-tolerance mechanism:
   destination, until the log is older than the newest recovery point;
 * at recovery-point steps, records that never leave their failure unit
   (self-messages, plus intra-group traffic when failure groups are
-  configured) are additionally copied to peer PEs, split round-robin so
-  no peer carries more than one share.
+  configured) are additionally copied to peer PEs, cut into shares by
+  :func:`unit_entries` so no peer carries more than one share.
 
 Together the logs and shares let recovery rebuild any failed PE's inbox
 without checkpoints; see :mod:`ftmr.recovery`.
 
 An iterative job sends the same key sequence from a PE step after step,
 so the shuffle keeps each sender's :class:`Route`, the layout of its key
-list under the current owner memo; while both are unchanged, payloads,
-sizes and share entries are gathered in C, with no per-record lookup.
+list under the current owner memo; while both are unchanged, payloads
+and their sizes are gathered in C, with no per-record lookup.
 
 Failures are injected at the shuffle barrier: the exchange of the step
 completes (real failures are detected at the synchronization point), then
@@ -36,7 +36,7 @@ from array import array
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, count, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Protocol
 
@@ -224,24 +224,29 @@ class Route(NamedTuple):
     keys: list[bytes]
     # (dst, positions of its records, their key bytes), ascending dst
     payloads: list[tuple[PeId, array, int]]
-    # position, dst and seq of each unit-internal record, in emission order
-    unit: tuple[array, array, array]
 
 
-def _route(owners: Owners, keys: list[bytes], group_of: tuple, gid: int) -> Route:
+def _route(owners: Owners, keys: list[bytes]) -> Route:
     by_dst: defaultdict[PeId, list[int]] = defaultdict(list)
     for pos, dst in enumerate(map(owners.__getitem__, keys)):
         by_dst[dst].append(pos)
-    payloads = [
+    return Route(owners, keys, [
         (dst, array("I", by_dst[dst]), sum(map(len, map(keys.__getitem__, by_dst[dst]))))
         for dst in sorted(by_dst)
-    ]
-    internal = sorted(
-        (pos, dst, seq) for dst, positions in by_dst.items() if group_of[dst] == gid
-        for seq, pos in enumerate(positions)
-    )
-    return Route(owners, keys, payloads,
-                 tuple(array("I", map(itemgetter(i), internal)) for i in range(3)))
+    ])
+
+
+def unit_entries(src: PeId, payloads: dict[PeId, list[Record]], group_of: tuple) -> list:
+    """Backup entries ``(src, dst, seq, record)``, one per record ``src``
+    sent inside its failure unit, by ascending ``dst``, then as sent.
+    Share k of ``n`` is ``entries[k::n]``, cut by the shuffle from the
+    payloads it logs and re-cut by recovery from the origin's sent log.
+    """
+    gid = group_of[src]
+    return list(chain.from_iterable(
+        zip(repeat(src), repeat(dst), count(), payloads[dst])
+        for dst in sorted(payloads) if group_of[dst] == gid
+    ))
 
 
 def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
@@ -275,14 +280,13 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
         before = len(owners)
         route = routes.get(src)
         if route is None or route.owners is not owners or route.keys != keys:
-            route = _route(owners, keys, group_of, src_gid)
+            route = _route(owners, keys)
         # kept unless every key was new to the memo (a reused route adds none)
         if len(owners) - before < len(keys):
             cluster.routes[src] = route
-        gather = outbound.__getitem__
         payloads = {}
         for dst, positions, key_bytes in route.payloads:
-            payload = payloads[dst] = list(map(gather, positions))
+            payload = payloads[dst] = list(map(outbound.__getitem__, positions))
             size = key_bytes + sum(map(len, map(itemgetter(1), payload)))
             if dst != src:
                 network_bytes += size
@@ -304,8 +308,7 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
             )
             continue
         manifest[src] = targets
-        positions, dsts, seqs = route.unit
-        entries = list(zip(repeat(src), dsts, seqs, map(gather, positions)))
+        entries = unit_entries(src, payloads, group_of)
         for k, (target, share) in enumerate(split_self_message(entries, targets)):
             store = cluster.pes[target].backup_store.setdefault(step, {})
             store[(src, k)] = share
@@ -483,7 +486,7 @@ class Cluster:
         # owner memo of the current partition map (the map is owners.pm);
         # recovery installs the next map's memo
         self.owners = Owners(initial_partition(p))
-        # sender -> its route under owners (see shuffle); recovery drops them
+        # sender -> its route (see shuffle), rebuilt when built under another memo
         self.routes: dict[PeId, Route] = {}
         # newest shuffle that was a recovery point; 0 means the input
         self.recovery_point: StepId = 0

@@ -117,7 +117,8 @@ class Owners(dict):
     empties it, so single-pass traffic over distinct keys holds no more
     memory than before the shuffle.  The shuffle's per-sender routes
     (:class:`ftmr.engine.Route`) follow the same rule; each is valid only
-    under the memo it was built with, and recovery drops them all.
+    under the memo it was built with, and the shuffle rebuilds one it
+    finds under another memo.
     """
 
     def __init__(self, pm: PartitionMap):

@@ -35,7 +35,7 @@ from itertools import repeat
 from operator import itemgetter
 
 from .core import PeId, Record, StepId, records_size
-from .engine import Cluster, JobError, group_entries
+from .engine import Cluster, JobError, group_entries, unit_entries
 from .metrics import RECOVERY, DeliveryLedger, RecoveryRecord
 from .partition import BackupMode, Owners, backup_targets, shrink_partition
 
@@ -210,7 +210,6 @@ def recover(cluster: Cluster, event: FailureEvent) -> None:
         )
     )
     cluster.owners = owners_new
-    cluster.routes = {}
     logger.info(
         "recovered PEs %s at step %d from recovery point %d "
         "(%d records recomputed, %d bytes re-sent)",
@@ -272,8 +271,8 @@ def _share_entries(cluster: Cluster, r: StepId, failed: set[PeId]) -> _Chain:
                 f"no backup shares were stored for PE {origin} at "
                 f"recovery point {r}"
             )
-        # (dst, seq, holder, record); shares hold slices of the payloads,
-        # repaired ones in any order, so sort back into emission order
+        # (dst, seq, holder, record); share k is every n-th entry from
+        # the k-th on (see unit_entries), so sort back into that order
         collected: list[tuple[PeId, int, PeId, Record]] = []
         for idx, target in enumerate(manifest):
             if target not in cluster.live:
@@ -287,10 +286,8 @@ def _share_entries(cluster: Cluster, r: StepId, failed: set[PeId]) -> _Chain:
                     f"backup share {idx} of PE {origin} at step {r} is missing "
                     f"on PE {target}"
                 )
-            for _src, dst, seq, rec in share:
-                if dst in failed:
-                    collected.append((dst, seq, target, rec))
-        collected.sort(key=lambda e: (e[0], e[1]))
+            collected.extend((d, s, target, rec) for _, d, s, rec in share if d in failed)
+        collected.sort(key=itemgetter(0, 1))
         chain[origin] = [(holder, rec) for (_dst, _seq, holder, rec) in collected]
     return chain
 
@@ -382,11 +379,11 @@ def _repair_shares(cluster: Cluster, r: StepId, failed: set[PeId]) -> int:
     """Re-create backup shares the failed PEs were holding for survivors.
 
     A share's origin keeps the authoritative copy of its unit-internal
-    traffic in its own sent log, so the lost share's content is the
-    origin's logged internal records minus whatever the surviving shares
-    still cover.  Re-storing it on a live peer keeps the origin
-    recoverable if it fails before the next recovery point.  Returns the
-    bytes shipped to the new holders.
+    traffic in its own sent log, so a lost share k is re-cut from that
+    log exactly as the shuffle cut it (:func:`unit_entries`).  Re-storing
+    it on a live peer keeps the origin recoverable if it fails before
+    the next recovery point.  Returns the bytes shipped to the new
+    holders.
     """
     if r == 0:
         return 0
@@ -399,22 +396,6 @@ def _repair_shares(cluster: Cluster, r: StepId, failed: set[PeId]) -> int:
         lost = [k for k, target in enumerate(manifest) if target in failed]
         if not lost:
             continue
-        gid = cluster.group_of[origin]
-        full: dict[tuple[PeId, int], Record] = {}
-        for dst, payload in cluster.pes[origin].sent_log.get(r, {}).items():
-            if cluster.group_of[dst] == gid:
-                for seq, rec in enumerate(payload):
-                    full[(dst, seq)] = rec
-        covered: set[tuple[PeId, int]] = set()
-        for idx, target in enumerate(manifest):
-            if target in failed:
-                continue
-            share = cluster.pes[target].backup_store.get(r, {}).get((origin, idx), ())
-            covered.update((dst, seq) for (_src, dst, seq, _rec) in share)
-        missing = [
-            (origin, dst, seq, full[(dst, seq)])
-            for (dst, seq) in sorted(full.keys() - covered)
-        ]
         eligible = backup_targets(
             origin, cluster.live, cluster.backup_mode, cluster.group_of
         )
@@ -427,12 +408,13 @@ def _repair_shares(cluster: Cluster, r: StepId, failed: set[PeId]) -> int:
             # the manifest still names the dead holders, so a later
             # failure of the origin refuses instead of using partial shares
             continue
+        entries = unit_entries(origin, cluster.pes[origin].sent_log[r], cluster.group_of)
         # the lost slots are refilled in place, off the surviving holders
         # while any eligible peer holds none
         fresh = [t for t in eligible if t not in manifest] or eligible
         for j, idx in enumerate(lost):
             target = manifest[idx] = fresh[j % len(fresh)]
-            share = missing[j :: len(lost)]
+            share = entries[idx :: len(manifest)]
             cluster.pes[target].backup_store.setdefault(r, {})[(origin, idx)] = share
             shipped += records_size(map(itemgetter(3), share))
     return shipped

@@ -192,6 +192,34 @@ def test_sweep_step_subset(capsys):
     assert "swept 8 single-failure runs" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv, env_seed, last_line",
+    [
+        (["run", *WC[:4]], "abc", "FTMR_SEED must be an integer, got 'abc'"),
+        (["overhead", "--p-list", "4"], "abc",
+         "FTMR_SEED must be an integer, got 'abc'"),
+        (["sweep", *WC[:4], "--steps", "1,abc"], None,
+         "a --steps entry must be an integer, got 'abc'"),
+        (["run", *WC, "--failures", "random:abc"], None,
+         "the random: fraction must be a number, got 'abc'"),
+        (["overhead", "--p-list", "4,x"], None,
+         "a --p-list entry must be an integer, got 'x'"),
+    ],
+    ids=["seed-env-run", "seed-env-overhead", "sweep-steps", "random-fraction",
+         "p-list"],
+)
+def test_outside_input_errors_name_the_input(argv, env_seed, last_line,
+                                             monkeypatch, capsys):
+    if env_seed is None:
+        monkeypatch.delenv("FTMR_SEED", raising=False)
+    else:
+        monkeypatch.setenv("FTMR_SEED", env_seed)
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: {last_line}\n"
+
+
 def test_sweep_step_past_the_job_is_a_config_error(capsys):
     argv = ["sweep", "--benchmark", "wordcount", "-p", "4", "--seed", "2",
             "--words-per-pe", "200", "--steps", "1,2"]

@@ -142,7 +142,7 @@ def test_owner_memo_dropped_after_distinct_keys(job):
     assert cluster.routes == {}
 
 
-def test_routes_dropped_by_recovery_and_rebuilt_under_the_new_memo():
+def test_routes_rebuilt_under_the_new_memo_after_recovery():
     config = dataclasses.replace(PAGERANK_32, iterations=4)
     cluster = Cluster(build_job(config), 4, failure_plan=parse_failure_spec("3:1"))
     assert cluster.step()
@@ -152,12 +152,10 @@ def test_routes_dropped_by_recovery_and_rebuilt_under_the_new_memo():
     assert set(routes) == {0, 1, 2, 3}
     old = cluster.owners
     assert all(route.owners is old for route in routes.values())
-    # recovery from the step-3 failure installs a new memo and drops
-    # every route
+    # recovery from the step-3 failure installs a new memo; the next
+    # shuffle rebuilds the survivors' routes under it and drops PE 1's
     assert cluster.step()
     assert cluster.owners is not old
-    assert cluster.routes == {}
-    # the next shuffle routes the survivors under the new memo
     assert cluster.step()
     assert set(cluster.routes) == cluster.live == {0, 2, 3}
     assert all(route.owners is cluster.owners for route in cluster.routes.values())
@@ -211,7 +209,6 @@ def naive_shuffle(pm, group_of, backup_mode, is_rp, outbound):
     internal = {}
     for src in range(p):
         payloads = {}
-        internal[src] = []
         for rec in outbound[src]:
             dst = pm.owner_of(hash_key(rec.key))
             payloads.setdefault(dst, []).append(rec)
@@ -219,7 +216,13 @@ def naive_shuffle(pm, group_of, backup_mode, is_rp, outbound):
                 want["network"] += rec.size
             if group_of[dst] == group_of[src]:
                 want["self"] += rec.size
-                internal[src].append((src, dst, len(payloads[dst]) - 1, rec))
+        # the unit-internal records in send-log order: by destination,
+        # then in payload order
+        internal[src] = [
+            (src, dst, seq, rec)
+            for dst in sorted(payloads) if group_of[dst] == group_of[src]
+            for seq, rec in enumerate(payloads[dst])
+        ]
         if backup_mode is not BackupMode.OFF:
             want["logs"][src] = payloads
         for dst, payload in payloads.items():

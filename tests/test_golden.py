@@ -29,11 +29,11 @@ SCALES = {
 }
 
 DIGESTS = {
-    "wordcount": "dc11fb135eba400b63b030d50b140e93b6ac15cb5f08cc800fc8e86a09ba38ba",
-    "rmat": "38b18c5c52cbffc48c76dafda8f1eea8f4cc68e442a6eda9aa7088b5c8bf7a4b",
-    "cc": "bbc72d61ca44f9e4351f8c6216610867247cc9ea7d79ba757e3da4f66b0214b9",
-    "pagerank": "0c2e2441a992fcf811da5b00641afb467f94e2d783b84861970d717d8581d4d8",
-    "uniform": "84bb71da14b35ee56428e5bee957ea6bbb2bcc59a143a4999a8c2a5cfb790663",
+    "wordcount": "039854a5a2b9e5db87040fc46a59cc8ea75ba29b9aa1481568e73c8d89727794",
+    "rmat": "cfac7b51258c47c8fc2d0ca9a9b3c1720cf85f7192bf1ace0277e6eba966e507",
+    "cc": "f1df850cf43eb60d04ec67e198bf8d44b4a72ef321bd29b41c078553616d699e",
+    "pagerank": "fa9cd9114a3cd4f90098e363e861619958eaaef99be3065acebde8ce403feeba",
+    "uniform": "670c7664b3008b5f92e3e63122847f3136a644e109781068ec9dfea680650215",
 }
 
 

@@ -16,6 +16,7 @@ from ftmr.engine import (
     RecordSource,
     StepSpec,
     run_job,
+    unit_entries,
 )
 from ftmr.harness import (
     FailurePlan,
@@ -319,9 +320,75 @@ def test_repaired_manifest_names_live_holders():
     manifest = cluster.step_history[r].backup_manifest
     for origin in sorted(cluster.live):
         assert len(manifest[origin]) == 3
+        entries = unit_entries(origin, cluster.pes[origin].sent_log[r], cluster.group_of)
         for k, holder in enumerate(manifest[origin]):
             assert holder in cluster.live
-            assert (origin, k) in cluster.pes[holder].backup_store[r]
+            # a repaired share holds the same slice as the one it replaces
+            assert cluster.pes[holder].backup_store[r][(origin, k)] == entries[k::3]
+
+
+def assert_shares_follow_send_logs(cluster) -> set:
+    """Check that every share a live PE keeps for a live origin is its
+    slice of the origin's send log; return the slots checked."""
+    checked = set()
+    for holder in sorted(cluster.live):
+        for r, store in cluster.pes[holder].backup_store.items():
+            manifest = cluster.step_history[r].backup_manifest
+            for (origin, k), share in store.items():
+                if origin not in cluster.live:
+                    continue
+                entries = unit_entries(
+                    origin, cluster.pes[origin].sent_log[r], cluster.group_of
+                )
+                assert manifest[origin][k] == holder
+                assert share == entries[k :: len(manifest[origin])]
+                checked.add((r, origin, k))
+    return checked
+
+
+@pytest.mark.parametrize("interval, plan", [
+    (1, "1:{0};3:{1}"), (1, "2:{1};3:{2}"), (3, "2:{0};4:{1}"), (3, "1:{0};5:{2}"),
+])
+@pytest.mark.parametrize("backup", ["split", "single"])
+@pytest.mark.parametrize("p, group_size", [(4, 1), (8, 2)], ids=["p4-singles", "p8-pairs"])
+def test_every_share_is_its_slice_of_the_send_log(
+    p, group_size, backup, interval, plan, monkeypatch
+):
+    # both events kill holders of live origins' shares, so each recovery
+    # re-cuts some from the origins' send logs; after every step, every
+    # share kept for a live origin, repaired or not, is that origin's
+    # unit_entries slice
+    units = [
+        ",".join(map(str, range(u * group_size, (u + 1) * group_size)))
+        for u in range(p // group_size)
+    ]
+    spec = plan.format(units[0], units[1], units[-1])
+    config = JobConfig(
+        benchmark="pagerank", p=p, seed=3, vertices_per_pe=8, iterations=6,
+        group_size=group_size, recovery_point_interval=interval, backup_mode=backup,
+    )
+    repaired = []
+    repair = ftmr.recovery._repair_shares
+
+    def spy(cluster, r, failed):
+        manifest = cluster.step_history[r].backup_manifest
+        repaired.append({
+            (r, origin, k) for origin in cluster.live
+            for k, holder in enumerate(manifest.get(origin, ())) if holder in failed
+        })
+        return repair(cluster, r, failed)
+
+    monkeypatch.setattr(ftmr.recovery, "_repair_shares", spy)
+    cluster = Cluster(build_job(config), p, backup_mode=backup,
+                      recovery_point_interval=interval, group_size=group_size,
+                      failure_plan=parse_failure_spec(spec))
+    checked = set()
+    while cluster.step():
+        checked |= assert_shares_follow_send_logs(cluster)
+    assert len(repaired) == 2 and all(repaired)
+    assert set().union(*repaired) <= checked
+    reference = run_simulation(config)
+    assert outputs_match(reference.outputs, cluster.result().outputs) == []
 
 
 def test_sequential_failures_input_only():
