@@ -13,6 +13,14 @@ Every generator derives a per-PE sub-seed with :func:`mix_seed`, so any
 single PE's input partition can be regenerated on its own; that is what
 input-replay recovery leans on.
 
+The generators draw exactly what ``random.Random.randrange`` and
+``getrandbits(64)`` would draw, with less Python per draw.  A uniform
+index below ``n`` is ``getrandbits(n.bit_length())``, redrawn while it is
+``>= n``: that is the rejection loop ``randrange`` runs for an int bound
+(``Random._randbelow_with_getrandbits``), inlined.  ``getrandbits(k)``
+fills 32-bit words least-significant first, so one draw of ``128 * c``
+bits is ``c`` consecutive pairs of ``getrandbits(64)`` draws.
+
 Typed encodings (little-endian) on top of the byte-record model:
 vertices are u64, counters u64, scores IEEE f64, edges pairs of u64.
 """
@@ -22,7 +30,7 @@ from __future__ import annotations
 import random
 import struct
 from functools import lru_cache
-from itertools import repeat
+from itertools import repeat, starmap
 from math import fsum
 from operator import itemgetter
 
@@ -33,6 +41,8 @@ from .partition import hash_key, mix_seed
 U64 = struct.Struct("<Q")
 F64 = struct.Struct("<d")
 PAIR = struct.Struct("<QQ")
+# an 8-byte key and an 8-byte value, cut from one packed buffer
+_KEY_VALUE = struct.Struct("8s8s")
 
 # Graph500 R-MAT quadrant probabilities (a, b, c, d).
 RMAT_GRAPH500 = (0.57, 0.19, 0.19, 0.05)
@@ -50,11 +60,19 @@ def gen_text(seed: int, n_words: int, dictionary: list[bytes]) -> list[Record]:
     """``n_words`` uniform draws from the dictionary, packed 8 per line."""
     if not dictionary:
         raise ValueError("empty dictionary")
-    rng = random.Random(seed)
-    words = [dictionary[rng.randrange(len(dictionary))] for _ in range(n_words)]
-    return [
-        Record(b"", b" ".join(words[i : i + 8])) for i in range(0, len(words), 8)
-    ]
+    getrandbits = random.Random(seed).getrandbits
+    size = len(dictionary)
+    k = size.bit_length()
+    words = []
+    append = words.append
+    for _ in range(n_words):
+        # rng.randrange(size), inlined
+        i = getrandbits(k)
+        while i >= size:
+            i = getrandbits(k)
+        append(dictionary[i])
+    lines = [b" ".join(words[i : i + 8]) for i in range(0, n_words, 8)]
+    return list(map(record_from_pair, zip(repeat(b""), lines)))
 
 
 def gen_gnm(seed: int, n: int, m: int) -> list[tuple[int, int]]:
@@ -62,14 +80,23 @@ def gen_gnm(seed: int, n: int, m: int) -> list[tuple[int, int]]:
     drawn with replacement."""
     if n < 2:
         raise ValueError("need at least two vertices")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
+    nv = n - 1
+    ku = n.bit_length()
+    kv = nv.bit_length()
     edges = []
+    append = edges.append
     for _ in range(m):
-        u = rng.randrange(n)
-        v = rng.randrange(n - 1)
+        # u = rng.randrange(n) and v = rng.randrange(n - 1), inlined
+        u = getrandbits(ku)
+        while u >= n:
+            u = getrandbits(ku)
+        v = getrandbits(kv)
+        while v >= nv:
+            v = getrandbits(kv)
         if v >= u:
             v += 1
-        edges.append((u, v))
+        append((u, v))
     return edges
 
 
@@ -345,9 +372,13 @@ def connected_components_job(
     def source(pe: int) -> list[Record]:
         lo = pe * n // p
         hi = (pe + 1) * n // p
-        records = [Record(U64.pack(v), _MARKER) for v in range(lo, hi)]
-        for u, v in gen_gnm(mix_seed(seed, pe), n, _per_pe_count(m, p, pe)):
-            records.append(Record(U64.pack(u), U64.pack(v)))
+        records = list(map(
+            record_from_pair, zip(map(U64.pack, range(lo, hi)), repeat(_MARKER))
+        ))
+        edges = gen_gnm(mix_seed(seed, pe), n, _per_pe_count(m, p, pe))
+        # an edge (u, v) packs to u's key and v's value, back to back
+        buf = b"".join(starmap(PAIR.pack, edges))
+        records += map(record_from_pair, _KEY_VALUE.iter_unpack(buf))
         return records
 
     return Job(RecordSource(source), _CcDriver())
@@ -385,21 +416,16 @@ def pagerank_job(
     m = round(avg_degree * n / 2)
     # one key object per vertex, shared by every record addressed to it
     vertex_keys = tuple(U64.pack(v) for v in range(n))
+    vertex_key = vertex_keys.__getitem__
 
     def source(pe: int) -> list[Record]:
         adj = _pagerank_adjacency(seed, n, m)
         lo = pe * n // p
         hi = (pe + 1) * n // p
-        init = F64.pack(1.0 / n)
-        return [
-            Record(
-                vertex_keys[v],
-                _TAG_COMBINED + init + b"".join(vertex_keys[w] for w in adj[v]),
-            )
-            for v in range(lo, hi)
-        ]
+        head = _TAG_COMBINED + F64.pack(1.0 / n)
+        values = [head + b"".join(map(vertex_key, out)) for out in adj[lo:hi]]
+        return list(map(record_from_pair, zip(vertex_keys[lo:hi], values)))
 
-    vertex_key = vertex_keys.__getitem__
     first = itemgetter(0)
     adj_tag = _TAG_ADJ[0]
     unpack_score = F64.unpack_from
@@ -470,12 +496,12 @@ def uniform_job(p: int, seed: int, *, total_records: int) -> Job:
     measure backup traffic against shuffle traffic."""
 
     def source(pe: int) -> list[Record]:
-        rng = random.Random(mix_seed(seed, pe))
-        return [
-            Record(rng.getrandbits(64).to_bytes(8, "little"),
-                   rng.getrandbits(64).to_bytes(8, "little"))
-            for _ in range(_per_pe_count(total_records, p, pe))
-        ]
+        # one draw per PE: record i's key and value are the i-th pair of
+        # getrandbits(64) draws, as little-endian bytes
+        count = _per_pe_count(total_records, p, pe)
+        bits = random.Random(mix_seed(seed, pe)).getrandbits(128 * count)
+        buf = bits.to_bytes(16 * count, "little")
+        return list(map(record_from_pair, _KEY_VALUE.iter_unpack(buf)))
 
     def map_fn(rec: Record) -> list[Record]:
         return [rec]

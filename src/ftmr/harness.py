@@ -53,7 +53,9 @@ class FailurePlan:
     def __post_init__(self):
         steps = [e.step for e in self.events]
         if len(set(steps)) != len(steps):
-            raise ValueError(f"multiple failure events share a step: {sorted(steps)}")
+            raise ConfigError(
+                f"multiple failure events share a step: {sorted(steps)}"
+            )
         object.__setattr__(
             self, "events", tuple(sorted(self.events, key=lambda e: e.step))
         )
@@ -72,12 +74,14 @@ def parse_failure_spec(text: str) -> FailurePlan:
             continue
         step_text, sep, pes_text = part.partition(":")
         if not sep:
-            raise ValueError(f"bad failure event {part!r}; want 'step:pe[,pe...]'")
+            raise ConfigError(f"bad failure event {part!r}; want 'step:pe[,pe...]'")
         try:
             step = int(step_text)
             pes = frozenset(int(x) for x in pes_text.split(","))
         except ValueError:
-            raise ValueError(f"bad failure event {part!r}; want 'step:pe[,pe...]'")
+            raise ConfigError(
+                f"bad failure event {part!r}; want 'step:pe[,pe...]'"
+            ) from None
         events.append(FailureEvent(step, pes))
     return FailurePlan(tuple(events))
 
@@ -97,17 +101,17 @@ def random_failure_plan(
     recoverable; steps are drawn from ``1 .. window``.
     """
     if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"failure fraction {fraction} not in [0, 1]")
+        raise ConfigError(f"failure fraction {fraction} not in [0, 1]")
     n_units = p // group_size
     k = round(fraction * n_units)
     if k == 0:
         return FailurePlan()
     if k >= n_units:
-        raise ValueError(
+        raise ConfigError(
             f"failing {k} of {n_units} units leaves no survivors"
         )
     if k > window:
-        raise ValueError(
+        raise ConfigError(
             f"{k} failure events do not fit in a {window}-step window"
         )
     rng = random.Random(mix_seed(seed, 0xFA17))

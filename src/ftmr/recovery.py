@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 
-from .core import PeId, Record, StepId, records_size
+from .core import ConfigError, PeId, Record, StepId, records_size
 from .engine import Cluster, JobError, group_entries, unit_entries
 from .metrics import RECOVERY, DeliveryLedger, RecoveryRecord
 from .partition import BackupMode, Owners, backup_targets, shrink_partition
@@ -52,9 +52,9 @@ class FailureEvent:
     def __post_init__(self):
         object.__setattr__(self, "failed", frozenset(self.failed))
         if self.step < 1:
-            raise ValueError("failures fire at MapReduce steps (step >= 1)")
+            raise ConfigError("failures fire at MapReduce steps (step >= 1)")
         if not self.failed:
-            raise ValueError("a failure event fails at least one PE")
+            raise ConfigError("a failure event fails at least one PE")
 
 
 class UnrecoverableFailure(RuntimeError):

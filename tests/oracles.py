@@ -5,10 +5,15 @@ Each oracle recomputes the expected answer from the same seeded inputs
 using a different algorithm than the engine path: plain counters for
 word count, union-find for components, dense numpy power iteration for
 PageRank.  None of them import the engine's map/reduce code.
+
+The reference generators draw the seeded inputs the plain way, one
+``randrange`` or ``getrandbits(64)`` call per number, as the generators
+in ``ftmr.benchmarks`` must reproduce them.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import numpy as np
@@ -21,7 +26,46 @@ from ftmr.benchmarks import (
     gen_gnm,
     gen_text,
 )
+from ftmr.core import Record
 from ftmr.partition import mix_seed
+
+
+# -- reference generators ----------------------------------------------
+
+
+def gen_text_reference(seed: int, n_words: int, dictionary: list[bytes]) -> list[Record]:
+    """``gen_text`` with one ``randrange`` per word."""
+    rng = random.Random(seed)
+    words = [dictionary[rng.randrange(len(dictionary))] for _ in range(n_words)]
+    return [Record(b"", b" ".join(words[i : i + 8])) for i in range(0, n_words, 8)]
+
+
+def gen_gnm_reference(seed: int, n: int, m: int) -> list[tuple[int, int]]:
+    """``gen_gnm`` with one ``randrange`` per endpoint."""
+    rng = random.Random(seed)
+    edges = []
+    for _ in range(m):
+        u = rng.randrange(n)
+        v = rng.randrange(n - 1)
+        if v >= u:
+            v += 1
+        edges.append((u, v))
+    return edges
+
+
+def uniform_reference(p: int, seed: int, total_records: int) -> list[list[Record]]:
+    """Every PE's ``uniform`` input: one ``getrandbits(64)`` per key and
+    one per value, as little-endian bytes."""
+    inputs = []
+    for pe in range(p):
+        rng = random.Random(mix_seed(seed, pe))
+        count = total_records // p + (1 if pe < total_records % p else 0)
+        inputs.append([
+            Record(rng.getrandbits(64).to_bytes(8, "little"),
+                   rng.getrandbits(64).to_bytes(8, "little"))
+            for _ in range(count)
+        ])
+    return inputs
 
 
 def wordcount_expected(p: int, seed: int, words_per_pe: int, dict_words: int) -> Counter:

@@ -27,7 +27,15 @@ from ftmr.config import ConfigError, JobConfig
 from ftmr.core import Record
 from ftmr.engine import Job, JobError, RecordSource, run_job
 from ftmr.harness import build_job, run_simulation
-from oracles import cc_expected, pagerank_expected, pagerank_scores, wordcount_expected
+from oracles import (
+    cc_expected,
+    gen_gnm_reference,
+    gen_text_reference,
+    pagerank_expected,
+    pagerank_scores,
+    uniform_reference,
+    wordcount_expected,
+)
 
 # -- generators ---------------------------------------------------------
 
@@ -58,6 +66,37 @@ def test_gen_gnm_bounds(seed, n, m):
         assert 0 <= u < n
         assert 0 <= v < n
         assert u != v
+
+
+# bounds at, below and above powers of two, and one past 2**32, whose
+# draws span two 32-bit words
+DRAW_BOUNDS = [2, 3, 255, 256, 257, 512, 1000, 2**32 + 1]
+
+
+@pytest.mark.parametrize("n", DRAW_BOUNDS)
+@pytest.mark.parametrize("m", [0, 1, 500])
+def test_gen_gnm_draws_what_randrange_draws(n, m):
+    for seed in (0, 1, 7, 2**40 + 3):
+        assert gen_gnm(seed, n, m) == gen_gnm_reference(seed, n, m)
+
+
+@pytest.mark.parametrize("size", [1, *DRAW_BOUNDS[:-1]])
+@pytest.mark.parametrize("n_words", [0, 1, 500])
+def test_gen_text_draws_what_randrange_draws(size, n_words):
+    dictionary = default_dictionary(size)
+    for seed in (0, 1, 7, 2**40 + 3):
+        assert gen_text(seed, n_words, dictionary) == gen_text_reference(
+            seed, n_words, dictionary
+        )
+
+
+@pytest.mark.parametrize("p, total", [(1, 0), (1, 1), (1, 101), (4, 0), (4, 1), (4, 103)])
+def test_uniform_draws_what_getrandbits_64_draws(p, total):
+    for seed in (0, 1, 7):
+        job = uniform_job(p, seed, total_records=total)
+        assert [job.source.fn(pe) for pe in range(p)] == uniform_reference(
+            p, seed, total
+        )
 
 
 def test_gen_gnm_requires_two_vertices():

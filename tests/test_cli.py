@@ -119,11 +119,22 @@ def test_config_errors_exit_2(tmp_path, capsys):
         (["--benchmark", "pagerank", "-p", "2", "--vertices-per-pe", "4",
           "--iterations", "1", "--avg-degree", "nan"],
          "avg_degree must be positive and finite when set"),
+        (["--failures", "nonsense"],
+         "bad failure event 'nonsense'; want 'step:pe[,pe...]'"),
+        (["--failures", "1:x"], "bad failure event '1:x'; want 'step:pe[,pe...]'"),
+        (["--failures", "0:1"], "failures fire at MapReduce steps (step >= 1)"),
+        (["--failures", "1:1;1:2"], "multiple failure events share a step: [1, 1]"),
+        (["--failures", "random:2"], "failure fraction 2.0 not in [0, 1]"),
+        (["--failures", "random:1"], "failing 4 of 4 units leaves no survivors"),
+        (["--failures", "random:0.5", "--failure-window", "0"],
+         "2 failure events do not fit in a 0-step window"),
     ],
     ids=["p0", "backup-mode", "interval", "group-divides", "group-spans",
          "unknown-pe", "unknown-pe-late", "rmat-vertices", "rmat-one-vertex",
          "dead-pe-again",
-         "rmat-edges", "degree-inf", "degree-nan"],
+         "rmat-edges", "degree-inf", "degree-nan",
+         "plan-no-colon", "plan-not-int", "plan-step-0", "plan-shared-step",
+         "random-fraction-range", "random-no-survivors", "random-window"],
 )
 def test_config_error_lines(flags, last_line, capsys):
     argv = ["run", "--benchmark", "wordcount", "--words-per-pe", "50", *flags]

@@ -26,9 +26,9 @@ from ftmr.recovery import FailureEvent
 
 
 def test_failure_event_validation():
-    with pytest.raises(ValueError, match="step >= 1"):
+    with pytest.raises(ConfigError, match="step >= 1"):
         FailureEvent(0, frozenset({1}))
-    with pytest.raises(ValueError, match="at least one PE"):
+    with pytest.raises(ConfigError, match="at least one PE"):
         FailureEvent(2, frozenset())
     event = FailureEvent(2, {3, 1})
     assert event.failed == frozenset({1, 3})
@@ -42,7 +42,7 @@ def test_plan_sorts_and_rejects_shared_steps():
     assert [(e.step, e.failed) for e in plan.events] == [
         (2, frozenset({1})), (4, frozenset({0})),
     ]
-    with pytest.raises(ValueError, match="share a step"):
+    with pytest.raises(ConfigError, match="share a step"):
         FailurePlan((
             FailureEvent(2, frozenset({0})),
             FailureEvent(2, frozenset({1})),
@@ -57,7 +57,7 @@ def test_parse_failure_spec():
     ]
     assert parse_failure_spec("2:1;").events == parse_failure_spec("2:1").events
     for bad in ("2", "x:1", "2:x", "2:"):
-        with pytest.raises(ValueError, match="bad failure event"):
+        with pytest.raises(ConfigError, match="bad failure event"):
             parse_failure_spec(bad)
 
 
@@ -86,11 +86,11 @@ def test_random_failure_plan_groups():
 
 def test_random_failure_plan_limits():
     assert random_failure_plan(8, 1, 0.0, window=5).events == ()
-    with pytest.raises(ValueError, match="not in"):
+    with pytest.raises(ConfigError, match="not in"):
         random_failure_plan(8, 1, 1.5, window=5)
-    with pytest.raises(ValueError, match="no survivors"):
+    with pytest.raises(ConfigError, match="no survivors"):
         random_failure_plan(4, 1, 1.0, window=5)
-    with pytest.raises(ValueError, match="do not fit"):
+    with pytest.raises(ConfigError, match="do not fit"):
         random_failure_plan(16, 1, 0.5, window=2)
 
 
