@@ -51,6 +51,8 @@ RMAT_GRAPH500 = (0.57, 0.19, 0.19, 0.05)
 DEFAULT_DEGREES = {"rmat": 30.0, "cc": 0.5, "pagerank": 38.0}
 
 PAGERANK_DAMPING = 0.85
+# the iterative drivers (rmat dedup, cc) fail a job that runs more rounds
+MAX_ROUNDS = 100
 
 
 # -- input generators --------------------------------------------------
@@ -181,16 +183,15 @@ def edge_key(u: int, v: int) -> bytes:
 class _RmatDedupDriver:
     """Rerun the dedup step until a round finds zero duplicates."""
 
-    def __init__(self, make_spec, max_rounds: int = 100):
+    def __init__(self, make_spec):
         self.make_spec = make_spec
-        self.max_rounds = max_rounds
 
     def next_step(self, index, prev_aggregate):
         if index > 1 and prev_aggregate == 0:
             return None
-        if index > self.max_rounds:
+        if index > MAX_ROUNDS:
             raise JobError(-1, index, "driver", RuntimeError(
-                f"dedup failed to converge within {self.max_rounds} rounds"
+                f"dedup failed to converge within {MAX_ROUNDS} rounds"
             ))
         return self.make_spec(index)
 
@@ -330,8 +331,7 @@ class _CcDriver:
     nothing, then run one extraction step mapping every vertex to its
     component minimum."""
 
-    def __init__(self, max_rounds: int = 100):
-        self.max_rounds = max_rounds
+    def __init__(self):
         self.last: str | None = None
         self.large_changes = 0
         self.rounds = 0
@@ -347,9 +347,9 @@ class _CcDriver:
             self.last = "extract"
             return _cc_extract_spec()
         self.rounds += 1
-        if self.rounds > self.max_rounds:
+        if self.rounds > MAX_ROUNDS:
             raise JobError(-1, index, "driver", RuntimeError(
-                f"components failed to converge within {self.max_rounds} rounds"
+                f"components failed to converge within {MAX_ROUNDS} rounds"
             ))
         self.last = "large"
         return _cc_large_spec()

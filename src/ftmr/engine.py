@@ -133,7 +133,8 @@ class PeState:
     inbox: dict[PeId, list[Record]] = field(default_factory=dict)
     # step -> dst -> ordered payload (the records sent there that step)
     sent_log: dict[StepId, dict[PeId, list[Record]]] = field(default_factory=dict)
-    # step -> (origin, share index) -> share entries (src, dst, seq, record)
+    # step -> (origin, share index) -> share entries (src, dst, seq, record);
+    # recovery reads dst and the record, src and seq stay for the tracer
     backup_store: dict[StepId, dict[tuple[PeId, int], list]] = field(default_factory=dict)
 
     def scrub(self) -> None:
@@ -241,6 +242,8 @@ def unit_entries(src: PeId, payloads: dict[PeId, list[Record]], group_of: tuple)
     sent inside its failure unit, by ascending ``dst``, then as sent.
     Share k of ``n`` is ``entries[k::n]``, cut by the shuffle from the
     payloads it logs and re-cut by recovery from the origin's sent log.
+    Recovery reads only ``dst`` and the record; ``src`` and ``seq`` stay
+    for ``perfbench``'s tracer, which reads the record as ``entry[3]``.
     """
     gid = group_of[src]
     return list(chain.from_iterable(

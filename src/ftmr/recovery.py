@@ -20,6 +20,11 @@ is rebuilt there:
    under the shrunk partition map and merge them into the pending reduce
    inboxes; normal execution resumes with the step-``t`` Reduce.
 
+A rebuilt inbox has a PE inbox's shape, keyed by the survivor holding
+each record: what it logged as sent to the unit, then its part of the
+unit's own sends (shares at ``r``, replayed self-sends later).  Every
+refusal fires before the scrub, so it leaves the cluster as it was.
+
 All re-routed records are appended to survivors' sent logs under their
 step ids (a record whose new owner would also be its holder is attributed
 to a rotated peer, so an off-owner copy always exists).  That keeps a
@@ -31,7 +36,7 @@ from __future__ import annotations
 import logging
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain
 from operator import itemgetter
 
 from .core import ConfigError, PeId, Record, StepId, records_size
@@ -61,9 +66,8 @@ class UnrecoverableFailure(RuntimeError):
     """The surviving state cannot reproduce the lost data; gives the reason."""
 
 
-# a rebuilt inbox: src -> (holder PE, record) pairs in emission order,
-# the holder being the survivor that has the record
-_Chain = dict[PeId, list[tuple[PeId, Record]]]
+# (part of) a rebuilt inbox: holder PE -> the records it holds
+_Held = dict[PeId, list[Record]]
 
 
 def recover(cluster: Cluster, event: FailureEvent) -> None:
@@ -71,9 +75,9 @@ def recover(cluster: Cluster, event: FailureEvent) -> None:
 
     The rebuilt inboxes of replayed steps are noted in the cluster's
     ledger when it has one (what injection delivers is noted by
-    :meth:`Cluster.step`).  Raises :class:`UnrecoverableFailure` when
-    the survivors provably do not hold (and cannot regenerate) the lost
-    data.
+    :meth:`Cluster.step`).  Raises :class:`UnrecoverableFailure`, before
+    any change to the cluster, when the survivors provably do not hold
+    (and cannot regenerate) the lost data.
     """
     failed = set(event.failed)
     if cluster.backup_mode is BackupMode.OFF:
@@ -81,8 +85,7 @@ def recover(cluster: Cluster, event: FailureEvent) -> None:
             "fault tolerance is off: no logs or backups exist for "
             f"PEs {sorted(failed)}"
         )
-    survivors = cluster.live - failed
-    if not survivors:
+    if not cluster.live - failed:
         raise UnrecoverableFailure("every PE failed; nothing holds any state")
 
     t = event.step
@@ -125,6 +128,9 @@ def recover(cluster: Cluster, event: FailureEvent) -> None:
             f"by PE {f}, which is failing in the same event"
         )
 
+    # the holders lie outside the unit, so the shares outlive its scrub
+    shared = _share_entries(cluster, r, failed) if r else {}
+
     # Fail-stop: the unit's local state is gone before reconstruction
     # starts, so recovery can only draw on survivor-held data.  Any
     # re-protection copies the unit held for others die with it; their
@@ -133,62 +139,59 @@ def recover(cluster: Cluster, event: FailureEvent) -> None:
         cluster.pes[f].scrub()
         cluster.live.discard(f)
 
-    owners_old = cluster.owners
     heirs = [_pick_heir(cluster, failed, r)] if cluster.single_recoverer else None
-    owners_new = Owners(shrink_partition(owners_old.pm, failed, heirs))
+    owners_new = Owners(shrink_partition(cluster.owners.pm, failed, heirs))
 
     records_recomputed = 0
     relog_bytes = 0
     replayed: list[StepId] = []
 
     # --- phase 1: the unit's stream at the recovery point ---------------
-    chain: _Chain | None = None
-    if r == 0:
-        current: list[tuple[PeId, Record]] = []
+    held = _logged_to(cluster, r, failed, shared) if r else None
+    if r == 0:  # no recovery point: replay from the regenerated input
+        current: _Held = {}
         for f in sorted(failed):
             for rec in cluster.source.fn(f):
-                current.append((owners_new[rec.key], rec))
-        records_recomputed += len(current)
-    else:
-        chain = _logged_to(cluster, r, failed)
-        chain.update(_share_entries(cluster, r, failed))
+                current.setdefault(owners_new[rec.key], []).append(rec)
+        records_recomputed += sum(map(len, current.values()))
 
     # --- phase 2: replay up to the failure step --------------------------
     for step in range(r + 1, t + 1):
-        if chain is not None:
+        if held is not None:
             # the unit's Reduce of the previous step, over its rebuilt inbox
             prev = step - 1
             if cluster.ledger is not None:
-                _note_rebuilt(cluster.ledger, prev, chain, owners_new)
-            current = _replay_reduce(cluster, prev, chain, owners_new)
-            records_recomputed += sum(map(len, chain.values()))
+                _note_rebuilt(cluster.ledger, prev, held, owners_new)
+            current = _replay_reduce(cluster, prev, held, owners_new)
+            records_recomputed += sum(map(len, held.values()))
             replayed.append(prev)
         spec = cluster.step_history[step].spec
         owners_then = cluster.step_history[step].owners
-        mapped: list[tuple[PeId, Record]] = []
-        for holder, rec in current:
-            try:
-                produced = spec.map_fn(rec)
-            except Exception as exc:  # noqa: BLE001
-                raise JobError(holder, step, "map during replay", exc) from exc
-            mapped.extend(zip(repeat(holder), produced))
+        mapped: _Held = {}
+        for holder, recs in current.items():
+            out = mapped[holder] = []
+            for rec in recs:
+                try:
+                    produced = spec.map_fn(rec)
+                except Exception as exc:  # noqa: BLE001
+                    raise JobError(holder, step, "map during replay", exc) from exc
+                out.extend(produced)
         # Keep only what the unit would have sent to itself; the rest
         # already reached surviving owners before the failure.
-        self_part = [
-            (holder, rec) for holder, rec in mapped
-            if owners_then[rec.key] in failed
-        ]
+        self_part = {
+            holder: [rec for rec in recs if owners_then[rec.key] in failed]
+            for holder, recs in mapped.items()
+        }
         if r == 0 and step < t:
             # The unit's own sends of this step died with its logs; with
             # no shuffle recovery point, a later input replay would need
             # them again, so re-log the recomputed copies on survivors.
             relog_bytes += _relog_mapped(cluster, step, mapped, failed, owners_then)
-        chain = _logged_to(cluster, step, failed)
-        chain[min(failed)] = self_part  # the unit's sends to itself
+        held = _logged_to(cluster, step, failed, self_part)
 
-    # chain now holds the unit's reconstructed inbox at step t
-    records_recomputed += sum(map(len, chain.values()))
-    bytes_resent = _inject(cluster, t, chain, owners_new)
+    # held is now the unit's reconstructed inbox at step t
+    records_recomputed += sum(map(len, held.values()))
+    bytes_resent = _inject(cluster, t, held, owners_new)
     repair_bytes = relog_bytes + _repair_shares(cluster, r, failed)
     if r == t or r == 0:
         # The unit's delivered step-t sends still sit in the survivors'
@@ -228,9 +231,7 @@ def _require_one_group(cluster: Cluster, failed: set[PeId]) -> None:
             "failure units; only one PE or one predefined group can fail at once"
         )
     gid = gids.pop()
-    members_alive = {
-        j for j in cluster.live if cluster.group_of[j] == gid
-    }
+    members_alive = {j for j in cluster.live if cluster.group_of[j] == gid}
     if failed != members_alive:
         raise UnrecoverableFailure(
             f"simultaneous failure of {sorted(failed)} is a strict subset of "
@@ -246,24 +247,29 @@ def _pick_heir(cluster: Cluster, failed: set[PeId], r: StepId) -> PeId:
     return min(cluster.live)
 
 
-def _logged_to(cluster: Cluster, step: StepId, failed: set[PeId]) -> _Chain:
-    """What the survivors' sent logs say reached the unit at ``step``."""
-    chain: _Chain = {}
+def _logged_to(cluster: Cluster, step: StepId, failed: set[PeId], own: _Held) -> _Held:
+    """The unit's step-``step`` inbox as the survivors hold it: what each
+    logged as sent to the unit, then its part ``own`` of the unit's own
+    sends."""
+    held: _Held = {}
     for s in sorted(cluster.live):
-        log = cluster.pes[s].sent_log.get(step)
-        if log:
-            chain[s] = [(s, rec) for f in sorted(failed) for rec in log.get(f, ())]
-    return chain
+        log = cluster.pes[s].sent_log.get(step, {})
+        recs = [rec for f in sorted(failed) for rec in log.get(f, ())]
+        recs += own.get(s, ())
+        if recs:
+            held[s] = recs
+    return held
 
 
-def _share_entries(cluster: Cluster, r: StepId, failed: set[PeId]) -> _Chain:
-    """The unit-internal records backed up on peers at recovery point ``r``.
+def _share_entries(cluster: Cluster, r: StepId, failed: set[PeId]) -> _Held:
+    """The unit-internal records backed up on peers at recovery point
+    ``r``, by share holder.
 
     Every share listed in the step's backup manifest must still be held
     by a live PE; a missing share means the data is gone for good.
     """
     hist = cluster.step_history[r]
-    chain: _Chain = {}
+    held: _Held = {}
     for origin in sorted(failed):
         manifest = hist.backup_manifest.get(origin)
         if manifest is None:
@@ -271,9 +277,6 @@ def _share_entries(cluster: Cluster, r: StepId, failed: set[PeId]) -> _Chain:
                 f"no backup shares were stored for PE {origin} at "
                 f"recovery point {r}"
             )
-        # (dst, seq, holder, record); share k is every n-th entry from
-        # the k-th on (see unit_entries), so sort back into that order
-        collected: list[tuple[PeId, int, PeId, Record]] = []
         for idx, target in enumerate(manifest):
             if target not in cluster.live:
                 raise UnrecoverableFailure(
@@ -286,10 +289,10 @@ def _share_entries(cluster: Cluster, r: StepId, failed: set[PeId]) -> _Chain:
                     f"backup share {idx} of PE {origin} at step {r} is missing "
                     f"on PE {target}"
                 )
-            collected.extend((d, s, target, rec) for _, d, s, rec in share if d in failed)
-        collected.sort(key=itemgetter(0, 1))
-        chain[origin] = [(holder, rec) for (_dst, _seq, holder, rec) in collected]
-    return chain
+            held.setdefault(target, []).extend(
+                rec for _, d, _, rec in share if d in failed
+            )
+    return held
 
 
 def _holder_for(cluster: Cluster, dst: PeId) -> PeId:
@@ -352,11 +355,7 @@ def _relog_pending(cluster: Cluster, t: StepId, failed: set[PeId]) -> int:
 
 
 def _relog_mapped(
-    cluster: Cluster,
-    step: StepId,
-    mapped: list[tuple[PeId, Record]],
-    failed: set[PeId],
-    owners_then: Owners,
+    cluster: Cluster, step: StepId, mapped: _Held, failed: set[PeId], owners_then: Owners
 ) -> int:
     """Re-log the unit's recomputed cross-PE sends of a replayed step.
 
@@ -365,13 +364,13 @@ def _relog_mapped(
     copy must move off the original receiver.  Returns bytes shipped.
     """
     shipped = 0
-    for holder, rec in mapped:
-        dst = owners_then[rec.key]
-        if dst in failed or dst not in cluster.live:
-            continue
-        sender = _log_copy(cluster, holder, step, dst, rec)
-        if sender != holder:
-            shipped += rec.size
+    for holder, recs in mapped.items():
+        for rec in recs:
+            dst = owners_then[rec.key]
+            if dst in failed or dst not in cluster.live:
+                continue
+            if _log_copy(cluster, holder, step, dst, rec) != holder:
+                shipped += rec.size
     return shipped
 
 
@@ -421,40 +420,31 @@ def _repair_shares(cluster: Cluster, r: StepId, failed: set[PeId]) -> int:
 
 
 def _replay_reduce(
-    cluster: Cluster,
-    step: StepId,
-    chain: _Chain,
-    owners_new: Owners,
-) -> list[tuple[PeId, Record]]:
+    cluster: Cluster, step: StepId, held: _Held, owners_new: Owners
+) -> _Held:
     """Re-execute the unit's Reduce of ``step`` over its rebuilt inbox.
 
-    Each key group is attributed to the survivor that owns the key under
-    the shrunk map, mirroring where the recomputation runs.
+    Each key group is held by the survivor that owns the key under the
+    shrunk map, mirroring where the recomputation runs.
     """
     spec = cluster.step_history[step].spec
-    out: list[tuple[PeId, Record]] = []
-    inbox = {src: [rec for _holder, rec in pairs] for src, pairs in chain.items()}
-    for key, values in group_entries(inbox):
+    out: _Held = {}
+    for key, values in group_entries(held):
         owner = owners_new[key]
         try:
             produced = spec.reduce_fn(key, values)
         except Exception as exc:  # noqa: BLE001
             raise JobError(owner, step, "reduce during replay", exc) from exc
-        out.extend(zip(repeat(owner), produced))
+        out.setdefault(owner, []).extend(produced)
     return out
 
 
-def _inject(
-    cluster: Cluster,
-    t: StepId,
-    chain: _Chain,
-    owners_new: Owners,
-) -> int:
+def _inject(cluster: Cluster, t: StepId, held: _Held, owners_new: Owners) -> int:
     """Deliver the reconstructed step-``t`` inbox to its new owners.
 
-    The chain is walked in insertion order (survivors ascending, then the
-    unit's own part), which fixes where each record lands in its new
-    owner's inbox and hence the reduce value order.
+    The inbox is walked by ascending holder, each holder's records in
+    order, which fixes where each record lands in its new owner's inbox
+    and hence the reduce value order.
 
     Records are appended to the contributors' sent logs under step ``t``
     so the recovery traffic is itself protected until the next recovery
@@ -464,8 +454,8 @@ def _inject(
     the bytes that crossed the (simulated) network.
     """
     bytes_resent = 0
-    for pairs in chain.values():
-        for holder, rec in pairs:
+    for holder, recs in held.items():
+        for rec in recs:
             dst = owners_new[rec.key]
             sender = _log_copy(cluster, holder, t, dst, rec)
             cluster.pes[dst].inbox.setdefault(sender, []).append(rec)
@@ -477,12 +467,11 @@ def _inject(
 
 
 def _note_rebuilt(
-    ledger: DeliveryLedger, step: StepId, chain: _Chain, owners_new: Owners
+    ledger: DeliveryLedger, step: StepId, held: _Held, owners_new: Owners
 ) -> None:
     """Note a rebuilt step inbox in ``ledger``, one batch per new owner."""
     by_dst: defaultdict[PeId, list[Record]] = defaultdict(list)
-    for pairs in chain.values():
-        for _holder, rec in pairs:
-            by_dst[owners_new[rec.key]].append(rec)
+    for rec in chain.from_iterable(held.values()):
+        by_dst[owners_new[rec.key]].append(rec)
     for dst, recs in by_dst.items():
         ledger.note(step, dst, RECOVERY, recs)

@@ -155,12 +155,12 @@ def test_rmat_job_guards():
         rmat_dedup_job(4, 0, n_vertices=4, avg_degree=100)
 
 
-def test_cc_driver_gives_up_with_a_job_error():
+def test_cc_driver_gives_up_with_a_job_error(monkeypatch):
     # a non-converging driver must surface as a named JobError, which the
     # CLI reports as "job error: ..." (exit 1), not a bare RuntimeError
+    monkeypatch.setattr("ftmr.benchmarks.MAX_ROUNDS", 0)
     job = connected_components_job(4, 3, n_vertices=64)
-    job.driver.max_rounds = 0
-    with pytest.raises(JobError, match="failed to converge") as exc:
+    with pytest.raises(JobError, match="failed to converge within 0 rounds") as exc:
         run_job(job, 4)
     assert exc.value.where == "driver"
 

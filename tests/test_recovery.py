@@ -1,5 +1,6 @@
 """Failure injection and recovery: rebuild, replay, refusal."""
 
+import copy
 from collections import Counter
 from types import SimpleNamespace
 
@@ -29,11 +30,7 @@ from ftmr.harness import (
 )
 from ftmr.metrics import ORIGINAL, RECOVERY, DeliveryLedger
 from ftmr.partition import PartitionMap, hash_key, initial_partition, shrink_partition
-from ftmr.recovery import (
-    FailureEvent,
-    UnrecoverableFailure,
-    recover,
-)
+from ftmr.recovery import FailureEvent, UnrecoverableFailure
 
 
 def cc_config(**kwargs):
@@ -130,9 +127,9 @@ def test_ledger_sees_what_injection_delivered(monkeypatch):
     reference = run_simulation(config, ledger=DeliveryLedger())
     inject = ftmr.recovery._inject
 
-    def inject_one_twice(cluster, t, chain, owners_new):
-        sent = inject(cluster, t, chain, owners_new)
-        holder, rec = next(pair for pairs in chain.values() for pair in pairs)
+    def inject_one_twice(cluster, t, held, owners_new):
+        sent = inject(cluster, t, held, owners_new)
+        holder, rec = next((h, recs[0]) for h, recs in held.items() if recs)
         cluster.pes[owners_new[rec.key]].inbox.setdefault(holder, []).append(rec)
         return sent
 
@@ -205,6 +202,19 @@ def test_sweep_pagerank_exact_scores():
 
 def test_sweep_failure_groups():
     assert sweep_failures(cc_config(p=8, vertices_per_pe=8, group_size=2)).ok
+
+
+def test_single_pe_of_a_group_recovers_from_shares():
+    # PE 5 fails without its group partner PE 4.  PE 5's shares at the
+    # recovery point also hold its sends to PE 4, which PE 4 has already
+    # received; only the sends to PE 5 itself belong in its rebuilt inbox
+    config = cc_config(p=8, seed=4, vertices_per_pe=32, group_size=2,
+                       recovery_point_interval=3)
+    plan = parse_failure_spec("2:5")
+    reference = run_simulation(config, ledger=DeliveryLedger())
+    result = run_simulation(config, plan, ledger=DeliveryLedger())
+    assert [r.recovery_point for r in result.metrics.recoveries] == [1]
+    assert verify(result, reference, plan) == []
 
 
 def test_sweep_single_backup_mode():
@@ -447,15 +457,11 @@ def test_shares_without_live_holder_refused(config, spec):
 def test_holder_dying_in_same_event_refused():
     # defense in depth: a unit that both guards an inbox and contains it
     # must not recover that inbox from itself
-    cluster = Cluster(_identity_job(0), 6, group_size=2)
-    cluster.step()
-    cluster.reprotect_holdings[4] = {(1, 5)}
-    cluster.reprotect_holdings[5] = {(1, 4)}
     # the refusal names the lowest failing holder's earliest inbox
     with pytest.raises(UnrecoverableFailure,
                        match="step-1 inbox of PE 5 was protected only by PE 4, "
                              "which is failing in the same event"):
-        recover(cluster, FailureEvent(1, frozenset({4, 5})))
+        _holder_in_the_same_event()
 
 
 @pytest.mark.parametrize("spec, interval", [("2:1", 1), ("2:1", 3), ("3:1;5:2", 3)])
@@ -509,6 +515,90 @@ def _identity_job(seed, per_pe=20, steps=2, replayable=True):
     spec = StepSpec("identity", lambda r: [r],
                     lambda k, vs: [Record(k, v) for v in vs])
     return Job(RecordSource(fn, replayable=replayable), ListDriver([spec] * steps))
+
+
+def _share_missing_on_its_holder():
+    # step 1 is the recovery point; PE 1's share 0 vanishes before PE 1 fails
+    cluster = Cluster(build_job(cc_config()), 4, recovery_point_interval=3,
+                      failure_plan=parse_failure_spec("2:1"))
+    cluster.step()
+    holder = cluster.step_history[1].backup_manifest[1][0]
+    del cluster.pes[holder].backup_store[1][(1, 0)]
+    cluster.step()
+
+
+def _holder_in_the_same_event():
+    cluster = Cluster(_identity_job(0), 6, group_size=2)
+    cluster.step()
+    cluster.reprotect_holdings[4] = {(1, 5)}
+    cluster.reprotect_holdings[5] = {(1, 4)}
+    ftmr.recovery.recover(cluster, FailureEvent(1, frozenset({4, 5})))
+
+
+def _simulate(config, spec):
+    return lambda: run_simulation(config, parse_failure_spec(spec))
+
+
+def _run(job, p, spec, **options):
+    return lambda: run_job(job, p, failure_plan=parse_failure_spec(spec), **options)
+
+
+# one case per refusal text of recover and _share_entries
+REFUSALS = {
+    "fault tolerance is off": _simulate(cc_config(backup_mode="off"), "1:1"),
+    "every PE failed": _run(_identity_job(1), 2, "1:0,1"),
+    "cannot be replayed": _run(_identity_job(4, replayable=False), 4, "2:1",
+                               recovery_point_interval="input-only"),
+    "spans multiple": _run(_identity_job(2), 4, "1:1,2"),
+    "strict subset": _run(_identity_job(3), 8, "1:0,1", group_size=4),
+    "lost for good.*mid-interval": _simulate(cc_config(recovery_point_interval=3),
+                                             "2:1;3:2"),
+    "lost its only off-PE copy": _simulate(
+        cc_config(p=5, recovery_point_interval="input-only"), "1:1;3:2;5:0"),
+    "was protected only by PE 4": _holder_in_the_same_event,
+    "no backup shares were stored for PE 0 at recovery point 2": _simulate(
+        cc_config(group_size=2, recovery_point_interval=1), "1:2,3;2:0"),
+    "held by PE 2, which has also failed": _simulate(
+        cc_config(group_size=2, recovery_point_interval=3), "1:2,3;2:0"),
+    r"backup share 0 of PE 1 at step 1 is missing on PE \d": _share_missing_on_its_holder,
+}
+
+
+def _recovery_state(cluster):
+    """A deep copy of everything a recovery may change."""
+    return copy.deepcopy((
+        cluster.live,
+        [(pe.current_records, pe.inbox, pe.sent_log, pe.backup_store)
+         for pe in cluster.pes],
+        cluster.lost_logs,
+        cluster.reprotect_holdings,
+        cluster.owners.pm,
+        dict(cluster.owners),
+        cluster.metrics.recoveries,
+        {s: h.backup_manifest for s, h in cluster.step_history.items()},
+    ))
+
+
+@pytest.mark.parametrize("text", REFUSALS)
+def test_every_refusal_leaves_the_cluster_as_it_was(text, monkeypatch):
+    # a refused failure changes nothing, so a caller can keep using the
+    # cluster as it stood at the barrier
+    states = []
+    recover = ftmr.recovery.recover
+
+    def checked(cluster, event):
+        before = _recovery_state(cluster)
+        try:
+            recover(cluster, event)
+        except UnrecoverableFailure:
+            states.append((before, _recovery_state(cluster)))
+            raise
+
+    monkeypatch.setattr(ftmr.recovery, "recover", checked)
+    with pytest.raises(UnrecoverableFailure, match=text):
+        REFUSALS[text]()
+    ((before, after),) = states
+    assert after == before
 
 
 def test_backup_off_makes_failures_fatal():
