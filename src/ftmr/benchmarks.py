@@ -34,7 +34,7 @@ from itertools import repeat, starmap
 from math import fsum
 from operator import itemgetter
 
-from .core import ConfigError, Record, record_from_pair
+from .core import ConfigError, Record, records_from_pairs
 from .engine import Job, JobError, ListDriver, RecordSource, StepSpec
 from .partition import hash_key, mix_seed
 
@@ -74,7 +74,7 @@ def gen_text(seed: int, n_words: int, dictionary: list[bytes]) -> list[Record]:
             i = getrandbits(k)
         append(dictionary[i])
     lines = [b" ".join(words[i : i + 8]) for i in range(0, n_words, 8)]
-    return list(map(record_from_pair, zip(repeat(b""), lines)))
+    return list(records_from_pairs(zip(repeat(b""), lines)))
 
 
 def gen_gnm(seed: int, n: int, m: int) -> list[tuple[int, int]]:
@@ -162,7 +162,7 @@ def word_count_job(
 
     def map_fn(rec: Record) -> list[Record]:
         one = U64.pack(1)
-        return [Record(word, one) for word in rec.value.split()]
+        return list(records_from_pairs(zip(rec.value.split(), repeat(one))))
 
     def reduce_fn(key: bytes, values: list[bytes]) -> list[Record]:
         total = sum(U64.unpack(v)[0] for v in values)
@@ -372,13 +372,13 @@ def connected_components_job(
     def source(pe: int) -> list[Record]:
         lo = pe * n // p
         hi = (pe + 1) * n // p
-        records = list(map(
-            record_from_pair, zip(map(U64.pack, range(lo, hi)), repeat(_MARKER))
+        records = list(records_from_pairs(
+            zip(map(U64.pack, range(lo, hi)), repeat(_MARKER))
         ))
         edges = gen_gnm(mix_seed(seed, pe), n, _per_pe_count(m, p, pe))
         # an edge (u, v) packs to u's key and v's value, back to back
         buf = b"".join(starmap(PAIR.pack, edges))
-        records += map(record_from_pair, _KEY_VALUE.iter_unpack(buf))
+        records += records_from_pairs(_KEY_VALUE.iter_unpack(buf))
         return records
 
     return Job(RecordSource(source), _CcDriver())
@@ -424,11 +424,13 @@ def pagerank_job(
         hi = (pe + 1) * n // p
         head = _TAG_COMBINED + F64.pack(1.0 / n)
         values = [head + b"".join(map(vertex_key, out)) for out in adj[lo:hi]]
-        return list(map(record_from_pair, zip(vertex_keys[lo:hi], values)))
+        return list(records_from_pairs(zip(vertex_keys[lo:hi], values)))
 
     first = itemgetter(0)
     adj_tag = _TAG_ADJ[0]
     unpack_score = F64.unpack_from
+    # builds one Record in C (see records_from_pairs)
+    new_record = tuple.__new__
     # adjacency bytes -> (the adjacency record's value, its target keys):
     # a vertex's adjacency never changes, so every step re-sends one value
     # object (the retained logs keep one copy, not one per step) and
@@ -461,7 +463,7 @@ def pagerank_job(
         else:
             share = _TAG_DANGLING + F64.pack(score / n)
             targets = vertex_keys
-        out += map(record_from_pair, zip(targets, repeat(share)))
+        out += records_from_pairs(zip(targets, repeat(share)))
         return out
 
     def reduce_fn(key: bytes, values: list[bytes]) -> list[Record]:
@@ -481,7 +483,7 @@ def pagerank_job(
         if adj_bytes is None:
             raise ValueError(f"no adjacency arrived for vertex key {key!r}")
         score = (1.0 - damping) / n + damping * fsum(shares)
-        return [Record(key, _TAG_COMBINED + F64.pack(score) + adj_bytes)]
+        return [new_record(Record, (key, _TAG_COMBINED + F64.pack(score) + adj_bytes))]
 
     spec = StepSpec("pagerank", map_fn, reduce_fn)
     driver = ListDriver([spec] * iterations)
@@ -501,13 +503,18 @@ def uniform_job(p: int, seed: int, *, total_records: int) -> Job:
         count = _per_pe_count(total_records, p, pe)
         bits = random.Random(mix_seed(seed, pe)).getrandbits(128 * count)
         buf = bits.to_bytes(16 * count, "little")
-        return list(map(record_from_pair, _KEY_VALUE.iter_unpack(buf)))
+        return list(records_from_pairs(_KEY_VALUE.iter_unpack(buf)))
 
     def map_fn(rec: Record) -> list[Record]:
         return [rec]
 
+    # the keys are distinct, so a group holds one value, and building
+    # its record with one C call is cheaper than setting up
+    # records_from_pairs for it
+    new_record = tuple.__new__
+
     def reduce_fn(key: bytes, values: list[bytes]) -> list[Record]:
-        return [Record(key, v) for v in values]
+        return [new_record(Record, (key, v)) for v in values]
 
     return Job(RecordSource(source), ListDriver([StepSpec("uniform", map_fn, reduce_fn)]))
 

@@ -15,9 +15,8 @@ Dumps and fixtures are plain concatenations of encoded records.
 from __future__ import annotations
 
 import struct
-from functools import partial
-from itertools import chain
-from typing import Iterable, NamedTuple
+from itertools import chain, repeat
+from typing import Iterable, Iterator, NamedTuple
 
 # PEs and steps are identified by small ints; aliases document intent.
 PeId = int
@@ -74,11 +73,15 @@ def records_size(records: Iterable[Record]) -> int:
     return sum(map(len, chain.from_iterable(records)))
 
 
-# Build a record from one ``(key, value)`` pair, as in
-# ``map(record_from_pair, zip(keys, values))``.  The ``NamedTuple``
-# constructor is a Python-level function; this calls ``tuple.__new__``
-# directly, so building many records stays in C.
-record_from_pair = partial(tuple.__new__, Record)
+def records_from_pairs(pairs: Iterable[tuple[bytes, bytes]]) -> Iterator[Record]:
+    """Records built from ``(key, value)`` pairs, lazily, as in
+    ``list(records_from_pairs(zip(keys, values)))``.
+
+    The ``NamedTuple`` constructor is a Python-level function; this maps
+    ``tuple.__new__`` over the pairs, so building many records stays in
+    C.  ``tuple.__new__(Record, pair)`` builds one record the same way.
+    """
+    return map(tuple.__new__, repeat(Record), pairs)
 
 
 def encode_record(record: Record) -> bytes:

@@ -19,8 +19,13 @@ without checkpoints; see :mod:`ftmr.recovery`.
 
 An iterative job sends the same key sequence from a PE step after step,
 so the shuffle keeps each sender's :class:`Route`, the layout of its key
-list under the current owner memo; while both are unchanged, payloads
-and their sizes are gathered in C, with no per-record lookup.
+list under the current owner memo.  A route holds one
+``operator.itemgetter`` per destination over the positions of that
+destination's records; while the memo and the key list are unchanged,
+each payload is gathered from the outbound list in one C call, and its
+size is the route's key bytes plus one pass over the values.  The
+position ints come from one table on the :class:`Cluster`, so routes
+share them.
 
 Failures are injected at the shuffle barrier: the exchange of the step
 completes (real failures are detected at the synchronization point), then
@@ -32,12 +37,11 @@ from __future__ import annotations
 
 import gc
 import logging
-from array import array
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, count, repeat
-from operator import itemgetter
+from operator import itemgetter, length_hint
 from typing import Callable, Iterable, NamedTuple, Protocol
 
 from .core import ConfigError, PeId, Record, StepId, records_size
@@ -207,14 +211,13 @@ def map_phase(cluster: Cluster, map_fn: MapFn, step: StepId) -> None:
     """Apply the map function on every live PE, filling outbound buffers."""
     for i in sorted(cluster.live):
         pe = cluster.pes[i]
-        out: list[Record] = []
-        for idx, rec in enumerate(pe.current_records):
-            try:
-                produced = map_fn(rec)
-            except Exception as exc:  # noqa: BLE001 - rewrap with context
-                raise JobError(i, step, f"map of record {idx}", exc) from exc
-            out.extend(produced)
-        pe.outbound = out
+        records = iter(pe.current_records)
+        try:
+            pe.outbound = list(chain.from_iterable(map(map_fn, records)))
+        except Exception as exc:  # noqa: BLE001 - rewrap with context
+            # the failing record is the last one the iterator handed out
+            idx = len(pe.current_records) - length_hint(records) - 1
+            raise JobError(i, step, f"map of record {idx}", exc) from exc
         pe.current_records = []
 
 
@@ -223,18 +226,31 @@ class Route(NamedTuple):
 
     owners: Owners
     keys: list[bytes]
-    # (dst, positions of its records, their key bytes), ascending dst
-    payloads: list[tuple[PeId, array, int]]
+    # (dst, gather of its records from the outbound list, their key
+    # bytes), ascending dst
+    payloads: list[tuple[PeId, itemgetter, int]]
 
 
-def _route(owners: Owners, keys: list[bytes]) -> Route:
+def _route(owners: Owners, keys: list[bytes], positions: list[int]) -> Route:
+    """Lay ``keys`` out by destination under ``owners``.
+
+    ``positions`` is the cluster's table of position ints, ``positions[i]
+    == i``, grown here on demand; the gathers hold its int objects, so
+    routes share them instead of each holding its own.
+    """
+    if len(positions) < len(keys):
+        positions.extend(range(len(positions), len(keys)))
     by_dst: defaultdict[PeId, list[int]] = defaultdict(list)
-    for pos, dst in enumerate(map(owners.__getitem__, keys)):
+    for pos, dst in zip(positions, map(owners.__getitem__, keys)):
         by_dst[dst].append(pos)
-    return Route(owners, keys, [
-        (dst, array("I", by_dst[dst]), sum(map(len, map(keys.__getitem__, by_dst[dst]))))
-        for dst in sorted(by_dst)
-    ])
+    payloads = []
+    for dst in sorted(by_dst):
+        at = by_dst[dst]
+        # itemgetter of one position returns the bare record; a one-wide
+        # slice gathers it as a one-record list
+        gather = itemgetter(*at) if len(at) > 1 else itemgetter(slice(at[0], at[0] + 1))
+        payloads.append((dst, gather, sum(map(len, map(keys.__getitem__, at)))))
+    return Route(owners, keys, payloads)
 
 
 def unit_entries(src: PeId, payloads: dict[PeId, list[Record]], group_of: tuple) -> list:
@@ -283,13 +299,13 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
         before = len(owners)
         route = routes.get(src)
         if route is None or route.owners is not owners or route.keys != keys:
-            route = _route(owners, keys)
+            route = _route(owners, keys, cluster.positions)
         # kept unless every key was new to the memo (a reused route adds none)
         if len(owners) - before < len(keys):
             cluster.routes[src] = route
         payloads = {}
-        for dst, positions, key_bytes in route.payloads:
-            payload = payloads[dst] = list(map(outbound.__getitem__, positions))
+        for dst, gather, key_bytes in route.payloads:
+            payload = payloads[dst] = list(gather(outbound))
             size = key_bytes + sum(map(len, map(itemgetter(1), payload)))
             if dst != src:
                 network_bytes += size
@@ -319,7 +335,10 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
             sm.backup_bytes += got
             sm.backup_received[target] = sm.backup_received.get(target, 0) + got
     if records and len(owners) - known == records:
+        # no key repeated, so no route was kept either: the position
+        # table goes with the memo
         owners.clear()
+        cluster.positions.clear()
     sm.records += records
     sm.network_bytes += network_bytes
     sm.self_bytes += self_bytes
@@ -491,6 +510,8 @@ class Cluster:
         self.owners = Owners(initial_partition(p))
         # sender -> its route (see shuffle), rebuilt when built under another memo
         self.routes: dict[PeId, Route] = {}
+        # positions[i] == i, shared by every route's gathers (see _route)
+        self.positions: list[int] = []
         # newest shuffle that was a recovery point; 0 means the input
         self.recovery_point: StepId = 0
         # step -> its record, from the recovery point on (gc_logs)

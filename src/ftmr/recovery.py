@@ -169,13 +169,10 @@ def recover(cluster: Cluster, event: FailureEvent) -> None:
         owners_then = cluster.step_history[step].owners
         mapped: _Held = {}
         for holder, recs in current.items():
-            out = mapped[holder] = []
-            for rec in recs:
-                try:
-                    produced = spec.map_fn(rec)
-                except Exception as exc:  # noqa: BLE001
-                    raise JobError(holder, step, "map during replay", exc) from exc
-                out.extend(produced)
+            try:
+                mapped[holder] = list(chain.from_iterable(map(spec.map_fn, recs)))
+            except Exception as exc:  # noqa: BLE001
+                raise JobError(holder, step, "map during replay", exc) from exc
         # Keep only what the unit would have sent to itself; the rest
         # already reached surviving owners before the failure.
         self_part = {

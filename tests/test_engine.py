@@ -4,11 +4,14 @@ import dataclasses
 import gc
 import random
 import weakref
+from collections import Counter, defaultdict
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ftmr.engine
 from ftmr.config import ConfigError, JobConfig
 from ftmr.core import Record
 from ftmr.engine import (
@@ -28,6 +31,7 @@ from ftmr.harness import build_job, parse_failure_spec
 from ftmr.metrics import ORIGINAL, DeliveryLedger
 from ftmr.partition import BackupMode, backup_targets, hash_key, initial_partition
 from ftmr.recovery import UnrecoverableFailure
+from test_golden import SCALES
 
 
 def identity_spec(name="identity", counter=False):
@@ -138,8 +142,10 @@ def test_owner_memo_dropped_after_distinct_keys(job):
     assert cluster.step()
     assert cluster.metrics.steps[0].records > 0
     assert len(cluster.owners) == 0
-    # no key repeated, so no sender's route is kept either
+    # no key repeated, so no sender's route is kept either, nor the
+    # position table routes share
     assert cluster.routes == {}
+    assert cluster.positions == []
 
 
 def test_routes_rebuilt_under_the_new_memo_after_recovery():
@@ -192,6 +198,84 @@ def test_reused_routes_shuffle_like_fresh_ones(config):
     # the ledger holds every inbox, sender lists in delivery order
     assert kept.ledger.deliveries == fresh.ledger.deliveries
     assert reused > 0 if config.benchmark == "pagerank" else reused == 0
+
+
+def test_one_record_destination_over_a_reused_route():
+    # itemgetter of one position returns the bare record, not a tuple;
+    # a reused route must still hand such a destination a one-record list
+    pm = initial_partition(4)
+    by_owner = defaultdict(list)
+    for key in (b"k%d" % i for i in range(64)):
+        by_owner[pm.owner_of(hash_key(key))].append(key)
+    # one record to PE 0 (a self-message, so it is also backed up) and
+    # one to PE 1; PE 2's key repeats, so the route is kept
+    alone = [Record(by_owner[0][0], b"a"), Record(by_owner[1][0], b"b")]
+    outbound = alone + [Record(by_owner[2][0], b"c")] * 2
+
+    def shuffled(reuse):
+        cluster = Cluster(Job(RecordSource(lambda pe: []), ListDriver([])), 4)
+        for step in (1, 2):
+            if not reuse:
+                cluster.routes = {}
+            before = dict(cluster.routes)
+            cluster.step_history[step] = StepRecord(spec=identity_spec(), owners=cluster.owners)
+            cluster.pes[0].outbound = list(outbound)
+            for pe in cluster.pes:
+                pe.inbox = {}
+            shuffle(cluster, step, True)
+        return cluster, before
+
+    kept, before = shuffled(True)
+    fresh, _ = shuffled(False)
+    assert kept.routes[0] is before[0]
+    assert kept.pes[0].sent_log[2] == {0: alone[:1], 1: alone[1:], 2: outbound[2:]}
+    assert [kept.pes[dst].inbox for dst in (0, 1)] == [{0: alone[:1]}, {0: alone[1:]}]
+    for a, b in zip(kept.pes, fresh.pes):
+        assert (a.sent_log, a.inbox, a.backup_store) == (b.sent_log, b.inbox, b.backup_store)
+    assert kept.metrics.steps == fresh.metrics.steps
+
+
+def _count_records(records) -> int:
+    kinds = Counter(map(type, records))
+    assert set(kinds) <= {Record}
+    return sum(kinds.values())
+
+
+@pytest.mark.parametrize("interval", [1, 3, "input-only"])
+@pytest.mark.parametrize("workload", list(SCALES))
+def test_every_record_in_flight_is_a_record(workload, interval, monkeypatch):
+    # perfbench's tracer reads .size on every logged record and on every
+    # share entry's record, so every record must be a Record, never a
+    # plain tuple
+    seen = Counter()
+    reduce_phase = ftmr.engine.reduce_phase
+
+    def checked_reduce(cluster, *args):
+        for i in cluster.live:
+            seen["inbox"] += _count_records(chain.from_iterable(cluster.pes[i].inbox.values()))
+        return reduce_phase(cluster, *args)
+
+    monkeypatch.setattr(ftmr.engine, "reduce_phase", checked_reduce)
+    config = JobConfig(benchmark=workload, p=4, seed=5, recovery_point_interval=interval,
+                       **SCALES[workload])
+    plan = parse_failure_spec("1:1" if workload in ("wordcount", "uniform") else "2:1")
+    cluster = Cluster(build_job(config), 4, recovery_point_interval=interval,
+                      failure_plan=plan)
+    while cluster.step():
+        for i in cluster.live:
+            pe = cluster.pes[i]
+            seen["log"] += _count_records(chain.from_iterable(
+                payload for payloads in pe.sent_log.values() for payload in payloads.values()
+            ))
+            seen["share"] += _count_records(
+                entry[3] for store in pe.backup_store.values()
+                for share in store.values() for entry in share
+            )
+            seen["current"] += _count_records(pe.current_records)
+    assert cluster.metrics.recoveries
+    seen["output"] = _count_records(chain.from_iterable(cluster.result().outputs.values()))
+    assert all(seen[kind] for kind in ("inbox", "log", "current", "output"))
+    assert bool(seen["share"]) == (interval != "input-only")
 
 
 def test_owner_memo_kept_when_keys_repeat():
@@ -385,6 +469,37 @@ def test_map_errors_carry_context():
     spec = StepSpec("bad", bad_map, lambda k, v: [])
     with pytest.raises(JobError, match=r"PE \d+, step 1, map of record 0"):
         run_job(Job(random_source(7), ListDriver([spec])), 4)
+
+
+@pytest.mark.parametrize("k", [5, -1], ids=["middle", "last"])
+@pytest.mark.parametrize("lazy", [False, True], ids=["list", "generator"])
+def test_map_error_names_the_failing_record(k, lazy):
+    # a map_fn that raises on record k of PE 2 at step 2, either when
+    # called or part-way through the generator it returned
+    target = []
+
+    def bad_map(rec):
+        if rec in target:
+            raise KeyError("boom")
+        return [rec]
+
+    def bad_generator(rec):
+        yield rec
+        if rec in target:
+            raise KeyError("boom")
+
+    spec = StepSpec("bad", bad_generator if lazy else bad_map, identity_spec().reduce_fn)
+    job = Job(random_source(7), ListDriver([identity_spec(), spec]))
+    cluster = Cluster(job, 4)
+    assert cluster.step()
+    records = cluster.pes[2].current_records
+    k %= len(records)
+    assert k > 0 and records.count(records[k]) == 1
+    target.append(records[k])
+    with pytest.raises(JobError, match=rf"^PE 2, step 2, map of record {k}: KeyError") as info:
+        cluster.step()
+    assert (info.value.pe, info.value.step) == (2, 2)
+    assert isinstance(info.value.__cause__, KeyError)
 
 
 def test_reduce_errors_carry_context():

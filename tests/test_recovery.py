@@ -1,6 +1,7 @@
 """Failure injection and recovery: rebuild, replay, refusal."""
 
 import copy
+import random
 from collections import Counter
 from types import SimpleNamespace
 
@@ -13,6 +14,7 @@ from ftmr.core import Record
 from ftmr.engine import (
     Cluster,
     Job,
+    JobError,
     ListDriver,
     RecordSource,
     StepSpec,
@@ -238,6 +240,36 @@ def test_input_replay_window():
     (rec,) = result.metrics.recoveries
     assert rec.recovery_point == 0
     assert rec.replayed_steps == (1, 2)
+
+
+def test_replay_map_error_names_the_holder():
+    # step 2's map raises on the first record it sees twice: the replay
+    # of failed PE 1's step-2 map, from recovery point 1, on a survivor
+    def source(pe):
+        rng = random.Random(pe)
+        return [Record(rng.randbytes(6), rng.randbytes(4)) for _ in range(30)]
+
+    seen, again = set(), []
+
+    def step2_map(rec):
+        if rec in seen:
+            again.append(rec)
+            raise KeyError("replay")
+        seen.add(rec)
+        return [rec]
+
+    def identity_reduce(key, values):
+        return [Record(key, v) for v in values]
+
+    driver = ListDriver([StepSpec("one", lambda rec: [rec], identity_reduce),
+                         StepSpec("two", step2_map, identity_reduce)])
+    with pytest.raises(JobError, match=r"^PE \d, step 2, map during replay: KeyError") as info:
+        run_job(Job(RecordSource(source), driver), 4, recovery_point_interval=2,
+                failure_plan=parse_failure_spec("2:1"))
+    (rec,) = again
+    holder = shrink_partition(initial_partition(4), {1}).owner_of(hash_key(rec.key))
+    assert holder != 1
+    assert (info.value.pe, info.value.step) == (holder, 2)
 
 
 def test_single_recoverer_transfers_whole_range():
