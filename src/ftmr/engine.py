@@ -349,12 +349,13 @@ def group_entries(inbox: dict[PeId, list[Record]]) -> list[tuple[bytes, list[byt
 
     Keys are sorted bytewise; within a group, values follow ascending
     sender, then emission order, so grouping does not depend on the order
-    in which senders delivered.
+    in which senders delivered. Each record is read by position, because
+    unpacking a ``Record`` (a tuple subclass) allocates an iterator.
     """
     by_key: defaultdict[bytes, list[bytes]] = defaultdict(list)
     for src in sorted(inbox):
-        for key, value in inbox[src]:
-            by_key[key].append(value)
+        for rec in inbox[src]:
+            by_key[rec[0]].append(rec[1])
     return [(key, by_key[key]) for key in sorted(by_key)]
 
 

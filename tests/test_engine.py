@@ -428,6 +428,31 @@ def test_group_entries_sorted_keys_and_stable_values():
     ]
 
 
+class _UnpackRefused(Record):
+    """A record that refuses to be unpacked or iterated."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        raise AssertionError("record unpacked")
+
+
+def test_group_entries_reads_records_by_position():
+    pairs = {
+        2: [(b"b", b"20"), (b"a", b"21"), (b"b", b"22")],
+        0: [(b"c", b"00"), (b"b", b"01")],
+        5: [(b"a", b"50"), (b"c", b"51"), (b"a", b"52")],
+    }
+    expected = [
+        (b"a", [b"21", b"50", b"52"]),
+        (b"b", [b"01", b"20", b"22"]),
+        (b"c", [b"00", b"51"]),
+    ]
+    for kind in (tuple, Record, _UnpackRefused):
+        inbox = {src: [tuple.__new__(kind, pair) for pair in recs] for src, recs in pairs.items()}
+        assert group_entries(inbox) == expected, kind
+
+
 # -- aggregates and drivers ---------------------------------------------
 
 
