@@ -27,6 +27,16 @@ size is the route's key bytes plus one pass over the values.  The
 position ints come from one table on the :class:`Cluster`, so routes
 share them.
 
+The routes also lay out the receivers.  When every sender that delivered
+to a PE reused its route, that inbox's key sequence is fixed by those
+route objects, so the reduce keeps the inbox's grouping as one
+``itemgetter`` per key (:func:`_inbox_layout`) and later steps gather
+each key's values in C.  A layout is built only at a step where every
+route into the PE was reused (a rebuilt route would rebuild it every
+step), is used only while the same route objects deliver, and is dropped
+when a failure event fires (recovery appends to inboxes) or the shuffle
+empties the owner memo.
+
 Failures are injected at the shuffle barrier: the exchange of the step
 completes (real failures are detected at the synchronization point), then
 the failed PEs lose all local state.  A run's delivery ledger is noted
@@ -41,7 +51,7 @@ from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, count, repeat
-from operator import itemgetter, length_hint
+from operator import is_, itemgetter, length_hint
 from typing import Callable, Iterable, NamedTuple, Protocol
 
 from .core import ConfigError, PeId, Record, StepId, records_size
@@ -231,26 +241,36 @@ class Route(NamedTuple):
     payloads: list[tuple[PeId, itemgetter, int]]
 
 
-def _route(owners: Owners, keys: list[bytes], positions: list[int]) -> Route:
-    """Lay ``keys`` out by destination under ``owners``.
+def _layout(labels: list, positions: list[int]) -> list[tuple[object, itemgetter]]:
+    """Group the positions of ``labels`` by label.
 
-    ``positions`` is the cluster's table of position ints, ``positions[i]
-    == i``, grown here on demand; the gathers hold its int objects, so
-    routes share them instead of each holding its own.
+    Returns ``(label, gather)`` pairs, ascending label, where ``gather``
+    is an ``itemgetter`` over that label's positions in order.  The
+    position ints come from ``positions``, the cluster's table
+    (``positions[i] == i``), grown here on demand; the gathers hold its
+    int objects, so layouts share them instead of each holding its own.
     """
-    if len(positions) < len(keys):
-        positions.extend(range(len(positions), len(keys)))
-    by_dst: defaultdict[PeId, list[int]] = defaultdict(list)
-    for pos, dst in zip(positions, map(owners.__getitem__, keys)):
-        by_dst[dst].append(pos)
-    payloads = []
-    for dst in sorted(by_dst):
-        at = by_dst[dst]
-        # itemgetter of one position returns the bare record; a one-wide
-        # slice gathers it as a one-record list
-        gather = itemgetter(*at) if len(at) > 1 else itemgetter(slice(at[0], at[0] + 1))
-        payloads.append((dst, gather, sum(map(len, map(keys.__getitem__, at)))))
-    return Route(owners, keys, payloads)
+    if len(positions) < len(labels):
+        positions.extend(range(len(positions), len(labels)))
+    by_label: defaultdict[object, list[int]] = defaultdict(list)
+    for pos, label in zip(positions, labels):
+        by_label[label].append(pos)
+    layout = []
+    for label in sorted(by_label):
+        at = by_label[label]
+        # itemgetter of one position returns the bare item; a one-wide
+        # slice gathers it as a one-item list
+        layout.append((label, itemgetter(*at) if len(at) > 1
+                       else itemgetter(slice(at[0], at[0] + 1))))
+    return layout
+
+
+def _route(owners: Owners, keys: list[bytes], positions: list[int]) -> Route:
+    """Lay ``keys`` out by destination under ``owners``."""
+    return Route(owners, keys, [
+        (dst, gather, sum(map(len, gather(keys))))
+        for dst, gather in _layout(list(map(owners.__getitem__, keys)), positions)
+    ])
 
 
 def unit_entries(src: PeId, payloads: dict[PeId, list[Record]], group_of: tuple) -> list:
@@ -288,6 +308,7 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
     known = len(owners)
     manifest = cluster.step_history[step].backup_manifest
     routes, cluster.routes = cluster.routes, {}
+    reused = cluster.reused = {}
     records = network_bytes = self_bytes = 0
 
     for src in sorted(cluster.live):
@@ -300,6 +321,8 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
         route = routes.get(src)
         if route is None or route.owners is not owners or route.keys != keys:
             route = _route(owners, keys, cluster.positions)
+        else:
+            reused[src] = route
         # kept unless every key was new to the memo (a reused route adds none)
         if len(owners) - before < len(keys):
             cluster.routes[src] = route
@@ -336,27 +359,58 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
             sm.backup_received[target] = sm.backup_received.get(target, 0) + got
     if records and len(owners) - known == records:
         # no key repeated, so no route was kept either: the position
-        # table goes with the memo
+        # table and the receiver layouts go with the memo
         owners.clear()
         cluster.positions.clear()
+        cluster.layouts = {}
     sm.records += records
     sm.network_bytes += network_bytes
     sm.self_bytes += self_bytes
 
 
-def group_entries(inbox: dict[PeId, list[Record]]) -> list[tuple[bytes, list[bytes]]]:
+def group_entries(
+    inbox: dict[PeId, list[Record]], layout: list | None = None
+) -> list[tuple[bytes, list[bytes]]]:
     """Group an inbox's records by key for reducing.
 
     Keys are sorted bytewise; within a group, values follow ascending
     sender, then emission order, so grouping does not depend on the order
     in which senders delivered. Each record is read by position, because
     unpacking a ``Record`` (a tuple subclass) allocates an iterator.
+    Given the inbox's ``layout`` (:func:`_inbox_layout`), each key's
+    values are gathered from the inbox's values in that order instead.
     """
+    senders = sorted(inbox)
+    if layout is not None:
+        values = list(map(itemgetter(1), chain.from_iterable(map(inbox.__getitem__, senders))))
+        return [(key, list(gather(values))) for key, gather in layout]
     by_key: defaultdict[bytes, list[bytes]] = defaultdict(list)
-    for src in sorted(inbox):
+    for src in senders:
         for rec in inbox[src]:
             by_key[rec[0]].append(rec[1])
     return [(key, by_key[key]) for key in sorted(by_key)]
+
+
+def _inbox_layout(cluster: Cluster, dst: PeId) -> list | None:
+    """The layout of ``dst``'s inbox by key, or None to group it anew.
+
+    Only an inbox whose every sender reused its route this step has one:
+    its keys, in ascending sender then emission order, are then fixed by
+    those route objects.  The layout is kept with the routes it was laid
+    out from and used while the same objects deliver; any other inbox
+    drops it.
+    """
+    inbox = cluster.pes[dst].inbox
+    senders = sorted(inbox)
+    kept = cluster.layouts.pop(dst, None)
+    routes = [cluster.reused[src] for src in senders if src in cluster.reused]
+    if not senders or len(routes) < len(senders):
+        return None
+    if kept is None or len(kept[0]) != len(routes) or not all(map(is_, kept[0], routes)):
+        keys = list(map(itemgetter(0), chain.from_iterable(map(inbox.__getitem__, senders))))
+        kept = (routes, _layout(keys, cluster.positions))
+    cluster.layouts[dst] = kept
+    return kept[1]
 
 
 def reduce_phase(
@@ -370,7 +424,7 @@ def reduce_phase(
     for i in sorted(cluster.live):
         pe = cluster.pes[i]
         out: list[Record] = []
-        for key, values in group_entries(pe.inbox):
+        for key, values in group_entries(pe.inbox, _inbox_layout(cluster, i)):
             try:
                 out.extend(reduce_fn(key, values))
                 if counter_fn is not None:
@@ -511,6 +565,14 @@ class Cluster:
         self.owners = Owners(initial_partition(p))
         # sender -> its route (see shuffle), rebuilt when built under another memo
         self.routes: dict[PeId, Route] = {}
+        # sender -> its route, if the last shuffle reused it
+        self.reused: dict[PeId, Route] = {}
+        # receiver -> (the routes its inbox came by, its layout by key);
+        # see _inbox_layout
+        self.layouts: dict[PeId, tuple[list[Route], list]] = {}
+        # (holder, id of an owner memo, by failure) -> recovery's layout of
+        # the holder's records (see recovery._split); kept for one recovery
+        self.splits: dict[tuple, tuple] = {}
         # positions[i] == i, shared by every route's gathers (see _route)
         self.positions: list[int] = []
         # newest shuffle that was a recovery point; 0 means the input
@@ -558,6 +620,9 @@ class Cluster:
         if event is not None:
             from .recovery import recover  # deferred: recovery imports this module
 
+            # recovery appends to inboxes, so no inbox of this step is
+            # laid out by its routes, and no kept layout outlives the map
+            self.reused, self.layouts = {}, {}
             if self.ledger is None:
                 recover(self, event)
             else:

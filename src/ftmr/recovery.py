@@ -29,19 +29,26 @@ All re-routed records are appended to survivors' sent logs under their
 step ids (a record whose new owner would also be its holder is attributed
 to a rotated peer, so an off-owner copy always exists).  That keeps a
 later failure before the next recovery point recoverable as well.
+
+Records are split by owner per (holder, destination) batch, not one at
+a time: each holder's record list is laid out once by its keys' owners
+(:func:`_split`), and each batch is logged, delivered and counted whole.
+An iterative job's holders send the same keys at every replayed step,
+so the layout is kept for the recovery and reused while a holder's key
+list and the owner memo stay the same.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
 from .core import ConfigError, PeId, Record, StepId, records_size
-from .engine import Cluster, JobError, group_entries, unit_entries
-from .metrics import RECOVERY, DeliveryLedger, RecoveryRecord
+from .engine import Cluster, JobError, _layout, group_entries, unit_entries
+from .metrics import RECOVERY, RecoveryRecord
 from .partition import BackupMode, Owners, backup_targets, shrink_partition
 
 logger = logging.getLogger(__name__)
@@ -161,7 +168,7 @@ def recover(cluster: Cluster, event: FailureEvent) -> None:
             # the unit's Reduce of the previous step, over its rebuilt inbox
             prev = step - 1
             if cluster.ledger is not None:
-                _note_rebuilt(cluster.ledger, prev, held, owners_new)
+                _note_rebuilt(cluster, prev, held, owners_new)
             current = _replay_reduce(cluster, prev, held, owners_new)
             records_recomputed += sum(map(len, held.values()))
             replayed.append(prev)
@@ -176,7 +183,7 @@ def recover(cluster: Cluster, event: FailureEvent) -> None:
         # Keep only what the unit would have sent to itself; the rest
         # already reached surviving owners before the failure.
         self_part = {
-            holder: [rec for rec in recs if owners_then[rec.key] in failed]
+            holder: dict(_split(cluster, holder, recs, owners_then, failed)).get(True, ())
             for holder, recs in mapped.items()
         }
         if r == 0 and step < t:
@@ -210,6 +217,7 @@ def recover(cluster: Cluster, event: FailureEvent) -> None:
         )
     )
     cluster.owners = owners_new
+    cluster.splits = {}
     logger.info(
         "recovered PEs %s at step %d from recovery point %d "
         "(%d records recomputed, %d bytes re-sent)",
@@ -307,10 +315,34 @@ def _holder_for(cluster: Cluster, dst: PeId) -> PeId:
     return dst
 
 
+def _split(
+    cluster: Cluster, holder: PeId, recs: list[Record], owners: Owners,
+    failed: set[PeId] | None = None,
+) -> list[tuple[object, Sequence[Record]]]:
+    """``recs`` cut by each key's owner under ``owners``, or, given
+    ``failed``, by whether that owner is in it.
+
+    Returns ``(label, batch)`` pairs, ascending label, each batch in
+    emission order.  The layout (:func:`ftmr.engine._layout`) is kept in
+    ``cluster.splits`` for the holder and memo, so a replayed step that
+    hands the holder the same keys again cuts its records in C.
+    """
+    keys = list(map(itemgetter(0), recs))
+    slot = (holder, id(owners), failed is not None)
+    kept = cluster.splits.get(slot)
+    if kept is None or kept[1] != keys:
+        labels = list(map(owners.__getitem__, keys))
+        if failed is not None:
+            labels = list(map(failed.__contains__, labels))
+        # the entry holds the memo, so its id names no other memo
+        kept = cluster.splits[slot] = (owners, keys, _layout(labels, cluster.positions))
+    return [(label, gather(recs)) for label, gather in kept[2]]
+
+
 def _log_copy(
-    cluster: Cluster, holder: PeId, step: StepId, dst: PeId, rec: Record
+    cluster: Cluster, holder: PeId, step: StepId, dst: PeId, recs: Sequence[Record]
 ) -> PeId:
-    """Log ``rec`` as a step-``step`` send to ``dst``; return the sender.
+    """Log ``recs`` as step-``step`` sends to ``dst``; return the sender.
 
     The sender is ``holder`` unless it sits in ``dst``'s failure group;
     then a PE outside that group takes the copy, so the log never dies
@@ -323,7 +355,7 @@ def _log_copy(
         sender = _holder_for(cluster, dst)
     if sender != dst:
         cluster.reprotect_holdings.setdefault(sender, set()).add((step, dst))
-    cluster.pes[sender].sent_log.setdefault(step, {}).setdefault(dst, []).append(rec)
+    cluster.pes[sender].sent_log.setdefault(step, {}).setdefault(dst, []).extend(recs)
     return sender
 
 
@@ -344,10 +376,10 @@ def _relog_pending(cluster: Cluster, t: StepId, failed: set[PeId]) -> int:
         holder = _holder_for(cluster, owner)
         inbox = cluster.pes[owner].inbox
         for src in sorted(failed):
-            recs = inbox.get(src, ())
-            for rec in recs:
-                _log_copy(cluster, holder, t, owner, rec)
-            shipped += records_size(recs)
+            recs = inbox.get(src)
+            if recs:
+                _log_copy(cluster, holder, t, owner, recs)
+                shipped += records_size(recs)
     return shipped
 
 
@@ -362,12 +394,11 @@ def _relog_mapped(
     """
     shipped = 0
     for holder, recs in mapped.items():
-        for rec in recs:
-            dst = owners_then[rec.key]
+        for dst, batch in _split(cluster, holder, recs, owners_then):
             if dst in failed or dst not in cluster.live:
                 continue
-            if _log_copy(cluster, holder, step, dst, rec) != holder:
-                shipped += rec.size
+            if _log_copy(cluster, holder, step, dst, batch) != holder:
+                shipped += records_size(batch)
     return shipped
 
 
@@ -452,23 +483,21 @@ def _inject(cluster: Cluster, t: StepId, held: _Held, owners_new: Owners) -> int
     """
     bytes_resent = 0
     for holder, recs in held.items():
-        for rec in recs:
-            dst = owners_new[rec.key]
-            sender = _log_copy(cluster, holder, t, dst, rec)
-            cluster.pes[dst].inbox.setdefault(sender, []).append(rec)
-            if holder != dst:
-                bytes_resent += rec.size
-            if sender != holder:
-                bytes_resent += rec.size
+        for dst, batch in _split(cluster, holder, recs, owners_new):
+            sender = _log_copy(cluster, holder, t, dst, batch)
+            cluster.pes[dst].inbox.setdefault(sender, []).extend(batch)
+            # once off the holder, once more if the log copy moves off it
+            hops = (holder != dst) + (sender != holder)
+            if hops:
+                bytes_resent += hops * records_size(batch)
     return bytes_resent
 
 
 def _note_rebuilt(
-    ledger: DeliveryLedger, step: StepId, held: _Held, owners_new: Owners
+    cluster: Cluster, step: StepId, held: _Held, owners_new: Owners
 ) -> None:
-    """Note a rebuilt step inbox in ``ledger``, one batch per new owner."""
-    by_dst: defaultdict[PeId, list[Record]] = defaultdict(list)
-    for rec in chain.from_iterable(held.values()):
-        by_dst[owners_new[rec.key]].append(rec)
-    for dst, recs in by_dst.items():
-        ledger.note(step, dst, RECOVERY, recs)
+    """Note a rebuilt step inbox in the cluster's ledger, one batch per
+    (holder, new owner)."""
+    for holder, recs in held.items():
+        for dst, batch in _split(cluster, holder, recs, owners_new):
+            cluster.ledger.note(step, dst, RECOVERY, batch)

@@ -9,6 +9,11 @@ PageRank.  None of them import the engine's map/reduce code.
 The reference generators draw the seeded inputs the plain way, one
 ``randrange`` or ``getrandbits(64)`` call per number, as the generators
 in ``ftmr.benchmarks`` must reproduce them.
+
+The reference recovery walks deliver and re-log a rebuilt unit's records
+one at a time, each record's owner looked up on its own; recovery's
+per-(holder, destination) batches must leave every inbox, sent log and
+re-protection holding exactly as these walks do.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from ftmr.benchmarks import (
 )
 from ftmr.core import Record
 from ftmr.partition import mix_seed
+from ftmr.recovery import _holder_for
 
 
 # -- reference generators ----------------------------------------------
@@ -144,3 +150,63 @@ def pagerank_expected(
     for _ in range(iterations):
         scores = (1.0 - damping) / n + damping * (matrix @ scores)
     return scores
+
+
+# -- reference recovery walks, one record at a time ------------------------
+
+
+def log_copy_reference(cluster, holder, step, dst, rec):
+    """Log one record as a step-``step`` send to ``dst``; the sender."""
+    if cluster.group_of[holder] != cluster.group_of[dst]:
+        sender = holder
+    else:
+        sender = _holder_for(cluster, dst)
+    if sender != dst:
+        cluster.reprotect_holdings.setdefault(sender, set()).add((step, dst))
+    cluster.pes[sender].sent_log.setdefault(step, {}).setdefault(dst, []).append(rec)
+    return sender
+
+
+def inject_reference(cluster, t, held, owners_new):
+    """Deliver each held record to its new owner, holders in order."""
+    bytes_resent = 0
+    for holder, recs in held.items():
+        for rec in recs:
+            dst = owners_new[rec.key]
+            sender = log_copy_reference(cluster, holder, t, dst, rec)
+            cluster.pes[dst].inbox.setdefault(sender, []).append(rec)
+            if holder != dst:
+                bytes_resent += rec.size
+            if sender != holder:
+                bytes_resent += rec.size
+    return bytes_resent
+
+
+def relog_pending_reference(cluster, t, failed):
+    """Copy each survivor's pending step-``t`` records from the unit
+    into a peer's sent log, one record at a time."""
+    live_sorted = sorted(cluster.live)
+    if len(live_sorted) < 2:
+        return 0
+    shipped = 0
+    for owner in live_sorted:
+        holder = _holder_for(cluster, owner)
+        inbox = cluster.pes[owner].inbox
+        for src in sorted(failed):
+            for rec in inbox.get(src, ()):
+                log_copy_reference(cluster, holder, t, owner, rec)
+                shipped += rec.size
+    return shipped
+
+
+def relog_mapped_reference(cluster, step, mapped, failed, owners_then):
+    """Re-log each recomputed record sent to a live PE outside the unit."""
+    shipped = 0
+    for holder, recs in mapped.items():
+        for rec in recs:
+            dst = owners_then[rec.key]
+            if dst in failed or dst not in cluster.live:
+                continue
+            if log_copy_reference(cluster, holder, step, dst, rec) != holder:
+                shipped += rec.size
+    return shipped

@@ -235,6 +235,56 @@ def test_one_record_destination_over_a_reused_route():
     assert kept.metrics.steps == fresh.metrics.steps
 
 
+@pytest.mark.parametrize("plan, reset_after", [
+    (None, None), ("6:1", None), (None, 4),
+], ids=["fault-free", "failure", "routes-reset"])
+def test_reduce_groups_like_group_entries_over_kept_layouts(monkeypatch, plan, reset_after):
+    # each reduce's groups are checked against a fresh grouping of its
+    # inbox; per step, which PEs' inboxes were laid out
+    group_entries = ftmr.engine.group_entries
+    laid_out = []
+
+    def checked(inbox, layout=None):
+        got = group_entries(inbox, layout)
+        assert got == group_entries(inbox)
+        laid_out[-1].append(layout is not None)
+        return got
+
+    monkeypatch.setattr(ftmr.engine, "group_entries", checked)
+    config = dataclasses.replace(PAGERANK_32, iterations=9)
+    cluster = Cluster(build_job(config), 4,
+                      failure_plan=parse_failure_spec(plan) if plan else None)
+    while True:
+        if cluster.steps_run == reset_after:
+            cluster.routes = {}
+        laid_out.append([])
+        if not cluster.step():
+            break
+        if not all(laid_out[-1]):
+            # a rebuilt route, or a recovery, left no layout behind
+            assert not any(laid_out[-1])
+            assert cluster.layouts == {}
+        else:
+            assert set(cluster.layouts) == cluster.live
+    # steps 1 and 2 send in new key orders, and step 3 builds the layouts
+    # as it uses them; a failure skips its step and the next, whose
+    # routes are rebuilt under the new memo, and a route reset the next
+    skipped = {6, 7} if plan else {5} if reset_after else set()
+    assert [step for step, used in enumerate(laid_out[:-1], 1) if all(used)] == [
+        step for step in range(3, 10) if step not in skipped
+    ]
+
+
+@pytest.mark.parametrize("config", [
+    JobConfig(benchmark=name, p=4, seed=5, **SCALES[name])
+    for name in ("cc", "wordcount", "uniform")
+], ids=["cc", "wordcount", "uniform"])
+def test_no_layout_without_repeated_routes(config):
+    cluster = Cluster(build_job(config), 4)
+    while cluster.step():
+        assert cluster.layouts == {}
+
+
 def _count_records(records) -> int:
     kinds = Counter(map(type, records))
     assert set(kinds) <= {Record}

@@ -54,3 +54,55 @@ def test_summary_of_one_pair_uses_its_values_as_quartiles():
 
 def test_summary_of_no_pairs_is_empty():
     assert pairs.summarize(METRICS, []) == []
+
+
+BOUNDED = [
+    {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "records_per_s", "unit": "records/s", "better": "higher", "bound": 0.25},
+]
+
+
+def _verdicts(run_s, rate):
+    rows = pairs.summarize(BOUNDED, _pairs(run_s, rate))
+    return {r["name"]: (r["claim"], r["beyond_bound"]) for r in rows}
+
+
+def test_claim_holds_on_nine_wins_and_a_drop_beyond_the_base_iqr():
+    # base run_s 1.00..1.09: median 1.045, IQR 0.045; the change is 0.1 s
+    # faster in nine pairs and slower in one
+    base = [1.0 + i / 100 for i in range(10)]
+    change = [b - 0.1 for b in base[:9]] + [base[9] + 0.1]
+    rate = [(10, 10)] * 10
+    assert _verdicts(list(zip(base, change)), rate) == {
+        "run_s": (True, False), "records_per_s": (False, False),
+    }
+    # eight wins are not enough
+    change[8] = base[8] + 0.1
+    assert _verdicts(list(zip(base, change)), rate)["run_s"] == (False, False)
+
+
+def test_claim_fails_when_the_drop_is_within_the_base_iqr():
+    # ten wins of 0.01 s each against an IQR of 0.045 s
+    base = [1.0 + i / 100 for i in range(10)]
+    got = _verdicts([(b, b - 0.01) for b in base], [(10, 10)] * 10)
+    assert got["run_s"] == (False, False)
+
+
+def test_beyond_bound_when_the_median_is_worse_by_more_than_the_bound():
+    base = [1.0] * 10
+    rate = [(100, 100)] * 10
+    # 30 % slower is beyond a 25 % bound, 20 % slower is not
+    assert _verdicts([(b, 1.3) for b in base], rate)["run_s"] == (False, True)
+    assert _verdicts([(b, 1.2) for b in base], rate)["run_s"] == (False, False)
+    # a higher-is-better metric is worse when it falls
+    got = _verdicts([(1.0, 1.0)] * 10, [(100, 70)] * 10)
+    assert got["records_per_s"] == (False, True)
+    got = _verdicts([(1.0, 1.0)] * 10, [(100, 130)] * 10)
+    assert got["records_per_s"] == (True, False)
+
+
+def test_a_metric_without_a_bound_is_never_beyond_it():
+    (row,) = pairs.summarize(METRICS[:1], _pairs(run_s=[(1.0, 9.0)], rate=[(1, 1)]))
+    assert (row["claim"], row["beyond_bound"]) == (False, False)
+    line = pairs.format_rows([row])[0]
+    assert "claim holds: no" in line and "beyond bound: no" in line

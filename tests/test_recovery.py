@@ -33,6 +33,7 @@ from ftmr.harness import (
 from ftmr.metrics import ORIGINAL, RECOVERY, DeliveryLedger
 from ftmr.partition import PartitionMap, hash_key, initial_partition, shrink_partition
 from ftmr.recovery import FailureEvent, UnrecoverableFailure
+from oracles import inject_reference, relog_mapped_reference, relog_pending_reference
 
 
 def cc_config(**kwargs):
@@ -140,6 +141,61 @@ def test_ledger_sees_what_injection_delivered(monkeypatch):
     assert verify(result, reference, plan) == [
         "step 2: recovered stream mismatch (0 missing, 1 duplicated/re-sent)"
     ]
+
+
+@pytest.mark.parametrize("config, spec", [
+    (JobConfig(benchmark="pagerank", p=8, group_size=2, seed=4, vertices_per_pe=8,
+               iterations=6, recovery_point_interval=3), "5:2,3"),
+    (JobConfig(benchmark="pagerank", p=8, group_size=2, seed=4, vertices_per_pe=8,
+               iterations=6), "3:4,5"),
+    (cc_config(seed=5, recovery_point_interval="input-only"), "2:1;4:2"),
+], ids=["pagerank-groups-replay", "pagerank-groups", "cc-input-only"])
+def test_recovery_batches_match_a_per_record_walk(monkeypatch, config, spec):
+    # every list recovery touches, as each reduce reads the cluster
+    def run(walk):
+        seen = []
+        calls = Counter()
+        reduce_phase = ftmr.engine.reduce_phase
+
+        def snapshot(cluster, reduce_fn, step, counter_fn):
+            seen.append((
+                {i: copy.deepcopy(cluster.pes[i].inbox) for i in sorted(cluster.live)},
+                {i: copy.deepcopy(cluster.pes[i].sent_log) for i in sorted(cluster.live)},
+                copy.deepcopy(cluster.reprotect_holdings),
+            ))
+            return reduce_phase(cluster, reduce_fn, step, counter_fn)
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        with monkeypatch.context() as m:
+            m.setattr(ftmr.engine, "reduce_phase", snapshot)
+            for name, fn in walk.items():
+                m.setattr(ftmr.recovery, name, counted(name, fn))
+            result = run_simulation(config, parse_failure_spec(spec))
+        return seen, calls, result
+
+    names = ("_inject", "_relog_pending", "_relog_mapped")
+    batched, calls, got = run({name: getattr(ftmr.recovery, name) for name in names})
+    walked, _, want = run({
+        "_inject": inject_reference,
+        "_relog_pending": relog_pending_reference,
+        "_relog_mapped": relog_mapped_reference,
+    })
+    assert calls["_inject"] == len(spec.split(";"))
+    if config.recovery_point_interval == "input-only":
+        assert calls["_relog_pending"] and calls["_relog_mapped"]
+    assert len(batched) == len(walked) == got.steps_run
+    for step, (a, b) in enumerate(zip(batched, walked), 1):
+        for name, x, y in zip(("inboxes", "sent logs", "holdings"), a, b):
+            assert x == y, f"step {step}: {name} differ"
+    assert [(r.bytes_resent, r.backup_repair_bytes) for r in got.metrics.recoveries] == [
+        (r.bytes_resent, r.backup_repair_bytes) for r in want.metrics.recoveries
+    ]
+    assert got.outputs == want.outputs
 
 
 def test_ledger_holds_what_each_reduce_reads(monkeypatch):
