@@ -10,14 +10,18 @@ flips every pair, so a drift in host speed falls on both sides alike.
 Each run's last line of standard output is its JSON result.  For every
 end-to-end metric that ``CHANGE/BENCHMARK.json`` lists, the summary gives
 each side's median [q1, q3] over the pairs and how many pairs the change
-won (strictly better by that metric's ``better``) or tied, with two
+won (strictly better by that metric's ``better``) or tied, with three
 verdicts:
 
 * ``claim holds``: the change won at least 9 in 10 of the pairs, and
   its median is better than the base's by more than the base's
   interquartile range;
 * ``beyond bound``: the change's median is worse than the base's by
-  more than the metric's ``bound`` (a fraction of the base's median).
+  more than the metric's ``bound`` (a fraction of the base's median);
+* ``unresolved``: the base's interquartile range is wider than the
+  metric's ``bound``, so its runs spread too widely to tell a change
+  within the bound from none, unless every change run is better than
+  every base run.
 
 The exit code is 1 if any run exited non-zero, printed no result or
 reported ``correct: false``.  Only the standard library is used.
@@ -48,8 +52,9 @@ def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> list[dict]
     ``better``, optionally ``bound``); ``pairs`` are ``(base, change)``
     maps of metric name to value, one per pair.  A row holds each side's
     ``(q1, median, q3)``, the change's median relative to the base's,
-    the pairs the change won and tied, and the two verdicts (``claim``,
-    ``beyond_bound``; a metric without a bound is never beyond it).
+    the pairs the change won and tied, and the three verdicts (``claim``,
+    ``beyond_bound``, ``unresolved``; a metric without a bound is never
+    beyond it or unresolved).
     """
     rows = []
     for metric in metrics:
@@ -65,6 +70,8 @@ def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> list[dict]
         # how far the change's median is better than the base's
         gain = sign * (change_q[1] - base_q[1])
         bound = metric.get("bound")
+        # every change run better than every base run
+        apart = max(change) < min(base) if sign < 0 else min(change) > max(base)
         rows.append({
             "name": name,
             "unit": metric["unit"],
@@ -76,13 +83,15 @@ def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> list[dict]
             "pairs": len(pairs),
             "claim": 10 * won >= 9 * len(pairs) and gain > base_q[2] - base_q[0],
             "beyond_bound": bound is not None and -gain > bound * abs(base_q[1]),
+            "unresolved": (bound is not None and not apart
+                           and base_q[2] - base_q[0] > bound * abs(base_q[1])),
         })
     return rows
 
 
 def format_rows(rows: list[dict]) -> list[str]:
     """One aligned line per row: name, base -> change, unit, relative,
-    wins and the two verdicts."""
+    wins and the three verdicts."""
     def side(q):
         return f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
 
@@ -92,7 +101,8 @@ def format_rows(rows: list[dict]) -> list[str]:
     cells = [
         (r["name"], side(r["base"]), side(r["change"]), r["unit"],
          f"{100 * r['relative']:+.1f} %", f"won {r['won']}/{r['pairs']}, tied {r['tied']};",
-         f"claim holds: {yes(r['claim'])};", f"beyond bound: {yes(r['beyond_bound'])}")
+         f"claim holds: {yes(r['claim'])};", f"beyond bound: {yes(r['beyond_bound'])};",
+         f"unresolved: {yes(r['unresolved'])}")
         for r in rows
     ]
     widths = [max(map(len, column)) for column in zip(*cells)]

@@ -22,20 +22,25 @@ so the shuffle keeps each sender's :class:`Route`, the layout of its key
 list under the current owner memo.  A route holds one
 ``operator.itemgetter`` per destination over the positions of that
 destination's records; while the memo and the key list are unchanged,
-each payload is gathered from the outbound list in one C call, and its
-size is the route's key bytes plus one pass over the values.  The
-position ints come from one table on the :class:`Cluster`, so routes
-share them.
+each payload is gathered from the outbound list in one C call.  The
+values of each payload are read once, into one list: its size is the
+route's key bytes plus their lengths, and a backup share's size is the
+key bytes the route keeps for that share (per share count) plus the
+lengths of its slice of the unit's values, so no share record is read
+again.  The position ints come from one table on the :class:`Cluster`,
+so routes share them.
 
-The routes also lay out the receivers.  When every sender that delivered
-to a PE reused its route, that inbox's key sequence is fixed by those
-route objects, so the reduce keeps the inbox's grouping as one
-``itemgetter`` per key (:func:`_inbox_layout`) and later steps gather
-each key's values in C.  A layout is built only at a step where every
-route into the PE was reused (a rebuilt route would rebuild it every
-step), is used only while the same route objects deliver, and is dropped
-when a failure event fires (recovery appends to inboxes) or the shuffle
-empties the owner memo.
+The routes also lay out the receivers, and carry their values.  When
+every sender that delivered to a PE reused its route, that inbox's key
+sequence is fixed by those route objects, so the reduce keeps the
+inbox's grouping as one ``itemgetter`` per key (:func:`_inbox_layout`)
+and later steps gather each key's values in C from the value lists the
+senders handed over (``Cluster.handed``), without reading the inbox's
+records.  A layout is built only at a step where every route into the
+PE was reused (a rebuilt route would rebuild it every step), is used
+only while the same route objects deliver, and is dropped, with the
+handed-over values, when a failure event fires (recovery appends to
+inboxes); the layouts also go when the shuffle empties the owner memo.
 
 Failures are injected at the shuffle barrier: the exchange of the step
 completes (real failures are detected at the synchronization point), then
@@ -54,7 +59,7 @@ from itertools import chain, count, repeat
 from operator import is_, itemgetter, length_hint
 from typing import Callable, Iterable, NamedTuple, Protocol
 
-from .core import ConfigError, PeId, Record, StepId, records_size
+from .core import ConfigError, PeId, Record, StepId
 from .metrics import ORIGINAL, RECOVERY, DeliveryLedger, Metrics
 from .partition import (
     BackupMode,
@@ -239,6 +244,9 @@ class Route(NamedTuple):
     # (dst, gather of its records from the outbound list, their key
     # bytes), ascending dst
     payloads: list[tuple[PeId, itemgetter, int]]
+    # share count n -> the key bytes of each of the n backup shares of
+    # the sender's unit-internal records (see _share_keys)
+    share_keys: dict[int, list[int]]
 
 
 def _layout(labels: list, positions: list[int]) -> list[tuple[object, itemgetter]]:
@@ -270,7 +278,22 @@ def _route(owners: Owners, keys: list[bytes], positions: list[int]) -> Route:
     return Route(owners, keys, [
         (dst, gather, sum(map(len, gather(keys))))
         for dst, gather in _layout(list(map(owners.__getitem__, keys)), positions)
-    ])
+    ], {})
+
+
+def _share_keys(route: Route, unit: list[itemgetter], n: int) -> list[int]:
+    """The key bytes of each of ``n`` backup shares of a route's
+    unit-internal records, measured once per share count.
+
+    ``unit`` holds the route's gathers of the destinations inside the
+    sender's failure unit, ascending; share k holds entries ``k::n`` of
+    :func:`unit_entries`, so it is cut from their keys the same way.
+    """
+    got = route.share_keys.get(n)
+    if got is None:
+        keys = list(chain.from_iterable(gather(route.keys) for gather in unit))
+        got = route.share_keys[n] = [sum(map(len, keys[k::n])) for k in range(n)]
+    return got
 
 
 def unit_entries(src: PeId, payloads: dict[PeId, list[Record]], group_of: tuple) -> list:
@@ -308,7 +331,7 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
     known = len(owners)
     manifest = cluster.step_history[step].backup_manifest
     routes, cluster.routes = cluster.routes, {}
-    reused = cluster.reused = {}
+    handed = cluster.handed = defaultdict(list)
     records = network_bytes = self_bytes = 0
 
     for src in sorted(cluster.live):
@@ -319,21 +342,29 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
         keys = list(map(itemgetter(0), outbound))
         before = len(owners)
         route = routes.get(src)
-        if route is None or route.owners is not owners or route.keys != keys:
+        reused = route is not None and route.owners is owners and route.keys == keys
+        if not reused:
             route = _route(owners, keys, cluster.positions)
-        else:
-            reused[src] = route
         # kept unless every key was new to the memo (a reused route adds none)
         if len(owners) - before < len(keys):
             cluster.routes[src] = route
         payloads = {}
+        # the route's gathers and the values sent inside the failure unit
+        unit, unit_values = [], []
         for dst, gather, key_bytes in route.payloads:
             payload = payloads[dst] = list(gather(outbound))
-            size = key_bytes + sum(map(len, map(itemgetter(1), payload)))
+            # each value is read once: it sizes the payload and its share,
+            # and a reused route hands it to the receiver (_inbox_layout)
+            sent = list(map(itemgetter(1), payload))
+            size = key_bytes + sum(map(len, sent))
             if dst != src:
                 network_bytes += size
             if group_of[dst] == src_gid:
                 self_bytes += size
+                unit.append(gather)
+                unit_values.append(sent)
+            if reused:
+                handed[dst].append((route, sent))
         if fault_tolerant:
             pe.sent_log[step] = payloads
         for dst, payload in payloads.items():
@@ -350,11 +381,16 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
             )
             continue
         manifest[src] = targets
+        n = len(targets)
+        share_keys = _share_keys(route, unit, n)
+        # share k of n holds the unit's values k::n, in unit_entries' order
+        unit_values = (unit_values[0] if len(unit_values) == 1
+                       else list(chain.from_iterable(unit_values)))
         entries = unit_entries(src, payloads, group_of)
         for k, (target, share) in enumerate(split_self_message(entries, targets)):
             store = cluster.pes[target].backup_store.setdefault(step, {})
             store[(src, k)] = share
-            got = records_size(map(itemgetter(3), share))
+            got = share_keys[k] + sum(map(len, unit_values[k::n]))
             sm.backup_bytes += got
             sm.backup_received[target] = sm.backup_received.get(target, 0) + got
     if records and len(owners) - known == records:
@@ -369,7 +405,7 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
 
 
 def group_entries(
-    inbox: dict[PeId, list[Record]], layout: list | None = None
+    inbox: dict[PeId, list[Record]], layout: list | None = None, values: list | None = None
 ) -> list[tuple[bytes, list[bytes]]]:
     """Group an inbox's records by key for reducing.
 
@@ -377,40 +413,43 @@ def group_entries(
     sender, then emission order, so grouping does not depend on the order
     in which senders delivered. Each record is read by position, because
     unpacking a ``Record`` (a tuple subclass) allocates an iterator.
-    Given the inbox's ``layout`` (:func:`_inbox_layout`), each key's
-    values are gathered from the inbox's values in that order instead.
+    Given the inbox's ``layout`` and ``values`` (:func:`_inbox_layout`),
+    each key's values are gathered in that order from the value
+    sequences the senders handed over, and no record is read.
     """
-    senders = sorted(inbox)
     if layout is not None:
-        values = list(map(itemgetter(1), chain.from_iterable(map(inbox.__getitem__, senders))))
+        values = list(chain.from_iterable(values))
         return [(key, list(gather(values))) for key, gather in layout]
     by_key: defaultdict[bytes, list[bytes]] = defaultdict(list)
-    for src in senders:
+    for src in sorted(inbox):
         for rec in inbox[src]:
             by_key[rec[0]].append(rec[1])
     return [(key, by_key[key]) for key in sorted(by_key)]
 
 
-def _inbox_layout(cluster: Cluster, dst: PeId) -> list | None:
-    """The layout of ``dst``'s inbox by key, or None to group it anew.
+def _inbox_layout(cluster: Cluster, dst: PeId) -> tuple[list | None, list | None]:
+    """The layout of ``dst``'s inbox by key and the value sequences its
+    senders handed over, ascending sender; ``(None, None)`` to group the
+    inbox anew.
 
-    Only an inbox whose every sender reused its route this step has one:
-    its keys, in ascending sender then emission order, are then fixed by
-    those route objects.  The layout is kept with the routes it was laid
-    out from and used while the same objects deliver; any other inbox
-    drops it.
+    Only an inbox whose every sender reused its route this step has a
+    layout: its keys, in ascending sender then emission order, are then
+    fixed by those route objects, and each of them handed its values over
+    in the shuffle.  The layout is kept with the routes it was laid out
+    from and used while the same objects deliver; any other inbox drops
+    it.
     """
     inbox = cluster.pes[dst].inbox
-    senders = sorted(inbox)
     kept = cluster.layouts.pop(dst, None)
-    routes = [cluster.reused[src] for src in senders if src in cluster.reused]
-    if not senders or len(routes) < len(senders):
-        return None
+    handed = cluster.handed.get(dst, ())
+    if not inbox or len(handed) < len(inbox):
+        return None, None
+    routes = list(map(itemgetter(0), handed))
     if kept is None or len(kept[0]) != len(routes) or not all(map(is_, kept[0], routes)):
-        keys = list(map(itemgetter(0), chain.from_iterable(map(inbox.__getitem__, senders))))
+        keys = list(map(itemgetter(0), chain.from_iterable(map(inbox.__getitem__, sorted(inbox)))))
         kept = (routes, _layout(keys, cluster.positions))
     cluster.layouts[dst] = kept
-    return kept[1]
+    return kept[1], list(map(itemgetter(1), handed))
 
 
 def reduce_phase(
@@ -424,7 +463,7 @@ def reduce_phase(
     for i in sorted(cluster.live):
         pe = cluster.pes[i]
         out: list[Record] = []
-        for key, values in group_entries(pe.inbox, _inbox_layout(cluster, i)):
+        for key, values in group_entries(pe.inbox, *_inbox_layout(cluster, i)):
             try:
                 out.extend(reduce_fn(key, values))
                 if counter_fn is not None:
@@ -565,8 +604,9 @@ class Cluster:
         self.owners = Owners(initial_partition(p))
         # sender -> its route (see shuffle), rebuilt when built under another memo
         self.routes: dict[PeId, Route] = {}
-        # sender -> its route, if the last shuffle reused it
-        self.reused: dict[PeId, Route] = {}
+        # receiver -> (route, the values it sent there) for each sender
+        # whose route the last shuffle reused, ascending sender
+        self.handed: dict[PeId, list[tuple[Route, list]]] = {}
         # receiver -> (the routes its inbox came by, its layout by key);
         # see _inbox_layout
         self.layouts: dict[PeId, tuple[list[Route], list]] = {}
@@ -622,7 +662,7 @@ class Cluster:
 
             # recovery appends to inboxes, so no inbox of this step is
             # laid out by its routes, and no kept layout outlives the map
-            self.reused, self.layouts = {}, {}
+            self.handed, self.layouts = {}, {}
             if self.ledger is None:
                 recover(self, event)
             else:

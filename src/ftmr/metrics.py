@@ -7,7 +7,9 @@ value length, no framing):
 * ``self_bytes``     -- records staying inside the sender's failure unit
   (the sender itself, or its failure group when groups are configured),
 * ``backup_bytes``   -- backup-share records shipped to peers at recovery
-  points (equal to ``self_bytes`` whenever backup is on),
+  points (equal to ``self_bytes`` at a recovery point where every sender
+  has a backup target; 0 at every other step, and short of
+  ``self_bytes`` by the traffic of senders left without one),
 * ``records``        -- number of records routed.
 
 Each recovery contributes one :class:`RecoveryRecord` with the bytes

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import ftmr.engine
 from ftmr.config import ConfigError, JobConfig
-from ftmr.core import Record
+from ftmr.core import Record, records_size
 from ftmr.engine import (
     Cluster,
     Job,
@@ -244,8 +244,8 @@ def test_reduce_groups_like_group_entries_over_kept_layouts(monkeypatch, plan, r
     group_entries = ftmr.engine.group_entries
     laid_out = []
 
-    def checked(inbox, layout=None):
-        got = group_entries(inbox, layout)
+    def checked(inbox, layout=None, values=None):
+        got = group_entries(inbox, layout, values)
         assert got == group_entries(inbox)
         laid_out[-1].append(layout is not None)
         return got
@@ -734,6 +734,45 @@ def test_group_backups_leave_the_group():
     # intra-group traffic counts as self traffic, cross-group as network
     sm = cluster.metrics.step_metrics(1)
     assert sm.backup_bytes == sm.self_bytes > 0
+
+
+@pytest.mark.parametrize("config, plan", [
+    (JobConfig(benchmark="pagerank", p=8, seed=6, vertices_per_pe=16, iterations=6), None),
+    (JobConfig(benchmark="pagerank", p=8, seed=6, vertices_per_pe=16, iterations=6,
+               group_size=2), None),
+    (JobConfig(benchmark="pagerank", p=8, seed=6, vertices_per_pe=16, iterations=6,
+               backup_mode="single"), None),
+    (JobConfig(benchmark="pagerank", p=8, seed=6, vertices_per_pe=16, iterations=9,
+               recovery_point_interval=3), "5:2"),
+    (JobConfig(benchmark="cc", p=4, seed=6, **SCALES["cc"]), None),
+    (JobConfig(benchmark="uniform", p=4, seed=6, **SCALES["uniform"]), None),
+], ids=["pagerank", "pagerank-groups", "pagerank-single", "pagerank-interval-3", "cc",
+        "uniform"])
+def test_protected_recovery_points_back_up_every_self_byte(config, plan):
+    # at a recovery point where every sender had a backup target, the
+    # shares carry exactly the unit-internal traffic, and each holder is
+    # charged the bytes of the shares it stores for that step
+    cluster = Cluster(build_job(config), config.p, backup_mode=config.backup_mode,
+                      recovery_point_interval=config.recovery_point_interval,
+                      group_size=config.group_size,
+                      failure_plan=parse_failure_spec(plan) if plan else None)
+    checked = []
+    while True:
+        senders = set(cluster.live)
+        if not cluster.step():
+            break
+        step = cluster.steps_run
+        if not cluster.is_rp(step) or set(cluster.step_history[step].backup_manifest) != senders:
+            continue
+        sm = cluster.metrics.step_metrics(step)
+        assert sm.backup_bytes == sm.self_bytes == sum(sm.backup_received.values()) > 0
+        for holder in cluster.live:
+            shares = cluster.pes[holder].backup_store.get(step, {}).values()
+            stored = records_size(entry[3] for share in shares for entry in share)
+            assert sm.backup_received.get(holder, 0) == stored
+        checked.append(step)
+    # every recovery point of these runs is protected
+    assert checked == [s for s in range(1, cluster.steps_run + 1) if cluster.is_rp(s)] != []
 
 
 # -- the cyclic collector pause -----------------------------------------

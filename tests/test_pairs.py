@@ -67,6 +67,11 @@ def _verdicts(run_s, rate):
     return {r["name"]: (r["claim"], r["beyond_bound"]) for r in rows}
 
 
+def _unresolved(run_s, rate):
+    rows = pairs.summarize(BOUNDED, _pairs(run_s, rate))
+    return {r["name"]: r["unresolved"] for r in rows}
+
+
 def test_claim_holds_on_nine_wins_and_a_drop_beyond_the_base_iqr():
     # base run_s 1.00..1.09: median 1.045, IQR 0.045; the change is 0.1 s
     # faster in nine pairs and slower in one
@@ -106,3 +111,38 @@ def test_a_metric_without_a_bound_is_never_beyond_it():
     assert (row["claim"], row["beyond_bound"]) == (False, False)
     line = pairs.format_rows([row])[0]
     assert "claim holds: no" in line and "beyond bound: no" in line
+
+
+def test_unresolved_when_the_base_iqr_is_wider_than_the_bound():
+    # base run_s 1.0, 1.5, ..., 5.5: median 3.25, IQR 2.25 against a bound
+    # of 0.25 * 3.25 = 0.8125; the change is no better and no worse
+    base = [1.0 + i / 2 for i in range(10)]
+    rate = [(100, 100)] * 10
+    assert _unresolved([(b, b) for b in base], rate) == {
+        "run_s": True, "records_per_s": False,
+    }
+    # a tight base (IQR 0.045 against 0.26) resolves the same change
+    tight = [1.0 + i / 100 for i in range(10)]
+    assert _unresolved([(b, b) for b in tight], rate)["run_s"] is False
+
+
+def test_spread_base_is_resolved_when_every_change_run_beats_every_base_run():
+    base = [1.0 + i / 2 for i in range(10)]
+    rate = [(100, 100)] * 10
+    # every change run (at most 0.99 s) under the fastest base run (1.0 s)
+    assert _unresolved([(b, 0.9 + i / 100) for i, b in enumerate(base)], rate)["run_s"] is False
+    # one change run at 1.0 s ties the fastest base run: still unresolved
+    got = _unresolved([(b, 1.0 if i == 9 else 0.9) for i, b in enumerate(base)], rate)
+    assert got["run_s"] is True
+    # higher is better: every change rate above every base rate
+    spread = [(50 + 10 * i, 200 + i) for i in range(10)]
+    assert _unresolved([(1.0, 1.0)] * 10, spread)["records_per_s"] is False
+    assert _unresolved([(1.0, 1.0)] * 10, [(b, b) for b, _ in spread])["records_per_s"] is True
+
+
+def test_format_prints_the_unresolved_verdict():
+    (row,) = pairs.summarize(BOUNDED[:1], _pairs(
+        run_s=[(1.0 + i / 2, 1.0 + i / 2) for i in range(10)], rate=[(1, 1)] * 10))
+    assert pairs.format_rows([row])[0].endswith("unresolved: yes")
+    (row,) = pairs.summarize(METRICS[:1], _pairs(run_s=[(1.0, 9.0)], rate=[(1, 1)]))
+    assert row["unresolved"] is False
