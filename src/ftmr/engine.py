@@ -37,10 +37,10 @@ inbox's grouping as one ``itemgetter`` per key (:func:`_inbox_layout`)
 and later steps gather each key's values in C from the value lists the
 senders handed over (``Cluster.handed``), without reading the inbox's
 records.  A layout is built only at a step where every route into the
-PE was reused (a rebuilt route would rebuild it every step), is used
-only while the same route objects deliver, and is dropped, with the
-handed-over values, when a failure event fires (recovery appends to
-inboxes); the layouts also go when the shuffle empties the owner memo.
+PE was reused (a rebuilt route would rebuild it every step) and is used
+only while the same route objects deliver.  All of this, and recovery's
+splits, is derived state: :meth:`Cluster.drop_derived` drops it after a
+recovery and when the shuffle empties the owner memo.
 
 Failures are injected at the shuffle barrier: the exchange of the step
 completes (real failures are detected at the synchronization point), then
@@ -237,9 +237,8 @@ def map_phase(cluster: Cluster, map_fn: MapFn, step: StepId) -> None:
 
 
 class Route(NamedTuple):
-    """The layout of one sender's outbound key list under one owner memo."""
+    """The layout of one sender's outbound key list under the owner memo."""
 
-    owners: Owners
     keys: list[bytes]
     # (dst, gather of its records from the outbound list, their key
     # bytes), ascending dst
@@ -275,7 +274,7 @@ def _layout(labels: list, positions: list[int]) -> list[tuple[object, itemgetter
 
 def _route(owners: Owners, keys: list[bytes], positions: list[int]) -> Route:
     """Lay ``keys`` out by destination under ``owners``."""
-    return Route(owners, keys, [
+    return Route(keys, [
         (dst, gather, sum(map(len, gather(keys))))
         for dst, gather in _layout(list(map(owners.__getitem__, keys)), positions)
     ], {})
@@ -342,7 +341,7 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
         keys = list(map(itemgetter(0), outbound))
         before = len(owners)
         route = routes.get(src)
-        reused = route is not None and route.owners is owners and route.keys == keys
+        reused = route is not None and route.keys == keys
         if not reused:
             route = _route(owners, keys, cluster.positions)
         # kept unless every key was new to the memo (a reused route adds none)
@@ -394,11 +393,10 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
             sm.backup_bytes += got
             sm.backup_received[target] = sm.backup_received.get(target, 0) + got
     if records and len(owners) - known == records:
-        # no key repeated, so no route was kept either: the position
-        # table and the receiver layouts go with the memo
+        # no key repeated, so no route was kept either: what was derived
+        # from the memo goes with it
         owners.clear()
-        cluster.positions.clear()
-        cluster.layouts = {}
+        cluster.drop_derived()
     sm.records += records
     sm.network_bytes += network_bytes
     sm.self_bytes += self_bytes
@@ -602,19 +600,7 @@ class Cluster:
         # owner memo of the current partition map (the map is owners.pm);
         # recovery installs the next map's memo
         self.owners = Owners(initial_partition(p))
-        # sender -> its route (see shuffle), rebuilt when built under another memo
-        self.routes: dict[PeId, Route] = {}
-        # receiver -> (route, the values it sent there) for each sender
-        # whose route the last shuffle reused, ascending sender
-        self.handed: dict[PeId, list[tuple[Route, list]]] = {}
-        # receiver -> (the routes its inbox came by, its layout by key);
-        # see _inbox_layout
-        self.layouts: dict[PeId, tuple[list[Route], list]] = {}
-        # (holder, id of an owner memo, by failure) -> recovery's layout of
-        # the holder's records (see recovery._split); kept for one recovery
-        self.splits: dict[tuple, tuple] = {}
-        # positions[i] == i, shared by every route's gathers (see _route)
-        self.positions: list[int] = []
+        self.drop_derived()
         # newest shuffle that was a recovery point; 0 means the input
         self.recovery_point: StepId = 0
         # step -> its record, from the recovery point on (gc_logs)
@@ -638,6 +624,22 @@ class Cluster:
         self.prev_aggregate: int | None = None
         self.steps_run = 0
 
+    def drop_derived(self) -> None:
+        """Forget what the shuffle and recovery derive from the owner memo
+        and the key lists; they rebuild it, so no byte of the run changes."""
+        # sender -> its route under the current memo (see shuffle)
+        self.routes: dict[PeId, Route] = {}
+        # receiver -> (route, the values it sent there) for each sender
+        # whose route the last shuffle reused, ascending sender
+        self.handed: dict[PeId, list[tuple[Route, list]]] = {}
+        # receiver -> (the routes its inbox came by, its layout by key)
+        self.layouts: dict[PeId, tuple[list[Route], list]] = {}
+        # (holder, id of an owner memo, by failure) -> recovery's cut of
+        # the holder's records by owner (see recovery._split)
+        self.splits: dict[tuple, tuple] = {}
+        # positions[i] == i, shared by every route's gathers (see _layout)
+        self.positions: list[int] = []
+
     def step(self) -> bool:
         """Run the next MapReduce step; False once the driver is done."""
         index = self.steps_run + 1
@@ -660,16 +662,14 @@ class Cluster:
         if event is not None:
             from .recovery import recover  # deferred: recovery imports this module
 
-            # recovery appends to inboxes, so no inbox of this step is
-            # laid out by its routes, and no kept layout outlives the map
-            self.handed, self.layouts = {}, {}
-            if self.ledger is None:
-                recover(self, event)
-            else:
+            if self.ledger is not None:
                 had = {
                     i: {s: len(r) for s, r in self.pes[i].inbox.items()} for i in self.live
                 }
-                recover(self, event)
+            recover(self, event)
+            # a new memo, and inboxes no route lays out any more
+            self.drop_derived()
+            if self.ledger is not None:
                 _note_inboxes(self, index, had)
         self.prev_aggregate = reduce_phase(self, spec.reduce_fn, index, spec.counter_fn)
         gc_logs(self)

@@ -116,9 +116,9 @@ class Owners(dict):
     routed record brought a key the memo had not seen, the shuffle
     empties it, so single-pass traffic over distinct keys holds no more
     memory than before the shuffle.  The shuffle's per-sender routes
-    (:class:`ftmr.engine.Route`) follow the same rule; each is valid only
-    under the memo it was built with, and the shuffle rebuilds one it
-    finds under another memo.
+    (:class:`ftmr.engine.Route`) and the rest of the state derived from
+    the memo go with it: :meth:`ftmr.engine.Cluster.drop_derived` drops
+    them whenever the memo is emptied or replaced.
     """
 
     def __init__(self, pm: PartitionMap):

@@ -34,8 +34,8 @@ Records are split by owner per (holder, destination) batch, not one at
 a time: each holder's record list is laid out once by its keys' owners
 (:func:`_split`), and each batch is logged, delivered and counted whole.
 An iterative job's holders send the same keys at every replayed step,
-so the layout is kept for the recovery and reused while a holder's key
-list and the owner memo stay the same.
+so the layout is reused while a holder's key list and the owner memo
+stay the same, for one recovery (:meth:`ftmr.engine.Cluster.drop_derived`).
 """
 
 from __future__ import annotations
@@ -217,7 +217,6 @@ def recover(cluster: Cluster, event: FailureEvent) -> None:
         )
     )
     cluster.owners = owners_new
-    cluster.splits = {}
     logger.info(
         "recovered PEs %s at step %d from recovery point %d "
         "(%d records recomputed, %d bytes re-sent)",
@@ -325,18 +324,18 @@ def _split(
     Returns ``(label, batch)`` pairs, ascending label, each batch in
     emission order.  The layout (:func:`ftmr.engine._layout`) is kept in
     ``cluster.splits`` for the holder and memo, so a replayed step that
-    hands the holder the same keys again cuts its records in C.
+    hands the holder the same keys again cuts its records in C.  A split
+    lasts one recovery, and the memo its id names outlives it.
     """
     keys = list(map(itemgetter(0), recs))
     slot = (holder, id(owners), failed is not None)
     kept = cluster.splits.get(slot)
-    if kept is None or kept[1] != keys:
+    if kept is None or kept[0] != keys:
         labels = list(map(owners.__getitem__, keys))
         if failed is not None:
             labels = list(map(failed.__contains__, labels))
-        # the entry holds the memo, so its id names no other memo
-        kept = cluster.splits[slot] = (owners, keys, _layout(labels, cluster.positions))
-    return [(label, gather(recs)) for label, gather in kept[2]]
+        kept = cluster.splits[slot] = (keys, _layout(labels, cluster.positions))
+    return [(label, gather(recs)) for label, gather in kept[1]]
 
 
 def _log_copy(
