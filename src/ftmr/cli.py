@@ -30,6 +30,7 @@ from .engine import JobError
 from .harness import (
     FailurePlan,
     measure_overhead,
+    needs_ledgers,
     parse_failure_spec,
     random_failure_plan,
     run_simulation,
@@ -126,10 +127,9 @@ def _resolve_plan(args: argparse.Namespace, config: JobConfig) -> FailurePlan | 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     plan = _resolve_plan(args, config)
+    ledgers = args.verify and needs_ledgers(plan)
     start = time.perf_counter()
-    result = run_simulation(
-        config, plan, ledger=DeliveryLedger() if args.verify else None
-    )
+    result = run_simulation(config, plan, ledger=DeliveryLedger() if ledgers else None)
     elapsed = time.perf_counter() - start
     m = result.metrics
     n_out = sum(len(r) for r in result.outputs.values())
@@ -161,7 +161,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.save_config:
         args.save_config.write_text(config.to_text())
     if args.verify:
-        reference = run_simulation(config, ledger=DeliveryLedger())
+        reference = run_simulation(config, ledger=DeliveryLedger() if ledgers else None)
         problems = verify(result, reference, plan)
         if problems:
             for problem in problems:

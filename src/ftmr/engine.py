@@ -25,10 +25,9 @@ destination's records; while the memo and the key list are unchanged,
 each payload is gathered from the outbound list in one C call.  The
 values of each payload are read once, into one list: its size is the
 route's key bytes plus their lengths, and a backup share's size is the
-key bytes the route keeps for that share (per share count) plus the
-lengths of its slice of the unit's values, so no share record is read
-again.  The position ints come from one table on the :class:`Cluster`,
-so routes share them.
+key bytes the route keeps for that share plus the lengths of its slice
+of the unit's values, so no share record is read again.  The position
+ints come from one table on the :class:`Cluster`, so routes share them.
 
 The routes also lay out the receivers, and carry their values.  When
 every sender that delivered to a PE reused its route, that inbox's key
@@ -167,13 +166,20 @@ class PeState:
 
 @dataclass
 class StepRecord:
-    """What recovery reads of one step; retired with the step's logs."""
+    """What recovery reads of one step, its refusal state included;
+    retired with the step's logs by :func:`gc_logs` and nowhere else."""
 
     spec: StepSpec
     # the owner memo of the map the step shuffled under
     owners: Owners
     # origin -> share holders: manifest[k] holds share (origin, k)
     backup_manifest: dict[PeId, list[PeId]] = field(default_factory=dict)
+    # on a recovery point's record: PEs whose sends of the step died with
+    # them mid-interval, so a recovery reaching back to the step refuses
+    lost: set[PeId] = field(default_factory=set)
+    # holder -> PEs whose inbox of the step it guards with a re-protection
+    # log copy; a dead holder's entries are inboxes without an off-PE copy
+    guards: dict[PeId, set[PeId]] = field(default_factory=dict)
 
 
 def recovery_point_schedule(interval) -> Callable[[StepId], bool]:
@@ -243,9 +249,9 @@ class Route(NamedTuple):
     # (dst, gather of its records from the outbound list, their key
     # bytes), ascending dst
     payloads: list[tuple[PeId, itemgetter, int]]
-    # share count n -> the key bytes of each of the n backup shares of
-    # the sender's unit-internal records (see _share_keys)
-    share_keys: dict[int, list[int]]
+    # the key bytes of each backup share of the sender's unit-internal
+    # records, filled once (see _share_keys)
+    share_keys: list[int]
 
 
 def _layout(labels: list, positions: list[int]) -> list[tuple[object, itemgetter]]:
@@ -277,22 +283,23 @@ def _route(owners: Owners, keys: list[bytes], positions: list[int]) -> Route:
     return Route(keys, [
         (dst, gather, sum(map(len, gather(keys))))
         for dst, gather in _layout(list(map(owners.__getitem__, keys)), positions)
-    ], {})
+    ], [])
 
 
 def _share_keys(route: Route, unit: list[itemgetter], n: int) -> list[int]:
     """The key bytes of each of ``n`` backup shares of a route's
-    unit-internal records, measured once per share count.
+    unit-internal records, measured once per route.
 
     ``unit`` holds the route's gathers of the destinations inside the
     sender's failure unit, ascending; share k holds entries ``k::n`` of
     :func:`unit_entries`, so it is cut from their keys the same way.
+    ``n`` follows the live set, which only a recovery changes, and a
+    recovery drops every route, so a route sees one ``n``.
     """
-    got = route.share_keys.get(n)
-    if got is None:
+    if not route.share_keys:
         keys = list(chain.from_iterable(gather(route.keys) for gather in unit))
-        got = route.share_keys[n] = [sum(map(len, keys[k::n])) for k in range(n)]
-    return got
+        route.share_keys.extend(sum(map(len, keys[k::n])) for k in range(n))
+    return route.share_keys
 
 
 def unit_entries(src: PeId, payloads: dict[PeId, list[Record]], group_of: tuple) -> list:
@@ -474,8 +481,8 @@ def reduce_phase(
 
 
 def gc_logs(cluster: Cluster) -> None:
-    """Drop logs, shares and step records strictly older than the newest
-    recovery point.
+    """Drop logs, shares and step records (with their refusal state)
+    strictly older than the newest recovery point.
 
     Anything at least as new as the newest recovery point is still
     needed to reconstruct a failure before the next one completes.
@@ -606,15 +613,6 @@ class Cluster:
         # step -> its record, from the recovery point on (gc_logs)
         self.step_history: dict[StepId, StepRecord] = {}
         self.warned_unprotected: set[PeId] = set()
-        # Refusal state of the current recovery interval; every recovery
-        # chain starts at its recovery point, so each one starts empty.
-        # (step, pe): pe's sends of that step are gone for good (pe died
-        # mid-interval); any recovery chain touching the step must refuse
-        self.lost_logs: set[tuple[StepId, PeId]] = set()
-        # holder -> {(step, dst)}: re-protection log copies the holder keeps
-        # for other PEs' step inboxes (injection and re-log traffic); a
-        # dead holder's entries are inboxes that lost their only off-dst copy
-        self.reprotect_holdings: dict[PeId, set[tuple[StepId, PeId]]] = {}
         self.driver = job.driver
         self.backup_mode = backup_mode
         # step -> its failure event; step() pops each one as it fires
@@ -651,8 +649,6 @@ class Cluster:
         is_rp = self.is_rp(index)
         if is_rp:
             self.recovery_point = index
-            self.lost_logs = set()
-            self.reprotect_holdings = {}
         self.step_history[index] = StepRecord(spec=spec, owners=self.owners)
         map_phase(self, spec.map_fn, index)
         shuffle(self, index, is_rp)

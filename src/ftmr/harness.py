@@ -198,6 +198,11 @@ def outputs_match(
     return [f"output multiset differs ({missing} missing, {extra} extra records)"]
 
 
+def needs_ledgers(plan: FailurePlan | None) -> bool:
+    """Whether :func:`verify` reads the delivery ledgers of ``plan``'s runs."""
+    return plan is not None and len(plan.events) == 1
+
+
 def verify(
     result: JobResult,
     reference: JobResult,
@@ -208,10 +213,9 @@ def verify(
     The outputs must match as exact record multisets and the step count
     must match, and the run must record one recovery per plan event (an
     event past the job's last step never fires, and that is reported
-    too).  When the plan holds exactly one event, the run's ledger must
-    also pass :meth:`DeliveryLedger.check_against` the reference ledger,
-    record for record; that is a single-failure check, and both runs
-    then need a ledger.
+    too).  When :func:`needs_ledgers` says so, the run's ledger must also
+    pass :meth:`DeliveryLedger.check_against` the reference ledger,
+    record for record.
     """
     problems = outputs_match(reference.outputs, result.outputs)
     if result.steps_run != reference.steps_run:
@@ -225,7 +229,7 @@ def verify(
         problems.append(
             f"{len(recoveries)} recoveries recorded, wanted {len(events)}"
         )
-    elif len(events) == 1:
+    elif needs_ledgers(plan):
         if result.ledger is None or reference.ledger is None:
             raise ValueError("a single-failure check needs both runs' ledgers")
         (event,) = events

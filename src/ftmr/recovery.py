@@ -105,19 +105,20 @@ def recover(cluster: Cluster, event: FailureEvent) -> None:
             )
     elif len(failed) > 1:
         _require_one_group(cluster, failed)
-    # the refusal state holds only this interval's entries: Cluster.step
-    # empties it when a recovery point starts
-    if cluster.lost_logs:
-        s, pe = min(cluster.lost_logs)
+    # the refusal state is on this interval's step records, max(r, 1) .. t;
+    # at r == t the previous interval's stay until this step's gc_logs
+    lost = cluster.step_history[r].lost if r else ()
+    if lost:
         raise UnrecoverableFailure(
-            f"recovering PEs {sorted(failed)} needs the step-{s} sends of "
-            f"PE {pe}, which were lost for good when it failed mid-interval"
+            f"recovering PEs {sorted(failed)} needs the step-{r} sends of "
+            f"PE {min(lost)}, which were lost for good when it failed mid-interval"
         )
-    holdings = cluster.reprotect_holdings
-    inbox_holes = [
-        (s, d) for h in holdings if h not in cluster.live
-        for (s, d) in holdings[h] if d in failed
+    # (step, holder, dst): a re-protection copy of the unit's inboxes
+    guards = [
+        (s, h, d) for s in range(max(r, 1), t + 1)
+        for h, ds in cluster.step_history[s].guards.items() for d in ds if d in failed
     ]
+    inbox_holes = [(s, d) for s, h, d in guards if h not in cluster.live]
     if inbox_holes:
         s, d = min(inbox_holes)
         raise UnrecoverableFailure(
@@ -125,9 +126,7 @@ def recover(cluster: Cluster, event: FailureEvent) -> None:
             f"an earlier failure took the holder down"
         )
 
-    same_event = [
-        (f, s, d) for f in failed for (s, d) in holdings.get(f, ()) if d in failed
-    ]
+    same_event = [(h, s, d) for s, h, d in guards if h in failed]
     if same_event:
         f, s, d = min(same_event)
         raise UnrecoverableFailure(
@@ -141,7 +140,7 @@ def recover(cluster: Cluster, event: FailureEvent) -> None:
     # Fail-stop: the unit's local state is gone before reconstruction
     # starts, so recovery can only draw on survivor-held data.  Any
     # re-protection copies the unit held for others die with it; their
-    # entries stay in the holdings, as the inboxes a later failure lost.
+    # guards stay on the step records, as the inboxes a later failure lost.
     for f in failed:
         cluster.pes[f].scrub()
         cluster.live.discard(f)
@@ -204,7 +203,7 @@ def recover(cluster: Cluster, event: FailureEvent) -> None:
     else:
         # The unit's step-r sends are gone for good (consumed by the
         # step-r reduces); refuse any later chain through step r.
-        cluster.lost_logs.update((r, f) for f in failed)
+        cluster.step_history[r].lost.update(failed)
     cluster.metrics.recoveries.append(
         RecoveryRecord(
             step=t,
@@ -345,15 +344,15 @@ def _log_copy(
 
     The sender is ``holder`` unless it sits in ``dst``'s failure group;
     then a PE outside that group takes the copy, so the log never dies
-    together with the inbox it guards.  The sender is noted as holding a
-    copy of ``dst``'s step inbox.
+    together with the inbox it guards.  The step's record notes the
+    sender as guarding ``dst``'s inbox.
     """
     if cluster.group_of[holder] != cluster.group_of[dst]:
         sender = holder
     else:
         sender = _holder_for(cluster, dst)
     if sender != dst:
-        cluster.reprotect_holdings.setdefault(sender, set()).add((step, dst))
+        cluster.step_history[step].guards.setdefault(sender, set()).add(dst)
     cluster.pes[sender].sent_log.setdefault(step, {}).setdefault(dst, []).extend(recs)
     return sender
 
@@ -363,21 +362,21 @@ def _relog_pending(cluster: Cluster, t: StepId, failed: set[PeId]) -> int:
 
     The exchange of step ``t`` completed before the unit died, so its
     outgoing records sit in the survivors' pending inboxes -- but the
-    authoritative sender-side log is gone.  Each surviving receiver's
-    slice is copied into a peer's sent log (off the receiver, so the copy
-    outlives a failure of the receiver itself).  Returns bytes shipped.
+    authoritative sender-side log is gone.  :func:`_log_copy` copies each
+    surviving receiver's slice into a peer's sent log (outside the
+    receiver's failure group while one is live), so the copy outlives a
+    failure of the receiver itself.  Returns bytes shipped.
     """
     live_sorted = sorted(cluster.live)
     if len(live_sorted) < 2:
         return 0
     shipped = 0
     for owner in live_sorted:
-        holder = _holder_for(cluster, owner)
         inbox = cluster.pes[owner].inbox
         for src in sorted(failed):
             recs = inbox.get(src)
             if recs:
-                _log_copy(cluster, holder, t, owner, recs)
+                _log_copy(cluster, owner, t, owner, recs)
                 shipped += records_size(recs)
     return shipped
 

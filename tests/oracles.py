@@ -162,7 +162,7 @@ def log_copy_reference(cluster, holder, step, dst, rec):
     else:
         sender = _holder_for(cluster, dst)
     if sender != dst:
-        cluster.reprotect_holdings.setdefault(sender, set()).add((step, dst))
+        cluster.step_history[step].guards.setdefault(sender, set()).add(dst)
     cluster.pes[sender].sent_log.setdefault(step, {}).setdefault(dst, []).append(rec)
     return sender
 

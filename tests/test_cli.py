@@ -285,3 +285,26 @@ def test_verify_catches_divergence(monkeypatch, capsys):
     )
     assert main(["run", *WC, "--verify"]) == EXIT_VERIFY
     assert "VERIFY FAILED: forced mismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("failures, ledgers", [
+    ([], False), (["--failures", "1:2"], True), (["--failures", "1:2;2:3"], False),
+], ids=["fault-free", "one-event", "two-events"])
+def test_verify_builds_ledgers_only_for_a_checked_plan(monkeypatch, capsys, failures, ledgers):
+    # verify reads the ledgers of a one-event plan only; a ledger holds
+    # every delivered record, so no other run should build one
+    import ftmr.cli as cli
+
+    built = []
+    run_simulation = cli.run_simulation
+
+    def recorded(config, plan=None, *, ledger=None):
+        built.append(ledger is not None)
+        return run_simulation(config, plan, ledger=ledger)
+
+    monkeypatch.setattr(cli, "run_simulation", recorded)
+    argv = ["run", "--benchmark", "cc", "-p", "4", "--seed", "3",
+            "--vertices-per-pe", "16", "--interval", "3", *failures, "--verify"]
+    assert main(argv) == EXIT_OK
+    assert "verified: outputs match a fault-free run" in capsys.readouterr().out
+    assert built == [ledgers, ledgers]

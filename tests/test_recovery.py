@@ -161,7 +161,7 @@ def test_recovery_batches_match_a_per_record_walk(monkeypatch, config, spec):
             seen.append((
                 {i: copy.deepcopy(cluster.pes[i].inbox) for i in sorted(cluster.live)},
                 {i: copy.deepcopy(cluster.pes[i].sent_log) for i in sorted(cluster.live)},
-                copy.deepcopy(cluster.reprotect_holdings),
+                {s: copy.deepcopy(h.guards) for s, h in cluster.step_history.items()},
             ))
             return reduce_phase(cluster, reduce_fn, step, counter_fn)
 
@@ -190,7 +190,7 @@ def test_recovery_batches_match_a_per_record_walk(monkeypatch, config, spec):
         assert calls["_relog_pending"] and calls["_relog_mapped"]
     assert len(batched) == len(walked) == got.steps_run
     for step, (a, b) in enumerate(zip(batched, walked), 1):
-        for name, x, y in zip(("inboxes", "sent logs", "holdings"), a, b):
+        for name, x, y in zip(("inboxes", "sent logs", "guards"), a, b):
             assert x == y, f"step {step}: {name} differ"
     assert [(r.bytes_resent, r.backup_repair_bytes) for r in got.metrics.recoveries] == [
         (r.bytes_resent, r.backup_repair_bytes) for r in want.metrics.recoveries
@@ -519,11 +519,15 @@ def test_lost_reprotection_holder_refused():
         run_simulation(config, parse_failure_spec("1:1;3:2;5:0"))
 
 
-def test_refusal_state_retires_at_the_next_recovery_point():
-    # PE 1 dies mid-interval at step 2, so its step-1 sends are gone;
-    # step 3 is a recovery point and starts a new interval, so PE 2's
-    # failure there no longer needs them and must recover
-    assert_same_outputs(cc_config(recovery_point_interval=2), "2:1;3:2")
+@pytest.mark.parametrize("spec", ["2:1;3:2", "1:1;2:2;3:0"])
+def test_refusal_state_retires_at_the_next_recovery_point(spec):
+    # Step 3 is a recovery point and starts a new interval, so the last
+    # failure must recover from it whatever the interval 1-2 lost.
+    # 2:1;3:2: PE 1 dies mid-interval at step 2, so its step-1 sends are
+    # gone for good.  1:1;2:2;3:0: PE 2 holds the copy of PE 0's step-1
+    # inbox and dies at step 2; the step-1 record is still there at
+    # step 3 until that step's log GC retires it.
+    assert_same_outputs(cc_config(recovery_point_interval=2), spec)
 
 
 @pytest.mark.parametrize("config, spec", [
@@ -618,8 +622,7 @@ def _share_missing_on_its_holder():
 def _holder_in_the_same_event():
     cluster = Cluster(_identity_job(0), 6, group_size=2)
     cluster.step()
-    cluster.reprotect_holdings[4] = {(1, 5)}
-    cluster.reprotect_holdings[5] = {(1, 4)}
+    cluster.step_history[1].guards.update({4: {5}, 5: {4}})
     ftmr.recovery.recover(cluster, FailureEvent(1, frozenset({4, 5})))
 
 
@@ -658,12 +661,10 @@ def _recovery_state(cluster):
         cluster.live,
         [(pe.current_records, pe.inbox, pe.sent_log, pe.backup_store)
          for pe in cluster.pes],
-        cluster.lost_logs,
-        cluster.reprotect_holdings,
         cluster.owners.pm,
         dict(cluster.owners),
         cluster.metrics.recoveries,
-        {s: h.backup_manifest for s, h in cluster.step_history.items()},
+        {s: (h.backup_manifest, h.lost, h.guards) for s, h in cluster.step_history.items()},
     ))
 
 
