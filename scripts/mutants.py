@@ -111,6 +111,23 @@ MUTANTS = [
         "if dst in failed or dst not in cluster.live:",
         "if dst in failed:",
     ),
+    # -- a delivered list is shared, so it never changes in place ----------
+    Mutant(
+        "_inject extends the receiver's list in place", RECOVERY,
+        "inbox[sender] = [*inbox.get(sender, ()), *batch]",
+        "inbox.setdefault(sender, []).extend(batch)",
+    ),
+    Mutant(
+        "_log_copy extends the sender's list in place", RECOVERY,
+        "log[dst] = [*log.get(dst, ()), *recs]",
+        "log.setdefault(dst, []).extend(recs)",
+    ),
+    # -- per-record work ---------------------------------------------------
+    Mutant(
+        "group_entries unpacking its records again", ENGINE,
+        "        for rec in inbox[src]:\n            by_key[rec[0]].append(rec[1])\n",
+        "        for key, value in inbox[src]:\n            by_key[key].append(value)\n",
+    ),
 ]
 
 # Mutants of code that no longer exists, with the reason.

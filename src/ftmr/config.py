@@ -17,6 +17,8 @@ from .engine import INPUT_ONLY, failure_groups, recovery_point_schedule
 from .partition import BackupMode
 
 WORKLOADS = ("wordcount", "rmat", "cc", "pagerank", "uniform")
+# the workload-scale fields that count something
+SCALE_INTS = ("vertices_per_pe", "words_per_pe", "dict_words", "iterations", "total_records")
 
 
 @dataclass
@@ -46,14 +48,18 @@ class JobConfig:
             raise ConfigError(
                 f"unknown benchmark {self.benchmark!r}; pick one of {WORKLOADS}"
             )
+        # a bool is an int, but to_text writes it as true/false, which
+        # from_text refuses for an integer field
+        for name in ("p", "seed", *SCALE_INTS, "avg_degree"):
+            if isinstance(value := getattr(self, name), bool):
+                raise ConfigError(f"{name} wants a number, got {value!r}")
         if self.p < 1:
             raise ConfigError(f"p={self.p}: need at least one PE")
         # the engine's rules, from their one home, which Cluster calls too
         mode = BackupMode.parse(self.backup_mode)
         recovery_point_schedule(self.recovery_point_interval)
         failure_groups(self.p, self.group_size, mode)
-        for name in ("vertices_per_pe", "words_per_pe", "dict_words",
-                     "iterations", "total_records"):
+        for name in SCALE_INTS:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
         if self.avg_degree is not None and not 0 < self.avg_degree < float("inf"):

@@ -147,7 +147,8 @@ class PeState:
     id: PeId
     current_records: list[Record] = field(default_factory=list)
     outbound: list[Record] = field(default_factory=list)
-    # src -> the records it delivered this step, in emission order
+    # src -> the records it delivered this step, in emission order; the
+    # list is the one in the sender's sent log (see shuffle)
     inbox: dict[PeId, list[Record]] = field(default_factory=dict)
     # step -> dst -> ordered payload (the records sent there that step)
     sent_log: dict[StepId, dict[PeId, list[Record]]] = field(default_factory=dict)
@@ -191,7 +192,8 @@ def recovery_point_schedule(interval) -> Callable[[StepId], bool]:
     """
     if interval == INPUT_ONLY:
         return lambda step: False
-    if not isinstance(interval, int) or interval < 1:
+    # a bool is an int, and True would read as 1
+    if not isinstance(interval, int) or isinstance(interval, bool) or interval < 1:
         raise ConfigError(
             f"recovery_point_interval must be a positive integer or "
             f"{INPUT_ONLY!r}, got {interval!r}"
@@ -207,7 +209,7 @@ def failure_groups(
     Backups go to peers outside a PE's group, so with backup on a single
     group spanning more than one PE leaves nowhere to put them.
     """
-    if group_size < 1 or p % group_size != 0:
+    if isinstance(group_size, bool) or group_size < 1 or p % group_size != 0:
         raise ConfigError(f"group_size={group_size} must evenly divide p={p}")
     if group_size == p and p > 1 and backup_mode is not BackupMode.OFF:
         raise ConfigError(
@@ -322,9 +324,12 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
 
     Also appends sender-side logs, ships backup shares of failure-unit
     internal traffic when the step is a recovery point, and tallies the
-    traffic volumes.  Each destination's inbox keeps a copy of each
-    sender's payload, in emission order, under the sender's id (a copy,
-    because recovery later appends to the logged payload).
+    traffic volumes.  Each destination's inbox holds each sender's
+    payload, in emission order, under the sender's id.  A delivered
+    payload is one list object, shared by the sender's log, the
+    receiver's inbox and the ledger, so after the shuffle no code
+    changes a delivered list in place: recovery binds a longer list
+    instead of extending one.
     """
     sm = cluster.metrics.step_metrics(step)
     group_of = cluster.group_of
@@ -374,7 +379,7 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
         if fault_tolerant:
             pe.sent_log[step] = payloads
         for dst, payload in payloads.items():
-            cluster.pes[dst].inbox[src] = list(payload)
+            cluster.pes[dst].inbox[src] = payload
         if not ships_shares:
             continue
         targets = backup_targets(src, cluster.live, backup_mode, group_of)

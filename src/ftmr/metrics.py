@@ -16,17 +16,18 @@ Each recovery contributes one :class:`RecoveryRecord` with the bytes
 re-sent to survivors and the records recomputed during replay.
 
 The :class:`DeliveryLedger` is an opt-in verification instrument: it
-keeps every delivered :class:`~ftmr.core.Record` per ``(step,
-destination, generation)``, as a list in note order.  Each ``note``
-call appends one delivered batch, such as a sender's whole payload to
-one destination, and hashes nothing; records are counted (the record
-itself is the count key, so equal contents compare equal across runs
-and processes) only when a bucket is read or a run is checked.  The
-ledger costs 8 bytes per delivered record plus the records it keeps
-alive.  Runs only carry a ledger when a caller passes it in; the
-fault-free hot path does no ledger work.  :meth:`ftmr.engine.Cluster.step`
-notes it before each reduce and after a recovery; recovery itself notes
-only the rebuilt inboxes of the steps it replays.
+keeps every delivered batch of :class:`~ftmr.core.Record` per ``(step,
+destination, generation)``, in note order.  Each ``note`` call keeps
+one delivered batch, such as a sender's whole payload to one
+destination, by reference: it copies and hashes nothing.  Records are
+counted (the record itself is the count key, so equal contents compare
+equal across runs and processes) only when a bucket is read or a run
+is checked.  The ledger costs one reference per delivered batch plus
+the batches and records it keeps alive.  Runs only carry a ledger when
+a caller passes it in; the fault-free hot path does no ledger work.
+:meth:`ftmr.engine.Cluster.step` notes it before each reduce and after
+a recovery; recovery itself notes only the rebuilt inboxes of the steps
+it replays.
 
 CSV schema (stable): ``step,phase,network_bytes,self_bytes,backup_bytes,records``
 with ``phase=shuffle`` rows per step and one ``phase=recovery`` row per
@@ -39,8 +40,9 @@ from __future__ import annotations
 
 import io
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .core import PeId, Record, StepId
 
@@ -134,15 +136,18 @@ class DeliveryLedger:
     The ledger is a verification instrument, not part of the protocol:
     a run keeps one only when it is passed in, and the step loop, not the
     shuffle or recovery's injection, notes what each reduce reads.
-    Each bucket is a list of the delivered records in note order; one
-    :meth:`note` call appends one delivered batch and never hashes a
-    record, so the ledger costs a list slot (8 bytes) per delivery plus
-    the records it keeps alive.  Counting happens only when checking:
-    :meth:`bucket` and :meth:`step_total` build a ``Counter`` keyed by
-    the records themselves.  ``Record`` is frozen and hashes and
-    compares by content, so two deliveries of equal records count as
-    one key, and records with the same concatenated bytes but a
-    different key/value split stay apart.  ``generation`` separates
+    Each bucket is a list of the delivered batches in note order; one
+    :meth:`note` call keeps one batch, the sequence it is given, so the
+    ledger costs one reference per delivered batch plus the batches and
+    records it keeps alive.  A batch is the very list the run delivered
+    (a sender's payload is also its sent-log entry and the receiver's
+    inbox entry), so no delivered list may change after delivery.
+    Counting happens only when checking: :meth:`bucket` and
+    :meth:`step_total` walk the batches into a ``Counter`` keyed by the
+    records themselves, and no view flattens a whole ledger.  ``Record``
+    is frozen and hashes and compares by content, so two deliveries of
+    equal records count as one key, and records with the same
+    concatenated bytes but a different key/value split stay apart.  ``generation`` separates
     deliveries of the original execution from records re-delivered (or
     re-derived) while reconstructing a failed PE.  Comparing a faulty
     run's ledger with a fault-free shadow run proves that recovery
@@ -151,30 +156,33 @@ class DeliveryLedger:
     """
 
     def __init__(self):
-        # (step, dst, generation) -> delivered records, in note order
-        self.deliveries: dict[tuple[StepId, PeId, str], list[Record]] = {}
+        # (step, dst, generation) -> delivered batches, in note order
+        self.deliveries: dict[tuple[StepId, PeId, str], list[Sequence[Record]]] = {}
 
     def note(
         self, step: StepId, dst: PeId, generation: str, records: Iterable[Record]
     ) -> None:
-        """Append every record of one batch delivered to ``dst``, repeats too."""
+        """Keep one batch delivered to ``dst``, repeats too: the sequence
+        itself, not a copy (any other iterable is listed first)."""
+        if not isinstance(records, Sequence):
+            records = list(records)
         key = (step, dst, generation)
-        bucket = self.deliveries.get(key)
-        if bucket is None:
-            self.deliveries[key] = list(records)
+        batches = self.deliveries.get(key)
+        if batches is None:
+            self.deliveries[key] = [records]
         else:
-            bucket.extend(records)
+            batches.append(records)
 
     # -- views -----------------------------------------------------------
 
     def bucket(self, step: StepId, dst: PeId, generation: str) -> Counter:
-        return Counter(self.deliveries.get((step, dst, generation), ()))
+        return Counter(chain.from_iterable(self.deliveries.get((step, dst, generation), ())))
 
     def step_total(self, step: StepId, generation: str | None = None) -> Counter:
         total: Counter = Counter()
-        for (s, _dst, gen), bucket in self.deliveries.items():
+        for (s, _dst, gen), batches in self.deliveries.items():
             if s == step and (generation is None or gen == generation):
-                total.update(bucket)
+                total.update(chain.from_iterable(batches))
         return total
 
     # -- verification ----------------------------------------------------
@@ -215,9 +223,10 @@ class DeliveryLedger:
             if self.bucket(step, dst, ORIGINAL) != reference.bucket(step, dst, ORIGINAL):
                 problems.append(f"step {step} PE {dst}: original deliveries diverge")
         stray = sorted(
-            (step, dst, len(bucket))
-            for (step, dst, gen), bucket in self.deliveries.items()
-            if gen == RECOVERY and bucket and not first_replayed <= step <= event_step
+            (step, dst, count)
+            for (step, dst, gen), batches in self.deliveries.items()
+            if gen == RECOVERY and not first_replayed <= step <= event_step
+            and (count := sum(map(len, batches)))
         )
         for step, dst, count in stray:
             problems.append(
@@ -235,7 +244,7 @@ class DeliveryLedger:
         for step in range(first_replayed, event_step + 1):
             want: Counter = Counter()
             for f in failed:
-                want.update(reference.deliveries.get((step, f, ORIGINAL), ()))
+                want.update(reference.bucket(step, f, ORIGINAL))
             got = self.step_total(step, RECOVERY)
             if got != want:
                 missing = sum((want - got).values())

@@ -345,7 +345,8 @@ def _log_copy(
     The sender is ``holder`` unless it sits in ``dst``'s failure group;
     then a PE outside that group takes the copy, so the log never dies
     together with the inbox it guards.  The step's record notes the
-    sender as guarding ``dst``'s inbox.
+    sender as guarding ``dst``'s inbox.  The logged list may be a
+    delivered inbox list too, so a longer list replaces it.
     """
     if cluster.group_of[holder] != cluster.group_of[dst]:
         sender = holder
@@ -353,7 +354,8 @@ def _log_copy(
         sender = _holder_for(cluster, dst)
     if sender != dst:
         cluster.step_history[step].guards.setdefault(sender, set()).add(dst)
-    cluster.pes[sender].sent_log.setdefault(step, {}).setdefault(dst, []).extend(recs)
+    log = cluster.pes[sender].sent_log.setdefault(step, {})
+    log[dst] = [*log.get(dst, ()), *recs]
     return sender
 
 
@@ -476,14 +478,16 @@ def _inject(cluster: Cluster, t: StepId, held: _Held, owners_new: Owners) -> int
     so the recovery traffic is itself protected until the next recovery
     point retires it.  A record whose holder sits in its new owner's
     failure group is attributed to a PE outside that group instead, so
-    the log copy never dies together with the inbox it guards.  Returns
-    the bytes that crossed the (simulated) network.
+    the log copy never dies together with the inbox it guards.  An inbox
+    list is shared with a sent log and the ledger, so a longer list
+    replaces it.  Returns the bytes that crossed the (simulated) network.
     """
     bytes_resent = 0
     for holder, recs in held.items():
         for dst, batch in _split(cluster, holder, recs, owners_new):
             sender = _log_copy(cluster, holder, t, dst, batch)
-            cluster.pes[dst].inbox.setdefault(sender, []).extend(batch)
+            inbox = cluster.pes[dst].inbox
+            inbox[sender] = [*inbox.get(sender, ()), *batch]
             # once off the holder, once more if the log copy moves off it
             hops = (holder != dst) + (sender != holder)
             if hops:

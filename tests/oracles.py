@@ -163,7 +163,9 @@ def log_copy_reference(cluster, holder, step, dst, rec):
         sender = _holder_for(cluster, dst)
     if sender != dst:
         cluster.step_history[step].guards.setdefault(sender, set()).add(dst)
-    cluster.pes[sender].sent_log.setdefault(step, {}).setdefault(dst, []).append(rec)
+    # a logged list may be a delivered inbox list: rebind, never extend
+    log = cluster.pes[sender].sent_log.setdefault(step, {})
+    log[dst] = [*log.get(dst, ()), rec]
     return sender
 
 
@@ -174,7 +176,8 @@ def inject_reference(cluster, t, held, owners_new):
         for rec in recs:
             dst = owners_new[rec.key]
             sender = log_copy_reference(cluster, holder, t, dst, rec)
-            cluster.pes[dst].inbox.setdefault(sender, []).append(rec)
+            inbox = cluster.pes[dst].inbox
+            inbox[sender] = [*inbox.get(sender, ()), rec]
             if holder != dst:
                 bytes_resent += rec.size
             if sender != holder:

@@ -95,6 +95,20 @@ def test_validate_rejects(kwargs, fragment):
         JobConfig(**kwargs).validate()
 
 
+@pytest.mark.parametrize("name", [
+    "p", "seed", "recovery_point_interval", "group_size", "vertices_per_pe",
+    "words_per_pe", "dict_words", "iterations", "total_records", "avg_degree",
+])
+def test_validate_rejects_a_bool_for_a_number(name):
+    # True is an int (and 1), but to_text writes it as "true", which
+    # from_text refuses for a number
+    config = JobConfig(**{name: True})
+    with pytest.raises(ConfigError, match=name):
+        config.validate()
+    with pytest.raises(ConfigError, match=name):
+        JobConfig.from_text(config.to_text())
+
+
 @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "Infinity"])
 def test_from_text_rejects_a_non_finite_degree(text):
     with pytest.raises(ConfigError, match="avg_degree must be positive and finite"):

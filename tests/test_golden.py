@@ -11,7 +11,6 @@ is; a change that means to alter behaviour re-pins them and says why.
 """
 
 import hashlib
-from collections import Counter
 
 import pytest
 
@@ -58,8 +57,10 @@ def _run_text(config, spec):
         for pe, recs in result.outputs.items()
     ))
     ledger = repr(sorted(
-        (key, sorted((rec.key, rec.value, n) for rec, n in Counter(bucket).items()))
-        for key, bucket in result.ledger.deliveries.items()
+        (key, sorted(
+            (rec.key, rec.value, n) for rec, n in result.ledger.bucket(*key).items()
+        ))
+        for key in result.ledger.deliveries
     ))
     return f"{outputs}\n{result.metrics.to_csv()}\n{result.steps_run}\n{ledger}"
 

@@ -2,6 +2,7 @@
 
 import pickle
 import tracemalloc
+from collections import Counter
 
 from ftmr.config import JobConfig
 from ftmr.core import Record
@@ -187,13 +188,15 @@ def test_ledger_keeps_each_bucket_in_note_order():
     led = DeliveryLedger()
     led.note(1, 0, ORIGINAL, [rec(b"b"), rec(b"a")])
     led.note(1, 0, ORIGINAL, (r for r in [rec(b"b")]))
-    assert led.deliveries == {(1, 0, ORIGINAL): [rec(b"b"), rec(b"a"), rec(b"b")]}
+    # one batch per note, a generator listed first
+    assert led.deliveries == {(1, 0, ORIGINAL): [[rec(b"b"), rec(b"a")], [rec(b"b")]]}
+    assert led.bucket(1, 0, ORIGINAL) == Counter({rec(b"b"): 2, rec(b"a"): 1})
 
 
-def test_ledger_costs_a_list_slot_per_record():
-    # noting hashes no record and builds no per-record entry: 100,000
-    # records across 40 buckets grow traced memory by at most 16 B each
-    # (a list slot is 8 B; counting them into Counters costs about 30 B)
+def test_ledger_keeps_each_batch_by_reference():
+    # noting copies no batch, hashes no record and builds no per-record
+    # entry: 100,000 records in 400 batches across 40 buckets grow traced
+    # memory by at most 1 B per record (a slot per record was 8 B)
     records = [rec(b"%08d" % i) for i in range(100_000)]
     batches = [records[i:i + 250] for i in range(0, len(records), 250)]
     led = DeliveryLedger()
@@ -206,8 +209,9 @@ def test_ledger_costs_a_list_slot_per_record():
     finally:
         tracemalloc.stop()
     assert len(led.deliveries) == 40
-    assert sum(map(len, led.deliveries.values())) == len(records)
-    assert grown / len(records) <= 16, grown / len(records)
+    kept = [batch for bucket in led.deliveries.values() for batch in bucket]
+    assert sorted(map(id, kept)) == sorted(map(id, batches))
+    assert grown / len(records) <= 1, grown / len(records)
 
 
 def test_ledger_pickles_for_a_cross_process_check():

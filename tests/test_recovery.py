@@ -3,6 +3,7 @@
 import copy
 import random
 from collections import Counter
+from itertools import chain
 from types import SimpleNamespace
 
 import pytest
@@ -34,6 +35,7 @@ from ftmr.metrics import ORIGINAL, RECOVERY, DeliveryLedger
 from ftmr.partition import PartitionMap, hash_key, initial_partition, shrink_partition
 from ftmr.recovery import FailureEvent, UnrecoverableFailure
 from oracles import inject_reference, relog_mapped_reference, relog_pending_reference
+from test_golden import SCALES
 
 
 def cc_config(**kwargs):
@@ -83,8 +85,9 @@ def test_recovery_notes_land_on_new_owners():
     pm_new = shrink_partition(initial_partition(4), {2})
     recovered = {k: b for k, b in led.deliveries.items() if k[2] == RECOVERY}
     assert {step for (step, _dst, _gen) in recovered} == {1, 2, 3}
-    for (_step, dst, _gen), bucket in recovered.items():
-        assert {pm_new.owner_of(hash_key(rec.key)) for rec in bucket} == {dst}
+    for (_step, dst, _gen), batches in recovered.items():
+        owners = {pm_new.owner_of(hash_key(rec.key)) for rec in chain.from_iterable(batches)}
+        assert owners == {dst}
 
 
 @pytest.fixture
@@ -133,7 +136,8 @@ def test_ledger_sees_what_injection_delivered(monkeypatch):
     def inject_one_twice(cluster, t, held, owners_new):
         sent = inject(cluster, t, held, owners_new)
         holder, rec = next((h, recs[0]) for h, recs in held.items() if recs)
-        cluster.pes[owners_new[rec.key]].inbox.setdefault(holder, []).append(rec)
+        inbox = cluster.pes[owners_new[rec.key]].inbox
+        inbox[holder] = [*inbox.get(holder, ()), rec]
         return sent
 
     monkeypatch.setattr(ftmr.recovery, "_inject", inject_one_twice)
@@ -141,6 +145,33 @@ def test_ledger_sees_what_injection_delivered(monkeypatch):
     assert verify(result, reference, plan) == [
         "step 2: recovered stream mismatch (0 missing, 1 duplicated/re-sent)"
     ]
+
+
+@pytest.mark.parametrize("workload", list(SCALES))
+def test_delivered_batches_never_change(monkeypatch, workload):
+    # a delivered list is the sender's log entry, the receiver's inbox
+    # entry and the ledger's batch at once, so at the end of a run every
+    # object the ledger was handed still holds what it held when noted;
+    # one failure at step 2, and two at steps 1 and 3
+    noted = []
+    note = DeliveryLedger.note
+
+    def keep(ledger, step, dst, generation, records):
+        noted.append((records, tuple(records)))
+        return note(ledger, step, dst, generation, records)
+
+    monkeypatch.setattr(DeliveryLedger, "note", keep)
+    recoveries = 0
+    for interval in (1, 3, "input-only"):
+        config = JobConfig(benchmark=workload, p=4, seed=5,
+                           recovery_point_interval=interval, **SCALES[workload])
+        for spec in ("2:1", "1:0;3:3"):
+            result = run_simulation(config, parse_failure_spec(spec), ledger=DeliveryLedger())
+            recoveries += len(result.metrics.recoveries)
+            changed = sum(tuple(batch) != was for batch, was in noted)
+            assert changed == 0, f"interval {interval}, plan {spec}"
+            noted.clear()
+    assert recoveries
 
 
 @pytest.mark.parametrize("config, spec", [
