@@ -41,7 +41,9 @@ class Mutant(NamedTuple):
     new: str
 
 
+CORE = "src/ftmr/core.py"
 ENGINE = "src/ftmr/engine.py"
+METRICS = "src/ftmr/metrics.py"
 RECOVERY = "src/ftmr/recovery.py"
 
 MUTANTS = [
@@ -72,8 +74,8 @@ MUTANTS = [
     ),
     Mutant(
         "handed kept by drop_derived", ENGINE,
-        "self.handed: dict[PeId, list[tuple[Route, list]]] = {}",
-        'self.handed: dict[PeId, list[tuple[Route, list]]] = getattr(self, "handed", {})',
+        "self.handed: dict[PeId, list[Route]] = {}",
+        'self.handed: dict[PeId, list[Route]] = getattr(self, "handed", {})',
     ),
     Mutant(
         "routes kept by drop_derived", ENGINE,
@@ -103,30 +105,59 @@ MUTANTS = [
     ),
     Mutant(
         "_inject walks holders in reverse", RECOVERY,
-        "    bytes_resent = 0\n    for holder, recs in held.items():\n",
-        "    bytes_resent = 0\n    for holder, recs in reversed(held.items()):\n",
+        "    bytes_resent = 0\n    for holder, rebuilt in held.items():\n",
+        "    bytes_resent = 0\n    for holder, rebuilt in reversed(held.items()):\n",
     ),
     Mutant(
         "_relog_mapped logs to dead PEs", RECOVERY,
         "if dst in failed or dst not in cluster.live:",
         "if dst in failed:",
     ),
-    # -- a delivered list is shared, so it never changes in place ----------
     Mutant(
-        "_inject extends the receiver's list in place", RECOVERY,
-        "inbox[sender] = [*inbox.get(sender, ()), *batch]",
-        "inbox.setdefault(sender, []).extend(batch)",
+        "_inject delivers each batch twice", RECOVERY,
+        "inbox[sender] = inbox[sender] + batch if sender in inbox else batch",
+        "inbox[sender] = (inbox[sender] + batch if sender in inbox else batch) + batch",
+    ),
+    # -- a delivered batch is shared, so it never changes in place ---------
+    Mutant(
+        "_inject extends the receiver's batch in place", RECOVERY,
+        "inbox[sender] = inbox[sender] + batch if sender in inbox else batch",
+        "old = inbox.setdefault(sender, batch)\n"
+        "            if old is not batch:\n"
+        "                old.keys, old.values = [*old.keys, *batch.keys], [*old.values, *batch.values]",
     ),
     Mutant(
-        "_log_copy extends the sender's list in place", RECOVERY,
-        "log[dst] = [*log.get(dst, ()), *recs]",
-        "log.setdefault(dst, []).extend(recs)",
+        "_log_copy extends the logged batch in place", RECOVERY,
+        "log[dst] = log[dst] + batch if dst in log else batch",
+        "old = log.setdefault(dst, batch)\n"
+        "    if old is not batch:\n"
+        "        old.keys, old.values = [*old.keys, *batch.keys], [*old.values, *batch.values]",
     ),
-    # -- per-record work ---------------------------------------------------
     Mutant(
-        "group_entries unpacking its records again", ENGINE,
-        "        for rec in inbox[src]:\n            by_key[rec[0]].append(rec[1])\n",
-        "        for key, value in inbox[src]:\n            by_key[key].append(value)\n",
+        # a list column may be a route's, shared by its batches across steps
+        "_log_copy extends the logged key column in place", RECOVERY,
+        "log[dst] = log[dst] + batch if dst in log else batch",
+        "old = log.setdefault(dst, batch)\n"
+        "    if old is not batch:\n"
+        "        keys = old.keys\n"
+        "        keys += tuple(batch.keys)\n"
+        "        log[dst] = Batch(keys, [*old.values, *batch.values])",
+    ),
+    # -- records built where columns do ------------------------------------
+    Mutant(
+        "group_entries iterating records again", ENGINE,
+        "        for key, value in zip(batch.keys, batch.values):\n",
+        "        for key, value in batch:\n",
+    ),
+    Mutant(
+        "check_against counting records again", METRICS,
+        "if not _same(self._count(step, dst, ORIGINAL), reference._count(step, dst, ORIGINAL)):",
+        "if not _same(self.bucket(step, dst, ORIGINAL), reference.bucket(step, dst, ORIGINAL)):",
+    ),
+    Mutant(
+        "Batch.__iter__ yielding plain tuples", CORE,
+        "return records_from_pairs(zip(self.keys, self.values))",
+        "return zip(self.keys, self.values)",
     ),
 ]
 

@@ -48,11 +48,14 @@ class JobConfig:
             raise ConfigError(
                 f"unknown benchmark {self.benchmark!r}; pick one of {WORKLOADS}"
             )
-        # a bool is an int, but to_text writes it as true/false, which
-        # from_text refuses for an integer field
-        for name in ("p", "seed", *SCALE_INTS, "avg_degree"):
-            if isinstance(value := getattr(self, name), bool):
-                raise ConfigError(f"{name} wants a number, got {value!r}")
+        # to_text writes a bool as true/false and a float as 8.5, which
+        # from_text refuses for an integer field (and a bool is an int)
+        for name in ("p", "seed", "group_size", *SCALE_INTS):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} wants an integer, got {value!r}")
+        if isinstance(self.avg_degree, bool):
+            raise ConfigError(f"avg_degree wants a number, got {self.avg_degree!r}")
         if self.p < 1:
             raise ConfigError(f"p={self.p}: need at least one PE")
         # the engine's rules, from their one home, which Cluster calls too

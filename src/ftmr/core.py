@@ -3,7 +3,9 @@
 Everything that moves between PEs is a :class:`Record`: an opaque key and
 an opaque value, both byte strings.  Benchmarks layer their own typed
 encodings (counters, edges, scores) on top; the engine never interprets
-record contents beyond hashing keys and measuring sizes.
+record contents beyond hashing keys and measuring sizes.  What one PE
+delivers to another in one exchange is a :class:`Batch`: the records'
+keys and values as two columns, without a ``Record`` per message.
 
 Wire format of one record::
 
@@ -15,7 +17,9 @@ Dumps and fixtures are plain concatenations of encoded records.
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from itertools import chain, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 # PEs and steps are identified by small ints; aliases document intent.
@@ -82,6 +86,45 @@ def records_from_pairs(pairs: Iterable[tuple[bytes, bytes]]) -> Iterator[Record]
     C.  ``tuple.__new__(Record, pair)`` builds one record the same way.
     """
     return map(tuple.__new__, repeat(Record), pairs)
+
+
+class Batch:
+    """One delivered payload: a key column and a value column.
+
+    The shuffle delivers each sender's records for one destination as
+    one batch, and the sender's sent log, the receiver's inbox and the
+    delivery ledger all hold that object.  A logged message costs one
+    slot in each column and no tuple of its own; a reused route's key
+    column is shared by every batch it delivers, step after step.  So
+    the columns never change in place, and adding messages binds a new
+    batch (``batch + more``).  Iterating a batch builds its records, for
+    the readers that want :class:`Record` objects.
+    """
+
+    __slots__ = ("keys", "values")
+
+    def __init__(self, keys: Sequence[bytes], values: Sequence[bytes]):
+        self.keys = keys
+        self.values = values
+
+    @classmethod
+    def of(cls, records: Sequence[Record]) -> "Batch":
+        """The batch of ``records``, in order."""
+        return cls(list(map(itemgetter(0), records)), list(map(itemgetter(1), records)))
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __iter__(self) -> Iterator[Record]:
+        return records_from_pairs(zip(self.keys, self.values))
+
+    def __add__(self, other: "Batch") -> "Batch":
+        return Batch([*self.keys, *other.keys], [*self.values, *other.values])
+
+    @property
+    def size(self) -> int:
+        """Payload bytes of the batch's records, as :attr:`Record.size`."""
+        return sum(map(len, self.keys)) + sum(map(len, self.values))
 
 
 def encode_record(record: Record) -> bytes:

@@ -9,6 +9,9 @@ to completion.  The shuffle doubles as the fault-tolerance mechanism:
 
 * every sender keeps an ordered log of the records it sent, per
   destination, until the log is older than the newest recovery point;
+  each logged payload is a :class:`~ftmr.core.Batch`, a key column and
+  a value column, and the receiver's inbox and the delivery ledger hold
+  the same object;
 * at recovery-point steps, records that never leave their failure unit
   (self-messages, plus intra-group traffic when failure groups are
   configured) are additionally copied to peer PEs, cut into shares by
@@ -21,23 +24,26 @@ An iterative job sends the same key sequence from a PE step after step,
 so the shuffle keeps each sender's :class:`Route`, the layout of its key
 list under the current owner memo.  A route holds one
 ``operator.itemgetter`` per destination over the positions of that
-destination's records; while the memo and the key list are unchanged,
-each payload is gathered from the outbound list in one C call.  The
-values of each payload are read once, into one list: its size is the
-route's key bytes plus their lengths, and a backup share's size is the
-key bytes the route keeps for that share plus the lengths of its slice
-of the unit's values, so no share record is read again.  The position
-ints come from one table on the :class:`Cluster`, so routes share them.
+destination's records, and that destination's key column.  The
+sender's values are read once, into one list, and while the memo and
+the key list are unchanged each payload is the route's key column plus
+the values gathered in one C call: its size is the route's key bytes
+plus their lengths, and a backup share's size is the key bytes the
+route keeps for that share plus the lengths of its slice of the unit's
+values, so no share record is read again.  The map's records die with
+the sender's shuffle, except those its backup shares hold.  The
+position ints come from one table on the :class:`Cluster`, so routes
+share them.
 
-The routes also lay out the receivers, and carry their values.  When
-every sender that delivered to a PE reused its route, that inbox's key
-sequence is fixed by those route objects, so the reduce keeps the
+The routes also lay out the receivers.  When every sender that
+delivered to a PE reused its route (``Cluster.handed``), that inbox's
+key sequence is fixed by those route objects, so the reduce keeps the
 inbox's grouping as one ``itemgetter`` per key (:func:`_inbox_layout`)
-and later steps gather each key's values in C from the value lists the
-senders handed over (``Cluster.handed``), without reading the inbox's
-records.  A layout is built only at a step where every route into the
-PE was reused (a rebuilt route would rebuild it every step) and is used
-only while the same route objects deliver.  All of this, and recovery's
+and later steps gather each key's values in C from the inbox batches'
+value columns, without reading their key columns.  A layout is built
+only at a step where every route into the PE was reused (a rebuilt
+route would rebuild it every step) and is used only while the same
+route objects deliver.  All of this, and recovery's
 splits, is derived state: :meth:`Cluster.drop_derived` drops it after a
 recovery and when the shuffle empties the owner memo.
 
@@ -52,13 +58,14 @@ from __future__ import annotations
 import gc
 import logging
 from collections import defaultdict
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, count, repeat
 from operator import is_, itemgetter, length_hint
 from typing import Callable, Iterable, NamedTuple, Protocol
 
-from .core import ConfigError, PeId, Record, StepId
+from .core import Batch, ConfigError, PeId, Record, StepId
 from .metrics import ORIGINAL, RECOVERY, DeliveryLedger, Metrics
 from .partition import (
     BackupMode,
@@ -147,11 +154,12 @@ class PeState:
     id: PeId
     current_records: list[Record] = field(default_factory=list)
     outbound: list[Record] = field(default_factory=list)
-    # src -> the records it delivered this step, in emission order; the
-    # list is the one in the sender's sent log (see shuffle)
-    inbox: dict[PeId, list[Record]] = field(default_factory=dict)
-    # step -> dst -> ordered payload (the records sent there that step)
-    sent_log: dict[StepId, dict[PeId, list[Record]]] = field(default_factory=dict)
+    # src -> the batch it delivered this step, in emission order; the
+    # batch is the one in the sender's sent log (see shuffle)
+    inbox: dict[PeId, Batch] = field(default_factory=dict)
+    # step -> dst -> the batch sent there that step, in emission order;
+    # its key column may be a route's, shared with the sender's other steps
+    sent_log: dict[StepId, dict[PeId, Batch]] = field(default_factory=dict)
     # step -> (origin, share index) -> share entries (src, dst, seq, record);
     # recovery reads dst and the record, src and seq stay for the tracer
     backup_store: dict[StepId, dict[tuple[PeId, int], list]] = field(default_factory=dict)
@@ -248,9 +256,9 @@ class Route(NamedTuple):
     """The layout of one sender's outbound key list under the owner memo."""
 
     keys: list[bytes]
-    # (dst, gather of its records from the outbound list, their key
-    # bytes), ascending dst
-    payloads: list[tuple[PeId, itemgetter, int]]
+    # (dst, gather of its records' positions in the outbound list, their
+    # key bytes, their key column), ascending dst
+    payloads: list[tuple[PeId, itemgetter, int, Sequence[bytes]]]
     # the key bytes of each backup share of the sender's unit-internal
     # records, filled once (see _share_keys)
     share_keys: list[int]
@@ -282,35 +290,40 @@ def _layout(labels: list, positions: list[int]) -> list[tuple[object, itemgetter
 
 def _route(owners: Owners, keys: list[bytes], positions: list[int]) -> Route:
     """Lay ``keys`` out by destination under ``owners``."""
-    return Route(keys, [
-        (dst, gather, sum(map(len, gather(keys))))
-        for dst, gather in _layout(list(map(owners.__getitem__, keys)), positions)
-    ], [])
+    payloads = []
+    for dst, gather in _layout(list(map(owners.__getitem__, keys)), positions):
+        column = gather(keys)
+        payloads.append((dst, gather, sum(map(len, column)), column))
+    return Route(keys, payloads, [])
 
 
-def _share_keys(route: Route, unit: list[itemgetter], n: int) -> list[int]:
+def _share_keys(route: Route, unit: list[tuple], n: int) -> list[int]:
     """The key bytes of each of ``n`` backup shares of a route's
     unit-internal records, measured once per route.
 
-    ``unit`` holds the route's gathers of the destinations inside the
-    sender's failure unit, ascending; share k holds entries ``k::n`` of
-    :func:`unit_entries`, so it is cut from their keys the same way.
+    ``unit`` holds the route's payload entries of the destinations inside
+    the sender's failure unit, ascending; share k holds entries ``k::n``
+    of :func:`unit_entries`, so it is cut from their key columns the same
+    way.
     ``n`` follows the live set, which only a recovery changes, and a
     recovery drops every route, so a route sees one ``n``.
     """
     if not route.share_keys:
-        keys = list(chain.from_iterable(gather(route.keys) for gather in unit))
+        keys = list(chain.from_iterable(column for _, _, _, column in unit))
         route.share_keys.extend(sum(map(len, keys[k::n])) for k in range(n))
     return route.share_keys
 
 
-def unit_entries(src: PeId, payloads: dict[PeId, list[Record]], group_of: tuple) -> list:
+def unit_entries(
+    src: PeId, payloads: dict[PeId, Sequence[Record]], group_of: tuple
+) -> list:
     """Backup entries ``(src, dst, seq, record)``, one per record ``src``
     sent inside its failure unit, by ascending ``dst``, then as sent.
     Share k of ``n`` is ``entries[k::n]``, cut by the shuffle from the
-    payloads it logs and re-cut by recovery from the origin's sent log.
-    Recovery reads only ``dst`` and the record; ``src`` and ``seq`` stay
-    for ``perfbench``'s tracer, which reads the record as ``entry[3]``.
+    records it routes and re-cut by recovery from the origin's sent log
+    (whose batches iterate as records).  Recovery reads only ``dst`` and
+    the record; ``src`` and ``seq`` stay for ``perfbench``'s tracer,
+    which reads the record as ``entry[3]``.
     """
     gid = group_of[src]
     return list(chain.from_iterable(
@@ -325,11 +338,15 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
     Also appends sender-side logs, ships backup shares of failure-unit
     internal traffic when the step is a recovery point, and tallies the
     traffic volumes.  Each destination's inbox holds each sender's
-    payload, in emission order, under the sender's id.  A delivered
-    payload is one list object, shared by the sender's log, the
-    receiver's inbox and the ledger, so after the shuffle no code
-    changes a delivered list in place: recovery binds a longer list
-    instead of extending one.
+    payload, in emission order, under the sender's id.  A payload is one
+    :class:`~ftmr.core.Batch`: the route's key column for the
+    destination and the values gathered from the sender's one value
+    list.  The sender's log, the receiver's inbox and the ledger share
+    the batch, and a reused route shares its key column with every batch
+    it delivers, so no code changes a batch or a column in place:
+    recovery binds a longer batch instead.  The map's records are read
+    for their keys and values and, at a recovery point, for the backup
+    entries of the sender's unit-internal records; the rest die here.
     """
     sm = cluster.metrics.step_metrics(step)
     group_of = cluster.group_of
@@ -351,6 +368,7 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
         records += len(outbound)
         src_gid = group_of[src]
         keys = list(map(itemgetter(0), outbound))
+        values = list(map(itemgetter(1), outbound))
         before = len(owners)
         route = routes.get(src)
         reused = route is not None and route.keys == keys
@@ -360,26 +378,25 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
         if len(owners) - before < len(keys):
             cluster.routes[src] = route
         payloads = {}
-        # the route's gathers and the values sent inside the failure unit
+        # the route's payload entries and the values sent inside the
+        # failure unit
         unit, unit_values = [], []
-        for dst, gather, key_bytes in route.payloads:
-            payload = payloads[dst] = list(gather(outbound))
-            # each value is read once: it sizes the payload and its share,
-            # and a reused route hands it to the receiver (_inbox_layout)
-            sent = list(map(itemgetter(1), payload))
+        for entry in route.payloads:
+            dst, gather, key_bytes, column = entry
+            # each value is read once: it sizes the payload and its share
+            sent = gather(values)
+            payloads[dst] = cluster.pes[dst].inbox[src] = Batch(column, sent)
             size = key_bytes + sum(map(len, sent))
             if dst != src:
                 network_bytes += size
             if group_of[dst] == src_gid:
                 self_bytes += size
-                unit.append(gather)
+                unit.append(entry)
                 unit_values.append(sent)
             if reused:
-                handed[dst].append((route, sent))
+                handed[dst].append(route)
         if fault_tolerant:
             pe.sent_log[step] = payloads
-        for dst, payload in payloads.items():
-            cluster.pes[dst].inbox[src] = payload
         if not ships_shares:
             continue
         targets = backup_targets(src, cluster.live, backup_mode, group_of)
@@ -397,7 +414,9 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
         # share k of n holds the unit's values k::n, in unit_entries' order
         unit_values = (unit_values[0] if len(unit_values) == 1
                        else list(chain.from_iterable(unit_values)))
-        entries = unit_entries(src, payloads, group_of)
+        entries = unit_entries(
+            src, {dst: gather(outbound) for dst, gather, _, _ in unit}, group_of
+        )
         for k, (target, share) in enumerate(split_self_message(entries, targets)):
             store = cluster.pes[target].backup_store.setdefault(step, {})
             store[(src, k)] = share
@@ -415,51 +434,47 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
 
 
 def group_entries(
-    inbox: dict[PeId, list[Record]], layout: list | None = None, values: list | None = None
+    inbox: dict[PeId, Batch], layout: list | None = None
 ) -> list[tuple[bytes, list[bytes]]]:
-    """Group an inbox's records by key for reducing.
+    """Group an inbox's batches by key for reducing.
 
     Keys are sorted bytewise; within a group, values follow ascending
     sender, then emission order, so grouping does not depend on the order
-    in which senders delivered. Each record is read by position, because
-    unpacking a ``Record`` (a tuple subclass) allocates an iterator.
-    Given the inbox's ``layout`` and ``values`` (:func:`_inbox_layout`),
-    each key's values are gathered in that order from the value
-    sequences the senders handed over, and no record is read.
+    in which senders delivered.  Each batch is read from its columns, so
+    no record is built.  Given the inbox's ``layout``
+    (:func:`_inbox_layout`), each key's values are gathered in that order
+    from the batches' value columns, and no key is read.
     """
     if layout is not None:
-        values = list(chain.from_iterable(values))
+        values = list(chain.from_iterable(inbox[src].values for src in sorted(inbox)))
         return [(key, list(gather(values))) for key, gather in layout]
     by_key: defaultdict[bytes, list[bytes]] = defaultdict(list)
     for src in sorted(inbox):
-        for rec in inbox[src]:
-            by_key[rec[0]].append(rec[1])
+        batch = inbox[src]
+        for key, value in zip(batch.keys, batch.values):
+            by_key[key].append(value)
     return [(key, by_key[key]) for key in sorted(by_key)]
 
 
-def _inbox_layout(cluster: Cluster, dst: PeId) -> tuple[list | None, list | None]:
-    """The layout of ``dst``'s inbox by key and the value sequences its
-    senders handed over, ascending sender; ``(None, None)`` to group the
-    inbox anew.
+def _inbox_layout(cluster: Cluster, dst: PeId) -> list | None:
+    """The layout of ``dst``'s inbox by key; None to group the inbox anew.
 
     Only an inbox whose every sender reused its route this step has a
     layout: its keys, in ascending sender then emission order, are then
-    fixed by those route objects, and each of them handed its values over
-    in the shuffle.  The layout is kept with the routes it was laid out
-    from and used while the same objects deliver; any other inbox drops
-    it.
+    fixed by those route objects, which hold its key columns.  The layout
+    is kept with the routes it was laid out from and used while the same
+    objects deliver; any other inbox drops it.
     """
     inbox = cluster.pes[dst].inbox
     kept = cluster.layouts.pop(dst, None)
-    handed = cluster.handed.get(dst, ())
-    if not inbox or len(handed) < len(inbox):
-        return None, None
-    routes = list(map(itemgetter(0), handed))
+    routes = cluster.handed.get(dst, ())
+    if not inbox or len(routes) < len(inbox):
+        return None
     if kept is None or len(kept[0]) != len(routes) or not all(map(is_, kept[0], routes)):
-        keys = list(map(itemgetter(0), chain.from_iterable(map(inbox.__getitem__, sorted(inbox)))))
+        keys = list(chain.from_iterable(inbox[src].keys for src in sorted(inbox)))
         kept = (routes, _layout(keys, cluster.positions))
     cluster.layouts[dst] = kept
-    return kept[1], list(map(itemgetter(1), handed))
+    return kept[1]
 
 
 def reduce_phase(
@@ -473,7 +488,7 @@ def reduce_phase(
     for i in sorted(cluster.live):
         pe = cluster.pes[i]
         out: list[Record] = []
-        for key, values in group_entries(pe.inbox, *_inbox_layout(cluster, i)):
+        for key, values in group_entries(pe.inbox, _inbox_layout(cluster, i)):
             try:
                 out.extend(reduce_fn(key, values))
                 if counter_fn is not None:
@@ -536,17 +551,23 @@ def _collector_paused():
 def _note_inboxes(cluster: Cluster, step: StepId, had: dict | None = None) -> None:
     """Note each live inbox in the cluster's ledger.
 
-    Each sender list is one ``ORIGINAL`` batch; given the sender-list
+    Each sender's batch is one ``ORIGINAL`` batch; given the batch
     lengths ``had`` taken before a recovery, what each inbox gained since
-    is one ``RECOVERY`` batch instead.
+    is one ``RECOVERY`` batch instead, cut from the columns.
     """
     for i in sorted(cluster.live):
         inbox = cluster.pes[i].inbox
         if had is None:
-            for recs in inbox.values():
-                cluster.ledger.note(step, i, ORIGINAL, recs)
-        elif tails := [r for s, recs in inbox.items() for r in recs[had[i].get(s, 0):]]:
-            cluster.ledger.note(step, i, RECOVERY, tails)
+            for batch in inbox.values():
+                cluster.ledger.note(step, i, ORIGINAL, batch)
+            continue
+        keys, values = [], []
+        for src, batch in inbox.items():
+            n = had[i].get(src, 0)
+            keys += batch.keys[n:]
+            values += batch.values[n:]
+        if keys:
+            cluster.ledger.note(step, i, RECOVERY, Batch(keys, values))
 
 
 @dataclass
@@ -632,9 +653,9 @@ class Cluster:
         and the key lists; they rebuild it, so no byte of the run changes."""
         # sender -> its route under the current memo (see shuffle)
         self.routes: dict[PeId, Route] = {}
-        # receiver -> (route, the values it sent there) for each sender
-        # whose route the last shuffle reused, ascending sender
-        self.handed: dict[PeId, list[tuple[Route, list]]] = {}
+        # receiver -> the route of each sender whose route the last
+        # shuffle reused, ascending sender
+        self.handed: dict[PeId, list[Route]] = {}
         # receiver -> (the routes its inbox came by, its layout by key)
         self.layouts: dict[PeId, tuple[list[Route], list]] = {}
         # (holder, id of an owner memo, by failure) -> recovery's cut of

@@ -16,14 +16,15 @@ Each recovery contributes one :class:`RecoveryRecord` with the bytes
 re-sent to survivors and the records recomputed during replay.
 
 The :class:`DeliveryLedger` is an opt-in verification instrument: it
-keeps every delivered batch of :class:`~ftmr.core.Record` per ``(step,
+keeps every delivered :class:`~ftmr.core.Batch` per ``(step,
 destination, generation)``, in note order.  Each ``note`` call keeps
 one delivered batch, such as a sender's whole payload to one
-destination, by reference: it copies and hashes nothing.  Records are
-counted (the record itself is the count key, so equal contents compare
-equal across runs and processes) only when a bucket is read or a run
-is checked.  The ledger costs one reference per delivered batch plus
-the batches and records it keeps alive.  Runs only carry a ledger when
+destination, by reference: it copies and hashes nothing.  Deliveries
+are counted (a ``(key, value)`` pair is the count key, so equal
+contents compare equal across runs and processes) only when a bucket is
+read or a run is checked.  The ledger costs one reference per delivered
+batch plus the batches it keeps alive, whose columns the sent logs and
+inboxes share.  Runs only carry a ledger when
 a caller passes it in; the fault-free hot path does no ledger work.
 :meth:`ftmr.engine.Cluster.step` notes it before each reduce and after
 a recovery; recovery itself notes only the rebuilt inboxes of the steps
@@ -40,11 +41,11 @@ from __future__ import annotations
 
 import io
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .core import PeId, Record, StepId
+from .core import Batch, PeId, StepId
 
 CSV_HEADER = "step,phase,network_bytes,self_bytes,backup_bytes,records"
 
@@ -137,17 +138,19 @@ class DeliveryLedger:
     a run keeps one only when it is passed in, and the step loop, not the
     shuffle or recovery's injection, notes what each reduce reads.
     Each bucket is a list of the delivered batches in note order; one
-    :meth:`note` call keeps one batch, the sequence it is given, so the
-    ledger costs one reference per delivered batch plus the batches and
-    records it keeps alive.  A batch is the very list the run delivered
-    (a sender's payload is also its sent-log entry and the receiver's
-    inbox entry), so no delivered list may change after delivery.
-    Counting happens only when checking: :meth:`bucket` and
-    :meth:`step_total` walk the batches into a ``Counter`` keyed by the
-    records themselves, and no view flattens a whole ledger.  ``Record``
-    is frozen and hashes and compares by content, so two deliveries of
-    equal records count as one key, and records with the same
-    concatenated bytes but a different key/value split stay apart.  ``generation`` separates
+    :meth:`note` call keeps one batch, the object it is given, so the
+    ledger costs one reference per delivered batch plus the batches it
+    keeps alive.  A batch is the very object the run delivered (a
+    sender's payload is also its sent-log entry and the receiver's inbox
+    entry), so no delivered batch may change after delivery.  Counting
+    happens only when checking: :meth:`step_total` and
+    :meth:`check_against` count ``(key, value)`` pairs read from the
+    batches' columns, and no view flattens a whole ledger.  A pair hashes
+    and compares by content, so two deliveries of equal records count as
+    one key, and records with the same concatenated bytes but a different
+    key/value split stay apart.  :meth:`bucket` counts one bucket's
+    records, which hash and compare as their pairs.
+    ``generation`` separates
     deliveries of the original execution from records re-delivered (or
     re-derived) while reconstructing a failed PE.  Comparing a faulty
     run's ledger with a fault-free shadow run proves that recovery
@@ -157,32 +160,34 @@ class DeliveryLedger:
 
     def __init__(self):
         # (step, dst, generation) -> delivered batches, in note order
-        self.deliveries: dict[tuple[StepId, PeId, str], list[Sequence[Record]]] = {}
+        self.deliveries: dict[tuple[StepId, PeId, str], list[Batch]] = {}
 
-    def note(
-        self, step: StepId, dst: PeId, generation: str, records: Iterable[Record]
-    ) -> None:
-        """Keep one batch delivered to ``dst``, repeats too: the sequence
-        itself, not a copy (any other iterable is listed first)."""
-        if not isinstance(records, Sequence):
-            records = list(records)
+    def note(self, step: StepId, dst: PeId, generation: str, batch: Batch) -> None:
+        """Keep one batch delivered to ``dst``, repeats too: the batch
+        itself, not a copy."""
         key = (step, dst, generation)
         batches = self.deliveries.get(key)
         if batches is None:
-            self.deliveries[key] = [records]
+            self.deliveries[key] = [batch]
         else:
-            batches.append(records)
+            batches.append(batch)
 
     # -- views -----------------------------------------------------------
 
     def bucket(self, step: StepId, dst: PeId, generation: str) -> Counter:
+        """One bucket's deliveries, counted by record."""
         return Counter(chain.from_iterable(self.deliveries.get((step, dst, generation), ())))
 
+    def _count(self, step: StepId, dst: PeId, generation: str) -> Counter:
+        """One bucket's deliveries, counted by ``(key, value)`` pair."""
+        return Counter(_pairs(self.deliveries.get((step, dst, generation), ())))
+
     def step_total(self, step: StepId, generation: str | None = None) -> Counter:
+        """A step's deliveries, counted by ``(key, value)`` pair."""
         total: Counter = Counter()
         for (s, _dst, gen), batches in self.deliveries.items():
             if s == step and (generation is None or gen == generation):
-                total.update(chain.from_iterable(batches))
+                total.update(_pairs(batches))
         return total
 
     # -- verification ----------------------------------------------------
@@ -220,7 +225,7 @@ class DeliveryLedger:
         first_replayed = max(recovery_point, 1)
         seen = self.deliveries.keys() | reference.deliveries.keys()
         for step, dst in sorted({(s, d) for (s, d, _) in seen if s <= event_step}):
-            if self.bucket(step, dst, ORIGINAL) != reference.bucket(step, dst, ORIGINAL):
+            if not _same(self._count(step, dst, ORIGINAL), reference._count(step, dst, ORIGINAL)):
                 problems.append(f"step {step} PE {dst}: original deliveries diverge")
         stray = sorted(
             (step, dst, count)
@@ -237,16 +242,16 @@ class DeliveryLedger:
             got_all = self.step_total(step)
             want_all = reference.step_total(step)
             if exact_after:
-                if got_all != want_all:
+                if not _same(got_all, want_all):
                     problems.append(f"step {step}: post-failure deliveries diverge")
             elif sum(got_all.values()) != sum(want_all.values()):
                 problems.append(f"step {step}: post-failure delivery count diverges")
         for step in range(first_replayed, event_step + 1):
             want: Counter = Counter()
             for f in failed:
-                want.update(reference.bucket(step, f, ORIGINAL))
+                want.update(reference._count(step, f, ORIGINAL))
             got = self.step_total(step, RECOVERY)
-            if got != want:
+            if not _same(got, want):
                 missing = sum((want - got).values())
                 extra = sum((got - want).values())
                 problems.append(
@@ -254,3 +259,16 @@ class DeliveryLedger:
                     f"({missing} missing, {extra} duplicated/re-sent)"
                 )
         return problems
+
+
+def _pairs(batches: Iterable[Batch]) -> Iterable[tuple[bytes, bytes]]:
+    """The ``(key, value)`` pairs of ``batches``, read from their columns."""
+    return chain.from_iterable(zip(batch.keys, batch.values) for batch in batches)
+
+
+def _same(a: Counter, b: Counter) -> bool:
+    """Whether two counts hold the same multiset.  Counting leaves no
+    zero or negative entry, so plain dict equality (in C) says it;
+    ``Counter.__eq__`` walks both counts in Python to treat a missing
+    key as 0."""
+    return dict.__eq__(a, b)

@@ -20,10 +20,11 @@ is rebuilt there:
    under the shrunk partition map and merge them into the pending reduce
    inboxes; normal execution resumes with the step-``t`` Reduce.
 
-A rebuilt inbox has a PE inbox's shape, keyed by the survivor holding
-each record: what it logged as sent to the unit, then its part of the
-unit's own sends (shares at ``r``, replayed self-sends later).  Every
-refusal fires before the scrub, so it leaves the cluster as it was.
+A rebuilt inbox has a PE inbox's shape, one :class:`~ftmr.core.Batch`
+per survivor holding its records: what it logged as sent to the unit,
+then its part of the unit's own sends (shares at ``r``, replayed
+self-sends later), joined column by column.  Every refusal fires before
+the scrub, so it leaves the cluster as it was.
 
 All re-routed records are appended to survivors' sent logs under their
 step ids (a record whose new owner would also be its holder is attributed
@@ -31,22 +32,25 @@ to a rotated peer, so an off-owner copy always exists).  That keeps a
 later failure before the next recovery point recoverable as well.
 
 Records are split by owner per (holder, destination) batch, not one at
-a time: each holder's record list is laid out once by its keys' owners
+a time: each holder's key column is laid out once by its keys' owners
 (:func:`_split`), and each batch is logged, delivered and counted whole.
 An iterative job's holders send the same keys at every replayed step,
-so the layout is reused while a holder's key list and the owner memo
-stay the same, for one recovery (:meth:`ftmr.engine.Cluster.drop_derived`).
+so the layout and its key columns are reused while a holder's key list
+and the owner memo stay the same, for one recovery
+(:meth:`ftmr.engine.Cluster.drop_derived`).  Like the shuffle's
+batches, a recovery batch never changes once delivered or logged: a
+longer batch replaces it.
 """
 
 from __future__ import annotations
 
 import logging
-from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
-from operator import itemgetter
+from operator import add, itemgetter
 
-from .core import ConfigError, PeId, Record, StepId, records_size
+from .core import Batch, ConfigError, PeId, Record, StepId, records_size
 from .engine import Cluster, JobError, _layout, group_entries, unit_entries
 from .metrics import RECOVERY, RecoveryRecord
 from .partition import BackupMode, Owners, backup_targets, shrink_partition
@@ -73,8 +77,8 @@ class UnrecoverableFailure(RuntimeError):
     """The surviving state cannot reproduce the lost data; gives the reason."""
 
 
-# (part of) a rebuilt inbox: holder PE -> the records it holds
-_Held = dict[PeId, list[Record]]
+# (part of) a rebuilt inbox: holder PE -> the batch of records it holds
+_Held = dict[PeId, Batch]
 
 
 def recover(cluster: Cluster, event: FailureEvent) -> None:
@@ -155,7 +159,7 @@ def recover(cluster: Cluster, event: FailureEvent) -> None:
     # --- phase 1: the unit's stream at the recovery point ---------------
     held = _logged_to(cluster, r, failed, shared) if r else None
     if r == 0:  # no recovery point: replay from the regenerated input
-        current: _Held = {}
+        current: dict[PeId, list[Record]] = {}
         for f in sorted(failed):
             for rec in cluster.source.fn(f):
                 current.setdefault(owners_new[rec.key], []).append(rec)
@@ -176,14 +180,16 @@ def recover(cluster: Cluster, event: FailureEvent) -> None:
         mapped: _Held = {}
         for holder, recs in current.items():
             try:
-                mapped[holder] = list(chain.from_iterable(map(spec.map_fn, recs)))
+                mapped[holder] = Batch.of(list(chain.from_iterable(map(spec.map_fn, recs))))
             except Exception as exc:  # noqa: BLE001
                 raise JobError(holder, step, "map during replay", exc) from exc
         # Keep only what the unit would have sent to itself; the rest
         # already reached surviving owners before the failure.
         self_part = {
-            holder: dict(_split(cluster, holder, recs, owners_then, failed)).get(True, ())
-            for holder, recs in mapped.items()
+            holder: part
+            for holder, batch in mapped.items()
+            for inside, part in _split(cluster, holder, batch, owners_then, failed)
+            if inside
         }
         if r == 0 and step < t:
             # The unit's own sends of this step died with its logs; with
@@ -257,10 +263,11 @@ def _logged_to(cluster: Cluster, step: StepId, failed: set[PeId], own: _Held) ->
     held: _Held = {}
     for s in sorted(cluster.live):
         log = cluster.pes[s].sent_log.get(step, {})
-        recs = [rec for f in sorted(failed) for rec in log.get(f, ())]
-        recs += own.get(s, ())
-        if recs:
-            held[s] = recs
+        parts = [log[f] for f in sorted(failed) if f in log]
+        if s in own:
+            parts.append(own[s])
+        if parts:
+            held[s] = reduce(add, parts)
     return held
 
 
@@ -272,7 +279,7 @@ def _share_entries(cluster: Cluster, r: StepId, failed: set[PeId]) -> _Held:
     by a live PE; a missing share means the data is gone for good.
     """
     hist = cluster.step_history[r]
-    held: _Held = {}
+    held: dict[PeId, list[Record]] = {}
     for origin in sorted(failed):
         manifest = hist.backup_manifest.get(origin)
         if manifest is None:
@@ -295,7 +302,7 @@ def _share_entries(cluster: Cluster, r: StepId, failed: set[PeId]) -> _Held:
             held.setdefault(target, []).extend(
                 rec for _, d, _, rec in share if d in failed
             )
-    return held
+    return {target: Batch.of(recs) for target, recs in held.items()}
 
 
 def _holder_for(cluster: Cluster, dst: PeId) -> PeId:
@@ -314,39 +321,43 @@ def _holder_for(cluster: Cluster, dst: PeId) -> PeId:
 
 
 def _split(
-    cluster: Cluster, holder: PeId, recs: list[Record], owners: Owners,
+    cluster: Cluster, holder: PeId, batch: Batch, owners: Owners,
     failed: set[PeId] | None = None,
-) -> list[tuple[object, Sequence[Record]]]:
-    """``recs`` cut by each key's owner under ``owners``, or, given
+) -> list[tuple[object, Batch]]:
+    """``batch`` cut by each key's owner under ``owners``, or, given
     ``failed``, by whether that owner is in it.
 
     Returns ``(label, batch)`` pairs, ascending label, each batch in
-    emission order.  The layout (:func:`ftmr.engine._layout`) is kept in
-    ``cluster.splits`` for the holder and memo, so a replayed step that
-    hands the holder the same keys again cuts its records in C.  A split
-    lasts one recovery, and the memo its id names outlives it.
+    emission order.  The layout (:func:`ftmr.engine._layout`) and each
+    label's key column are kept in ``cluster.splits`` for the holder and
+    memo, so a replayed step that hands the holder the same keys again
+    cuts only its values, in C.  A split lasts one recovery, and the memo
+    its id names outlives it.
     """
-    keys = list(map(itemgetter(0), recs))
+    keys, values = batch.keys, batch.values
     slot = (holder, id(owners), failed is not None)
     kept = cluster.splits.get(slot)
     if kept is None or kept[0] != keys:
         labels = list(map(owners.__getitem__, keys))
         if failed is not None:
             labels = list(map(failed.__contains__, labels))
-        kept = cluster.splits[slot] = (keys, _layout(labels, cluster.positions))
-    return [(label, gather(recs)) for label, gather in kept[1]]
+        kept = cluster.splits[slot] = (keys, [
+            (label, gather, gather(keys)) for label, gather in _layout(labels, cluster.positions)
+        ])
+    return [(label, Batch(column, gather(values))) for label, gather, column in kept[1]]
 
 
 def _log_copy(
-    cluster: Cluster, holder: PeId, step: StepId, dst: PeId, recs: Sequence[Record]
+    cluster: Cluster, holder: PeId, step: StepId, dst: PeId, batch: Batch
 ) -> PeId:
-    """Log ``recs`` as step-``step`` sends to ``dst``; return the sender.
+    """Log ``batch`` as step-``step`` sends to ``dst``; return the sender.
 
     The sender is ``holder`` unless it sits in ``dst``'s failure group;
     then a PE outside that group takes the copy, so the log never dies
     together with the inbox it guards.  The step's record notes the
-    sender as guarding ``dst``'s inbox.  The logged list may be a
-    delivered inbox list too, so a longer list replaces it.
+    sender as guarding ``dst``'s inbox.  The logged batch may be a
+    delivered inbox batch too, and its key column a route's, so a longer
+    batch replaces it.
     """
     if cluster.group_of[holder] != cluster.group_of[dst]:
         sender = holder
@@ -355,7 +366,7 @@ def _log_copy(
     if sender != dst:
         cluster.step_history[step].guards.setdefault(sender, set()).add(dst)
     log = cluster.pes[sender].sent_log.setdefault(step, {})
-    log[dst] = [*log.get(dst, ()), *recs]
+    log[dst] = log[dst] + batch if dst in log else batch
     return sender
 
 
@@ -376,10 +387,10 @@ def _relog_pending(cluster: Cluster, t: StepId, failed: set[PeId]) -> int:
     for owner in live_sorted:
         inbox = cluster.pes[owner].inbox
         for src in sorted(failed):
-            recs = inbox.get(src)
-            if recs:
-                _log_copy(cluster, owner, t, owner, recs)
-                shipped += records_size(recs)
+            batch = inbox.get(src)
+            if batch:
+                _log_copy(cluster, owner, t, owner, batch)
+                shipped += batch.size
     return shipped
 
 
@@ -393,12 +404,12 @@ def _relog_mapped(
     copy must move off the original receiver.  Returns bytes shipped.
     """
     shipped = 0
-    for holder, recs in mapped.items():
-        for dst, batch in _split(cluster, holder, recs, owners_then):
+    for holder, recomputed in mapped.items():
+        for dst, batch in _split(cluster, holder, recomputed, owners_then):
             if dst in failed or dst not in cluster.live:
                 continue
             if _log_copy(cluster, holder, step, dst, batch) != holder:
-                shipped += records_size(batch)
+                shipped += batch.size
     return shipped
 
 
@@ -479,19 +490,19 @@ def _inject(cluster: Cluster, t: StepId, held: _Held, owners_new: Owners) -> int
     point retires it.  A record whose holder sits in its new owner's
     failure group is attributed to a PE outside that group instead, so
     the log copy never dies together with the inbox it guards.  An inbox
-    list is shared with a sent log and the ledger, so a longer list
+    batch is shared with a sent log and the ledger, so a longer batch
     replaces it.  Returns the bytes that crossed the (simulated) network.
     """
     bytes_resent = 0
-    for holder, recs in held.items():
-        for dst, batch in _split(cluster, holder, recs, owners_new):
+    for holder, rebuilt in held.items():
+        for dst, batch in _split(cluster, holder, rebuilt, owners_new):
             sender = _log_copy(cluster, holder, t, dst, batch)
             inbox = cluster.pes[dst].inbox
-            inbox[sender] = [*inbox.get(sender, ()), *batch]
+            inbox[sender] = inbox[sender] + batch if sender in inbox else batch
             # once off the holder, once more if the log copy moves off it
             hops = (holder != dst) + (sender != holder)
             if hops:
-                bytes_resent += hops * records_size(batch)
+                bytes_resent += hops * batch.size
     return bytes_resent
 
 
@@ -500,6 +511,6 @@ def _note_rebuilt(
 ) -> None:
     """Note a rebuilt step inbox in the cluster's ledger, one batch per
     (holder, new owner)."""
-    for holder, recs in held.items():
-        for dst, batch in _split(cluster, holder, recs, owners_new):
+    for holder, rebuilt in held.items():
+        for dst, batch in _split(cluster, holder, rebuilt, owners_new):
             cluster.ledger.note(step, dst, RECOVERY, batch)

@@ -13,7 +13,9 @@ in ``ftmr.benchmarks`` must reproduce them.
 The reference recovery walks deliver and re-log a rebuilt unit's records
 one at a time, each record's owner looked up on its own; recovery's
 per-(holder, destination) batches must leave every inbox, sent log and
-re-protection holding exactly as these walks do.
+re-protection holding exactly as these walks do.  :func:`plain` turns
+the batches of logs, inboxes and ledgers into record lists, so they
+compare by content.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from ftmr.benchmarks import (
     gen_gnm,
     gen_text,
 )
-from ftmr.core import Record
+from ftmr.core import Batch, Record
 from ftmr.partition import mix_seed
 from ftmr.recovery import _holder_for
 
@@ -163,9 +165,9 @@ def log_copy_reference(cluster, holder, step, dst, rec):
         sender = _holder_for(cluster, dst)
     if sender != dst:
         cluster.step_history[step].guards.setdefault(sender, set()).add(dst)
-    # a logged list may be a delivered inbox list: rebind, never extend
+    # a logged batch may be a delivered inbox batch: rebind, never extend
     log = cluster.pes[sender].sent_log.setdefault(step, {})
-    log[dst] = [*log.get(dst, ()), rec]
+    log[dst] = Batch.of([*log.get(dst, ()), rec])
     return sender
 
 
@@ -177,7 +179,7 @@ def inject_reference(cluster, t, held, owners_new):
             dst = owners_new[rec.key]
             sender = log_copy_reference(cluster, holder, t, dst, rec)
             inbox = cluster.pes[dst].inbox
-            inbox[sender] = [*inbox.get(sender, ()), rec]
+            inbox[sender] = Batch.of([*inbox.get(sender, ()), rec])
             if holder != dst:
                 bytes_resent += rec.size
             if sender != holder:
@@ -213,3 +215,28 @@ def relog_mapped_reference(cluster, step, mapped, failed, owners_then):
             if log_copy_reference(cluster, holder, step, dst, rec) != holder:
                 shipped += rec.size
     return shipped
+
+
+# -- comparing delivered state ------------------------------------------
+
+
+def plain(obj):
+    """``obj`` with every batch in its dicts, lists and tuples replaced by
+    the list of its records; anything else, records too, stays as is."""
+    if isinstance(obj, Batch):
+        return list(obj)
+    if isinstance(obj, dict):
+        return {key: plain(value) for key, value in obj.items()}
+    if type(obj) in (list, tuple):
+        return type(obj)(map(plain, obj))
+    return obj
+
+
+class ColumnBatch(Batch):
+    """A batch that refuses to build its records, for code that must read
+    its columns."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        raise AssertionError("batch iterated as records")

@@ -109,6 +109,21 @@ def test_validate_rejects_a_bool_for_a_number(name):
         JobConfig.from_text(config.to_text())
 
 
+@pytest.mark.parametrize("name, value", [
+    ("p", 4.0), ("seed", 1.5), ("group_size", 2.0), ("vertices_per_pe", 8.5),
+    ("words_per_pe", 100.0), ("dict_words", 10.0), ("iterations", 3.0),
+    ("total_records", 1e5),
+])
+def test_validate_rejects_a_float_for_an_integer(name, value):
+    # to_text writes a float as "8.5" or "4.0", which from_text refuses for
+    # an integer field, and a float p would fail later inside the engine
+    config = JobConfig(benchmark="pagerank", **{name: value})
+    with pytest.raises(ConfigError, match=f"{name} wants an integer"):
+        config.validate()
+    with pytest.raises(ConfigError, match=name):
+        JobConfig.from_text(config.to_text())
+
+
 @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "Infinity"])
 def test_from_text_rejects_a_non_finite_degree(text):
     with pytest.raises(ConfigError, match="avg_degree must be positive and finite"):

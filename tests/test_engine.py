@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import random
+import tracemalloc
 import weakref
 from collections import Counter, defaultdict
 from itertools import chain
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import ftmr.engine
 import ftmr.recovery
 from ftmr.config import ConfigError, JobConfig
-from ftmr.core import Record, records_size
+from ftmr.core import Batch, Record, records_size
 from ftmr.engine import (
     Cluster,
     Job,
@@ -32,6 +33,7 @@ from ftmr.harness import build_job, parse_failure_spec
 from ftmr.metrics import ORIGINAL, DeliveryLedger
 from ftmr.partition import BackupMode, backup_targets, hash_key, initial_partition
 from ftmr.recovery import UnrecoverableFailure
+from oracles import ColumnBatch, plain
 from test_golden import SCALES
 
 
@@ -227,7 +229,7 @@ def test_reused_routes_shuffle_like_fresh_ones(monkeypatch, config, plan):
         reused += sum(kept.routes.get(src) is route for src, route in before.items())
         assert kept.live == fresh.live
         for a, b in zip(kept.pes, fresh.pes):
-            assert (a.sent_log, a.backup_store) == (b.sent_log, b.backup_store)
+            assert plain((a.sent_log, a.backup_store)) == plain((b.sent_log, b.backup_store))
             assert a.current_records == b.current_records
         step = kept.steps_run
         assert (kept.step_history[step].backup_manifest
@@ -237,7 +239,7 @@ def test_reused_routes_shuffle_like_fresh_ones(monkeypatch, config, plan):
     assert kept.result().outputs == fresh.result().outputs
     assert kept.metrics.to_csv() == fresh.metrics.to_csv()
     # the ledger holds every inbox, sender lists in delivery order
-    assert kept.ledger.deliveries == fresh.ledger.deliveries
+    assert plain(kept.ledger.deliveries) == plain(fresh.ledger.deliveries)
     # PageRank senders repeat their keys, and rmat's once its edge lists
     # settle; cc, wordcount and uniform never do
     assert reused > 0 if config.benchmark in ("pagerank", "rmat") else reused == 0
@@ -271,10 +273,12 @@ def test_one_record_destination_over_a_reused_route():
     kept, before = shuffled(True)
     fresh, _ = shuffled(False)
     assert kept.routes[0] is before[0]
-    assert kept.pes[0].sent_log[2] == {0: alone[:1], 1: alone[1:], 2: outbound[2:]}
-    assert [kept.pes[dst].inbox for dst in (0, 1)] == [{0: alone[:1]}, {0: alone[1:]}]
+    assert plain(kept.pes[0].sent_log[2]) == {0: alone[:1], 1: alone[1:], 2: outbound[2:]}
+    assert plain([kept.pes[dst].inbox for dst in (0, 1)]) == [{0: alone[:1]}, {0: alone[1:]}]
     for a, b in zip(kept.pes, fresh.pes):
-        assert (a.sent_log, a.inbox, a.backup_store) == (b.sent_log, b.inbox, b.backup_store)
+        assert plain((a.sent_log, a.inbox, a.backup_store)) == plain(
+            (b.sent_log, b.inbox, b.backup_store)
+        )
     assert kept.metrics.steps == fresh.metrics.steps
 
 
@@ -287,8 +291,8 @@ def test_reduce_groups_like_group_entries_over_kept_layouts(monkeypatch, plan, r
     group_entries = ftmr.engine.group_entries
     laid_out = []
 
-    def checked(inbox, layout=None, values=None):
-        got = group_entries(inbox, layout, values)
+    def checked(inbox, layout=None):
+        got = group_entries(inbox, layout)
         assert got == group_entries(inbox)
         laid_out[-1].append(layout is not None)
         return got
@@ -337,15 +341,19 @@ def _count_records(records) -> int:
 @pytest.mark.parametrize("interval", [1, 3, "input-only"])
 @pytest.mark.parametrize("workload", list(SCALES))
 def test_every_record_in_flight_is_a_record(workload, interval, monkeypatch):
-    # perfbench's tracer reads .size on every logged record and on every
-    # share entry's record, so every record must be a Record, never a
-    # plain tuple
+    # the shuffle and recovery deliver only batches: every inbox entry as
+    # each reduce reads it, and every sent-log entry after each step;
+    # perfbench's tracer reads .size on every record a logged batch
+    # yields and on every share entry's record, so every record must be
+    # a Record, never a plain tuple
     seen = Counter()
     reduce_phase = ftmr.engine.reduce_phase
 
     def checked_reduce(cluster, *args):
         for i in cluster.live:
-            seen["inbox"] += _count_records(chain.from_iterable(cluster.pes[i].inbox.values()))
+            inbox = cluster.pes[i].inbox
+            assert set(map(type, inbox.values())) <= {Batch}, (cluster.steps_run + 1, i)
+            seen["inbox"] += _count_records(chain.from_iterable(inbox.values()))
         return reduce_phase(cluster, *args)
 
     monkeypatch.setattr(ftmr.engine, "reduce_phase", checked_reduce)
@@ -357,9 +365,9 @@ def test_every_record_in_flight_is_a_record(workload, interval, monkeypatch):
     while cluster.step():
         for i in cluster.live:
             pe = cluster.pes[i]
-            seen["log"] += _count_records(chain.from_iterable(
-                payload for payloads in pe.sent_log.values() for payload in payloads.values()
-            ))
+            logged = [batch for log in pe.sent_log.values() for batch in log.values()]
+            assert set(map(type, logged)) <= {Batch}, (cluster.steps_run, i)
+            seen["log"] += _count_records(chain.from_iterable(logged))
             seen["share"] += _count_records(
                 entry[3] for store in pe.backup_store.values()
                 for share in store.values() for entry in share
@@ -369,6 +377,61 @@ def test_every_record_in_flight_is_a_record(workload, interval, monkeypatch):
     seen["output"] = _count_records(chain.from_iterable(cluster.result().outputs.values()))
     assert all(seen[kind] for kind in ("inbox", "log", "current", "output"))
     assert bool(seen["share"]) == (interval != "input-only")
+
+
+def test_a_reused_route_shares_its_key_columns_across_steps():
+    # every batch a reused route delivers holds the route's key column,
+    # the very object, in the sender's log and in the ledger alike;
+    # step 1 sends in the input's key order, so the routes settle at 2
+    steps = 6
+    config = dataclasses.replace(PAGERANK_32, iterations=steps)
+    cluster = Cluster(build_job(config), 4, recovery_point_interval=steps,
+                      ledger=DeliveryLedger())
+    while cluster.step():
+        pass
+    noted = {
+        key: set(map(id, batches)) for key, batches in cluster.ledger.deliveries.items()
+    }
+    for src in sorted(cluster.live):
+        log = cluster.pes[src].sent_log
+        assert sorted(log) == list(range(1, steps + 1))
+        for dst, _gather, _key_bytes, column in cluster.routes[src].payloads:
+            shared = [step for step in sorted(log) if log[step][dst].keys is column]
+            assert shared == list(range(2, steps + 1)), (src, dst)
+            for step in shared:
+                assert id(log[step][dst]) in noted[(step, dst, ORIGINAL)]
+
+
+def test_retained_logs_cost_under_two_slots_per_message():
+    # with every log retained, the logs hold a value slot per message, a
+    # key slot per message of a route that was not reused, and a few
+    # objects per batch: at most 16 B per logged message beyond the key
+    # and value objects (a Record and a list slot per message were 72 B)
+    config = JobConfig(benchmark="pagerank", p=4, seed=5, vertices_per_pe=32,
+                       iterations=10, recovery_point_interval="input-only")
+    tracemalloc.start()
+    try:
+        cluster = Cluster(build_job(config), 4, recovery_point_interval="input-only")
+        while cluster.step():
+            pass
+        batches = [
+            batch for pe in cluster.pes for log in pe.sent_log.values()
+            for batch in log.values()
+        ]
+        messages = sum(map(len, batches))
+        # the key and value objects outlive the logs, so dropping the logs
+        # frees only what holds those objects; the kept routes hold their
+        # own key columns
+        objects = [obj for batch in batches for obj in chain(batch.keys, batch.values)]
+        del batches
+        before = tracemalloc.get_traced_memory()[0]
+        for pe in cluster.pes:
+            pe.sent_log = {}
+        freed = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(objects) == 2 * messages > 10_000
+    assert freed / messages <= 16, freed / messages
 
 
 def test_owner_memo_kept_when_keys_repeat():
@@ -461,10 +524,10 @@ def check_shuffle(cluster, step, mode, is_rp, outbound):
     assert sm.backup_bytes == want["backup"]
     assert sm.backup_received == want["received"]
     assert cluster.step_history[step].backup_manifest == want["manifest"]
-    assert {
+    assert plain({
         i: pe.sent_log[step] for i, pe in enumerate(cluster.pes) if step in pe.sent_log
-    } == want["logs"]
-    assert {i: pe.inbox for i, pe in enumerate(cluster.pes)} == want["inboxes"]
+    }) == want["logs"]
+    assert plain({i: pe.inbox for i, pe in enumerate(cluster.pes)}) == want["inboxes"]
     assert {
         i: pe.backup_store[step] for i, pe in enumerate(cluster.pes)
         if step in pe.backup_store
@@ -500,10 +563,10 @@ def test_group_entries_order_invariance(data):
     keys = [b"k1", b"k2", b"k3"]
     senders = data.draw(st.lists(st.integers(0, 7), unique=True, max_size=4))
     inbox = {
-        src: [
+        src: Batch.of([
             Record(data.draw(st.sampled_from(keys)), bytes([src, seq]))
             for seq in range(data.draw(st.integers(0, 4)))
-        ]
+        ])
         for src in senders
     }
     shuffled = {src: inbox[src] for src in data.draw(st.permutations(senders))}
@@ -512,8 +575,8 @@ def test_group_entries_order_invariance(data):
 
 def test_group_entries_sorted_keys_and_stable_values():
     inbox = {
-        1: [Record(b"b", b"1"), Record(b"b", b"4")],
-        0: [Record(b"b", b"3"), Record(b"a", b"2")],
+        1: Batch.of([Record(b"b", b"1"), Record(b"b", b"4")]),
+        0: Batch.of([Record(b"b", b"3"), Record(b"a", b"2")]),
     }
     assert group_entries(inbox) == [
         (b"a", [b"2"]),
@@ -521,16 +584,7 @@ def test_group_entries_sorted_keys_and_stable_values():
     ]
 
 
-class _UnpackRefused(Record):
-    """A record that refuses to be unpacked or iterated."""
-
-    __slots__ = ()
-
-    def __iter__(self):
-        raise AssertionError("record unpacked")
-
-
-def test_group_entries_reads_records_by_position():
+def test_group_entries_reads_batch_columns():
     pairs = {
         2: [(b"b", b"20"), (b"a", b"21"), (b"b", b"22")],
         0: [(b"c", b"00"), (b"b", b"01")],
@@ -541,9 +595,13 @@ def test_group_entries_reads_records_by_position():
         (b"b", [b"01", b"20", b"22"]),
         (b"c", [b"00", b"51"]),
     ]
-    for kind in (tuple, Record, _UnpackRefused):
-        inbox = {src: [tuple.__new__(kind, pair) for pair in recs] for src, recs in pairs.items()}
-        assert group_entries(inbox) == expected, kind
+    # list and tuple columns, as recovery and the shuffle's gathers make
+    for kind, column in ((Batch, list), (ColumnBatch, list), (ColumnBatch, tuple)):
+        inbox = {
+            src: kind(column(k for k, _ in recs), column(v for _, v in recs))
+            for src, recs in pairs.items()
+        }
+        assert group_entries(inbox) == expected, (kind, column)
 
 
 # -- aggregates and drivers ---------------------------------------------
@@ -719,7 +777,7 @@ def test_equal_seeds_are_byte_identical():
     b = run_job(identity_job(11, steps=3), 4, ledger=DeliveryLedger())
     assert a.outputs == b.outputs
     assert a.metrics.to_csv() == b.metrics.to_csv()
-    assert a.ledger.deliveries == b.ledger.deliveries
+    assert plain(a.ledger.deliveries) == plain(b.ledger.deliveries)
 
 
 # -- log retention ------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 import ftmr.engine
 import ftmr.recovery
 from ftmr.config import JobConfig
-from ftmr.core import Record
+from ftmr.core import Batch, Record
 from ftmr.engine import (
     Cluster,
     Job,
@@ -34,7 +34,7 @@ from ftmr.harness import (
 from ftmr.metrics import ORIGINAL, RECOVERY, DeliveryLedger
 from ftmr.partition import PartitionMap, hash_key, initial_partition, shrink_partition
 from ftmr.recovery import FailureEvent, UnrecoverableFailure
-from oracles import inject_reference, relog_mapped_reference, relog_pending_reference
+from oracles import inject_reference, plain, relog_mapped_reference, relog_pending_reference
 from test_golden import SCALES
 
 
@@ -135,9 +135,9 @@ def test_ledger_sees_what_injection_delivered(monkeypatch):
 
     def inject_one_twice(cluster, t, held, owners_new):
         sent = inject(cluster, t, held, owners_new)
-        holder, rec = next((h, recs[0]) for h, recs in held.items() if recs)
+        holder, rec = next((h, next(iter(batch))) for h, batch in held.items() if batch)
         inbox = cluster.pes[owners_new[rec.key]].inbox
-        inbox[holder] = [*inbox.get(holder, ()), rec]
+        inbox[holder] = Batch.of([*inbox.get(holder, ()), rec])
         return sent
 
     monkeypatch.setattr(ftmr.recovery, "_inject", inject_one_twice)
@@ -149,16 +149,18 @@ def test_ledger_sees_what_injection_delivered(monkeypatch):
 
 @pytest.mark.parametrize("workload", list(SCALES))
 def test_delivered_batches_never_change(monkeypatch, workload):
-    # a delivered list is the sender's log entry, the receiver's inbox
-    # entry and the ledger's batch at once, so at the end of a run every
-    # object the ledger was handed still holds what it held when noted;
-    # one failure at step 2, and two at steps 1 and 3
+    # a delivered batch is the sender's log entry, the receiver's inbox
+    # entry and the ledger's batch at once, and a reused route's key column
+    # is every batch's it delivers, so at the end of a run every batch the
+    # ledger was handed still holds the columns it held when noted, with
+    # the contents they held; one failure at step 2, and two at steps 1
+    # and 3
     noted = []
     note = DeliveryLedger.note
 
-    def keep(ledger, step, dst, generation, records):
-        noted.append((records, tuple(records)))
-        return note(ledger, step, dst, generation, records)
+    def keep(ledger, step, dst, generation, batch):
+        noted.append((batch, batch.keys, batch.values, tuple(batch.keys), tuple(batch.values)))
+        return note(ledger, step, dst, generation, batch)
 
     monkeypatch.setattr(DeliveryLedger, "note", keep)
     recoveries = 0
@@ -168,7 +170,11 @@ def test_delivered_batches_never_change(monkeypatch, workload):
         for spec in ("2:1", "1:0;3:3"):
             result = run_simulation(config, parse_failure_spec(spec), ledger=DeliveryLedger())
             recoveries += len(result.metrics.recoveries)
-            changed = sum(tuple(batch) != was for batch, was in noted)
+            changed = sum(
+                batch.keys is not keys or batch.values is not values
+                or tuple(keys) != was_keys or tuple(values) != was_values
+                for batch, keys, values, was_keys, was_values in noted
+            )
             assert changed == 0, f"interval {interval}, plan {spec}"
             noted.clear()
     assert recoveries
@@ -222,7 +228,7 @@ def test_recovery_batches_match_a_per_record_walk(monkeypatch, config, spec):
     assert len(batched) == len(walked) == got.steps_run
     for step, (a, b) in enumerate(zip(batched, walked), 1):
         for name, x, y in zip(("inboxes", "sent logs", "guards"), a, b):
-            assert x == y, f"step {step}: {name} differ"
+            assert plain(x) == plain(y), f"step {step}: {name} differ"
     assert [(r.bytes_resent, r.backup_repair_bytes) for r in got.metrics.recoveries] == [
         (r.bytes_resent, r.backup_repair_bytes) for r in want.metrics.recoveries
     ]
@@ -687,8 +693,8 @@ REFUSALS = {
 
 
 def _recovery_state(cluster):
-    """A deep copy of everything a recovery may change."""
-    return copy.deepcopy((
+    """A deep copy of everything a recovery may change, batches as records."""
+    return plain(copy.deepcopy((
         cluster.live,
         [(pe.current_records, pe.inbox, pe.sent_log, pe.backup_store)
          for pe in cluster.pes],
@@ -696,7 +702,7 @@ def _recovery_state(cluster):
         dict(cluster.owners),
         cluster.metrics.recoveries,
         {s: (h.backup_manifest, h.lost, h.guards) for s, h in cluster.step_history.items()},
-    ))
+    )))
 
 
 @pytest.mark.parametrize("text", REFUSALS)
