@@ -159,6 +159,27 @@ MUTANTS = [
         "return records_from_pairs(zip(self.keys, self.values))",
         "return zip(self.keys, self.values)",
     ),
+    # -- a map's key and value columns -------------------------------------
+    Mutant(
+        "map column-length check removed", ENGINE,
+        "    if len(keys) != len(values):\n",
+        "    if False:\n",
+    ),
+    Mutant(
+        "identity path swapping the key and value columns", ENGINE,
+        "        return Batch.of(records)\n",
+        "        batch = Batch.of(records)\n        return Batch(batch.values, batch.keys)\n",
+    ),
+    Mutant(
+        "lazy-column map-error index off by one", ENGINE,
+        "idx = len(results) - length_hint(done) - 1",
+        "idx = len(results) - length_hint(done)",
+    ),
+    Mutant(
+        "map-error index without - 1", ENGINE,
+        "idx = len(records) - length_hint(calls) - 1",
+        "idx = len(records) - length_hint(calls)",
+    ),
 ]
 
 # Mutants of code that no longer exists, with the reason.

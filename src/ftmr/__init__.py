@@ -17,7 +17,7 @@ from .partition import (
     shrink_partition,
     split_self_message,
 )
-from .engine import Job, JobError, RecordSource, StepSpec, run_job
+from .engine import Job, JobError, RecordSource, StepSpec, identity_map, run_job
 from .recovery import FailureEvent, UnrecoverableFailure
 
 __version__ = "0.1.0"
@@ -37,6 +37,7 @@ __all__ = [
     "decode_stream",
     "encode_record",
     "hash_key",
+    "identity_map",
     "initial_partition",
     "run_job",
     "shrink_partition",

@@ -35,7 +35,7 @@ from math import fsum
 from operator import itemgetter
 
 from .core import ConfigError, Record, records_from_pairs
-from .engine import Job, JobError, ListDriver, RecordSource, StepSpec
+from .engine import Job, JobError, ListDriver, RecordSource, StepSpec, identity_map
 from .partition import hash_key, mix_seed
 
 U64 = struct.Struct("<Q")
@@ -160,9 +160,11 @@ def word_count_job(
     def source(pe: int) -> list[Record]:
         return gen_text(mix_seed(seed, pe), words_per_pe, dictionary)
 
-    def map_fn(rec: Record) -> list[Record]:
-        one = U64.pack(1)
-        return list(records_from_pairs(zip(rec.value.split(), repeat(one))))
+    one = U64.pack(1)
+
+    def map_fn(rec: Record) -> tuple[list[bytes], list[bytes]]:
+        words = rec.value.split()
+        return words, [one] * len(words)
 
     def reduce_fn(key: bytes, values: list[bytes]) -> list[Record]:
         total = sum(U64.unpack(v)[0] for v in values)
@@ -221,9 +223,6 @@ def rmat_dedup_job(
         edges = gen_rmat(mix_seed(seed, pe), n, _per_pe_count(m, p, pe), probs)
         return [Record(edge_key(u, v), PAIR.pack(u, v)) for (u, v) in edges]
 
-    def map_fn(rec: Record) -> list[Record]:
-        return [rec]
-
     def make_spec(step: int) -> StepSpec:
         def reduce_fn(key: bytes, values: list[bytes]) -> list[Record]:
             out = [Record(key, min(values))]
@@ -236,7 +235,7 @@ def rmat_dedup_job(
         def counter_fn(key: bytes, values: list[bytes]) -> int:
             return len(values) - 1
 
-        return StepSpec(f"dedup-{step}", map_fn, reduce_fn, counter_fn)
+        return StepSpec(f"dedup-{step}", identity_map, reduce_fn, counter_fn)
 
     return Job(RecordSource(source), _RmatDedupDriver(make_spec))
 
@@ -259,10 +258,11 @@ def _neighbors(values: list[bytes]) -> tuple[list[int], bool]:
 
 
 def _cc_large_spec() -> StepSpec:
-    def map_fn(rec: Record) -> list[Record]:
-        if rec.value == _MARKER:
-            return [rec]
-        return [rec, Record(rec.value, rec.key)]
+    def map_fn(rec: Record) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+        key, value = rec
+        if value == _MARKER:
+            return (key,), (value,)
+        return (key, value), (value, key)
 
     def reduce_fn(key: bytes, values: list[bytes]) -> list[Record]:
         (u,) = U64.unpack(key)
@@ -284,13 +284,14 @@ def _cc_large_spec() -> StepSpec:
 
 
 def _cc_small_spec() -> StepSpec:
-    def map_fn(rec: Record) -> list[Record]:
-        if rec.value == _MARKER:
-            return [rec]
-        (u,) = U64.unpack(rec.key)
-        (v,) = U64.unpack(rec.value)
+    def map_fn(rec: Record) -> tuple[tuple[bytes], tuple[bytes]]:
+        key, value = rec
+        if value == _MARKER:
+            return (key,), (value,)
+        (u,) = U64.unpack(key)
+        (v,) = U64.unpack(value)
         hi, lo = (u, v) if u > v else (v, u)
-        return [Record(U64.pack(hi), U64.pack(lo))]
+        return (U64.pack(hi),), (U64.pack(lo),)
 
     def reduce_fn(key: bytes, values: list[bytes]) -> list[Record]:
         (u,) = U64.unpack(key)
@@ -314,10 +315,11 @@ def _cc_small_spec() -> StepSpec:
 
 
 def _cc_extract_spec() -> StepSpec:
-    def map_fn(rec: Record) -> list[Record]:
-        if rec.value == _MARKER:
-            return [Record(rec.key, rec.key)]
-        return [Record(rec.value, rec.key), Record(rec.key, rec.key)]
+    def map_fn(rec: Record) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+        key, value = rec
+        if value == _MARKER:
+            return (key,), (key,)
+        return (value, key), (key, key)
 
     def reduce_fn(key: bytes, values: list[bytes]) -> list[Record]:
         rep = min(U64.unpack(v)[0] for v in values)
@@ -431,40 +433,33 @@ def pagerank_job(
     unpack_score = F64.unpack_from
     # builds one Record in C (see records_from_pairs)
     new_record = tuple.__new__
-    # adjacency bytes -> (the adjacency record's value, its target keys):
-    # a vertex's adjacency never changes, so every step re-sends one value
-    # object (the retained logs keep one copy, not one per step) and
-    # decodes each adjacency once per job
-    parsed: dict[bytes, tuple[bytes, tuple[bytes, ...]]] = {}
-    # vertex key -> its adjacency record, re-sent while its value is current
-    adj_records: dict[bytes, Record] = {}
+    # vertex key -> (its adjacency bytes, the adjacency value it sends,
+    # its key column: the vertex, then each target, or every vertex if
+    # it dangles): a vertex's adjacency never changes, so every step
+    # re-sends one value object (the retained logs keep one copy, not
+    # one per step) and the map decodes each adjacency once per job
+    columns: dict[bytes, tuple[bytes, bytes, tuple[bytes, ...]]] = {}
 
-    def map_fn(rec: Record) -> list[Record]:
+    def map_fn(rec: Record) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
         key, body = rec
         if body[:1] != _TAG_COMBINED:
             raise ValueError("pagerank map expects combined score+adjacency records")
         (score,) = unpack_score(body, 1)
         adj_bytes = body[9:]
-        entry = parsed.get(adj_bytes)
-        if entry is None:
-            entry = parsed[adj_bytes] = (
-                _TAG_ADJ + adj_bytes,
-                tuple(map(vertex_key, map(first, U64.iter_unpack(adj_bytes)))),
+        hit = columns.get(key)
+        if hit is None or hit[0] != adj_bytes:
+            targets = map(vertex_key, map(first, U64.iter_unpack(adj_bytes)))
+            hit = columns[key] = (
+                adj_bytes, _TAG_ADJ + adj_bytes,
+                (key, *targets) if adj_bytes else (key, *vertex_keys),
             )
-        adj_value, targets = entry
-        adj_rec = adj_records.get(key)
-        if adj_rec is None or adj_rec.value is not adj_value:
-            adj_rec = adj_records[key] = Record(key, adj_value)
-        out = [adj_rec]
-        # one key and one value object per vertex: sent logs keep every
-        # out-record
-        if targets:
-            share = _TAG_SCORE + F64.pack(score / len(targets))
+        _, adj_value, keys = hit
+        # one value object per vertex and step: sent logs keep every share
+        if adj_bytes:
+            share = _TAG_SCORE + F64.pack(score / (len(keys) - 1))
         else:
             share = _TAG_DANGLING + F64.pack(score / n)
-            targets = vertex_keys
-        out += records_from_pairs(zip(targets, repeat(share)))
-        return out
+        return keys, (adj_value, *repeat(share, len(keys) - 1))
 
     def reduce_fn(key: bytes, values: list[bytes]) -> list[Record]:
         # fsum rounds the exact sum once, so the score is the same in
@@ -505,9 +500,6 @@ def uniform_job(p: int, seed: int, *, total_records: int) -> Job:
         buf = bits.to_bytes(16 * count, "little")
         return list(records_from_pairs(_KEY_VALUE.iter_unpack(buf)))
 
-    def map_fn(rec: Record) -> list[Record]:
-        return [rec]
-
     # the keys are distinct, so a group holds one value, and building
     # its record with one C call is cheaper than setting up
     # records_from_pairs for it
@@ -516,5 +508,5 @@ def uniform_job(p: int, seed: int, *, total_records: int) -> Job:
     def reduce_fn(key: bytes, values: list[bytes]) -> list[Record]:
         return [new_record(Record, (key, v)) for v in values]
 
-    return Job(RecordSource(source), ListDriver([StepSpec("uniform", map_fn, reduce_fn)]))
+    return Job(RecordSource(source), ListDriver([StepSpec("uniform", identity_map, reduce_fn)]))
 

@@ -1,7 +1,11 @@
 """Bulk-synchronous MapReduce engine over simulated PEs.
 
 One MapReduce step is: Map every local record, shuffle the mapped records
-to their hash-range owners, then Reduce each key group on its owner.
+to their hash-range owners, then Reduce each key group on its owner.  A
+map call returns its record's outputs as a key column and a value
+column, and a PE's map results become one outbound
+:class:`~ftmr.core.Batch` (:func:`map_batch`), so no ``Record`` exists
+between a map call and its shuffle.
 :class:`Cluster` is the one step loop: it ingests the input, runs one
 step per :meth:`Cluster.step` call (recovering from the step's failure
 event, if any, between shuffle and Reduce), and :func:`run_job` steps it
@@ -25,15 +29,15 @@ so the shuffle keeps each sender's :class:`Route`, the layout of its key
 list under the current owner memo.  A route holds one
 ``operator.itemgetter`` per destination over the positions of that
 destination's records, and that destination's key column.  The
-sender's values are read once, into one list, and while the memo and
-the key list are unchanged each payload is the route's key column plus
-the values gathered in one C call: its size is the route's key bytes
-plus their lengths, and a backup share's size is the key bytes the
-route keeps for that share plus the lengths of its slice of the unit's
-values, so no share record is read again.  The map's records die with
-the sender's shuffle, except those its backup shares hold.  The
-position ints come from one table on the :class:`Cluster`, so routes
-share them.
+sender's outbound value column is gathered per destination, and while
+the memo and the key list are unchanged each payload is the route's key
+column plus the values gathered in one C call: its size is the route's
+key bytes plus their lengths, and a backup share's size is the key
+bytes the route keeps for that share plus the lengths of its slice of
+the unit's values.  The only records the shuffle builds are those of
+its backup share entries, from the route's key columns and the
+gathered values.  The position ints come from one table on the
+:class:`Cluster`, so routes share them.
 
 The routes also lay out the receivers.  When every sender that
 delivered to a PE reused its route (``Cluster.handed``), that inbox's
@@ -65,7 +69,7 @@ from itertools import chain, count, repeat
 from operator import is_, itemgetter, length_hint
 from typing import Callable, Iterable, NamedTuple, Protocol
 
-from .core import Batch, ConfigError, PeId, Record, StepId
+from .core import Batch, ConfigError, PeId, Record, StepId, records_from_pairs
 from .metrics import ORIGINAL, RECOVERY, DeliveryLedger, Metrics
 from .partition import (
     BackupMode,
@@ -77,7 +81,8 @@ from .partition import (
 
 logger = logging.getLogger(__name__)
 
-MapFn = Callable[[Record], list[Record]]
+# a record -> its outputs as a key column and a value column (see StepSpec)
+MapFn = Callable[[Record], tuple[Sequence[bytes], Sequence[bytes]]]
 ReduceFn = Callable[[bytes, list[bytes]], list[Record]]
 CounterFn = Callable[[bytes, list[bytes]], int]
 
@@ -101,6 +106,11 @@ class JobError(RuntimeError):
 class StepSpec:
     """User functions for one MapReduce step.
 
+    ``map_fn(record)`` returns ``(keys, values)``: two sequences of equal
+    length, the record's outputs in order.  It must be a pure function of
+    the one record, because recovery replays it on other PEs.  A step
+    that passes its records through names :func:`identity_map`; the map
+    then hands a PE's records to the shuffle without calling it.
     ``reduce_fn`` must be order-insensitive in the value list, float
     rounding included: recovery re-delivers a failed PE's records from
     other senders, so a key's values may arrive in another order, and
@@ -134,6 +144,16 @@ class ListDriver:
         return None
 
 
+def identity_map(rec: Record) -> tuple[tuple[bytes], tuple[bytes]]:
+    """The map of a pass-through step: the record itself.
+
+    :func:`map_batch` recognizes this very function and builds the
+    outbound batch from the records' fields without calling it; a
+    wrapper around it takes the general path, with the same result.
+    """
+    return (rec[0],), (rec[1],)
+
+
 @dataclass
 class RecordSource:
     """Per-PE input generator; ``fn(pe)`` must be rerunnable when
@@ -153,7 +173,8 @@ class Job:
 class PeState:
     id: PeId
     current_records: list[Record] = field(default_factory=list)
-    outbound: list[Record] = field(default_factory=list)
+    # the map's outputs, in order, until the shuffle routes them
+    outbound: Batch = field(default_factory=lambda: Batch((), ()))
     # src -> the batch it delivered this step, in emission order; the
     # batch is the one in the sender's sent log (see shuffle)
     inbox: dict[PeId, Batch] = field(default_factory=dict)
@@ -167,7 +188,7 @@ class PeState:
     def scrub(self) -> None:
         """Drop all local state; what a fail-stop crash leaves behind."""
         self.current_records = []
-        self.outbound = []
+        self.outbound = Batch((), ())
         self.inbox = {}
         self.sent_log = {}
         self.backup_store = {}
@@ -238,17 +259,53 @@ def ingest(source: RecordSource, p: int) -> list[PeState]:
     return pes
 
 
+def map_batch(map_fn: MapFn, records: list[Record], pe: PeId, step: StepId,
+              where: str) -> Batch:
+    """The outbound batch of ``map_fn`` over a PE's ``records``, in order.
+
+    The key columns the calls return are chained into one key column and
+    their value columns into one value column.  A failing call, a column
+    that fails part-way or columns of unequal length fail the job with a
+    :class:`JobError` for ``pe`` and ``step``; ``where`` describes the
+    call and is formatted with the failing record's index.
+    """
+    if map_fn is identity_map:
+        return Batch.of(records)
+    # a failing record is the last one an iterator over the records or
+    # over the calls' results handed out
+    calls = iter(records)
+    try:
+        results = list(map(map_fn, calls))
+    except Exception as exc:  # noqa: BLE001 - rewrap with context
+        idx = len(records) - length_hint(calls) - 1
+        raise JobError(pe, step, where.format(idx), exc) from exc
+    columns = []
+    for field_of in (itemgetter(0), itemgetter(1)):
+        done = iter(results)
+        try:
+            columns.append(list(chain.from_iterable(map(field_of, done))))
+        except Exception as exc:  # noqa: BLE001
+            idx = len(results) - length_hint(done) - 1
+            raise JobError(pe, step, where.format(idx), exc) from exc
+    keys, values = columns
+    if len(keys) != len(values):
+        # the map is pure, so calling it again finds the record
+        for idx, (k, v) in enumerate(map(map_fn, records)):
+            k, v = list(k), list(v)
+            if len(k) != len(v):
+                cause = ValueError(f"map of record {idx} returned {len(k)} keys and {len(v)} values")
+                raise JobError(pe, step, where.format(idx), cause)
+        raise JobError(pe, step, where.format("?"), ValueError(
+            "unequal key and value columns that a second call did not repeat"
+        ))
+    return Batch(keys, values)
+
+
 def map_phase(cluster: Cluster, map_fn: MapFn, step: StepId) -> None:
-    """Apply the map function on every live PE, filling outbound buffers."""
+    """Apply the map function on every live PE, filling outbound batches."""
     for i in sorted(cluster.live):
         pe = cluster.pes[i]
-        records = iter(pe.current_records)
-        try:
-            pe.outbound = list(chain.from_iterable(map(map_fn, records)))
-        except Exception as exc:  # noqa: BLE001 - rewrap with context
-            # the failing record is the last one the iterator handed out
-            idx = len(pe.current_records) - length_hint(records) - 1
-            raise JobError(i, step, f"map of record {idx}", exc) from exc
+        pe.outbound = map_batch(map_fn, pe.current_records, i, step, "map of record {}")
         pe.current_records = []
 
 
@@ -319,9 +376,10 @@ def unit_entries(
 ) -> list:
     """Backup entries ``(src, dst, seq, record)``, one per record ``src``
     sent inside its failure unit, by ascending ``dst``, then as sent.
-    Share k of ``n`` is ``entries[k::n]``, cut by the shuffle from the
-    records it routes and re-cut by recovery from the origin's sent log
-    (whose batches iterate as records).  Recovery reads only ``dst`` and
+    Share k of ``n`` is ``entries[k::n]``, cut by the shuffle from
+    records it builds from the route's key columns and gathered values,
+    and re-cut by recovery from the origin's sent log (whose batches
+    iterate as records).  Recovery reads only ``dst`` and
     the record; ``src`` and ``seq`` stay for ``perfbench``'s tracer,
     which reads the record as ``entry[3]``.
     """
@@ -340,13 +398,13 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
     traffic volumes.  Each destination's inbox holds each sender's
     payload, in emission order, under the sender's id.  A payload is one
     :class:`~ftmr.core.Batch`: the route's key column for the
-    destination and the values gathered from the sender's one value
-    list.  The sender's log, the receiver's inbox and the ledger share
+    destination and the values gathered from the sender's outbound value
+    column.  The sender's log, the receiver's inbox and the ledger share
     the batch, and a reused route shares its key column with every batch
     it delivers, so no code changes a batch or a column in place:
-    recovery binds a longer batch instead.  The map's records are read
-    for their keys and values and, at a recovery point, for the backup
-    entries of the sender's unit-internal records; the rest die here.
+    recovery binds a longer batch instead.  At a recovery point, the
+    backup entries of the sender's unit-internal records get records
+    built from the route's key columns and the gathered values.
     """
     sm = cluster.metrics.step_metrics(step)
     group_of = cluster.group_of
@@ -364,11 +422,10 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
 
     for src in sorted(cluster.live):
         pe = cluster.pes[src]
-        outbound, pe.outbound = pe.outbound, []
-        records += len(outbound)
+        outbound, pe.outbound = pe.outbound, Batch((), ())
+        keys, values = outbound.keys, outbound.values
+        records += len(keys)
         src_gid = group_of[src]
-        keys = list(map(itemgetter(0), outbound))
-        values = list(map(itemgetter(1), outbound))
         before = len(owners)
         route = routes.get(src)
         reused = route is not None and route.keys == keys
@@ -380,7 +437,7 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
         payloads = {}
         # the route's payload entries and the values sent inside the
         # failure unit
-        unit, unit_values = [], []
+        unit, unit_sent = [], []
         for entry in route.payloads:
             dst, gather, key_bytes, column = entry
             # each value is read once: it sizes the payload and its share
@@ -392,7 +449,7 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
             if group_of[dst] == src_gid:
                 self_bytes += size
                 unit.append(entry)
-                unit_values.append(sent)
+                unit_sent.append(sent)
             if reused:
                 handed[dst].append(route)
         if fault_tolerant:
@@ -412,11 +469,14 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
         n = len(targets)
         share_keys = _share_keys(route, unit, n)
         # share k of n holds the unit's values k::n, in unit_entries' order
-        unit_values = (unit_values[0] if len(unit_values) == 1
-                       else list(chain.from_iterable(unit_values)))
-        entries = unit_entries(
-            src, {dst: gather(outbound) for dst, gather, _, _ in unit}, group_of
-        )
+        unit_values = (unit_sent[0] if len(unit_sent) == 1
+                       else list(chain.from_iterable(unit_sent)))
+        # the shares' records, built from the route's key columns and the
+        # gathered values
+        entries = unit_entries(src, {
+            dst: records_from_pairs(zip(column, sent))
+            for (dst, _, _, column), sent in zip(unit, unit_sent)
+        }, group_of)
         for k, (target, share) in enumerate(split_self_message(entries, targets)):
             store = cluster.pes[target].backup_store.setdefault(step, {})
             store[(src, k)] = share

@@ -47,11 +47,10 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
 from operator import add, itemgetter
 
 from .core import Batch, ConfigError, PeId, Record, StepId, records_size
-from .engine import Cluster, JobError, _layout, group_entries, unit_entries
+from .engine import Cluster, JobError, _layout, group_entries, map_batch, unit_entries
 from .metrics import RECOVERY, RecoveryRecord
 from .partition import BackupMode, Owners, backup_targets, shrink_partition
 
@@ -177,12 +176,10 @@ def recover(cluster: Cluster, event: FailureEvent) -> None:
             replayed.append(prev)
         spec = cluster.step_history[step].spec
         owners_then = cluster.step_history[step].owners
-        mapped: _Held = {}
-        for holder, recs in current.items():
-            try:
-                mapped[holder] = Batch.of(list(chain.from_iterable(map(spec.map_fn, recs))))
-            except Exception as exc:  # noqa: BLE001
-                raise JobError(holder, step, "map during replay", exc) from exc
+        mapped: _Held = {
+            holder: map_batch(spec.map_fn, recs, holder, step, "map during replay")
+            for holder, recs in current.items()
+        }
         # Keep only what the unit would have sent to itself; the rest
         # already reached surviving owners before the failure.
         self_part = {

@@ -291,7 +291,8 @@ def test_pagerank_map_refuses_a_non_combined_record():
 
 
 def _decoded_map(rec, n):
-    # PageRank's map, decoding the record afresh
+    # PageRank's map, decoding the record afresh: its key and value
+    # columns, as lists
     key, body = rec
     (score,) = F64.unpack(body[1:9])
     adj = [body[i:i + 8] for i in range(9, len(body), 8)]
@@ -299,7 +300,7 @@ def _decoded_map(rec, n):
         share, targets = b"s" + F64.pack(score / len(adj)), adj
     else:
         share, targets = b"d" + F64.pack(score / n), [U64.pack(v) for v in range(n)]
-    return [Record(key, b"a" + body[9:])] + [Record(t, share) for t in targets]
+    return [key, *targets], [b"a" + body[9:]] + [share] * len(targets)
 
 
 def test_pagerank_map_decodes_each_adjacency_once():
@@ -309,12 +310,17 @@ def test_pagerank_map_decodes_each_adjacency_once():
     parallel = Record(U64.pack(1), b"c" + F64.pack(0.5) + U64.pack(2) * 2 + U64.pack(3))
     for rec in [*job.source.fn(0), dangling, parallel]:
         first, second = spec.map_fn(rec), spec.map_fn(rec)
-        assert first == second == _decoded_map(rec, n)
-        # the adjacency record is re-sent as one object
-        assert first[0] is second[0]
+        assert _listed(first) == _listed(second) == _decoded_map(rec, n)
+        # the adjacency value is re-sent as one object
+        assert first[1][0] is second[1][0]
     # a later step's record with the same adjacency and a new score
     moved = Record(U64.pack(1), b"c" + F64.pack(0.125) + parallel.value[9:])
-    assert spec.map_fn(moved) == _decoded_map(moved, n)
+    assert _listed(spec.map_fn(moved)) == _decoded_map(moved, n)
+
+
+def _listed(columns):
+    keys, values = columns
+    return list(keys), list(values)
 
 
 # -- the StepSpec contract ----------------------------------------------

@@ -25,6 +25,7 @@ from ftmr.engine import (
     StepRecord,
     StepSpec,
     group_entries,
+    identity_map,
     recovery_point_schedule,
     run_job,
     shuffle,
@@ -39,7 +40,7 @@ from test_golden import SCALES
 
 def identity_spec(name="identity", counter=False):
     def map_fn(rec):
-        return [rec]
+        return (rec.key,), (rec.value,)
 
     def reduce_fn(key, values):
         return [Record(key, v) for v in values]
@@ -113,7 +114,7 @@ def test_shuffle_notes_nothing():
     cluster = Cluster(identity_job(4), 4, ledger=DeliveryLedger())
     cluster.step_history[1] = StepRecord(spec=identity_spec(), owners=cluster.owners)
     for pe in cluster.pes:
-        pe.outbound, pe.current_records = pe.current_records, []
+        pe.outbound, pe.current_records = Batch.of(pe.current_records), []
     shuffle(cluster, 1, True)
     assert sum(len(recs) for pe in cluster.pes for recs in pe.inbox.values()) == 120
     assert cluster.ledger.deliveries == {}
@@ -172,13 +173,41 @@ def test_routes_rebuilt_under_the_new_memo_after_recovery():
                    for before in routes.values())
 
 
-def _oracle_case(name, benchmark, plan=None, *, p=8, **knobs):
+def _oracle_case(name, benchmark, plan=None, *, p=8, general=False, **knobs):
     scale = dict(vertices_per_pe=8, iterations=5) if benchmark == "pagerank" else SCALES[benchmark]
     config = JobConfig(benchmark=benchmark, p=p, seed=6, **{**scale, **knobs})
-    return pytest.param(config, plan, id=name)
+    return pytest.param(config, plan, general, id=name)
 
 
-@pytest.mark.parametrize("config, plan", [
+class _GeneralPath:
+    """The driver's steps, each ``identity_map`` wrapped so the map calls
+    it instead of taking the records as they are."""
+
+    def __init__(self, driver):
+        self.driver = driver
+        self.wrapped = 0
+
+    def next_step(self, index, prev_aggregate):
+        spec = self.driver.next_step(index, prev_aggregate)
+        if spec is None or spec.map_fn is not identity_map:
+            return spec
+        self.wrapped += 1
+        return dataclasses.replace(spec, map_fn=lambda rec: identity_map(rec))
+
+
+def _general_cases():
+    # identity steps run like a wrapped identity map, fault-free and
+    # through a failure at each kind of recovery point (uniform runs one
+    # step, so its PE 1 fails at step 1)
+    for benchmark, plan in (("rmat", "2:1"), ("uniform", "1:1")):
+        for interval in (1, 3, "input-only"):
+            for case in (None, plan):
+                name = f"{benchmark}-p4-i{interval}-{case or 'fault-free'}-general"
+                yield _oracle_case(name, benchmark, case, p=4, general=True,
+                                   recovery_point_interval=interval)
+
+
+@pytest.mark.parametrize("config, plan, general", [
     _oracle_case("pagerank", "pagerank"),
     _oracle_case("pagerank-groups", "pagerank", group_size=2),
     _oracle_case("cc-groups", "cc", group_size=2),
@@ -196,20 +225,25 @@ def _oracle_case(name, benchmark, plan=None, *, p=8, **knobs):
     _oracle_case("wordcount-p4-1:2", "wordcount", "1:2", p=4),
     _oracle_case("uniform-p4-1:2", "uniform", "1:2", p=4),
     _oracle_case("rmat-p4-i3-2:1", "rmat", "2:1", p=4, recovery_point_interval=3),
+    *_general_cases(),
 ])
-def test_reused_routes_shuffle_like_fresh_ones(monkeypatch, config, plan):
+def test_reused_routes_shuffle_like_fresh_ones(monkeypatch, config, plan, general):
     # the drop-everything oracle: a cluster that keeps its derived state
     # runs byte for byte like one that drops it before every step and
-    # cuts every recovery batch afresh
-    def cluster():
+    # cuts every recovery batch afresh; given ``general``, that cluster's
+    # identity steps also map through a wrapped identity_map, so they do
+    # not take the identity path
+    def cluster(job):
         return Cluster(
-            build_job(config), config.p, backup_mode=config.backup_mode,
+            job, config.p, backup_mode=config.backup_mode,
             recovery_point_interval=config.recovery_point_interval,
             failure_plan=parse_failure_spec(plan) if plan else None,
             group_size=config.group_size, ledger=DeliveryLedger(),
         )
 
-    kept, fresh = cluster(), cluster()
+    job = build_job(config)
+    driver = _GeneralPath(job.driver) if general else job.driver
+    kept, fresh = cluster(build_job(config)), cluster(Job(job.source, driver))
     split = ftmr.recovery._split
 
     def split_afresh(cluster, *args):
@@ -243,6 +277,8 @@ def test_reused_routes_shuffle_like_fresh_ones(monkeypatch, config, plan):
     # PageRank senders repeat their keys, and rmat's once its edge lists
     # settle; cc, wordcount and uniform never do
     assert reused > 0 if config.benchmark in ("pagerank", "rmat") else reused == 0
+    if general:
+        assert driver.wrapped
 
 
 def test_one_record_destination_over_a_reused_route():
@@ -264,7 +300,7 @@ def test_one_record_destination_over_a_reused_route():
                 cluster.drop_derived()
             before = dict(cluster.routes)
             cluster.step_history[step] = StepRecord(spec=identity_spec(), owners=cluster.owners)
-            cluster.pes[0].outbound = list(outbound)
+            cluster.pes[0].outbound = Batch.of(outbound)
             for pe in cluster.pes:
                 pe.inbox = {}
             shuffle(cluster, step, True)
@@ -514,7 +550,7 @@ def shuffle_setups(draw):
 def check_shuffle(cluster, step, mode, is_rp, outbound):
     cluster.step_history[step] = StepRecord(spec=identity_spec(), owners=cluster.owners)
     for pe, records in zip(cluster.pes, outbound):
-        pe.outbound = list(records)
+        pe.outbound = Batch.of(records)
         pe.inbox = {}
     shuffle(cluster, step, is_rp)
     want = naive_shuffle(cluster.owners.pm, cluster.group_of, mode, is_rp, outbound)
@@ -532,7 +568,7 @@ def check_shuffle(cluster, step, mode, is_rp, outbound):
         i: pe.backup_store[step] for i, pe in enumerate(cluster.pes)
         if step in pe.backup_store
     } == want["stores"]
-    assert all(pe.outbound == [] for pe in cluster.pes)
+    assert all(len(pe.outbound) == 0 for pe in cluster.pes)
 
 
 @settings(max_examples=200)
@@ -651,18 +687,22 @@ def test_map_errors_carry_context():
 @pytest.mark.parametrize("lazy", [False, True], ids=["list", "generator"])
 def test_map_error_names_the_failing_record(k, lazy):
     # a map_fn that raises on record k of PE 2 at step 2, either when
-    # called or part-way through the generator it returned
+    # called or part-way through the generator it returned as its key
+    # column
     target = []
 
     def bad_map(rec):
         if rec in target:
             raise KeyError("boom")
-        return [rec]
+        return (rec.key,), (rec.value,)
 
     def bad_generator(rec):
-        yield rec
-        if rec in target:
-            raise KeyError("boom")
+        def keys():
+            yield rec.key
+            if rec in target:
+                raise KeyError("boom")
+
+        return keys(), (rec.value,)
 
     spec = StepSpec("bad", bad_generator if lazy else bad_map, identity_spec().reduce_fn)
     job = Job(random_source(7), ListDriver([identity_spec(), spec]))
@@ -678,11 +718,38 @@ def test_map_error_names_the_failing_record(k, lazy):
     assert isinstance(info.value.__cause__, KeyError)
 
 
+@pytest.mark.parametrize("k", [5, -1], ids=["middle", "last"])
+@pytest.mark.parametrize("lazy", [False, True], ids=["tuple", "generator"])
+def test_unequal_map_columns_name_the_record(k, lazy):
+    # record k of PE 2 maps to two keys and one value at step 2; without
+    # the check the shuffle would drop a value or fail on a bare index
+    target = []
+
+    def uneven_map(rec):
+        keys = (rec.key, rec.key) if rec in target else (rec.key,)
+        if lazy:
+            return (key for key in keys), (value for value in (rec.value,))
+        return keys, (rec.value,)
+
+    spec = StepSpec("uneven", uneven_map, identity_spec().reduce_fn)
+    cluster = Cluster(Job(random_source(7), ListDriver([identity_spec(), spec])), 4)
+    assert cluster.step()
+    records = cluster.pes[2].current_records
+    k %= len(records)
+    target.append(records[k])
+    with pytest.raises(JobError, match=(
+        rf"^PE 2, step 2, map of record {k}: "
+        rf"ValueError\('map of record {k} returned 2 keys and 1 values'\)$"
+    )) as info:
+        cluster.step()
+    assert (info.value.pe, info.value.step) == (2, 2)
+
+
 def test_reduce_errors_carry_context():
     def bad_reduce(key, values):
         raise ValueError("nope")
 
-    spec = StepSpec("bad", lambda r: [r], bad_reduce)
+    spec = StepSpec("bad", identity_map, bad_reduce)
     with pytest.raises(JobError, match=r"step 1, reduce of key"):
         run_job(Job(random_source(8), ListDriver([spec])), 4)
 
@@ -888,7 +955,7 @@ def test_ingest_and_steps_run_with_the_collector_paused():
 
     def map_fn(rec):
         seen.append(gc.isenabled())
-        return [rec]
+        return (rec.key,), (rec.value,)
 
     spec = StepSpec("watch", map_fn, lambda k, v: [Record(k, x) for x in v])
     assert gc.isenabled()

@@ -19,6 +19,7 @@ from ftmr.engine import (
     ListDriver,
     RecordSource,
     StepSpec,
+    identity_map,
     run_job,
     unit_entries,
 )
@@ -349,12 +350,12 @@ def test_replay_map_error_names_the_holder():
             again.append(rec)
             raise KeyError("replay")
         seen.add(rec)
-        return [rec]
+        return (rec.key,), (rec.value,)
 
     def identity_reduce(key, values):
         return [Record(key, v) for v in values]
 
-    driver = ListDriver([StepSpec("one", lambda rec: [rec], identity_reduce),
+    driver = ListDriver([StepSpec("one", identity_map, identity_reduce),
                          StepSpec("two", step2_map, identity_reduce)])
     with pytest.raises(JobError, match=r"^PE \d, step 2, map during replay: KeyError") as info:
         run_job(Job(RecordSource(source), driver), 4, recovery_point_interval=2,
@@ -363,6 +364,40 @@ def test_replay_map_error_names_the_holder():
     holder = shrink_partition(initial_partition(4), {1}).owner_of(hash_key(rec.key))
     assert holder != 1
     assert (info.value.pe, info.value.step) == (holder, 2)
+
+
+def test_unequal_replay_map_columns_name_the_holder():
+    # step 2's map returns two keys and one value for a record it sees
+    # twice: the replay of failed PE 1's step-2 map on a survivor, which
+    # maps its records in the order the replayed reduce produced them
+    def source(pe):
+        rng = random.Random(pe)
+        return [Record(rng.randbytes(6), rng.randbytes(4)) for _ in range(30)]
+
+    seen, again = set(), []
+
+    def step2_map(rec):
+        if rec in seen:
+            again.append(rec)
+            return (rec.key, rec.key), (rec.value,)
+        seen.add(rec)
+        return (rec.key,), (rec.value,)
+
+    def identity_reduce(key, values):
+        return [Record(key, v) for v in values]
+
+    driver = ListDriver([StepSpec("one", identity_map, identity_reduce),
+                         StepSpec("two", step2_map, identity_reduce)])
+    with pytest.raises(JobError, match=(
+        r"^PE \d, step 2, map during replay: "
+        r"ValueError\('map of record 0 returned 2 keys and 1 values'\)$"
+    )) as info:
+        run_job(Job(RecordSource(source), driver), 4, recovery_point_interval=2,
+                failure_plan=parse_failure_spec("2:1"))
+    holders = {shrink_partition(initial_partition(4), {1}).owner_of(hash_key(rec.key))
+               for rec in again}
+    assert info.value.pe in holders and 1 not in holders
+    assert info.value.step == 2
 
 
 def test_single_recoverer_transfers_whole_range():
@@ -641,7 +676,7 @@ def _identity_job(seed, per_pe=20, steps=2, replayable=True):
         rng = random.Random(seed * 7919 + pe)
         return [Record(rng.randbytes(6), rng.randbytes(2)) for _ in range(per_pe)]
 
-    spec = StepSpec("identity", lambda r: [r],
+    spec = StepSpec("identity", identity_map,
                     lambda k, vs: [Record(k, v) for v in vs])
     return Job(RecordSource(fn, replayable=replayable), ListDriver([spec] * steps))
 
