@@ -97,11 +97,32 @@ MUTANTS = [
         "        owners.clear()\n        cluster.drop_derived()\n",
         "        owners.clear()\n",
     ),
+    # -- backup shares cut from the columns --------------------------------
+    Mutant(
+        "share slice start ignores the destination offset", ENGINE,
+        "        s = (k - o) % n\n",
+        "        s = k % n\n",
+    ),
+    Mutant(
+        "share sizes rotated by one holder", ENGINE,
+        "got = share_keys[k] + sum(map(len, share_values))",
+        "got = share_keys[(k + 1) % n] + sum(map(len, unit_values[(k + 1) % n :: n]))",
+    ),
+    Mutant(
+        "share key bytes summed over the whole unit", ENGINE,
+        "route.share_keys.extend(sum(map(len, keys[k::n])) for k in range(n))",
+        "route.share_keys.extend(sum(map(len, keys)) for k in range(n))",
+    ),
+    Mutant(
+        "wrong repair slice: share idx + 1 re-cut", RECOVERY,
+        "share = backup_share(origin, unit, idx, len(manifest))",
+        "share = backup_share(origin, unit, idx + 1, len(manifest))",
+    ),
     # -- recovery batches and shares ---------------------------------------
     Mutant(
         "shares rebuilt without the failed-destination filter", RECOVERY,
-        "rec for _, d, _, rec in share if d in failed",
-        "rec for _, d, _, rec in share",
+        "batch for _, d, _, batch in share if d in failed",
+        "batch for _, d, _, batch in share",
     ),
     Mutant(
         "_inject walks holders in reverse", RECOVERY,

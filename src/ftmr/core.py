@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Sequence
-from itertools import chain, repeat
+from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -66,15 +66,6 @@ class Record(NamedTuple):
     def size(self) -> int:
         """Payload size in bytes, excluding framing overhead."""
         return len(self.key) + len(self.value)
-
-
-def records_size(records: Iterable[Record]) -> int:
-    """Sum of :attr:`Record.size` over ``records``.
-
-    A record iterates to exactly its key and value, so the sum runs over
-    the fields in C instead of one property call per record.
-    """
-    return sum(map(len, chain.from_iterable(records)))
 
 
 def records_from_pairs(pairs: Iterable[tuple[bytes, bytes]]) -> Iterator[Record]:

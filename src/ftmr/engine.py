@@ -18,8 +18,10 @@ to completion.  The shuffle doubles as the fault-tolerance mechanism:
   the same object;
 * at recovery-point steps, records that never leave their failure unit
   (self-messages, plus intra-group traffic when failure groups are
-  configured) are additionally copied to peer PEs, cut into shares by
-  :func:`unit_entries` so no peer carries more than one share.
+  configured) are additionally copied to peer PEs, one share per peer;
+  :func:`backup_share` cuts each share from the delivered batches'
+  columns as strided slices, one entry per destination, so a backed-up
+  message costs a key slot and a value slot.
 
 Together the logs and shares let recovery rebuild any failed PE's inbox
 without checkpoints; see :mod:`ftmr.recovery`.
@@ -34,10 +36,8 @@ the memo and the key list are unchanged each payload is the route's key
 column plus the values gathered in one C call: its size is the route's
 key bytes plus their lengths, and a backup share's size is the key
 bytes the route keeps for that share plus the lengths of its slice of
-the unit's values.  The only records the shuffle builds are those of
-its backup share entries, from the route's key columns and the
-gathered values.  The position ints come from one table on the
-:class:`Cluster`, so routes share them.
+the unit's values.  The shuffle builds no record.  The position ints
+come from one table on the :class:`Cluster`, so routes share them.
 
 The routes also lay out the receivers.  When every sender that
 delivered to a PE reused its route (``Cluster.handed``), that inbox's
@@ -65,11 +65,11 @@ from collections import defaultdict
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain, count, repeat
+from itertools import chain
 from operator import is_, itemgetter, length_hint
 from typing import Callable, Iterable, NamedTuple, Protocol
 
-from .core import Batch, ConfigError, PeId, Record, StepId, records_from_pairs
+from .core import Batch, ConfigError, PeId, Record, StepId
 from .metrics import ORIGINAL, RECOVERY, DeliveryLedger, Metrics
 from .partition import (
     BackupMode,
@@ -181,8 +181,10 @@ class PeState:
     # step -> dst -> the batch sent there that step, in emission order;
     # its key column may be a route's, shared with the sender's other steps
     sent_log: dict[StepId, dict[PeId, Batch]] = field(default_factory=dict)
-    # step -> (origin, share index) -> share entries (src, dst, seq, record);
-    # recovery reads dst and the record, src and seq stay for the tracer
+    # step -> (origin, share index) -> share entries (src, dst, s, batch),
+    # one per unit destination, the batch its messages s, s+n, ... (see
+    # backup_share); recovery reads dst and the batch, src and s stay for
+    # the tracer
     backup_store: dict[StepId, dict[tuple[PeId, int], list]] = field(default_factory=dict)
 
     def scrub(self) -> None:
@@ -358,36 +360,40 @@ def _share_keys(route: Route, unit: list[tuple], n: int) -> list[int]:
     """The key bytes of each of ``n`` backup shares of a route's
     unit-internal records, measured once per route.
 
-    ``unit`` holds the route's payload entries of the destinations inside
-    the sender's failure unit, ascending; share k holds entries ``k::n``
-    of :func:`unit_entries`, so it is cut from their key columns the same
-    way.
+    ``unit`` holds ``(dst, batch)`` for the destinations inside the
+    sender's failure unit, ascending, each batch holding the route's key
+    column for ``dst``; share k holds the unit's records ``k::n``
+    (:func:`backup_share`), so its key bytes are cut the same way.
     ``n`` follows the live set, which only a recovery changes, and a
     recovery drops every route, so a route sees one ``n``.
     """
     if not route.share_keys:
-        keys = list(chain.from_iterable(column for _, _, _, column in unit))
+        keys = list(chain.from_iterable(batch.keys for _, batch in unit))
         route.share_keys.extend(sum(map(len, keys[k::n])) for k in range(n))
     return route.share_keys
 
 
-def unit_entries(
-    src: PeId, payloads: dict[PeId, Sequence[Record]], group_of: tuple
-) -> list:
-    """Backup entries ``(src, dst, seq, record)``, one per record ``src``
-    sent inside its failure unit, by ascending ``dst``, then as sent.
-    Share k of ``n`` is ``entries[k::n]``, cut by the shuffle from
-    records it builds from the route's key columns and gathered values,
-    and re-cut by recovery from the origin's sent log (whose batches
-    iterate as records).  Recovery reads only ``dst`` and
-    the record; ``src`` and ``seq`` stay for ``perfbench``'s tracer,
-    which reads the record as ``entry[3]``.
+def backup_share(src: PeId, unit: list[tuple[PeId, Batch]], k: int, n: int) -> list:
+    """Share ``k`` of ``n`` of what ``src`` sent inside its failure unit.
+
+    ``unit`` holds ``(dst, batch)`` for the destinations inside the unit,
+    ascending.  Listing the unit's records by destination, then as sent,
+    the share holds every n-th of them from the k-th on, cut from each
+    batch's columns as one entry ``(src, dst, s, Batch(keys[s::n],
+    values[s::n]))``, where ``s = (k - o) % n`` and ``o`` counts the
+    records before ``dst``; a destination with no record in the share has
+    no entry.  The shuffle cuts the shares of a recovery point this way,
+    and recovery re-cuts a lost one from the origin's sent log.  Recovery
+    reads ``dst`` and the batch; ``src`` and ``s`` stay for
+    ``perfbench``'s tracer, which reads the batch as ``entry[3]``.
     """
-    gid = group_of[src]
-    return list(chain.from_iterable(
-        zip(repeat(src), repeat(dst), count(), payloads[dst])
-        for dst in sorted(payloads) if group_of[dst] == gid
-    ))
+    share, o = [], 0
+    for dst, batch in unit:
+        s = (k - o) % n
+        if s < len(batch):
+            share.append((src, dst, s, Batch(batch.keys[s::n], batch.values[s::n])))
+        o += len(batch)
+    return share
 
 
 def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
@@ -402,9 +408,9 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
     column.  The sender's log, the receiver's inbox and the ledger share
     the batch, and a reused route shares its key column with every batch
     it delivers, so no code changes a batch or a column in place:
-    recovery binds a longer batch instead.  At a recovery point, the
-    backup entries of the sender's unit-internal records get records
-    built from the route's key columns and the gathered values.
+    recovery binds a longer batch instead.  At a recovery point, each
+    backup share is cut from the sender's unit-internal batches
+    (:func:`backup_share`).
     """
     sm = cluster.metrics.step_metrics(step)
     group_of = cluster.group_of
@@ -435,21 +441,18 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
         if len(owners) - before < len(keys):
             cluster.routes[src] = route
         payloads = {}
-        # the route's payload entries and the values sent inside the
-        # failure unit
-        unit, unit_sent = [], []
-        for entry in route.payloads:
-            dst, gather, key_bytes, column = entry
+        # (dst, batch) of the batches sent inside the failure unit
+        unit = []
+        for dst, gather, key_bytes, column in route.payloads:
             # each value is read once: it sizes the payload and its share
             sent = gather(values)
-            payloads[dst] = cluster.pes[dst].inbox[src] = Batch(column, sent)
+            batch = payloads[dst] = cluster.pes[dst].inbox[src] = Batch(column, sent)
             size = key_bytes + sum(map(len, sent))
             if dst != src:
                 network_bytes += size
             if group_of[dst] == src_gid:
                 self_bytes += size
-                unit.append(entry)
-                unit_sent.append(sent)
+                unit.append((dst, batch))
             if reused:
                 handed[dst].append(route)
         if fault_tolerant:
@@ -468,19 +471,13 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
         manifest[src] = targets
         n = len(targets)
         share_keys = _share_keys(route, unit, n)
-        # share k of n holds the unit's values k::n, in unit_entries' order
-        unit_values = (unit_sent[0] if len(unit_sent) == 1
-                       else list(chain.from_iterable(unit_sent)))
-        # the shares' records, built from the route's key columns and the
-        # gathered values
-        entries = unit_entries(src, {
-            dst: records_from_pairs(zip(column, sent))
-            for (dst, _, _, column), sent in zip(unit, unit_sent)
-        }, group_of)
-        for k, (target, share) in enumerate(split_self_message(entries, targets)):
+        # share k of n holds the unit's values k::n (see backup_share)
+        unit_values = (unit[0][1].values if len(unit) == 1
+                       else list(chain.from_iterable(batch.values for _, batch in unit)))
+        for k, (target, share_values) in enumerate(split_self_message(unit_values, targets)):
             store = cluster.pes[target].backup_store.setdefault(step, {})
-            store[(src, k)] = share
-            got = share_keys[k] + sum(map(len, unit_values[k::n]))
+            store[(src, k)] = backup_share(src, unit, k, n)
+            got = share_keys[k] + sum(map(len, share_values))
             sm.backup_bytes += got
             sm.backup_received[target] = sm.backup_received.get(target, 0) + got
     if records and len(owners) - known == records:

@@ -47,10 +47,10 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import reduce
-from operator import add, itemgetter
+from operator import add
 
-from .core import Batch, ConfigError, PeId, Record, StepId, records_size
-from .engine import Cluster, JobError, _layout, group_entries, map_batch, unit_entries
+from .core import Batch, ConfigError, PeId, Record, StepId
+from .engine import Cluster, JobError, _layout, backup_share, group_entries, map_batch
 from .metrics import RECOVERY, RecoveryRecord
 from .partition import BackupMode, Owners, backup_targets, shrink_partition
 
@@ -270,13 +270,14 @@ def _logged_to(cluster: Cluster, step: StepId, failed: set[PeId], own: _Held) ->
 
 def _share_entries(cluster: Cluster, r: StepId, failed: set[PeId]) -> _Held:
     """The unit-internal records backed up on peers at recovery point
-    ``r``, by share holder.
+    ``r``, by share holder: the batches of its shares' entries for the
+    unit's destinations, joined.
 
     Every share listed in the step's backup manifest must still be held
     by a live PE; a missing share means the data is gone for good.
     """
     hist = cluster.step_history[r]
-    held: dict[PeId, list[Record]] = {}
+    held: dict[PeId, list[Batch]] = {}
     for origin in sorted(failed):
         manifest = hist.backup_manifest.get(origin)
         if manifest is None:
@@ -297,9 +298,9 @@ def _share_entries(cluster: Cluster, r: StepId, failed: set[PeId]) -> _Held:
                     f"on PE {target}"
                 )
             held.setdefault(target, []).extend(
-                rec for _, d, _, rec in share if d in failed
+                batch for _, d, _, batch in share if d in failed
             )
-    return {target: Batch.of(recs) for target, recs in held.items()}
+    return {target: reduce(add, batches, Batch((), ())) for target, batches in held.items()}
 
 
 def _holder_for(cluster: Cluster, dst: PeId) -> PeId:
@@ -415,10 +416,10 @@ def _repair_shares(cluster: Cluster, r: StepId, failed: set[PeId]) -> int:
 
     A share's origin keeps the authoritative copy of its unit-internal
     traffic in its own sent log, so a lost share k is re-cut from that
-    log exactly as the shuffle cut it (:func:`unit_entries`).  Re-storing
-    it on a live peer keeps the origin recoverable if it fails before
-    the next recovery point.  Returns the bytes shipped to the new
-    holders.
+    log's batches exactly as the shuffle cut it
+    (:func:`ftmr.engine.backup_share`).  Re-storing it on a live peer
+    keeps the origin recoverable if it fails before the next recovery
+    point.  Returns the bytes shipped to the new holders.
     """
     if r == 0:
         return 0
@@ -443,15 +444,16 @@ def _repair_shares(cluster: Cluster, r: StepId, failed: set[PeId]) -> int:
             # the manifest still names the dead holders, so a later
             # failure of the origin refuses instead of using partial shares
             continue
-        entries = unit_entries(origin, cluster.pes[origin].sent_log[r], cluster.group_of)
+        log, gid = cluster.pes[origin].sent_log[r], cluster.group_of[origin]
+        unit = [(dst, log[dst]) for dst in sorted(log) if cluster.group_of[dst] == gid]
         # the lost slots are refilled in place, off the surviving holders
         # while any eligible peer holds none
         fresh = [t for t in eligible if t not in manifest] or eligible
         for j, idx in enumerate(lost):
             target = manifest[idx] = fresh[j % len(fresh)]
-            share = entries[idx :: len(manifest)]
+            share = backup_share(origin, unit, idx, len(manifest))
             cluster.pes[target].backup_store.setdefault(r, {})[(origin, idx)] = share
-            shipped += records_size(map(itemgetter(3), share))
+            shipped += sum(batch.size for _, _, _, batch in share)
     return shipped
 
 

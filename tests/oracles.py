@@ -16,12 +16,18 @@ per-(holder, destination) batches must leave every inbox, sent log and
 re-protection holding exactly as these walks do.  :func:`plain` turns
 the batches of logs, inboxes and ledgers into record lists, so they
 compare by content.
+
+The reference backup split lists a unit's records one entry each
+(:func:`unit_entries`), so share k of n is ``entries[k::n]``;
+:func:`expand` turns a share as the engine stores it, one column-slice
+entry per destination, back into those entries.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import chain, count, repeat
 
 import numpy as np
 
@@ -215,6 +221,30 @@ def relog_mapped_reference(cluster, step, mapped, failed, owners_then):
             if log_copy_reference(cluster, holder, step, dst, rec) != holder:
                 shipped += rec.size
     return shipped
+
+
+# -- reference backup shares, one entry per record ------------------------
+
+
+def unit_entries(src, payloads, group_of):
+    """Entries ``(src, dst, seq, record)``, one per record ``src`` sent
+    inside its failure unit, by ascending ``dst``, then as sent (``seq``
+    counts within ``dst``'s batch); share k of n is ``entries[k::n]``."""
+    gid = group_of[src]
+    return list(chain.from_iterable(
+        zip(repeat(src), repeat(dst), count(), payloads[dst])
+        for dst in sorted(payloads) if group_of[dst] == gid
+    ))
+
+
+def expand(share, n):
+    """A stored share of ``n`` as :func:`unit_entries`' entries: entry
+    ``(src, dst, s, batch)`` holds ``dst``'s records ``s, s + n, ...``."""
+    return [
+        (src, dst, s + j * n, rec)
+        for src, dst, s, batch in share
+        for j, rec in enumerate(batch)
+    ]
 
 
 # -- comparing delivered state ------------------------------------------

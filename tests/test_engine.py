@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import ftmr.engine
 import ftmr.recovery
 from ftmr.config import ConfigError, JobConfig
-from ftmr.core import Batch, Record, records_size
+from ftmr.core import Batch, Record
 from ftmr.engine import (
     Cluster,
     Job,
@@ -34,7 +34,7 @@ from ftmr.harness import build_job, parse_failure_spec
 from ftmr.metrics import ORIGINAL, DeliveryLedger
 from ftmr.partition import BackupMode, backup_targets, hash_key, initial_partition
 from ftmr.recovery import UnrecoverableFailure
-from oracles import ColumnBatch, plain
+from oracles import ColumnBatch, expand, plain
 from test_golden import SCALES
 
 
@@ -380,8 +380,9 @@ def test_every_record_in_flight_is_a_record(workload, interval, monkeypatch):
     # the shuffle and recovery deliver only batches: every inbox entry as
     # each reduce reads it, and every sent-log entry after each step;
     # perfbench's tracer reads .size on every record a logged batch
-    # yields and on every share entry's record, so every record must be
-    # a Record, never a plain tuple
+    # yields and on every share entry's payload, so every record must be
+    # a Record, never a plain tuple, and every share entry's payload a
+    # batch
     seen = Counter()
     reduce_phase = ftmr.engine.reduce_phase
 
@@ -404,10 +405,12 @@ def test_every_record_in_flight_is_a_record(workload, interval, monkeypatch):
             logged = [batch for log in pe.sent_log.values() for batch in log.values()]
             assert set(map(type, logged)) <= {Batch}, (cluster.steps_run, i)
             seen["log"] += _count_records(chain.from_iterable(logged))
-            seen["share"] += _count_records(
+            payloads = [
                 entry[3] for store in pe.backup_store.values()
                 for share in store.values() for entry in share
-            )
+            ]
+            assert set(map(type, payloads)) <= {Batch}, (cluster.steps_run, i)
+            seen["share"] += _count_records(chain.from_iterable(payloads))
             seen["current"] += _count_records(pe.current_records)
     assert cluster.metrics.recoveries
     seen["output"] = _count_records(chain.from_iterable(cluster.result().outputs.values()))
@@ -468,6 +471,39 @@ def test_retained_logs_cost_under_two_slots_per_message():
         tracemalloc.stop()
     assert len(objects) == 2 * messages > 10_000
     assert freed / messages <= 16, freed / messages
+
+
+@pytest.mark.parametrize("group_size", [1, 2])
+@pytest.mark.parametrize("workload, scale", [
+    ("pagerank", dict(vertices_per_pe=128, iterations=3)),
+    ("cc", dict(vertices_per_pe=1024)),
+], ids=["pagerank", "cc"])
+def test_retained_shares_cost_under_three_slots_per_message(workload, scale, group_size):
+    # a share entry holds one destination's messages as two strided
+    # column slices, so a backed-up message costs a key slot and a value
+    # slot plus its entry's few objects: at most 24 B beyond the key and
+    # value objects (a Record and an entry tuple per message were ~150 B)
+    config = JobConfig(benchmark=workload, p=4, seed=5, group_size=group_size, **scale)
+    tracemalloc.start()
+    try:
+        cluster = Cluster(build_job(config), 4, group_size=group_size)
+        for _ in range(2):
+            assert cluster.step()
+        batches = [
+            entry[3] for pe in cluster.pes for store in pe.backup_store.values()
+            for share in store.values() for entry in share
+        ]
+        messages = sum(map(len, batches))
+        objects = [obj for batch in batches for obj in chain(batch.keys, batch.values)]
+        del batches
+        before = tracemalloc.get_traced_memory()[0]
+        for pe in cluster.pes:
+            pe.backup_store = {}
+        freed = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(objects) == 2 * messages > 2_000
+    assert freed / messages <= 24, freed / messages
 
 
 def test_owner_memo_kept_when_keys_repeat():
@@ -564,9 +600,11 @@ def check_shuffle(cluster, step, mode, is_rp, outbound):
         i: pe.sent_log[step] for i, pe in enumerate(cluster.pes) if step in pe.sent_log
     }) == want["logs"]
     assert plain({i: pe.inbox for i, pe in enumerate(cluster.pes)}) == want["inboxes"]
+    manifest = cluster.step_history[step].backup_manifest
     assert {
-        i: pe.backup_store[step] for i, pe in enumerate(cluster.pes)
-        if step in pe.backup_store
+        i: {slot: expand(share, len(manifest[slot[0]]))
+            for slot, share in pe.backup_store[step].items()}
+        for i, pe in enumerate(cluster.pes) if step in pe.backup_store
     } == want["stores"]
     assert all(len(pe.outbound) == 0 for pe in cluster.pes)
 
@@ -936,7 +974,7 @@ def test_protected_recovery_points_back_up_every_self_byte(config, plan):
         assert sm.backup_bytes == sm.self_bytes == sum(sm.backup_received.values()) > 0
         for holder in cluster.live:
             shares = cluster.pes[holder].backup_store.get(step, {}).values()
-            stored = records_size(entry[3] for share in shares for entry in share)
+            stored = sum(entry[3].size for share in shares for entry in share)
             assert sm.backup_received.get(holder, 0) == stored
         checked.append(step)
     # every recovery point of these runs is protected

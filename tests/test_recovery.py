@@ -21,7 +21,6 @@ from ftmr.engine import (
     StepSpec,
     identity_map,
     run_job,
-    unit_entries,
 )
 from ftmr.harness import (
     FailurePlan,
@@ -35,7 +34,14 @@ from ftmr.harness import (
 from ftmr.metrics import ORIGINAL, RECOVERY, DeliveryLedger
 from ftmr.partition import PartitionMap, hash_key, initial_partition, shrink_partition
 from ftmr.recovery import FailureEvent, UnrecoverableFailure
-from oracles import inject_reference, plain, relog_mapped_reference, relog_pending_reference
+from oracles import (
+    expand,
+    inject_reference,
+    plain,
+    relog_mapped_reference,
+    relog_pending_reference,
+    unit_entries,
+)
 from test_golden import SCALES
 
 
@@ -494,7 +500,7 @@ def test_repaired_manifest_names_live_holders():
         for k, holder in enumerate(manifest[origin]):
             assert holder in cluster.live
             # a repaired share holds the same slice as the one it replaces
-            assert cluster.pes[holder].backup_store[r][(origin, k)] == entries[k::3]
+            assert expand(cluster.pes[holder].backup_store[r][(origin, k)], 3) == entries[k::3]
 
 
 def assert_shares_follow_send_logs(cluster) -> set:
@@ -510,8 +516,9 @@ def assert_shares_follow_send_logs(cluster) -> set:
                 entries = unit_entries(
                     origin, cluster.pes[origin].sent_log[r], cluster.group_of
                 )
+                n = len(manifest[origin])
                 assert manifest[origin][k] == holder
-                assert share == entries[k :: len(manifest[origin])]
+                assert expand(share, n) == entries[k::n]
                 checked.add((r, origin, k))
     return checked
 
@@ -526,8 +533,8 @@ def test_every_share_is_its_slice_of_the_send_log(
 ):
     # both events kill holders of live origins' shares, so each recovery
     # re-cuts some from the origins' send logs; after every step, every
-    # share kept for a live origin, repaired or not, is that origin's
-    # unit_entries slice
+    # share kept for a live origin, repaired or not, expands to that
+    # origin's slice of the per-record reference split (unit_entries)
     units = [
         ",".join(map(str, range(u * group_size, (u + 1) * group_size)))
         for u in range(p // group_size)
