@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import random
 import struct
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import repeat, starmap
 from math import fsum
@@ -166,7 +167,7 @@ def word_count_job(
         words = rec.value.split()
         return words, [one] * len(words)
 
-    def reduce_fn(key: bytes, values: list[bytes]) -> list[Record]:
+    def reduce_fn(key: bytes, values: Sequence[bytes]) -> list[Record]:
         total = sum(U64.unpack(v)[0] for v in values)
         return [Record(key, U64.pack(total))]
 
@@ -224,7 +225,7 @@ def rmat_dedup_job(
         return [Record(edge_key(u, v), PAIR.pack(u, v)) for (u, v) in edges]
 
     def make_spec(step: int) -> StepSpec:
-        def reduce_fn(key: bytes, values: list[bytes]) -> list[Record]:
+        def reduce_fn(key: bytes, values: Sequence[bytes]) -> list[Record]:
             out = [Record(key, min(values))]
             for j in range(len(values) - 1):
                 rng = random.Random(mix_seed(seed, 0xED6E, step, hash_key(key), j))
@@ -232,7 +233,7 @@ def rmat_dedup_job(
                 out.append(Record(edge_key(u, v), PAIR.pack(u, v)))
             return out
 
-        def counter_fn(key: bytes, values: list[bytes]) -> int:
+        def counter_fn(key: bytes, values: Sequence[bytes]) -> int:
             return len(values) - 1
 
         return StepSpec(f"dedup-{step}", identity_map, reduce_fn, counter_fn)
@@ -245,7 +246,7 @@ def rmat_dedup_job(
 _MARKER = b""
 
 
-def _neighbors(values: list[bytes]) -> tuple[list[int], bool]:
+def _neighbors(values: Sequence[bytes]) -> tuple[list[int], bool]:
     """Distinct decoded neighbor ids (sorted) and a had-marker flag."""
     nbrs = set()
     marker = False
@@ -264,7 +265,7 @@ def _cc_large_spec() -> StepSpec:
             return (key,), (value,)
         return (key, value), (value, key)
 
-    def reduce_fn(key: bytes, values: list[bytes]) -> list[Record]:
+    def reduce_fn(key: bytes, values: Sequence[bytes]) -> list[Record]:
         (u,) = U64.unpack(key)
         nbrs, marker = _neighbors(values)
         ell = min(nbrs + [u])
@@ -273,7 +274,7 @@ def _cc_large_spec() -> StepSpec:
             out.append(Record(key, _MARKER))
         return out
 
-    def counter_fn(key: bytes, values: list[bytes]) -> int:
+    def counter_fn(key: bytes, values: Sequence[bytes]) -> int:
         (u,) = U64.unpack(key)
         nbrs, _ = _neighbors(values)
         if not nbrs or min(nbrs + [u]) == u:
@@ -293,7 +294,7 @@ def _cc_small_spec() -> StepSpec:
         hi, lo = (u, v) if u > v else (v, u)
         return (U64.pack(hi),), (U64.pack(lo),)
 
-    def reduce_fn(key: bytes, values: list[bytes]) -> list[Record]:
+    def reduce_fn(key: bytes, values: Sequence[bytes]) -> list[Record]:
         (u,) = U64.unpack(key)
         nbrs, marker = _neighbors(values)
         out = []
@@ -305,7 +306,7 @@ def _cc_small_spec() -> StepSpec:
             out.append(Record(key, _MARKER))
         return out
 
-    def counter_fn(key: bytes, values: list[bytes]) -> int:
+    def counter_fn(key: bytes, values: Sequence[bytes]) -> int:
         nbrs, _ = _neighbors(values)
         if not nbrs:
             return 0
@@ -321,7 +322,7 @@ def _cc_extract_spec() -> StepSpec:
             return (key,), (key,)
         return (value, key), (key, key)
 
-    def reduce_fn(key: bytes, values: list[bytes]) -> list[Record]:
+    def reduce_fn(key: bytes, values: Sequence[bytes]) -> list[Record]:
         rep = min(U64.unpack(v)[0] for v in values)
         return [Record(key, U64.pack(rep))]
 
@@ -461,7 +462,7 @@ def pagerank_job(
             share = _TAG_DANGLING + F64.pack(score / n)
         return keys, (adj_value, *repeat(share, len(keys) - 1))
 
-    def reduce_fn(key: bytes, values: list[bytes]) -> list[Record]:
+    def reduce_fn(key: bytes, values: Sequence[bytes]) -> list[Record]:
         # fsum rounds the exact sum once, so the score is the same in
         # whatever order the shares arrive (after a failure the heirs send
         # the dead PE's shares); builtin sum depends on the order, also
@@ -505,7 +506,7 @@ def uniform_job(p: int, seed: int, *, total_records: int) -> Job:
     # records_from_pairs for it
     new_record = tuple.__new__
 
-    def reduce_fn(key: bytes, values: list[bytes]) -> list[Record]:
+    def reduce_fn(key: bytes, values: Sequence[bytes]) -> list[Record]:
         return [new_record(Record, (key, v)) for v in values]
 
     return Job(RecordSource(source), ListDriver([StepSpec("uniform", identity_map, reduce_fn)]))

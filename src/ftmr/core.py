@@ -115,7 +115,12 @@ class Batch:
     @property
     def size(self) -> int:
         """Payload bytes of the batch's records, as :attr:`Record.size`."""
-        return sum(map(len, self.keys)) + sum(map(len, self.values))
+        return nbytes(self.keys) + nbytes(self.values)
+
+
+def nbytes(column: Iterable[bytes]) -> int:
+    """The bytes in ``column``, by one join; ``TypeError`` if one is not bytes-like."""
+    return len(b"".join(column))
 
 
 def encode_record(record: Record) -> bytes:

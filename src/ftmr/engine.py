@@ -28,28 +28,24 @@ without checkpoints; see :mod:`ftmr.recovery`.
 
 An iterative job sends the same key sequence from a PE step after step,
 so the shuffle keeps each sender's :class:`Route`, the layout of its key
-list under the current owner memo.  A route holds one
-``operator.itemgetter`` per destination over the positions of that
-destination's records, and that destination's key column.  The
-sender's outbound value column is gathered per destination, and while
-the memo and the key list are unchanged each payload is the route's key
-column plus the values gathered in one C call: its size is the route's
-key bytes plus their lengths, and a backup share's size is the key
-bytes the route keeps for that share plus the lengths of its slice of
-the unit's values.  The shuffle builds no record.  The position ints
-come from one table on the :class:`Cluster`, so routes share them.
+list under the current owner memo: one ``operator.itemgetter`` per
+destination over the positions of its records, and its key column.
+While the memo and the key list are unchanged, each payload is the
+route's key column plus the values gathered in one C call, sized as the
+route's key bytes plus one join of the values (:func:`~ftmr.core.nbytes`),
+and a backup share likewise.  The shuffle builds no record.  The
+position ints come from one table on the :class:`Cluster`.
 
 The routes also lay out the receivers.  When every sender that
 delivered to a PE reused its route (``Cluster.handed``), that inbox's
 key sequence is fixed by those route objects, so the reduce keeps the
-inbox's grouping as one ``itemgetter`` per key (:func:`_inbox_layout`)
-and later steps gather each key's values in C from the inbox batches'
-value columns, without reading their key columns.  A layout is built
-only at a step where every route into the PE was reused (a rebuilt
-route would rebuild it every step) and is used only while the same
-route objects deliver.  All of this, and recovery's
-splits, is derived state: :meth:`Cluster.drop_derived` drops it after a
-recovery and when the shuffle empties the owner memo.
+inbox's grouping as one ``itemgetter`` per key (:func:`_inbox_layout`),
+and later steps hand the reduce each key's values as gathered in C from
+the value columns, without a copy or a key column read.  A layout is
+built only at a step where every route into the PE was reused, and used
+only while the same route objects deliver.  This, and recovery's splits
+and replay layout, is derived state: :meth:`Cluster.drop_derived` drops
+it after a recovery and when the shuffle empties the owner memo.
 
 Failures are injected at the shuffle barrier: the exchange of the step
 completes (real failures are detected at the synchronization point), then
@@ -69,7 +65,7 @@ from itertools import chain
 from operator import is_, itemgetter, length_hint
 from typing import Callable, Iterable, NamedTuple, Protocol
 
-from .core import Batch, ConfigError, PeId, Record, StepId
+from .core import Batch, ConfigError, PeId, Record, StepId, nbytes
 from .metrics import ORIGINAL, RECOVERY, DeliveryLedger, Metrics
 from .partition import (
     BackupMode,
@@ -83,8 +79,8 @@ logger = logging.getLogger(__name__)
 
 # a record -> its outputs as a key column and a value column (see StepSpec)
 MapFn = Callable[[Record], tuple[Sequence[bytes], Sequence[bytes]]]
-ReduceFn = Callable[[bytes, list[bytes]], list[Record]]
-CounterFn = Callable[[bytes, list[bytes]], int]
+ReduceFn = Callable[[bytes, Sequence[bytes]], list[Record]]
+CounterFn = Callable[[bytes, Sequence[bytes]], int]
 
 INPUT_ONLY = "input-only"
 # a driver that yields more steps than this fails the job
@@ -111,10 +107,11 @@ class StepSpec:
     the one record, because recovery replays it on other PEs.  A step
     that passes its records through names :func:`identity_map`; the map
     then hands a PE's records to the shuffle without calling it.
-    ``reduce_fn`` must be order-insensitive in the value list, float
-    rounding included: recovery re-delivers a failed PE's records from
-    other senders, so a key's values may arrive in another order, and
-    the outputs must still match the fault-free run byte for byte.
+    ``reduce_fn(key, values)`` reads ``values``, a list or a tuple, and
+    must not change it.  It must be order-insensitive in the values,
+    float rounding included: recovery re-delivers a failed PE's records
+    from other senders, so a key's values may arrive in another order,
+    and the outputs must still match the fault-free run byte for byte.
     ``counter_fn`` feeds the per-step global aggregate that iterative
     drivers use for termination; it must be order-insensitive too.
     """
@@ -182,9 +179,7 @@ class PeState:
     # its key column may be a route's, shared with the sender's other steps
     sent_log: dict[StepId, dict[PeId, Batch]] = field(default_factory=dict)
     # step -> (origin, share index) -> share entries (src, dst, s, batch),
-    # one per unit destination, the batch its messages s, s+n, ... (see
-    # backup_share); recovery reads dst and the batch, src and s stay for
-    # the tracer
+    # one per unit destination (see backup_share)
     backup_store: dict[StepId, dict[tuple[PeId, int], list]] = field(default_factory=dict)
 
     def scrub(self) -> None:
@@ -265,31 +260,25 @@ def map_batch(map_fn: MapFn, records: list[Record], pe: PeId, step: StepId,
               where: str) -> Batch:
     """The outbound batch of ``map_fn`` over a PE's ``records``, in order.
 
-    The key columns the calls return are chained into one key column and
-    their value columns into one value column.  A failing call, a column
-    that fails part-way or columns of unequal length fail the job with a
-    :class:`JobError` for ``pe`` and ``step``; ``where`` describes the
-    call and is formatted with the failing record's index.
+    One loop calls the map and extends one key column and one value
+    column with each call's columns.  A failing call, a result that is
+    not a ``(keys, values)`` pair, a column that fails part-way or
+    columns of unequal length fail the job with a :class:`JobError` for
+    ``pe`` and ``step``; ``where`` is formatted with the record's index.
     """
     if map_fn is identity_map:
         return Batch.of(records)
-    # a failing record is the last one an iterator over the records or
-    # over the calls' results handed out
+    keys, values = [], []
+    # a failing record is the last one the iterator handed out
     calls = iter(records)
     try:
-        results = list(map(map_fn, calls))
+        for rec in calls:
+            k, v = map_fn(rec)
+            keys += k
+            values += v
     except Exception as exc:  # noqa: BLE001 - rewrap with context
         idx = len(records) - length_hint(calls) - 1
         raise JobError(pe, step, where.format(idx), exc) from exc
-    columns = []
-    for field_of in (itemgetter(0), itemgetter(1)):
-        done = iter(results)
-        try:
-            columns.append(list(chain.from_iterable(map(field_of, done))))
-        except Exception as exc:  # noqa: BLE001
-            idx = len(results) - length_hint(done) - 1
-            raise JobError(pe, step, where.format(idx), exc) from exc
-    keys, values = columns
     if len(keys) != len(values):
         # the map is pure, so calling it again finds the record
         for idx, (k, v) in enumerate(map(map_fn, records)):
@@ -352,7 +341,7 @@ def _route(owners: Owners, keys: list[bytes], positions: list[int]) -> Route:
     payloads = []
     for dst, gather in _layout(list(map(owners.__getitem__, keys)), positions):
         column = gather(keys)
-        payloads.append((dst, gather, sum(map(len, column)), column))
+        payloads.append((dst, gather, nbytes(column), column))
     return Route(keys, payloads, [])
 
 
@@ -369,29 +358,35 @@ def _share_keys(route: Route, unit: list[tuple], n: int) -> list[int]:
     """
     if not route.share_keys:
         keys = list(chain.from_iterable(batch.keys for _, batch in unit))
-        route.share_keys.extend(sum(map(len, keys[k::n])) for k in range(n))
+        route.share_keys.extend(nbytes(keys[k::n]) for k in range(n))
     return route.share_keys
 
 
-def backup_share(src: PeId, unit: list[tuple[PeId, Batch]], k: int, n: int) -> list:
+def backup_share(src: PeId, unit: list[tuple[PeId, Batch]], k: int, n: int,
+                 share_values: list[bytes]) -> list:
     """Share ``k`` of ``n`` of what ``src`` sent inside its failure unit.
 
     ``unit`` holds ``(dst, batch)`` for the destinations inside the unit,
     ascending.  Listing the unit's records by destination, then as sent,
-    the share holds every n-th of them from the k-th on, cut from each
-    batch's columns as one entry ``(src, dst, s, Batch(keys[s::n],
-    values[s::n]))``, where ``s = (k - o) % n`` and ``o`` counts the
-    records before ``dst``; a destination with no record in the share has
-    no entry.  The shuffle cuts the shares of a recovery point this way,
-    and recovery re-cuts a lost one from the origin's sent log.  Recovery
-    reads ``dst`` and the batch; ``src`` and ``s`` stay for
-    ``perfbench``'s tracer, which reads the batch as ``entry[3]``.
+    the share holds every n-th of them from the k-th on, as one entry
+    ``(src, dst, s, Batch(keys[s::n], values[s::n]))`` per destination,
+    where ``s = (k - o) % n`` and ``o`` counts the records before
+    ``dst``; a destination with no record in the share has no entry.
+    The caller cuts the share's values once (``share_values``, the
+    unit's values ``k::n``), and each destination takes its contiguous
+    run of them, the whole list when it has them all.  The shuffle cuts
+    a recovery point's shares this way, and recovery re-cuts a lost one
+    from the origin's sent log.  Recovery reads ``dst`` and the batch;
+    ``src`` and ``s`` stay for ``perfbench``'s tracer (``entry[3]``).
     """
-    share, o = [], 0
+    share, o, at = [], 0, 0
     for dst, batch in unit:
         s = (k - o) % n
         if s < len(batch):
-            share.append((src, dst, s, Batch(batch.keys[s::n], batch.values[s::n])))
+            count = len(range(s, len(batch), n))
+            run = share_values if count == len(share_values) else share_values[at:at + count]
+            share.append((src, dst, s, Batch(batch.keys[s::n], run)))
+            at += count
         o += len(batch)
     return share
 
@@ -447,7 +442,10 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
             # each value is read once: it sizes the payload and its share
             sent = gather(values)
             batch = payloads[dst] = cluster.pes[dst].inbox[src] = Batch(column, sent)
-            size = key_bytes + sum(map(len, sent))
+            try:
+                size = key_bytes + nbytes(sent)
+            except TypeError as exc:
+                raise JobError(src, step, "shuffle of a map value that is not bytes", exc) from exc
             if dst != src:
                 network_bytes += size
             if group_of[dst] == src_gid:
@@ -463,10 +461,8 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
         if not targets:
             log = logger.debug if src in cluster.warned_unprotected else logger.warning
             cluster.warned_unprotected.add(src)
-            log(
-                "PE %d has no backup target (first at step %d); its "
-                "self-messages are unprotected", src, step,
-            )
+            log("PE %d has no backup target (first at step %d); its "
+                "self-messages are unprotected", src, step)
             continue
         manifest[src] = targets
         n = len(targets)
@@ -476,8 +472,8 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
                        else list(chain.from_iterable(batch.values for _, batch in unit)))
         for k, (target, share_values) in enumerate(split_self_message(unit_values, targets)):
             store = cluster.pes[target].backup_store.setdefault(step, {})
-            store[(src, k)] = backup_share(src, unit, k, n)
-            got = share_keys[k] + sum(map(len, share_values))
+            store[(src, k)] = backup_share(src, unit, k, n, share_values)
+            got = share_keys[k] + nbytes(share_values)
             sm.backup_bytes += got
             sm.backup_received[target] = sm.backup_received.get(target, 0) + got
     if records and len(owners) - known == records:
@@ -492,19 +488,19 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
 
 def group_entries(
     inbox: dict[PeId, Batch], layout: list | None = None
-) -> list[tuple[bytes, list[bytes]]]:
+) -> list[tuple[bytes, Sequence[bytes]]]:
     """Group an inbox's batches by key for reducing.
 
     Keys are sorted bytewise; within a group, values follow ascending
     sender, then emission order, so grouping does not depend on the order
     in which senders delivered.  Each batch is read from its columns, so
-    no record is built.  Given the inbox's ``layout``
-    (:func:`_inbox_layout`), each key's values are gathered in that order
-    from the batches' value columns, and no key is read.
+    no record is built.  Given the inbox's ``layout`` (:func:`_layout`
+    of its chained keys), no key is read, and each key's values are the
+    gather's result as it is, a tuple (a list for one value).
     """
     if layout is not None:
         values = list(chain.from_iterable(inbox[src].values for src in sorted(inbox)))
-        return [(key, list(gather(values))) for key, gather in layout]
+        return [(key, gather(values)) for key, gather in layout]
     by_key: defaultdict[bytes, list[bytes]] = defaultdict(list)
     for src in sorted(inbox):
         batch = inbox[src]
@@ -565,14 +561,12 @@ def gc_logs(cluster: Cluster) -> None:
     needed to reconstruct a failure before the next one completes.
     """
     cut = cluster.recovery_point
-    for step in [s for s in cluster.step_history if s < cut]:
-        del cluster.step_history[step]
+    by_step = [cluster.step_history]
     for i in cluster.live:
-        pe = cluster.pes[i]
-        for step in [s for s in pe.sent_log if s < cut]:
-            del pe.sent_log[step]
-        for step in [s for s in pe.backup_store if s < cut]:
-            del pe.backup_store[step]
+        by_step += (cluster.pes[i].sent_log, cluster.pes[i].backup_store)
+    for held in by_step:
+        for step in [s for s in held if s < cut]:
+            del held[step]
 
 
 @contextmanager
@@ -716,8 +710,9 @@ class Cluster:
         # receiver -> (the routes its inbox came by, its layout by key)
         self.layouts: dict[PeId, tuple[list[Route], list]] = {}
         # (holder, id of an owner memo, by failure) -> recovery's cut of
-        # the holder's records by owner (see recovery._split)
-        self.splits: dict[tuple, tuple] = {}
+        # the holder's records by owner (see recovery._split), and
+        # "replay" -> the replayed reduce's keys and layout by key
+        self.splits: dict[object, tuple] = {}
         # positions[i] == i, shared by every route's gathers (see _layout)
         self.positions: list[int] = []
 

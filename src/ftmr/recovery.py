@@ -35,11 +35,10 @@ Records are split by owner per (holder, destination) batch, not one at
 a time: each holder's key column is laid out once by its keys' owners
 (:func:`_split`), and each batch is logged, delivered and counted whole.
 An iterative job's holders send the same keys at every replayed step,
-so the layout and its key columns are reused while a holder's key list
-and the owner memo stay the same, for one recovery
-(:meth:`ftmr.engine.Cluster.drop_derived`).  Like the shuffle's
-batches, a recovery batch never changes once delivered or logged: a
-longer batch replaces it.
+so these layouts, and the replayed reduce's layout of the rebuilt inbox
+by key, are reused while the keys compare equal, for one recovery
+(:meth:`ftmr.engine.Cluster.drop_derived`).  A recovery batch never
+changes once delivered or logged: a longer batch replaces it.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from operator import add
 
 from .core import Batch, ConfigError, PeId, Record, StepId
@@ -83,9 +83,9 @@ _Held = dict[PeId, Batch]
 def recover(cluster: Cluster, event: FailureEvent) -> None:
     """Handle one failure event; mutates the cluster in place.
 
-    The rebuilt inboxes of replayed steps are noted in the cluster's
-    ledger when it has one (what injection delivers is noted by
-    :meth:`Cluster.step`).  Raises :class:`UnrecoverableFailure`, before
+    :func:`_replay_reduce` notes the rebuilt inboxes of replayed steps in
+    the cluster's ledger when it has one (:meth:`Cluster.step` notes what
+    injection delivers).  Raises :class:`UnrecoverableFailure`, before
     any change to the cluster, when the survivors provably do not hold
     (and cannot regenerate) the lost data.
     """
@@ -169,8 +169,6 @@ def recover(cluster: Cluster, event: FailureEvent) -> None:
         if held is not None:
             # the unit's Reduce of the previous step, over its rebuilt inbox
             prev = step - 1
-            if cluster.ledger is not None:
-                _note_rebuilt(cluster, prev, held, owners_new)
             current = _replay_reduce(cluster, prev, held, owners_new)
             records_recomputed += sum(map(len, held.values()))
             replayed.append(prev)
@@ -446,12 +444,13 @@ def _repair_shares(cluster: Cluster, r: StepId, failed: set[PeId]) -> int:
             continue
         log, gid = cluster.pes[origin].sent_log[r], cluster.group_of[origin]
         unit = [(dst, log[dst]) for dst in sorted(log) if cluster.group_of[dst] == gid]
+        values, n = [v for _, batch in unit for v in batch.values], len(manifest)
         # the lost slots are refilled in place, off the surviving holders
         # while any eligible peer holds none
         fresh = [t for t in eligible if t not in manifest] or eligible
         for j, idx in enumerate(lost):
             target = manifest[idx] = fresh[j % len(fresh)]
-            share = backup_share(origin, unit, idx, len(manifest))
+            share = backup_share(origin, unit, idx, n, values[idx::n])
             cluster.pes[target].backup_store.setdefault(r, {})[(origin, idx)] = share
             shipped += sum(batch.size for _, _, _, batch in share)
     return shipped
@@ -460,14 +459,24 @@ def _repair_shares(cluster: Cluster, r: StepId, failed: set[PeId]) -> int:
 def _replay_reduce(
     cluster: Cluster, step: StepId, held: _Held, owners_new: Owners
 ) -> _Held:
-    """Re-execute the unit's Reduce of ``step`` over its rebuilt inbox.
-
-    Each key group is held by the survivor that owns the key under the
-    shrunk map, mirroring where the recomputation runs.
+    """Re-execute the unit's Reduce of ``step`` over its rebuilt inbox,
+    noted first in the cluster's ledger, if any, one batch per (holder,
+    new owner).  Each key group is held by the survivor that owns the
+    key under the shrunk map, mirroring where the recomputation runs.
+    The inbox is grouped by a layout of its chained keys, kept in
+    ``cluster.splits["replay"]`` while the next step's keys compare equal.
     """
+    if cluster.ledger is not None:
+        for holder, rebuilt in held.items():
+            for dst, batch in _split(cluster, holder, rebuilt, owners_new):
+                cluster.ledger.note(step, dst, RECOVERY, batch)
     spec = cluster.step_history[step].spec
+    keys = list(chain.from_iterable(held[holder].keys for holder in sorted(held)))
+    kept = cluster.splits.get("replay")
+    if kept is None or keys != kept[0]:
+        kept = cluster.splits["replay"] = (keys, _layout(keys, cluster.positions))
     out: _Held = {}
-    for key, values in group_entries(held):
+    for key, values in group_entries(held, kept[1]):
         owner = owners_new[key]
         try:
             produced = spec.reduce_fn(key, values)
@@ -503,13 +512,3 @@ def _inject(cluster: Cluster, t: StepId, held: _Held, owners_new: Owners) -> int
             if hops:
                 bytes_resent += hops * batch.size
     return bytes_resent
-
-
-def _note_rebuilt(
-    cluster: Cluster, step: StepId, held: _Held, owners_new: Owners
-) -> None:
-    """Note a rebuilt step inbox in the cluster's ledger, one batch per
-    (holder, new owner)."""
-    for holder, rebuilt in held.items():
-        for dst, batch in _split(cluster, holder, rebuilt, owners_new):
-            cluster.ledger.note(step, dst, RECOVERY, batch)

@@ -329,7 +329,8 @@ def test_reduce_groups_like_group_entries_over_kept_layouts(monkeypatch, plan, r
 
     def checked(inbox, layout=None):
         got = group_entries(inbox, layout)
-        assert got == group_entries(inbox)
+        # a laid-out group's values may be a tuple
+        assert [(key, list(values)) for key, values in got] == group_entries(inbox)
         laid_out[-1].append(layout is not None)
         return got
 
@@ -722,11 +723,11 @@ def test_map_errors_carry_context():
 
 
 @pytest.mark.parametrize("k", [5, -1], ids=["middle", "last"])
-@pytest.mark.parametrize("lazy", [False, True], ids=["list", "generator"])
+@pytest.mark.parametrize("lazy", [None, 0, 1], ids=["list", "generator", "value-generator"])
 def test_map_error_names_the_failing_record(k, lazy):
     # a map_fn that raises on record k of PE 2 at step 2, either when
     # called or part-way through the generator it returned as its key
-    # column
+    # column (lazy == 0) or its value column (lazy == 1)
     target = []
 
     def bad_map(rec):
@@ -735,14 +736,16 @@ def test_map_error_names_the_failing_record(k, lazy):
         return (rec.key,), (rec.value,)
 
     def bad_generator(rec):
-        def keys():
-            yield rec.key
+        def column(item):
+            yield item
             if rec in target:
                 raise KeyError("boom")
 
-        return keys(), (rec.value,)
+        columns = [(rec.key,), (rec.value,)]
+        columns[lazy] = column(rec[lazy])
+        return columns
 
-    spec = StepSpec("bad", bad_generator if lazy else bad_map, identity_spec().reduce_fn)
+    spec = StepSpec("bad", bad_map if lazy is None else bad_generator, identity_spec().reduce_fn)
     job = Job(random_source(7), ListDriver([identity_spec(), spec]))
     cluster = Cluster(job, 4)
     assert cluster.step()
@@ -781,6 +784,24 @@ def test_unequal_map_columns_name_the_record(k, lazy):
     )) as info:
         cluster.step()
     assert (info.value.pe, info.value.step) == (2, 2)
+
+
+@pytest.mark.parametrize("result", [None, ((b"k",), (b"v",), ())], ids=["none", "triple"])
+def test_a_map_result_that_is_no_pair_names_the_record(result):
+    spec = StepSpec("bad", lambda rec: result, identity_spec().reduce_fn)
+    with pytest.raises(JobError, match=r"^PE 0, step 1, map of record 0: ") as info:
+        run_job(Job(random_source(7), ListDriver([spec])), 4)
+    assert isinstance(info.value.__cause__, (TypeError, ValueError))
+
+
+def test_a_map_value_that_is_not_bytes_names_the_sender():
+    spec = StepSpec("str", lambda rec: ((rec.key,), (rec.value.hex(),)), identity_spec().reduce_fn)
+    cluster = Cluster(Job(random_source(7), ListDriver([identity_spec(), spec])), 4)
+    assert cluster.step()
+    with pytest.raises(JobError, match=r"^PE 0, step 2, shuffle of a map value that is not bytes: "
+                       r"TypeError") as info:
+        cluster.step()
+    assert (info.value.pe, info.value.step) == (0, 2)
 
 
 def test_reduce_errors_carry_context():

@@ -25,3 +25,18 @@ def test_failing_tests_read_from_the_pytest_summary():
     assert mutants.failing_tests(output) == [
         "tests/test_a.py::test_x[1:1;2:2]", "tests/test_b.py::test_y",
     ]
+
+
+def test_a_kill_by_the_lint_alone_counts_as_survived():
+    lint = "tests/test_imports.py::test_no_unread_locals"
+    other = "tests/test_engine.py::test_map_errors_carry_context"
+    assert mutants.LINT == lint
+    assert mutants.verdict(0, []) == "survived"
+    assert mutants.verdict(1, [f"{lint}[engine.py]"]) == "lint only"
+    assert mutants.verdict(1, [f"{lint}[engine.py]", f"{lint}[core.py]"]) == "lint only"
+    assert mutants.verdict(1, [f"{lint}[engine.py]", other]) == "killed"
+    # the lint's own self-test is not the lint
+    assert mutants.verdict(1, ["tests/test_imports.py::test_scan_flags_an_unread_local"]) == "killed"
+    assert mutants.verdict(1, [other]) == "killed"
+    # a failing run whose summary named no test (e.g. a crash) still kills
+    assert mutants.verdict(1, []) == "killed"

@@ -334,6 +334,45 @@ def test_replay_windows():
     assert (rec.recovery_point, rec.replayed_steps) == (4, (4,))
 
 
+@pytest.mark.parametrize("config, spec, reused", [
+    (JobConfig(benchmark="pagerank", p=4, seed=5, vertices_per_pe=8, iterations=8,
+               recovery_point_interval=6), "5:1", [False, False, True, True]),
+    # cc's key lists change from step to step, so no layout is reused
+    (cc_config(recovery_point_interval=3), "3:1;6:2", [False] * 4),
+], ids=["pagerank", "cc-interval-3"])
+def test_replay_groups_like_group_entries_over_a_kept_layout(monkeypatch, config, spec, reused):
+    # every replayed reduce's groups against a fresh grouping of its
+    # rebuilt inbox; per call, the layout it was given
+    group_entries = ftmr.recovery.group_entries
+    replay_reduce = ftmr.recovery._replay_reduce
+    layouts = []
+
+    def checked(held, layout=None):
+        got = group_entries(held, layout)
+        assert [(key, list(values)) for key, values in got] == group_entries(held)
+        layouts.append(layout)
+        return got
+
+    def kept(cluster, *args):
+        out = replay_reduce(cluster, *args)
+        assert cluster.splits["replay"][1] is layouts[-1]
+        return out
+
+    monkeypatch.setattr(ftmr.recovery, "group_entries", checked)
+    monkeypatch.setattr(ftmr.recovery, "_replay_reduce", kept)
+    cluster = Cluster(build_job(config), config.p, failure_plan=parse_failure_spec(spec),
+                      recovery_point_interval=config.recovery_point_interval)
+    while cluster.step():
+        # derived state: the recovery's splits go with it
+        assert "replay" not in cluster.splits
+    assert len(layouts) == sum(len(r.replayed_steps) for r in cluster.metrics.recoveries)
+    # the recovery point's inbox holds shares and the next one replayed
+    # self-sends, each on other holders; from then on PageRank's holders
+    # send the same keys, so the layout built for the second replayed
+    # reduce serves every later one
+    assert [i > 0 and layouts[i] is layouts[i - 1] for i in range(len(layouts))] == reused
+
+
 def test_input_replay_window():
     config = cc_config(recovery_point_interval="input-only")
     result = assert_same_outputs(config, "3:2")
