@@ -73,14 +73,9 @@ MUTANTS = [
     Mutant(
         "no drop_derived() after recover", ENGINE,
         "            recover(self, event)\n"
-        "            # a new memo, and inboxes no route lays out any more\n"
+        "            # a new memo, and the recovery's own cuts\n"
         "            self.drop_derived()\n",
         "            recover(self, event)\n",
-    ),
-    Mutant(
-        "handed kept by drop_derived", ENGINE,
-        "self.handed: dict[PeId, list[Route]] = {}",
-        'self.handed: dict[PeId, list[Route]] = getattr(self, "handed", {})',
     ),
     Mutant(
         "routes kept by drop_derived", ENGINE,
@@ -88,14 +83,10 @@ MUTANTS = [
         'self.routes: dict[PeId, Route] = getattr(self, "routes", {})',
     ),
     Mutant(
+        # the receivers' and the replay's layouts and recovery's cuts
         "layouts kept by drop_derived", ENGINE,
-        "self.layouts: dict[PeId, tuple[list[Route], list]] = {}",
-        'self.layouts: dict[PeId, tuple[list[Route], list]] = getattr(self, "layouts", {})',
-    ),
-    Mutant(
-        "splits kept by drop_derived", ENGINE,
-        "self.splits: dict[object, tuple] = {}",
-        'self.splits: dict[object, tuple] = getattr(self, "splits", {})',
+        "self.layouts: dict[object, tuple] = {}",
+        'self.layouts: dict[object, tuple] = getattr(self, "layouts", {})',
     ),
     Mutant(
         "no drop after an all-distinct shuffle", ENGINE,
@@ -142,6 +133,11 @@ MUTANTS = [
         "    bytes_resent = 0\n    for holder, rebuilt in reversed(held.items()):\n",
     ),
     Mutant(
+        "_relog_pending copying only the first failed PE's sends", RECOVERY,
+        "        for src in sorted(failed):\n",
+        "        for src in sorted(failed)[:1]:\n",
+    ),
+    Mutant(
         "_relog_mapped logs to dead PEs", RECOVERY,
         "if dst in failed or dst not in cluster.live:",
         "if dst in failed:",
@@ -183,9 +179,15 @@ MUTANTS = [
         "values = list(chain.from_iterable(inbox[src].values for src in sorted(inbox, reverse=True)))",
     ),
     Mutant(
-        "replay layout reused without its key-list check", RECOVERY,
-        "if kept is None or keys != kept[0]:",
-        "if kept is None:",
+        # the receivers' and the replay's slots share the check
+        "replay layout reused without its key-list check", ENGINE,
+        "    if kept is None or kept[0] != columns:\n",
+        "    if kept is None:\n",
+    ),
+    Mutant(
+        "inbox layout built on first sight", ENGINE,
+        "        cluster.layouts[slot] = (columns, None)\n        return None\n",
+        "        kept = (columns, None)\n",
     ),
     Mutant(
         "group_entries iterating records again", ENGINE,
@@ -241,6 +243,14 @@ GONE = {
     "dropped reset of the refusal state": (
         "Cluster.step resets nothing: the refusal state lives on the step "
         "records, and gc_logs retires it with them"
+    ),
+    "handed kept by drop_derived": (
+        "Cluster.handed is gone: a receiver's layout is kept while its "
+        "inboxes bring equal key columns, whichever routes delivered them"
+    ),
+    "splits kept by drop_derived": (
+        "Cluster.splits is gone: recovery's cuts sit in Cluster.layouts, "
+        "so 'layouts kept by drop_derived' covers them"
     ),
 }
 

@@ -36,16 +36,15 @@ route's key bytes plus one join of the values (:func:`~ftmr.core.nbytes`),
 and a backup share likewise.  The shuffle builds no record.  The
 position ints come from one table on the :class:`Cluster`.
 
-The routes also lay out the receivers.  When every sender that
-delivered to a PE reused its route (``Cluster.handed``), that inbox's
-key sequence is fixed by those route objects, so the reduce keeps the
-inbox's grouping as one ``itemgetter`` per key (:func:`_inbox_layout`),
-and later steps hand the reduce each key's values as gathered in C from
-the value columns, without a copy or a key column read.  A layout is
-built only at a step where every route into the PE was reused, and used
-only while the same route objects deliver.  This, and recovery's splits
-and replay layout, is derived state: :meth:`Cluster.drop_derived` drops
-it after a recovery and when the shuffle empties the owner memo.
+The routes also lay out the receivers.  A reused route delivers the
+very key columns it delivered before, so an inbox that brings the same
+key columns as the last one at its receiver is grouped by a kept layout,
+one ``itemgetter`` per key (:func:`_inbox_layout`): the reduce gets each
+key's values as gathered in C from the value columns, without a copy or
+a key column read.  Recovery's replayed reduce takes its layout by the
+same rule.  The routes, these layouts and recovery's splits are derived
+state: :meth:`Cluster.drop_derived` drops them after a recovery and when
+the shuffle empties the owner memo.
 
 Failures are injected at the shuffle barrier: the exchange of the step
 completes (real failures are detected at the synchronization point), then
@@ -62,7 +61,7 @@ from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import is_, itemgetter, length_hint
+from operator import itemgetter, length_hint
 from typing import Callable, Iterable, NamedTuple, Protocol
 
 from .core import Batch, ConfigError, PeId, Record, StepId, nbytes
@@ -418,7 +417,6 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
     known = len(owners)
     manifest = cluster.step_history[step].backup_manifest
     routes, cluster.routes = cluster.routes, {}
-    handed = cluster.handed = defaultdict(list)
     records = network_bytes = self_bytes = 0
 
     for src in sorted(cluster.live):
@@ -429,8 +427,7 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
         src_gid = group_of[src]
         before = len(owners)
         route = routes.get(src)
-        reused = route is not None and route.keys == keys
-        if not reused:
+        if route is None or route.keys != keys:
             route = _route(owners, keys, cluster.positions)
         # kept unless every key was new to the memo (a reused route adds none)
         if len(owners) - before < len(keys):
@@ -451,8 +448,6 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
             if group_of[dst] == src_gid:
                 self_bytes += size
                 unit.append((dst, batch))
-            if reused:
-                handed[dst].append(route)
         if fault_tolerant:
             pe.sent_log[step] = payloads
         if not ships_shares:
@@ -509,24 +504,25 @@ def group_entries(
     return [(key, by_key[key]) for key in sorted(by_key)]
 
 
-def _inbox_layout(cluster: Cluster, dst: PeId) -> list | None:
-    """The layout of ``dst``'s inbox by key; None to group the inbox anew.
+def _inbox_layout(cluster: Cluster, slot: object, inbox: dict[PeId, Batch]) -> list | None:
+    """The layout of ``inbox`` by key (:func:`_layout` of its chained
+    keys), kept at ``slot``; None to group the inbox anew.
 
-    Only an inbox whose every sender reused its route this step has a
-    layout: its keys, in ascending sender then emission order, are then
-    fixed by those route objects, which hold its key columns.  The layout
-    is kept with the routes it was laid out from and used while the same
-    objects deliver; any other inbox drops it.
+    The slot keeps the inbox's key columns, ascending sender.  A layout
+    is built only when the next inbox there brings equal columns, and
+    used while equal columns keep coming: a reused route delivers the
+    very same column objects, so the comparison is one identity test per
+    sender.  An inbox whose columns differ from the kept ones is grouped
+    anew and its columns are kept instead.
     """
-    inbox = cluster.pes[dst].inbox
-    kept = cluster.layouts.pop(dst, None)
-    routes = cluster.handed.get(dst, ())
-    if not inbox or len(routes) < len(inbox):
+    columns = [inbox[src].keys for src in sorted(inbox)]
+    kept = cluster.layouts.get(slot)
+    if kept is None or kept[0] != columns:
+        cluster.layouts[slot] = (columns, None)
         return None
-    if kept is None or len(kept[0]) != len(routes) or not all(map(is_, kept[0], routes)):
-        keys = list(chain.from_iterable(inbox[src].keys for src in sorted(inbox)))
-        kept = (routes, _layout(keys, cluster.positions))
-    cluster.layouts[dst] = kept
+    if kept[1] is None:
+        keys = list(chain.from_iterable(columns))
+        kept = cluster.layouts[slot] = (columns, _layout(keys, cluster.positions))
     return kept[1]
 
 
@@ -541,7 +537,7 @@ def reduce_phase(
     for i in sorted(cluster.live):
         pe = cluster.pes[i]
         out: list[Record] = []
-        for key, values in group_entries(pe.inbox, _inbox_layout(cluster, i)):
+        for key, values in group_entries(pe.inbox, _inbox_layout(cluster, i, pe.inbox)):
             try:
                 out.extend(reduce_fn(key, values))
                 if counter_fn is not None:
@@ -704,15 +700,11 @@ class Cluster:
         and the key lists; they rebuild it, so no byte of the run changes."""
         # sender -> its route under the current memo (see shuffle)
         self.routes: dict[PeId, Route] = {}
-        # receiver -> the route of each sender whose route the last
-        # shuffle reused, ascending sender
-        self.handed: dict[PeId, list[Route]] = {}
-        # receiver -> (the routes its inbox came by, its layout by key)
-        self.layouts: dict[PeId, tuple[list[Route], list]] = {}
-        # (holder, id of an owner memo, by failure) -> recovery's cut of
-        # the holder's records by owner (see recovery._split), and
-        # "replay" -> the replayed reduce's keys and layout by key
-        self.splits: dict[object, tuple] = {}
+        # a receiver, or "replay" -> (the key columns of its last inbox,
+        # their layout by key or None; see _inbox_layout), and (holder, id
+        # of an owner memo, by failure) -> recovery's cut of the holder's
+        # records by owner (see recovery._split)
+        self.layouts: dict[object, tuple] = {}
         # positions[i] == i, shared by every route's gathers (see _layout)
         self.positions: list[int] = []
 
@@ -741,7 +733,7 @@ class Cluster:
                     i: {s: len(r) for s, r in self.pes[i].inbox.items()} for i in self.live
                 }
             recover(self, event)
-            # a new memo, and inboxes no route lays out any more
+            # a new memo, and the recovery's own cuts
             self.drop_derived()
             if self.ledger is not None:
                 _note_inboxes(self, index, had)

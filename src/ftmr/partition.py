@@ -116,9 +116,10 @@ class Owners(dict):
     routed record brought a key the memo had not seen, the shuffle
     empties it, so single-pass traffic over distinct keys holds no more
     memory than before the shuffle.  The shuffle's per-sender routes
-    (:class:`ftmr.engine.Route`) and the rest of the state derived from
-    the memo go with it: :meth:`ftmr.engine.Cluster.drop_derived` drops
-    them whenever the memo is emptied or replaced.
+    (:class:`ftmr.engine.Route`) are laid out under the memo and go with
+    it: :meth:`ftmr.engine.Cluster.drop_derived` drops them, and the
+    layouts and recovery's cuts beside them, whenever the memo is
+    emptied or replaced.
     """
 
     def __init__(self, pm: PartitionMap):

@@ -35,8 +35,10 @@ Records are split by owner per (holder, destination) batch, not one at
 a time: each holder's key column is laid out once by its keys' owners
 (:func:`_split`), and each batch is logged, delivered and counted whole.
 An iterative job's holders send the same keys at every replayed step,
-so these layouts, and the replayed reduce's layout of the rebuilt inbox
-by key, are reused while the keys compare equal, for one recovery
+so these cuts are reused while the keys compare equal, and the replayed
+reduce groups the rebuilt inbox by a layout kept under the receivers'
+rule (:func:`ftmr.engine._inbox_layout`).  Both sit in
+``Cluster.layouts`` for one recovery
 (:meth:`ftmr.engine.Cluster.drop_derived`).  A recovery batch never
 changes once delivered or logged: a longer batch replaces it.
 """
@@ -46,11 +48,12 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
 from operator import add
 
 from .core import Batch, ConfigError, PeId, Record, StepId
-from .engine import Cluster, JobError, _layout, backup_share, group_entries, map_batch
+from .engine import (
+    Cluster, JobError, _inbox_layout, _layout, backup_share, group_entries, map_batch,
+)
 from .metrics import RECOVERY, RecoveryRecord
 from .partition import BackupMode, Owners, backup_targets, shrink_partition
 
@@ -324,20 +327,21 @@ def _split(
     ``failed``, by whether that owner is in it.
 
     Returns ``(label, batch)`` pairs, ascending label, each batch in
-    emission order.  The layout (:func:`ftmr.engine._layout`) and each
-    label's key column are kept in ``cluster.splits`` for the holder and
-    memo, so a replayed step that hands the holder the same keys again
-    cuts only its values, in C.  A split lasts one recovery, and the memo
-    its id names outlives it.
+    emission order.  The cut (:func:`ftmr.engine._layout`) and each
+    label's key column are kept in ``cluster.layouts`` under the holder
+    and memo from first use, since the cut is needed anyway, so a
+    replayed step that hands the holder the same keys again cuts only
+    its values, in C.  A cut lasts one recovery, and the memo its id
+    names outlives it.
     """
     keys, values = batch.keys, batch.values
     slot = (holder, id(owners), failed is not None)
-    kept = cluster.splits.get(slot)
+    kept = cluster.layouts.get(slot)
     if kept is None or kept[0] != keys:
         labels = list(map(owners.__getitem__, keys))
         if failed is not None:
             labels = list(map(failed.__contains__, labels))
-        kept = cluster.splits[slot] = (keys, [
+        kept = cluster.layouts[slot] = (keys, [
             (label, gather, gather(keys)) for label, gather in _layout(labels, cluster.positions)
         ])
     return [(label, Batch(column, gather(values))) for label, gather, column in kept[1]]
@@ -463,20 +467,17 @@ def _replay_reduce(
     noted first in the cluster's ledger, if any, one batch per (holder,
     new owner).  Each key group is held by the survivor that owns the
     key under the shrunk map, mirroring where the recomputation runs.
-    The inbox is grouped by a layout of its chained keys, kept in
-    ``cluster.splits["replay"]`` while the next step's keys compare equal.
+    The inbox takes its layout by key from the ``"replay"`` slot
+    (:func:`ftmr.engine._inbox_layout`), so a layout is built once two
+    replayed steps bring equal key columns.
     """
     if cluster.ledger is not None:
         for holder, rebuilt in held.items():
             for dst, batch in _split(cluster, holder, rebuilt, owners_new):
                 cluster.ledger.note(step, dst, RECOVERY, batch)
     spec = cluster.step_history[step].spec
-    keys = list(chain.from_iterable(held[holder].keys for holder in sorted(held)))
-    kept = cluster.splits.get("replay")
-    if kept is None or keys != kept[0]:
-        kept = cluster.splits["replay"] = (keys, _layout(keys, cluster.positions))
     out: _Held = {}
-    for key, values in group_entries(held, kept[1]):
+    for key, values in group_entries(held, _inbox_layout(cluster, "replay", held)):
         owner = owners_new[key]
         try:
             produced = spec.reduce_fn(key, values)

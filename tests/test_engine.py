@@ -24,6 +24,7 @@ from ftmr.engine import (
     RecordSource,
     StepRecord,
     StepSpec,
+    _inbox_layout,
     group_entries,
     identity_map,
     recovery_point_schedule,
@@ -162,11 +163,14 @@ def test_routes_rebuilt_under_the_new_memo_after_recovery():
     assert set(routes) == {0, 1, 2, 3}
     old = cluster.owners
     # recovery from the step-3 failure installs a new memo and drops the
-    # routes, and its own cuts; the next shuffle builds the survivors'
-    # routes anew
+    # routes, and its own cuts: only the step-3 reduce's receiver slots,
+    # none laid out yet, survive it; the next shuffle builds the
+    # survivors' routes anew
     assert cluster.step()
     assert cluster.owners is not old
-    assert cluster.routes == cluster.splits == {}
+    assert cluster.routes == {}
+    assert set(cluster.layouts) == cluster.live
+    assert {layout for _, layout in cluster.layouts.values()} == {None}
     assert cluster.step()
     assert set(cluster.routes) == cluster.live == {0, 2, 3}
     assert not any(route is before for route in cluster.routes.values()
@@ -248,7 +252,7 @@ def test_reused_routes_shuffle_like_fresh_ones(monkeypatch, config, plan, genera
 
     def split_afresh(cluster, *args):
         if cluster is fresh:
-            cluster.splits = {}
+            cluster.layouts = {}
         return split(cluster, *args)
 
     monkeypatch.setattr(ftmr.recovery, "_split", split_afresh)
@@ -344,15 +348,15 @@ def test_reduce_groups_like_group_entries_over_kept_layouts(monkeypatch, plan, r
         laid_out.append([])
         if not cluster.step():
             break
-        if not all(laid_out[-1]):
-            # a rebuilt route, or a recovery, left no layout behind
-            assert not any(laid_out[-1])
-            assert cluster.layouts == {}
-        else:
-            assert set(cluster.layouts) == cluster.live
-    # steps 1 and 2 send in new key orders, and step 3 builds the layouts
-    # as it uses them; a failure skips its step and the next, whose
-    # routes are rebuilt under the new memo, and a route reset the next
+        # every receiver keeps a slot; a layout is built in it at the
+        # second sight of equal key columns
+        assert set(cluster.layouts) == cluster.live
+        built = {dst for dst, (_, layout) in cluster.layouts.items() if layout is not None}
+        assert built == (cluster.live if all(laid_out[-1]) else set())
+    # step 1 sends in ingest order and step 2 in the reduce's key order,
+    # and step 3 builds the layouts as it uses them; a failure skips its
+    # step, whose inboxes hold injected batches, and the next, whose
+    # routes deliver under the new memo, and a reset the next
     skipped = {6, 7} if plan else {5} if reset_after else set()
     assert [step for step, used in enumerate(laid_out[:-1], 1) if all(used)] == [
         step for step in range(3, 10) if step not in skipped
@@ -366,7 +370,44 @@ def test_reduce_groups_like_group_entries_over_kept_layouts(monkeypatch, plan, r
 def test_no_layout_without_repeated_routes(config):
     cluster = Cluster(build_job(config), 4)
     while cluster.step():
-        assert cluster.layouts == {}
+        assert all(layout is None for _, layout in cluster.layouts.values())
+
+
+def test_layout_kept_when_a_rebuilt_route_delivers_equal_keys():
+    config = dataclasses.replace(PAGERANK_32, iterations=6)
+    cluster = Cluster(build_job(config), 4)
+    for _ in range(4):
+        assert cluster.step()
+    kept = {dst: layout for dst, (_, layout) in cluster.layouts.items()}
+    assert None not in kept.values() and set(kept) == cluster.live
+    # PE 0 sends to every PE; its rebuilt route holds new key columns
+    # with the same keys, so every receiver keeps its layout
+    old = cluster.routes.pop(0)
+    assert {dst for dst, *_ in old.payloads} == cluster.live
+    assert cluster.step()
+    assert cluster.routes[0] is not old
+    assert all(cluster.layouts[dst][1] is layout for dst, layout in kept.items())
+
+
+def test_inbox_layout_built_at_the_second_sight_of_equal_columns():
+    cluster = Cluster(Job(RecordSource(lambda pe: []), ListDriver([])), 2)
+    inbox = {1: Batch([b"b", b"a"], [b"1", b"2"]), 0: Batch([b"a"], [b"3"])}
+    assert _inbox_layout(cluster, 0, inbox) is None
+    # equal columns in new objects
+    again = {src: Batch(list(batch.keys), batch.values) for src, batch in inbox.items()}
+    layout = _inbox_layout(cluster, 0, again)
+    assert layout is not None
+    assert [(key, list(values)) for key, values in group_entries(again, layout)] == [
+        (b"a", [b"3", b"2"]), (b"b", [b"1"])
+    ]
+    assert _inbox_layout(cluster, 0, inbox) is layout
+    # a slot keeps its own columns
+    assert _inbox_layout(cluster, "replay", inbox) is None
+    # other columns drop the layout, and keep theirs instead
+    swapped = {0: inbox[1], 1: inbox[0]}
+    assert _inbox_layout(cluster, 0, swapped) is None
+    assert cluster.layouts[0] == ([inbox[1].keys, inbox[0].keys], None)
+    assert _inbox_layout(cluster, 0, inbox) is None
 
 
 def _count_records(records) -> int:

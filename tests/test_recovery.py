@@ -334,15 +334,15 @@ def test_replay_windows():
     assert (rec.recovery_point, rec.replayed_steps) == (4, (4,))
 
 
-@pytest.mark.parametrize("config, spec, reused", [
+@pytest.mark.parametrize("config, spec, built", [
     (JobConfig(benchmark="pagerank", p=4, seed=5, vertices_per_pe=8, iterations=8,
-               recovery_point_interval=6), "5:1", [False, False, True, True]),
-    # cc's key lists change from step to step, so no layout is reused
-    (cc_config(recovery_point_interval=3), "3:1;6:2", [False] * 4),
+               recovery_point_interval=6), "5:1", [None, None, "L", "L"]),
+    # cc's key lists change from step to step, so no layout is built
+    (cc_config(recovery_point_interval=3), "3:1;6:2", [None] * 4),
 ], ids=["pagerank", "cc-interval-3"])
-def test_replay_groups_like_group_entries_over_a_kept_layout(monkeypatch, config, spec, reused):
+def test_replay_groups_like_group_entries_over_a_kept_layout(monkeypatch, config, spec, built):
     # every replayed reduce's groups against a fresh grouping of its
-    # rebuilt inbox; per call, the layout it was given
+    # rebuilt inbox; per call, the layout it was given ("L" in ``built``)
     group_entries = ftmr.recovery.group_entries
     replay_reduce = ftmr.recovery._replay_reduce
     layouts = []
@@ -355,7 +355,7 @@ def test_replay_groups_like_group_entries_over_a_kept_layout(monkeypatch, config
 
     def kept(cluster, *args):
         out = replay_reduce(cluster, *args)
-        assert cluster.splits["replay"][1] is layouts[-1]
+        assert cluster.layouts["replay"][1] is layouts[-1]
         return out
 
     monkeypatch.setattr(ftmr.recovery, "group_entries", checked)
@@ -363,14 +363,65 @@ def test_replay_groups_like_group_entries_over_a_kept_layout(monkeypatch, config
     cluster = Cluster(build_job(config), config.p, failure_plan=parse_failure_spec(spec),
                       recovery_point_interval=config.recovery_point_interval)
     while cluster.step():
-        # derived state: the recovery's splits go with it
-        assert "replay" not in cluster.splits
+        # derived state: the recovery's slot goes with it
+        assert "replay" not in cluster.layouts
     assert len(layouts) == sum(len(r.replayed_steps) for r in cluster.metrics.recoveries)
     # the recovery point's inbox holds shares and the next one replayed
     # self-sends, each on other holders; from then on PageRank's holders
-    # send the same keys, so the layout built for the second replayed
-    # reduce serves every later one
-    assert [i > 0 and layouts[i] is layouts[i - 1] for i in range(len(layouts))] == reused
+    # send the same keys, so the third replayed reduce builds the layout
+    # that every later one uses
+    assert [None if layout is None else "L" for layout in layouts] == built
+    assert len({id(layout) for layout in layouts if layout is not None}) <= 1
+
+
+class _Recorded:
+    """A driver that notes every call it answers."""
+
+    def __init__(self, driver):
+        self.driver = driver
+        self.calls = []
+
+    def next_step(self, index, prev_aggregate):
+        self.calls.append((index, prev_aggregate))
+        return self.driver.next_step(index, prev_aggregate)
+
+
+@pytest.mark.parametrize("config, spec", [
+    # a failure mid-interval: recovery point 4, steps 4 and 5 replayed
+    (JobConfig(benchmark="pagerank", p=4, seed=5, vertices_per_pe=8, iterations=8,
+               recovery_point_interval=3), "6:1"),
+    (cc_config(recovery_point_interval=3), "3:1;6:2"),
+], ids=["pagerank-interval-3", "cc-interval-3"])
+def test_replay_runs_on_the_specs_of_a_fresh_job(monkeypatch, config, spec):
+    # the StepSpec purity contract: before each recovery, every retained
+    # step's spec is swapped for that step's spec from a freshly built
+    # job, so the replay shares no state (such as PageRank's map cache)
+    # with the run, and the run stays byte for byte the same
+    plan = parse_failure_spec(spec)
+    reference = run_simulation(config, plan, ledger=DeliveryLedger())
+    job = build_job(config)
+    driver = _Recorded(job.driver)
+    recover = ftmr.recovery.recover
+    swapped = []
+
+    def recover_fresh(cluster, event):
+        fresh = build_job(config).driver
+        specs = {index: fresh.next_step(index, aggregate) for index, aggregate in driver.calls}
+        for step, record in cluster.step_history.items():
+            assert specs[step] is not record.spec
+            record.spec = specs[step]
+            swapped.append(step)
+        recover(cluster, event)
+
+    monkeypatch.setattr(ftmr.recovery, "recover", recover_fresh)
+    result = run_job(Job(job.source, driver), config.p, failure_plan=plan,
+                     recovery_point_interval=config.recovery_point_interval,
+                     ledger=DeliveryLedger())
+    assert len(result.metrics.recoveries) == len(plan.events)
+    assert swapped
+    assert result.outputs == reference.outputs
+    assert result.metrics.to_csv() == reference.metrics.to_csv()
+    assert plain(result.ledger.deliveries) == plain(reference.ledger.deliveries)
 
 
 def test_input_replay_window():
