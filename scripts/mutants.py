@@ -46,6 +46,7 @@ class Mutant(NamedTuple):
     new: str
 
 
+BENCHMARKS = "src/ftmr/benchmarks.py"
 CORE = "src/ftmr/core.py"
 ENGINE = "src/ftmr/engine.py"
 METRICS = "src/ftmr/metrics.py"
@@ -68,6 +69,17 @@ MUTANTS = [
         "    if r == t or r == 0:\n",
         "    if r == t:\n        cluster.step_history[r].lost.update(failed)\n"
         "    if r == t or r == 0:\n",
+    ),
+    # -- the shuffle's routes -----------------------------------------------
+    Mutant(
+        "route hit on an equal key-list length", ENGINE,
+        "if route is None or route.keys != keys:",
+        "if route is None or len(route.keys) != len(keys):",
+    ),
+    Mutant(
+        "payload size without its key bytes", ENGINE,
+        "size = key_bytes + nbytes(sent)",
+        "size = nbytes(sent)",
     ),
     # -- derived shuffle state kept too long -------------------------------
     Mutant(
@@ -203,6 +215,24 @@ MUTANTS = [
         "Batch.__iter__ yielding plain tuples", CORE,
         "return records_from_pairs(zip(self.keys, self.values))",
         "return zip(self.keys, self.values)",
+    ),
+    # -- PageRank's reduce: each share decoded once per step ---------------
+    Mutant(
+        "share memo accepting an adjacency-tagged value", BENCHMARKS,
+        "value[:1] not in _SHARE_TAGS",
+        "value[:1] not in (*_SHARE_TAGS, _TAG_ADJ)",
+    ),
+    Mutant(
+        "share memo never emptied", BENCHMARKS,
+        "        if len(self) >= self.limit:\n            self.clear()\n",
+        "",
+    ),
+    Mutant(
+        # performance only: the adjacency makes the memo refuse, so every
+        # group falls back to the per-value reduce with the same records
+        "share fast path summing over all values", BENCHMARKS,
+        "fsum(map(share_score, values[:i] + values[i + 1:]))",
+        "fsum(map(share_score, values))",
     ),
     # -- a map's key and value columns -------------------------------------
     Mutant(

@@ -393,6 +393,38 @@ _TAG_COMBINED = b"c"
 _TAG_SCORE = b"s"
 _TAG_DANGLING = b"d"
 _TAG_ADJ = b"a"
+# the tags of a share: a score over out-edges, or a dangling vertex's
+_SHARE_TAGS = (_TAG_SCORE, _TAG_DANGLING)
+
+
+class _ShareMemo(dict):
+    """Share value -> the score it carries, decoded at first sight.
+
+    ``memo[value]`` decodes a share the first time it is asked for, as
+    :class:`ftmr.partition.Owners` hashes a key; later lookups of an
+    equal value are one dict subscript.  A vertex sends one share object
+    per step to each of its targets, so a reduce that reads its shares
+    here decodes each once per step (twice if the memo empties in the
+    middle of the step), not once per target.  Only what PageRank's
+    per-value reduce reads as a share is accepted: a 9-byte ``bytes``
+    value tagged ``s`` or ``d``.  Anything else raises ``KeyError``, so
+    the caller falls back to that reduce, which names the value it
+    refuses.  A step sends at most ``limit`` (the vertex count) distinct
+    shares, so the memo empties itself when it is full and a new share
+    arrives: it holds at most one step's shares.
+    """
+
+    def __init__(self, limit: int):
+        super().__init__()
+        self.limit = limit
+
+    def __missing__(self, value: bytes) -> float:
+        if type(value) is not bytes or len(value) != 9 or value[:1] not in _SHARE_TAGS:
+            raise KeyError(value)
+        if len(self) >= self.limit:
+            self.clear()
+        score = self[value] = F64.unpack_from(value, 1)[0]
+        return score
 
 
 @lru_cache(maxsize=32)
@@ -430,7 +462,6 @@ def pagerank_job(
         return list(records_from_pairs(zip(vertex_keys[lo:hi], values)))
 
     first = itemgetter(0)
-    adj_tag = _TAG_ADJ[0]
     unpack_score = F64.unpack_from
     # builds one Record in C (see records_from_pairs)
     new_record = tuple.__new__
@@ -438,7 +469,8 @@ def pagerank_job(
     # its key column: the vertex, then each target, or every vertex if
     # it dangles): a vertex's adjacency never changes, so every step
     # re-sends one value object (the retained logs keep one copy, not
-    # one per step) and the map decodes each adjacency once per job
+    # one per step), the map decodes each adjacency once per job, and
+    # the reduce finds the adjacency among a vertex's values by it
     columns: dict[bytes, tuple[bytes, bytes, tuple[bytes, ...]]] = {}
 
     def map_fn(rec: Record) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
@@ -462,24 +494,52 @@ def pagerank_job(
             share = _TAG_DANGLING + F64.pack(score / n)
         return keys, (adj_value, *repeat(share, len(keys) - 1))
 
-    def reduce_fn(key: bytes, values: Sequence[bytes]) -> list[Record]:
-        # fsum rounds the exact sum once, so the score is the same in
-        # whatever order the shares arrive (after a failure the heirs send
-        # the dead PE's shares); builtin sum depends on the order, also
-        # with the compensation it has from Python 3.12 on
+    # fsum rounds the exact sum once, so the score is the same in
+    # whatever order the shares arrive (after a failure the heirs send
+    # the dead PE's shares); builtin sum depends on the order, also with
+    # the compensation it has from Python 3.12 on
+    teleport = (1.0 - damping) / n
+
+    def reduce_values(key: bytes, values: Sequence[bytes]) -> list[Record]:
+        # one value at a time: every refusal is made here
         shares = []
         adj_bytes = None
         for val in values:
-            if val[0] == adj_tag:
+            tag = val[:1]
+            if tag == _TAG_ADJ:
                 if adj_bytes is not None:
                     raise ValueError(f"duplicate adjacency for vertex key {key!r}")
                 adj_bytes = val[1:]
-            else:
+            elif len(val) == 9 and tag in _SHARE_TAGS:
                 shares.append(unpack_score(val, 1)[0])
+            else:
+                raise ValueError(
+                    f"malformed share {val!r} for vertex key {key!r}: "
+                    "a share is 9 bytes tagged b's' or b'd'"
+                )
         if adj_bytes is None:
             raise ValueError(f"no adjacency arrived for vertex key {key!r}")
-        score = (1.0 - damping) / n + damping * fsum(shares)
+        score = teleport + damping * fsum(shares)
         return [new_record(Record, (key, _TAG_COMBINED + F64.pack(score) + adj_bytes))]
+
+    # share value -> its score: a vertex's share reaches about avg_degree
+    # reduces, and each decodes it from here (see _ShareMemo)
+    share_score = _ShareMemo(n).__getitem__
+
+    def reduce_fn(key: bytes, values: Sequence[bytes]) -> list[Record]:
+        # the adjacency is the value the vertex's map sent, so the map's
+        # cache finds it, and every other value is a share the memo
+        # decodes; a group of any other shape (no cached vertex, no such
+        # adjacency, a value the memo refuses) goes to reduce_values, so
+        # this returns exactly its record and it makes every refusal
+        try:
+            hit = columns[key]
+            i = values.index(hit[1])
+            total = fsum(map(share_score, values[:i] + values[i + 1:]))
+        except (TypeError, ValueError, KeyError):
+            return reduce_values(key, values)
+        score = teleport + damping * total
+        return [new_record(Record, (key, _TAG_COMBINED + F64.pack(score) + hit[0]))]
 
     spec = StepSpec("pagerank", map_fn, reduce_fn)
     driver = ListDriver([spec] * iterations)

@@ -5,6 +5,9 @@ Each oracle recomputes the expected answer from the same seeded inputs
 using a different algorithm than the engine path: plain counters for
 word count, union-find for components, dense numpy power iteration for
 PageRank.  None of them import the engine's map/reduce code.
+:func:`pagerank_reduce_reference` is PageRank's reduce one value at a
+time, the reference for the reduce that decodes each share once per
+step.
 
 The reference generators draw the seeded inputs the plain way, one
 ``randrange`` or ``getrandbits(64)`` call per number, as the generators
@@ -28,6 +31,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from itertools import chain, count, repeat
+from math import fsum
 
 import numpy as np
 
@@ -158,6 +162,32 @@ def pagerank_expected(
     for _ in range(iterations):
         scores = (1.0 - damping) / n + damping * (matrix @ scores)
     return scores
+
+
+def pagerank_reduce_reference(key, values, n, damping=PAGERANK_DAMPING):
+    """PageRank's reduce of one vertex, one value at a time: one value
+    tagged ``a`` (the adjacency), every other a 9-byte share tagged
+    ``s`` or ``d``.  Returns the vertex's record, or raises the error the
+    job's reduce must raise, with the same message."""
+    shares = []
+    adjacency = None
+    for val in values:
+        tag = val[:1]
+        if tag == b"a":
+            if adjacency is not None:
+                raise ValueError(f"duplicate adjacency for vertex key {key!r}")
+            adjacency = val[1:]
+        elif len(val) == 9 and tag in (b"s", b"d"):
+            shares.append(F64.unpack_from(val, 1)[0])
+        else:
+            raise ValueError(
+                f"malformed share {val!r} for vertex key {key!r}: "
+                "a share is 9 bytes tagged b's' or b'd'"
+            )
+    if adjacency is None:
+        raise ValueError(f"no adjacency arrived for vertex key {key!r}")
+    score = (1.0 - damping) / n + damping * fsum(shares)
+    return [Record(key, b"c" + F64.pack(score) + adjacency)]
 
 
 # -- reference recovery walks, one record at a time ------------------------

@@ -2,6 +2,8 @@
 
 import dataclasses
 import random
+import re
+import sys
 from collections import Counter
 from types import SimpleNamespace
 
@@ -13,6 +15,7 @@ from ftmr.benchmarks import (
     F64,
     PAIR,
     U64,
+    _ShareMemo,
     connected_components_job,
     default_dictionary,
     edge_key,
@@ -32,6 +35,7 @@ from oracles import (
     gen_gnm_reference,
     gen_text_reference,
     pagerank_expected,
+    pagerank_reduce_reference,
     pagerank_scores,
     uniform_reference,
     wordcount_expected,
@@ -270,13 +274,22 @@ def test_pagerank_reduce_refusals():
     key = U64.pack(0)
     adjacency = b"a" + U64.pack(1)
     score = b"s" + F64.pack(0.25)
-    assert spec.reduce_fn(key, [score, adjacency, score])  # the valid shape
-    with pytest.raises(ValueError, match="duplicate adjacency"):
-        spec.reduce_fn(key, [adjacency, score, adjacency])
-    with pytest.raises(ValueError, match="no adjacency arrived"):
-        spec.reduce_fn(key, [score, score])
-    with pytest.raises(IndexError):
-        spec.reduce_fn(key, [adjacency, b""])
+    named = f"malformed share .* for vertex key {re.escape(repr(key))}"
+    # first with the vertex unknown to the map's cache, then with its
+    # adjacency cached, which the reduce finds first; the adjacency is 9
+    # bytes, as a share is
+    for cached in (False, True):
+        if cached:
+            spec.map_fn(Record(key, b"c" + F64.pack(0.5) + U64.pack(1)))
+        assert spec.reduce_fn(key, [score, adjacency, score])  # the valid shape
+        with pytest.raises(ValueError, match="duplicate adjacency"):
+            spec.reduce_fn(key, [adjacency, score, adjacency])
+        with pytest.raises(ValueError, match="no adjacency arrived"):
+            spec.reduce_fn(key, [score, score])
+        # a share is 9 bytes tagged s or d, and the refusal names the vertex
+        for bad in (b"", score[:5], score + b"\x00" * 8, b"x" + F64.pack(0.25)):
+            with pytest.raises(ValueError, match=named):
+                spec.reduce_fn(key, [adjacency, bad])
 
 
 def test_pagerank_map_refuses_a_non_combined_record():
@@ -321,6 +334,118 @@ def test_pagerank_map_decodes_each_adjacency_once():
 def _listed(columns):
     keys, values = columns
     return list(keys), list(values)
+
+
+def _outcome(reduce_fn, key, values):
+    # the records a reduce returns, or the type and text of its error
+    try:
+        return reduce_fn(key, values)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _regrouped(key, values, adjacency, rng):
+    # ``values`` (one adjacency and its shares), then mixes around it:
+    # each a list of values the reduce must treat as the reference does
+    values = rng.sample(values, len(values))
+    shares = [v for v in values if v is not adjacency]
+    a, b = (shares * 2)[:2] if shares else (b"s" + F64.pack(0.5), b"s" + F64.pack(0.25))
+    joined = a + b
+    dangling = [b"d" + F64.pack(1 / 3), b"d" + F64.pack(0.0)]
+    return [
+        values,
+        tuple(values),  # a laid-out group's values arrive as a tuple
+        [*values, adjacency],  # one adjacency twice
+        [*values, bytes(bytearray(adjacency))],  # an equal copy of it
+        [bytes(bytearray(adjacency)), *shares],  # only the copy
+        shares,  # no adjacency
+        rng.sample([*values, *dangling], len(values) + 2),
+        [adjacency],
+        [adjacency, *dangling],
+        # malformed shares whose lengths add up to a multiple of 9
+        [adjacency, joined[:5], joined[5:]],
+        [*values, joined[:17], joined[17:]],
+        [joined, adjacency],
+        [adjacency, b"x" + a[1:], *shares],
+        [adjacency, a[:1] + b"s" + a[2:], b""],
+        [],
+    ]
+
+
+def test_pagerank_reduce_returns_what_the_per_value_reduce_returns():
+    # groups of two real steps, the map's cache primed, and each mixed
+    # (see _regrouped); plus a degree-1 vertex, whose adjacency is 9
+    # bytes like a share, and a vertex the map never saw
+    config = JobConfig(benchmark="pagerank", p=4, seed=2, vertices_per_pe=8, iterations=2)
+    n = 32
+    job = build_job(config)
+    spec = job.driver.steps[0]
+    records = [rec for pe in range(config.p) for rec in job.source.fn(pe)]
+    one_edge = Record(U64.pack(n), b"c" + F64.pack(0.5) + U64.pack(0))
+    rng = random.Random(7)
+    checked = Counter()
+    for _ in range(config.iterations):
+        groups = {}
+        adjacency = {}
+        for rec in [*records, one_edge]:
+            keys, values = spec.map_fn(rec)
+            adjacency[rec.key] = values[0]
+            for key, value in zip(keys, values):
+                groups.setdefault(key, []).append(value)
+        groups[U64.pack(n + 1)] = [b"a" + U64.pack(0), b"s" + F64.pack(0.5)]
+        adjacency[U64.pack(n + 1)] = groups[U64.pack(n + 1)][0]
+        for key, values in groups.items():
+            for mixed in _regrouped(key, values, adjacency[key], rng):
+                got = _outcome(spec.reduce_fn, key, mixed)
+                want = _outcome(lambda k, v: pagerank_reduce_reference(k, v, n), key, mixed)
+                assert got == want, (key, mixed)
+                checked[type(got)] += 1
+        records = [rec for v in range(n)
+                   for rec in pagerank_reduce_reference(U64.pack(v), groups[U64.pack(v)], n)]
+    # both records and refusals were compared
+    assert checked[list] and checked[tuple]
+
+
+def test_pagerank_reduce_decodes_each_share_once_per_step(monkeypatch):
+    # a vertex sends one share object per step, so a run decodes at most
+    # n shares per step, however many reduces each reaches; the memo of
+    # decoded shares holds at most one step's (n entries), and the
+    # records are those of the per-value reduce alone (the memo refusing
+    # every value)
+    config = JobConfig(benchmark="pagerank", p=4, seed=3, vertices_per_pe=16, iterations=6)
+    n = 64
+    job = build_job(config)
+    map_code = job.driver.steps[0].map_fn.__code__
+    decodes = 0
+
+    def count(frame, event, arg):
+        nonlocal decodes
+        if (event == "c_call" and getattr(arg, "__self__", None) is F64
+                and arg.__name__ == "unpack_from" and frame.f_code is not map_code):
+            decodes += 1
+
+    sizes = []
+    missing = _ShareMemo.__missing__
+
+    def sized(memo, value):
+        score = missing(memo, value)
+        sizes.append(len(memo))
+        return score
+
+    monkeypatch.setattr(_ShareMemo, "__missing__", sized)
+    sys.setprofile(count)
+    try:
+        result = run_job(job, config.p)
+    finally:
+        sys.setprofile(None)
+    assert 0 < decodes <= n * config.iterations
+    assert sizes and max(sizes) <= n
+
+    def refuse(memo, value):
+        raise KeyError(value)
+
+    monkeypatch.setattr(_ShareMemo, "__missing__", refuse)
+    assert run_job(build_job(config), config.p).outputs == result.outputs
 
 
 # -- the StepSpec contract ----------------------------------------------

@@ -319,6 +319,59 @@ def test_single_pe_of_a_group_recovers_from_shares():
     assert verify(result, reference, plan) == []
 
 
+@pytest.mark.parametrize("config, spec", [
+    (JobConfig(benchmark="pagerank", p=8, seed=4, vertices_per_pe=8, group_size=2,
+               iterations=6, recovery_point_interval=3), "2:5"),
+    (JobConfig(benchmark="wordcount", p=8, seed=4, words_per_pe=200, dict_words=40,
+               group_size=2), "1:2"),
+], ids=["pagerank", "wordcount"])
+def test_single_pe_of_a_group_rebuilds_only_its_own_sends(config, spec):
+    # the failing PE's shares also hold its sends to its live partner;
+    # PageRank refuses a group with a second adjacency or none, and word
+    # count would count those sends twice
+    plan = parse_failure_spec(spec)
+    reference = run_simulation(config, ledger=DeliveryLedger())
+    result = run_simulation(config, plan, ledger=DeliveryLedger())
+    assert [r.recovery_point for r in result.metrics.recoveries] == [1]
+    assert verify(result, reference, plan) == []
+
+
+@pytest.mark.parametrize("config, spec", [
+    (cc_config(p=4, seed=5, recovery_point_interval="input-only"), "2:1;4:2"),
+    (JobConfig(benchmark="pagerank", p=4, seed=5, vertices_per_pe=8, iterations=5,
+               recovery_point_interval="input-only"), "1:0;3:3"),
+], ids=["cc", "pagerank"])
+def test_recovery_logs_nothing_for_a_pe_already_down(monkeypatch, config, spec):
+    # what the survivors logged for a PE that is down is never read
+    # again, so a recovery leaves those entries as they were: the input
+    # replay re-logs the unit's recomputed sends for live PEs only
+    recover = ftmr.recovery.recover
+    seen = []
+
+    def logged_for_the_dead(cluster):
+        return {
+            (src, step, dst): batch
+            for src in sorted(cluster.live)
+            for step, log in cluster.pes[src].sent_log.items()
+            for dst, batch in log.items() if dst not in cluster.live
+        }
+
+    def watched(cluster, event):
+        survivors = cluster.live - set(event.failed)
+        before = {k: b for k, b in logged_for_the_dead(cluster).items() if k[0] in survivors}
+        recover(cluster, event)
+        after = {k: b for k, b in logged_for_the_dead(cluster).items() if k[2] not in event.failed}
+        seen.append(len(before))
+        assert after.keys() == before.keys()
+        assert all(after[k] is before[k] for k in before)
+
+    monkeypatch.setattr(ftmr.recovery, "recover", watched)
+    reference, result = run_pair(config, spec)
+    assert outputs_match(reference.outputs, result.outputs) == []
+    # the second recovery found entries for the PE the first took down
+    assert seen[0] == 0 < seen[1]
+
+
 def test_sweep_single_backup_mode():
     assert sweep_failures(cc_config(backup_mode="single")).ok
 
