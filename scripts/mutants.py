@@ -228,11 +228,23 @@ MUTANTS = [
         "",
     ),
     Mutant(
-        # performance only: the adjacency makes the memo refuse, so every
+        # performance only: the adjacency makes the table refuse, so every
         # group falls back to the per-value reduce with the same records
         "share fast path summing over all values", BENCHMARKS,
-        "fsum(map(share_score, values[:i] + values[i + 1:]))",
-        "fsum(map(share_score, values))",
+        "            del shares[values.index(hit[1])]\n",
+        "            values.index(hit[1])\n",
+    ),
+    Mutant(
+        "map seeds the unscaled score", BENCHMARKS,
+        "scores[share] = x",
+        "scores[share] = score",
+    ),
+    Mutant(
+        # memory only: every entry stays exact, so only a bound on the
+        # table's size sees it
+        "driver never empties the score table", BENCHMARKS,
+        "        self.scores.clear()\n",
+        "",
     ),
     # -- a map's key and value columns -------------------------------------
     Mutant(

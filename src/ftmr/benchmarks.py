@@ -35,7 +35,7 @@ from itertools import repeat, starmap
 from math import fsum
 from operator import itemgetter
 
-from .core import ConfigError, Record, records_from_pairs
+from .core import ConfigError, Record, StepId, records_from_pairs
 from .engine import Job, JobError, ListDriver, RecordSource, StepSpec, identity_map
 from .partition import hash_key, mix_seed
 
@@ -398,20 +398,22 @@ _SHARE_TAGS = (_TAG_SCORE, _TAG_DANGLING)
 
 
 class _ShareMemo(dict):
-    """Share value -> the score it carries, decoded at first sight.
+    """Share value -> the score it carries: PageRank's score table.
 
-    ``memo[value]`` decodes a share the first time it is asked for, as
-    :class:`ftmr.partition.Owners` hashes a key; later lookups of an
-    equal value are one dict subscript.  A vertex sends one share object
-    per step to each of its targets, so a reduce that reads its shares
-    here decodes each once per step (twice if the memo empties in the
-    middle of the step), not once per target.  Only what PageRank's
-    per-value reduce reads as a share is accepted: a 9-byte ``bytes``
-    value tagged ``s`` or ``d``.  Anything else raises ``KeyError``, so
-    the caller falls back to that reduce, which names the value it
-    refuses.  A step sends at most ``limit`` (the vertex count) distinct
-    shares, so the memo empties itself when it is full and a new share
-    arrives: it holds at most one step's shares.
+    The map that packs a share stores its float here, and the driver
+    empties the table at each step start, so a reduce finds every share
+    that a map of the current step sent without decoding it.  An entry
+    is exact whoever wrote it, since ``F64.unpack(F64.pack(x))[0]`` is
+    ``x`` bit for bit: the table is a cache, and emptying it only bounds
+    its memory.  ``__missing__`` decodes, at first sight, only a share
+    that no map of the current step sent, such as a logged share of an
+    older step that recovery's replayed reduces read.  Only what
+    PageRank's per-value reduce reads as a share is accepted there: a
+    9-byte ``bytes`` value tagged ``s`` or ``d``.  Anything else raises
+    ``KeyError``, so the caller falls back to that reduce, which names
+    the value it refuses.  A step sends at most ``limit`` (the vertex
+    count) distinct shares, so ``__missing__`` empties the table when it
+    is full and a new share arrives.
     """
 
     def __init__(self, limit: int):
@@ -425,6 +427,18 @@ class _ShareMemo(dict):
             self.clear()
         score = self[value] = F64.unpack_from(value, 1)[0]
         return score
+
+
+class _PagerankDriver(ListDriver):
+    """PageRank's fixed steps; empties the score table at each step start."""
+
+    def __init__(self, steps: list[StepSpec], scores: _ShareMemo):
+        super().__init__(steps)
+        self.scores = scores
+
+    def next_step(self, index: StepId, prev_aggregate: int | None) -> StepSpec | None:
+        self.scores.clear()
+        return super().next_step(index, prev_aggregate)
 
 
 @lru_cache(maxsize=32)
@@ -472,6 +486,12 @@ def pagerank_job(
     # one per step), the map decodes each adjacency once per job, and
     # the reduce finds the adjacency among a vertex's values by it
     columns: dict[bytes, tuple[bytes, bytes, tuple[bytes, ...]]] = {}
+    # share value -> its score: the map stores each share's float here,
+    # so the reduces read it undecoded (see _ShareMemo).  The table is a
+    # cache whose entries are exact whoever wrote them: the driver
+    # empties it at each step start only to bound its memory, and a
+    # fresh job's replayed reduces decode every share they read
+    scores = _ShareMemo(n)
 
     def map_fn(rec: Record) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
         key, body = rec
@@ -487,12 +507,16 @@ def pagerank_job(
                 (key, *targets) if adj_bytes else (key, *vertex_keys),
             )
         _, adj_value, keys = hit
+        d = len(keys) - 1
         # one value object per vertex and step: sent logs keep every share
         if adj_bytes:
-            share = _TAG_SCORE + F64.pack(score / (len(keys) - 1))
+            x = score / d
+            share = _TAG_SCORE + F64.pack(x)
         else:
-            share = _TAG_DANGLING + F64.pack(score / n)
-        return keys, (adj_value, *repeat(share, len(keys) - 1))
+            x = score / n
+            share = _TAG_DANGLING + F64.pack(x)
+        scores[share] = x
+        return keys, (adj_value,) + (share,) * d
 
     # fsum rounds the exact sum once, so the score is the same in
     # whatever order the shares arrive (after a failure the heirs send
@@ -522,28 +546,27 @@ def pagerank_job(
         score = teleport + damping * fsum(shares)
         return [new_record(Record, (key, _TAG_COMBINED + F64.pack(score) + adj_bytes))]
 
-    # share value -> its score: a vertex's share reaches about avg_degree
-    # reduces, and each decodes it from here (see _ShareMemo)
-    share_score = _ShareMemo(n).__getitem__
+    share_score = scores.__getitem__
 
     def reduce_fn(key: bytes, values: Sequence[bytes]) -> list[Record]:
         # the adjacency is the value the vertex's map sent, so the map's
-        # cache finds it, and every other value is a share the memo
-        # decodes; a group of any other shape (no cached vertex, no such
-        # adjacency, a value the memo refuses) goes to reduce_values, so
-        # this returns exactly its record and it makes every refusal
+        # cache finds it, and every other value is a share whose score
+        # the table holds; a group of any other shape (no cached vertex,
+        # no such adjacency, a value the table refuses) goes to
+        # reduce_values, so this returns exactly its record and it makes
+        # every refusal
         try:
             hit = columns[key]
-            i = values.index(hit[1])
-            total = fsum(map(share_score, values[:i] + values[i + 1:]))
+            shares = list(values)
+            del shares[values.index(hit[1])]
+            total = fsum(map(share_score, shares))
         except (TypeError, ValueError, KeyError):
             return reduce_values(key, values)
         score = teleport + damping * total
         return [new_record(Record, (key, _TAG_COMBINED + F64.pack(score) + hit[0]))]
 
     spec = StepSpec("pagerank", map_fn, reduce_fn)
-    driver = ListDriver([spec] * iterations)
-    return Job(RecordSource(source), driver)
+    return Job(RecordSource(source), _PagerankDriver([spec] * iterations, scores))
 
 
 # -- synthetic uniform workload (overhead measurements) -----------------

@@ -29,7 +29,7 @@ from ftmr.benchmarks import (
 from ftmr.config import ConfigError, JobConfig
 from ftmr.core import Record
 from ftmr.engine import Job, JobError, RecordSource, run_job
-from ftmr.harness import build_job, run_simulation
+from ftmr.harness import build_job, parse_failure_spec, run_simulation
 from oracles import (
     cc_expected,
     gen_gnm_reference,
@@ -375,16 +375,20 @@ def _regrouped(key, values, adjacency, rng):
 def test_pagerank_reduce_returns_what_the_per_value_reduce_returns():
     # groups of two real steps, the map's cache primed, and each mixed
     # (see _regrouped); plus a degree-1 vertex, whose adjacency is 9
-    # bytes like a share, and a vertex the map never saw
+    # bytes like a share, and a vertex the map never saw.  Each group is
+    # reduced three times: with the score table as the step's map filled
+    # it, refilled by another step's map (stale entries) and empty
     config = JobConfig(benchmark="pagerank", p=4, seed=2, vertices_per_pe=8, iterations=2)
     n = 32
     job = build_job(config)
     spec = job.driver.steps[0]
+    table = job.driver.scores
     records = [rec for pe in range(config.p) for rec in job.source.fn(pe)]
     one_edge = Record(U64.pack(n), b"c" + F64.pack(0.5) + U64.pack(0))
     rng = random.Random(7)
     checked = Counter()
-    for _ in range(config.iterations):
+    for index in range(1, config.iterations + 1):
+        assert job.driver.next_step(index, None) is spec and not table
         groups = {}
         adjacency = {}
         for rec in [*records, one_edge]:
@@ -394,29 +398,58 @@ def test_pagerank_reduce_returns_what_the_per_value_reduce_returns():
                 groups.setdefault(key, []).append(value)
         groups[U64.pack(n + 1)] = [b"a" + U64.pack(0), b"s" + F64.pack(0.5)]
         adjacency[U64.pack(n + 1)] = groups[U64.pack(n + 1)][0]
-        for key, values in groups.items():
-            for mixed in _regrouped(key, values, adjacency[key], rng):
+        cases = [
+            (key, mixed, _outcome(lambda k, v: pagerank_reduce_reference(k, v, n), key, mixed))
+            for key, values in groups.items()
+            for mixed in _regrouped(key, values, adjacency[key], rng)
+        ]
+        following = [rec for v in range(n)
+                     for rec in pagerank_reduce_reference(U64.pack(v), groups[U64.pack(v)], n)]
+        for filled in ("current", "stale", "empty"):
+            if filled != "current":
+                table.clear()
+            if filled == "stale":
+                for rec in following:
+                    spec.map_fn(rec)
+            for key, mixed, want in cases:
                 got = _outcome(spec.reduce_fn, key, mixed)
-                want = _outcome(lambda k, v: pagerank_reduce_reference(k, v, n), key, mixed)
-                assert got == want, (key, mixed)
-                checked[type(got)] += 1
-        records = [rec for v in range(n)
-                   for rec in pagerank_reduce_reference(U64.pack(v), groups[U64.pack(v)], n)]
-    # both records and refusals were compared
-    assert checked[list] and checked[tuple]
+                assert got == want, (filled, key, mixed)
+                checked[filled, type(got)] += 1
+        records = following
+    # both records and refusals were compared, with each table
+    assert all(checked[filled, kind] for filled in ("current", "stale", "empty")
+               for kind in (list, tuple))
 
 
-def test_pagerank_reduce_decodes_each_share_once_per_step(monkeypatch):
-    # a vertex sends one share object per step, so a run decodes at most
-    # n shares per step, however many reduces each reaches; the memo of
-    # decoded shares holds at most one step's (n entries), and the
-    # records are those of the per-value reduce alone (the memo refusing
-    # every value)
-    config = JobConfig(benchmark="pagerank", p=4, seed=3, vertices_per_pe=16, iterations=6)
-    n = 64
+def _watched_run(monkeypatch, config, failures=None, reduce_fn=None):
+    # PageRank's job run under ``failures`` with its score table watched:
+    # at each step start, before the driver empties it, every entry must
+    # hold exactly the score its share carries.  Returns the result, the
+    # entries checked, the shares decoded outside the map (through the
+    # table or the per-value reduce) and the table's size after each
+    # write; ``reduce_fn`` replaces the job's reduce
     job = build_job(config)
+    table = job.driver.scores
     map_code = job.driver.steps[0].map_fn.__code__
-    decodes = 0
+    checked = decodes = 0
+    sizes = []
+
+    def noted(memo, value, score):
+        dict.__setitem__(memo, value, score)
+        sizes.append(len(memo))
+
+    monkeypatch.setattr(_ShareMemo, "__setitem__", noted)
+
+    def next_step(index, prev_aggregate):
+        nonlocal checked
+        for value, score in table.items():
+            assert len(value) == 9 and value[:1] in (b"s", b"d"), value
+            assert F64.pack(score) == value[1:], value
+        checked += len(table)
+        spec = job.driver.next_step(index, prev_aggregate)
+        if spec is None or reduce_fn is None:
+            return spec
+        return dataclasses.replace(spec, reduce_fn=reduce_fn)
 
     def count(frame, event, arg):
         nonlocal decodes
@@ -424,28 +457,73 @@ def test_pagerank_reduce_decodes_each_share_once_per_step(monkeypatch):
                 and arg.__name__ == "unpack_from" and frame.f_code is not map_code):
             decodes += 1
 
-    sizes = []
-    missing = _ShareMemo.__missing__
-
-    def sized(memo, value):
-        score = missing(memo, value)
-        sizes.append(len(memo))
-        return score
-
-    monkeypatch.setattr(_ShareMemo, "__missing__", sized)
     sys.setprofile(count)
     try:
-        result = run_job(job, config.p)
+        result = run_job(
+            Job(job.source, SimpleNamespace(next_step=next_step)), config.p,
+            recovery_point_interval=config.recovery_point_interval,
+            failure_plan=parse_failure_spec(failures) if failures else None,
+        )
     finally:
         sys.setprofile(None)
-    assert 0 < decodes <= n * config.iterations
+    return result, checked, decodes, sizes
+
+
+def test_pagerank_reduce_decodes_each_share_once_per_step(monkeypatch):
+    # the map stores each share's score in the table the reduces read,
+    # and the driver empties it at each step start: a fault-free run
+    # decodes no share, and the table holds at most one step's (n
+    # entries).  A failure's replayed reduces read logged shares of
+    # older steps, which no map of the current step sent: at most n
+    # decodes per replayed step, plus n for the failure step's own
+    # reduce, and the table stays within 2n (80 and 82 entries measured
+    # here).  Every entry is exact, and the records are those of a run
+    # with the per-value reduce alone
+    n = 64
+    base = JobConfig(benchmark="pagerank", p=4, seed=3, vertices_per_pe=16, iterations=6)
+
+    def per_value(key, values):
+        return pagerank_reduce_reference(key, values, n)
+
+    result, checked, decodes, sizes = _watched_run(monkeypatch, base)
+    assert checked and decodes == 0
     assert sizes and max(sizes) <= n
+    assert result.outputs == _watched_run(monkeypatch, base, reduce_fn=per_value)[0].outputs
+    # recovery point 3 with one replayed step, and an input replay of four
+    for interval, failures in ((3, "5:1"), (8, "5:2")):
+        config = dataclasses.replace(base, recovery_point_interval=interval)
+        result, checked, decodes, sizes = _watched_run(monkeypatch, config, failures)
+        (recovery,) = result.metrics.recoveries
+        assert recovery.replayed_steps and checked
+        assert 0 < decodes <= n * (len(recovery.replayed_steps) + 1)
+        assert max(sizes) <= 2 * n
+        assert result.outputs == _watched_run(
+            monkeypatch, config, failures, reduce_fn=per_value
+        )[0].outputs
 
-    def refuse(memo, value):
-        raise KeyError(value)
 
-    monkeypatch.setattr(_ShareMemo, "__missing__", refuse)
-    assert run_job(build_job(config), config.p).outputs == result.outputs
+@pytest.mark.parametrize("score, degree", [
+    (5e-324, 1), (1 / 3, 1), (1e308, 1), (0.0, 1), (0.1, 0),
+], ids=["subnormal", "third", "huge", "zero", "dangling"])
+def test_pagerank_seeded_score_has_the_decoded_bits(score, degree):
+    # the map stores the float it packs into a share (a dangling
+    # vertex's score / n); the table's entry has the bits a decode
+    # gives, and a reduce reads the same record either way
+    job, spec = _pagerank_spec()
+    n = 4
+    table = job.driver.scores
+    target = Record(U64.pack(0), b"c" + F64.pack(0.5) + U64.pack(1))
+    adjacency = spec.map_fn(target)[1][0]
+    share = spec.map_fn(Record(U64.pack(1), b"c" + F64.pack(score) + U64.pack(0) * degree))[1][1]
+    group = [share, adjacency]
+    want = pagerank_reduce_reference(target.key, group, n)
+    assert share in table
+    seeded = table[share]
+    assert spec.reduce_fn(target.key, group) == want
+    table.clear()
+    assert spec.reduce_fn(target.key, group) == want
+    assert F64.pack(seeded) == F64.pack(table[share]) == share[1:]
+    assert seeded == (score / n if degree == 0 else score)
 
 
 # -- the StepSpec contract ----------------------------------------------
