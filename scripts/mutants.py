@@ -112,19 +112,24 @@ MUTANTS = [
         "        s = k % n\n",
     ),
     Mutant(
+        # the total stays right; each holder is charged its neighbour's share
         "share sizes rotated by one holder", ENGINE,
-        "got = share_keys[k] + nbytes(share_values)",
-        "got = share_keys[(k + 1) % n] + nbytes(unit_values[(k + 1) % n :: n])",
+        "got = share_bytes(share, share_values)",
+        "rotated = unit_values[(k + 1) % n :: n]\n"
+        "            got = share_bytes(backup_share(src, unit, (k + 1) % n, n, rotated), rotated)",
     ),
     Mutant(
-        "share key bytes summed over the whole unit", ENGINE,
-        "route.share_keys.extend(nbytes(keys[k::n]) for k in range(n))",
-        "route.share_keys.extend(nbytes(keys) for k in range(n))",
+        # the shuffle and share repair both charge through it
+        "a share charged without its key bytes", ENGINE,
+        "return nbytes(share_values) + sum(nbytes(entry[3].keys) for entry in share)",
+        "return nbytes(share_values)",
     ),
     Mutant(
         "wrong repair slice: share idx + 1 re-cut", RECOVERY,
-        "share = backup_share(origin, unit, idx, n, values[idx::n])",
-        "share = backup_share(origin, unit, idx + 1, n, values[(idx + 1) % n :: n])",
+        "share_values = values[idx::n]\n"
+        "            share = backup_share(origin, unit, idx, n, share_values)",
+        "share_values = values[(idx + 1) % n :: n]\n"
+        "            share = backup_share(origin, unit, idx + 1, n, share_values)",
     ),
     Mutant(
         # each destination takes its run from the share's start; only a
@@ -138,6 +143,12 @@ MUTANTS = [
         "shares rebuilt without the failed-destination filter", RECOVERY,
         "batch for _, d, _, batch in share if d in failed",
         "batch for _, d, _, batch in share",
+    ),
+    Mutant(
+        # only a group failure has two failed owners to join
+        "the replay's self part takes only the first failed owner's part", RECOVERY,
+        "self_part[holder] = reduce(add, parts)",
+        "self_part[holder] = parts[0]",
     ),
     Mutant(
         "_inject walks holders in reverse", RECOVERY,
@@ -293,6 +304,11 @@ GONE = {
     "splits kept by drop_derived": (
         "Cluster.splits is gone: recovery's cuts sit in Cluster.layouts, "
         "so 'layouts kept by drop_derived' covers them"
+    ),
+    "share key bytes summed over the whole unit": (
+        "routes keep no share sizes: a share is charged the key columns "
+        "of its own entries, which 'a share charged without its key "
+        "bytes' covers"
     ),
 }
 

@@ -32,8 +32,10 @@ list under the current owner memo: one ``operator.itemgetter`` per
 destination over the positions of its records, and its key column.
 While the memo and the key list are unchanged, each payload is the
 route's key column plus the values gathered in one C call, sized as the
-route's key bytes plus one join of the values (:func:`~ftmr.core.nbytes`),
-and a backup share likewise.  The shuffle builds no record.  The
+route's key bytes plus one join of the values (:func:`~ftmr.core.nbytes`).
+A backup share is charged the bytes it stores, its values as cut once
+plus its entries' key columns (:func:`share_bytes`), by the shuffle and
+by recovery's share repair alike.  The shuffle builds no record.  The
 position ints come from one table on the :class:`Cluster`.
 
 The routes also lay out the receivers.  A reused route delivers the
@@ -48,8 +50,9 @@ the shuffle empties the owner memo.
 
 Failures are injected at the shuffle barrier: the exchange of the step
 completes (real failures are detected at the synchronization point), then
-the failed PEs lose all local state.  A run's delivery ledger is noted
-by the step loop alone, before each reduce and after a recovery.
+the failed PEs lose all local state.  The step loop notes a run's
+delivery ledger before each reduce and after a recovery; recovery notes
+the rebuilt inboxes of the steps it replays.
 """
 
 from __future__ import annotations
@@ -306,9 +309,6 @@ class Route(NamedTuple):
     # (dst, gather of its records' positions in the outbound list, their
     # key bytes, their key column), ascending dst
     payloads: list[tuple[PeId, itemgetter, int, Sequence[bytes]]]
-    # the key bytes of each backup share of the sender's unit-internal
-    # records, filled once (see _share_keys)
-    share_keys: list[int]
 
 
 def _layout(labels: list, positions: list[int]) -> list[tuple[object, itemgetter]]:
@@ -341,24 +341,7 @@ def _route(owners: Owners, keys: list[bytes], positions: list[int]) -> Route:
     for dst, gather in _layout(list(map(owners.__getitem__, keys)), positions):
         column = gather(keys)
         payloads.append((dst, gather, nbytes(column), column))
-    return Route(keys, payloads, [])
-
-
-def _share_keys(route: Route, unit: list[tuple], n: int) -> list[int]:
-    """The key bytes of each of ``n`` backup shares of a route's
-    unit-internal records, measured once per route.
-
-    ``unit`` holds ``(dst, batch)`` for the destinations inside the
-    sender's failure unit, ascending, each batch holding the route's key
-    column for ``dst``; share k holds the unit's records ``k::n``
-    (:func:`backup_share`), so its key bytes are cut the same way.
-    ``n`` follows the live set, which only a recovery changes, and a
-    recovery drops every route, so a route sees one ``n``.
-    """
-    if not route.share_keys:
-        keys = list(chain.from_iterable(batch.keys for _, batch in unit))
-        route.share_keys.extend(nbytes(keys[k::n]) for k in range(n))
-    return route.share_keys
+    return Route(keys, payloads)
 
 
 def backup_share(src: PeId, unit: list[tuple[PeId, Batch]], k: int, n: int,
@@ -390,6 +373,13 @@ def backup_share(src: PeId, unit: list[tuple[PeId, Batch]], k: int, n: int,
     return share
 
 
+def share_bytes(share: list, share_values: Sequence[bytes]) -> int:
+    """The bytes a backup share stores: its values as the caller cut
+    them (``share_values``, see :func:`backup_share`) plus its entries'
+    key columns."""
+    return nbytes(share_values) + sum(nbytes(entry[3].keys) for entry in share)
+
+
 def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
     """Route outbound records to their hash-range owners.
 
@@ -404,7 +394,8 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
     it delivers, so no code changes a batch or a column in place:
     recovery binds a longer batch instead.  At a recovery point, each
     backup share is cut from the sender's unit-internal batches
-    (:func:`backup_share`).
+    (:func:`backup_share`) and its holder charged the bytes it stores
+    (:func:`share_bytes`).
     """
     sm = cluster.metrics.step_metrics(step)
     group_of = cluster.group_of
@@ -461,14 +452,13 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
             continue
         manifest[src] = targets
         n = len(targets)
-        share_keys = _share_keys(route, unit, n)
         # share k of n holds the unit's values k::n (see backup_share)
         unit_values = (unit[0][1].values if len(unit) == 1
                        else list(chain.from_iterable(batch.values for _, batch in unit)))
         for k, (target, share_values) in enumerate(split_self_message(unit_values, targets)):
             store = cluster.pes[target].backup_store.setdefault(step, {})
-            store[(src, k)] = backup_share(src, unit, k, n, share_values)
-            got = share_keys[k] + nbytes(share_values)
+            share = store[(src, k)] = backup_share(src, unit, k, n, share_values)
+            got = share_bytes(share, share_values)
             sm.backup_bytes += got
             sm.backup_received[target] = sm.backup_received.get(target, 0) + got
     if records and len(owners) - known == records:
@@ -702,8 +692,8 @@ class Cluster:
         self.routes: dict[PeId, Route] = {}
         # a receiver, or "replay" -> (the key columns of its last inbox,
         # their layout by key or None; see _inbox_layout), and (holder, id
-        # of an owner memo, by failure) -> recovery's cut of the holder's
-        # records by owner (see recovery._split)
+        # of an owner memo) -> recovery's cut of the holder's records by
+        # owner (see recovery._split)
         self.layouts: dict[object, tuple] = {}
         # positions[i] == i, shared by every route's gathers (see _layout)
         self.positions: list[int] = []

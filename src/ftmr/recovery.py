@@ -34,6 +34,8 @@ later failure before the next recovery point recoverable as well.
 Records are split by owner per (holder, destination) batch, not one at
 a time: each holder's key column is laid out once by its keys' owners
 (:func:`_split`), and each batch is logged, delivered and counted whole.
+A replayed step's self part is the parts of that cut whose owner failed,
+and its re-logging reads the same cut.
 An iterative job's holders send the same keys at every replayed step,
 so these cuts are reused while the keys compare equal, and the replayed
 reduce groups the rebuilt inbox by a layout kept under the receivers'
@@ -53,6 +55,7 @@ from operator import add
 from .core import Batch, ConfigError, PeId, Record, StepId
 from .engine import (
     Cluster, JobError, _inbox_layout, _layout, backup_share, group_entries, map_batch,
+    share_bytes,
 )
 from .metrics import RECOVERY, RecoveryRecord
 from .partition import BackupMode, Owners, backup_targets, shrink_partition
@@ -181,14 +184,15 @@ def recover(cluster: Cluster, event: FailureEvent) -> None:
             holder: map_batch(spec.map_fn, recs, holder, step, "map during replay")
             for holder, recs in current.items()
         }
-        # Keep only what the unit would have sent to itself; the rest
-        # already reached surviving owners before the failure.
-        self_part = {
-            holder: part
-            for holder, batch in mapped.items()
-            for inside, part in _split(cluster, holder, batch, owners_then, failed)
-            if inside
-        }
+        # Keep only what the unit would have sent to itself, by ascending
+        # owner (a key has one owner, so its values keep their order);
+        # the rest already reached surviving owners before the failure.
+        self_part: _Held = {}
+        for holder, batch in mapped.items():
+            parts = [part for dst, part in _split(cluster, holder, batch, owners_then)
+                     if dst in failed]
+            if parts:
+                self_part[holder] = reduce(add, parts)
         if r == 0 and step < t:
             # The unit's own sends of this step died with its logs; with
             # no shuffle recovery point, a later input replay would need
@@ -320,31 +324,27 @@ def _holder_for(cluster: Cluster, dst: PeId) -> PeId:
 
 
 def _split(
-    cluster: Cluster, holder: PeId, batch: Batch, owners: Owners,
-    failed: set[PeId] | None = None,
-) -> list[tuple[object, Batch]]:
-    """``batch`` cut by each key's owner under ``owners``, or, given
-    ``failed``, by whether that owner is in it.
+    cluster: Cluster, holder: PeId, batch: Batch, owners: Owners
+) -> list[tuple[PeId, Batch]]:
+    """``batch`` cut by each key's owner under ``owners``.
 
-    Returns ``(label, batch)`` pairs, ascending label, each batch in
+    Returns ``(owner, batch)`` pairs, ascending owner, each batch in
     emission order.  The cut (:func:`ftmr.engine._layout`) and each
-    label's key column are kept in ``cluster.layouts`` under the holder
+    owner's key column are kept in ``cluster.layouts`` under the holder
     and memo from first use, since the cut is needed anyway, so a
-    replayed step that hands the holder the same keys again cuts only
-    its values, in C.  A cut lasts one recovery, and the memo its id
-    names outlives it.
+    replayed step that hands the holder the same keys again, or a
+    second caller that cuts the same batch, cuts only its values, in C.
+    A cut lasts one recovery, and the memo its id names outlives it.
     """
     keys, values = batch.keys, batch.values
-    slot = (holder, id(owners), failed is not None)
+    slot = (holder, id(owners))
     kept = cluster.layouts.get(slot)
     if kept is None or kept[0] != keys:
-        labels = list(map(owners.__getitem__, keys))
-        if failed is not None:
-            labels = list(map(failed.__contains__, labels))
+        owner_of = list(map(owners.__getitem__, keys))
         kept = cluster.layouts[slot] = (keys, [
-            (label, gather, gather(keys)) for label, gather in _layout(labels, cluster.positions)
+            (dst, gather, gather(keys)) for dst, gather in _layout(owner_of, cluster.positions)
         ])
-    return [(label, Batch(column, gather(values))) for label, gather, column in kept[1]]
+    return [(dst, Batch(column, gather(values))) for dst, gather, column in kept[1]]
 
 
 def _log_copy(
@@ -419,9 +419,10 @@ def _repair_shares(cluster: Cluster, r: StepId, failed: set[PeId]) -> int:
     A share's origin keeps the authoritative copy of its unit-internal
     traffic in its own sent log, so a lost share k is re-cut from that
     log's batches exactly as the shuffle cut it
-    (:func:`ftmr.engine.backup_share`).  Re-storing it on a live peer
-    keeps the origin recoverable if it fails before the next recovery
-    point.  Returns the bytes shipped to the new holders.
+    (:func:`ftmr.engine.backup_share`), and charged as the shuffle
+    charged it (:func:`ftmr.engine.share_bytes`).  Re-storing it on a
+    live peer keeps the origin recoverable if it fails before the next
+    recovery point.  Returns the bytes shipped to the new holders.
     """
     if r == 0:
         return 0
@@ -454,15 +455,16 @@ def _repair_shares(cluster: Cluster, r: StepId, failed: set[PeId]) -> int:
         fresh = [t for t in eligible if t not in manifest] or eligible
         for j, idx in enumerate(lost):
             target = manifest[idx] = fresh[j % len(fresh)]
-            share = backup_share(origin, unit, idx, n, values[idx::n])
+            share_values = values[idx::n]
+            share = backup_share(origin, unit, idx, n, share_values)
             cluster.pes[target].backup_store.setdefault(r, {})[(origin, idx)] = share
-            shipped += sum(batch.size for _, _, _, batch in share)
+            shipped += share_bytes(share, share_values)
     return shipped
 
 
 def _replay_reduce(
     cluster: Cluster, step: StepId, held: _Held, owners_new: Owners
-) -> _Held:
+) -> dict[PeId, list[Record]]:
     """Re-execute the unit's Reduce of ``step`` over its rebuilt inbox,
     noted first in the cluster's ledger, if any, one batch per (holder,
     new owner).  Each key group is held by the survivor that owns the
@@ -476,7 +478,7 @@ def _replay_reduce(
             for dst, batch in _split(cluster, holder, rebuilt, owners_new):
                 cluster.ledger.note(step, dst, RECOVERY, batch)
     spec = cluster.step_history[step].spec
-    out: _Held = {}
+    out: dict[PeId, list[Record]] = {}
     for key, values in group_entries(held, _inbox_layout(cluster, "replay", held)):
         owner = owners_new[key]
         try:

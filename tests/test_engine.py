@@ -225,6 +225,9 @@ def _general_cases():
                  recovery_point_interval=3, iterations=10),
     _oracle_case("pagerank-input-only-6:1", "pagerank", "6:1",
                  recovery_point_interval="input-only", iterations=8),
+    # the self part and the re-logging read one cut for two failed owners
+    _oracle_case("pagerank-groups-input-only-4:2,3", "pagerank", "4:2,3", group_size=2,
+                 recovery_point_interval="input-only", iterations=6),
     _oracle_case("cc-p4-i3-2:1;5:3", "cc", "2:1;5:3", p=4, recovery_point_interval=3),
     _oracle_case("wordcount-p4-1:2", "wordcount", "1:2", p=4),
     _oracle_case("uniform-p4-1:2", "uniform", "1:2", p=4),

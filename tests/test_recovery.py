@@ -692,11 +692,19 @@ def test_every_share_is_its_slice_of_the_send_log(
 
     def spy(cluster, r, failed):
         manifest = cluster.step_history[r].backup_manifest
-        repaired.append({
+        lost = {
             (r, origin, k) for origin in cluster.live
             for k, holder in enumerate(manifest.get(origin, ())) if holder in failed
-        })
-        return repair(cluster, r, failed)
+        }
+        repaired.append(lost)
+        shipped = repair(cluster, r, failed)
+        # repair is charged the bytes of the shares it re-stored
+        stored = sum(
+            entry[3].size for _, origin, k in lost
+            for entry in cluster.pes[manifest[origin][k]].backup_store[r][(origin, k)]
+        )
+        assert shipped == stored
+        return shipped
 
     monkeypatch.setattr(ftmr.recovery, "_repair_shares", spy)
     cluster = Cluster(build_job(config), p, backup_mode=backup,
