@@ -224,7 +224,7 @@ MUTANTS = [
     ),
     Mutant(
         "Batch.__iter__ yielding plain tuples", CORE,
-        "return records_from_pairs(zip(self.keys, self.values))",
+        "return map(tuple.__new__, repeat(Record), zip(self.keys, self.values))",
         "return zip(self.keys, self.values)",
     ),
     # -- PageRank's reduce: each share decoded once per step ---------------
@@ -257,7 +257,7 @@ MUTANTS = [
         "        self.scores.clear()\n",
         "",
     ),
-    # -- a map's key and value columns -------------------------------------
+    # -- a user function's key and value columns ----------------------------
     Mutant(
         "map column-length check removed", ENGINE,
         "    if len(keys) != len(values):\n",
@@ -265,29 +265,40 @@ MUTANTS = [
     ),
     Mutant(
         "identity path swapping the key and value columns", ENGINE,
-        "        return Batch.of(records)\n",
-        "        batch = Batch.of(records)\n        return Batch(batch.values, batch.keys)\n",
+        "    if map_fn is identity_map:\n        return batch\n",
+        "    if map_fn is identity_map:\n        return Batch(batch.values, batch.keys)\n",
     ),
     Mutant(
         # the columns are extended one call late, so a column that fails
         # part-way does so while the next record is handed out
         "lazy-column map-error index off by one", ENGINE,
-        "        for rec in calls:\n"
-        "            k, v = map_fn(rec)\n"
+        "        for k, v in starmap(fn, it):\n"
         "            keys += k\n"
         "            values += v\n",
         "        k = v = ()\n"
-        "        for rec in calls:\n"
+        "        for result in starmap(fn, it):\n"
         "            keys += k\n"
         "            values += v\n"
-        "            k, v = map_fn(rec)\n"
+        "            k, v = result\n"
         "        keys += k\n"
         "        values += v\n",
     ),
     Mutant(
         "map-error index without - 1", ENGINE,
-        "idx = len(records) - length_hint(calls) - 1",
-        "idx = len(records) - length_hint(calls)",
+        "idx = len(calls) - length_hint(it) - 1",
+        "idx = len(calls) - length_hint(it)",
+    ),
+    Mutant(
+        # each owner's groups run as one call list; only a key whose owner
+        # is not the first replayed key's shows it
+        "_replay_reduce charges every group to the first key's owner", RECOVERY,
+        "owner: chain_calls(spec.reduce_fn, groups, owner, step,",
+        "owner: chain_calls(spec.reduce_fn, groups, next(iter(by_owner)), step,",
+    ),
+    Mutant(
+        "the source's shape check dropped", ENGINE,
+        "    batch = source.fn(pe)\n",
+        "    return source.fn(pe)\n",
     ),
 ]
 

@@ -7,7 +7,7 @@ checkpointing.  Recovery shrinks the hash-range partition over the
 survivors and re-executes the lost Reduce/Map work there.
 """
 
-from .core import Record, encode_record, decode_record, decode_stream
+from .core import Batch, Record, encode_record, decode_record, decode_stream
 from .partition import (
     BackupMode,
     PartitionMap,
@@ -24,6 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BackupMode",
+    "Batch",
     "FailureEvent",
     "Job",
     "JobError",

@@ -23,6 +23,8 @@ bits is ``c`` consecutive pairs of ``getrandbits(64)`` draws.
 
 Typed encodings (little-endian) on top of the byte-record model:
 vertices are u64, counters u64, scores IEEE f64, edges pairs of u64.
+Every source returns a :class:`~ftmr.core.Batch` and every map and
+reduce a key column and a value column, so no job builds a ``Record``.
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ import random
 import struct
 from collections.abc import Sequence
 from functools import lru_cache
-from itertools import repeat, starmap
+from itertools import chain, starmap
 from math import fsum
 from operator import itemgetter
 
-from .core import ConfigError, Record, StepId, records_from_pairs
+from .core import Batch, ConfigError, StepId
 from .engine import Job, JobError, ListDriver, RecordSource, StepSpec, identity_map
 from .partition import hash_key, mix_seed
 
@@ -59,8 +61,9 @@ MAX_ROUNDS = 100
 # -- input generators --------------------------------------------------
 
 
-def gen_text(seed: int, n_words: int, dictionary: list[bytes]) -> list[Record]:
-    """``n_words`` uniform draws from the dictionary, packed 8 per line."""
+def gen_text(seed: int, n_words: int, dictionary: list[bytes]) -> Batch:
+    """``n_words`` uniform draws from the dictionary, packed 8 per line,
+    one record per line with an empty key."""
     if not dictionary:
         raise ValueError("empty dictionary")
     getrandbits = random.Random(seed).getrandbits
@@ -75,7 +78,7 @@ def gen_text(seed: int, n_words: int, dictionary: list[bytes]) -> list[Record]:
             i = getrandbits(k)
         append(dictionary[i])
     lines = [b" ".join(words[i : i + 8]) for i in range(0, n_words, 8)]
-    return list(records_from_pairs(zip(repeat(b""), lines)))
+    return Batch([b""] * len(lines), lines)
 
 
 def gen_gnm(seed: int, n: int, m: int) -> list[tuple[int, int]]:
@@ -158,18 +161,18 @@ def word_count_job(
     """One Map/Reduce step: split lines on ASCII whitespace, sum counts."""
     dictionary = default_dictionary(dict_words)
 
-    def source(pe: int) -> list[Record]:
+    def source(pe: int) -> Batch:
         return gen_text(mix_seed(seed, pe), words_per_pe, dictionary)
 
     one = U64.pack(1)
 
-    def map_fn(rec: Record) -> tuple[list[bytes], list[bytes]]:
-        words = rec.value.split()
+    def map_fn(key: bytes, line: bytes) -> tuple[list[bytes], list[bytes]]:
+        words = line.split()
         return words, [one] * len(words)
 
-    def reduce_fn(key: bytes, values: Sequence[bytes]) -> list[Record]:
+    def reduce_fn(key: bytes, values: Sequence[bytes]) -> tuple[tuple[bytes], tuple[bytes]]:
         total = sum(U64.unpack(v)[0] for v in values)
-        return [Record(key, U64.pack(total))]
+        return (key,), (U64.pack(total),)
 
     driver = ListDriver([StepSpec("wordcount", map_fn, reduce_fn)])
     return Job(RecordSource(source), driver)
@@ -220,18 +223,19 @@ def rmat_dedup_job(
             f"{m} edges cannot be distinct over {distinct_pairs} vertex pairs"
         )
 
-    def source(pe: int) -> list[Record]:
+    def source(pe: int) -> Batch:
         edges = gen_rmat(mix_seed(seed, pe), n, _per_pe_count(m, p, pe), probs)
-        return [Record(edge_key(u, v), PAIR.pack(u, v)) for (u, v) in edges]
+        return Batch(list(starmap(edge_key, edges)), list(starmap(PAIR.pack, edges)))
 
     def make_spec(step: int) -> StepSpec:
-        def reduce_fn(key: bytes, values: Sequence[bytes]) -> list[Record]:
-            out = [Record(key, min(values))]
+        def reduce_fn(key: bytes, values: Sequence[bytes]) -> tuple[list[bytes], list[bytes]]:
+            keys, out = [key], [min(values)]
             for j in range(len(values) - 1):
                 rng = random.Random(mix_seed(seed, 0xED6E, step, hash_key(key), j))
                 u, v = rmat_edge(rng, scale, probs)
-                out.append(Record(edge_key(u, v), PAIR.pack(u, v)))
-            return out
+                keys.append(edge_key(u, v))
+                out.append(PAIR.pack(u, v))
+            return keys, out
 
         def counter_fn(key: bytes, values: Sequence[bytes]) -> int:
             return len(values) - 1
@@ -259,20 +263,20 @@ def _neighbors(values: Sequence[bytes]) -> tuple[list[int], bool]:
 
 
 def _cc_large_spec() -> StepSpec:
-    def map_fn(rec: Record) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
-        key, value = rec
+    def map_fn(key: bytes, value: bytes) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
         if value == _MARKER:
             return (key,), (value,)
         return (key, value), (value, key)
 
-    def reduce_fn(key: bytes, values: Sequence[bytes]) -> list[Record]:
+    def reduce_fn(key: bytes, values: Sequence[bytes]) -> tuple[list[bytes], list[bytes]]:
         (u,) = U64.unpack(key)
         nbrs, marker = _neighbors(values)
-        ell = min(nbrs + [u])
-        out = [Record(U64.pack(ell), U64.pack(v)) for v in nbrs if v > u]
+        out = [U64.pack(v) for v in nbrs if v > u]
+        keys = [U64.pack(min(nbrs + [u]))] * len(out)
         if marker:
-            out.append(Record(key, _MARKER))
-        return out
+            keys.append(key)
+            out.append(_MARKER)
+        return keys, out
 
     def counter_fn(key: bytes, values: Sequence[bytes]) -> int:
         (u,) = U64.unpack(key)
@@ -285,8 +289,7 @@ def _cc_large_spec() -> StepSpec:
 
 
 def _cc_small_spec() -> StepSpec:
-    def map_fn(rec: Record) -> tuple[tuple[bytes], tuple[bytes]]:
-        key, value = rec
+    def map_fn(key: bytes, value: bytes) -> tuple[tuple[bytes], tuple[bytes]]:
         if value == _MARKER:
             return (key,), (value,)
         (u,) = U64.unpack(key)
@@ -294,17 +297,18 @@ def _cc_small_spec() -> StepSpec:
         hi, lo = (u, v) if u > v else (v, u)
         return (U64.pack(hi),), (U64.pack(lo),)
 
-    def reduce_fn(key: bytes, values: Sequence[bytes]) -> list[Record]:
+    def reduce_fn(key: bytes, values: Sequence[bytes]) -> tuple[list[bytes], list[bytes]]:
         (u,) = U64.unpack(key)
         nbrs, marker = _neighbors(values)
-        out = []
+        keys, out = [], []
         if nbrs:
             ell = min(nbrs)
-            for v in sorted(set(nbrs + [u]) - {ell}):
-                out.append(Record(U64.pack(ell), U64.pack(v)))
+            out = [U64.pack(v) for v in sorted(set(nbrs + [u]) - {ell})]
+            keys = [U64.pack(ell)] * len(out)
         if marker:
-            out.append(Record(key, _MARKER))
-        return out
+            keys.append(key)
+            out.append(_MARKER)
+        return keys, out
 
     def counter_fn(key: bytes, values: Sequence[bytes]) -> int:
         nbrs, _ = _neighbors(values)
@@ -316,15 +320,14 @@ def _cc_small_spec() -> StepSpec:
 
 
 def _cc_extract_spec() -> StepSpec:
-    def map_fn(rec: Record) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
-        key, value = rec
+    def map_fn(key: bytes, value: bytes) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
         if value == _MARKER:
             return (key,), (key,)
         return (value, key), (key, key)
 
-    def reduce_fn(key: bytes, values: Sequence[bytes]) -> list[Record]:
+    def reduce_fn(key: bytes, values: Sequence[bytes]) -> tuple[tuple[bytes], tuple[bytes]]:
         rep = min(U64.unpack(v)[0] for v in values)
-        return [Record(key, U64.pack(rep))]
+        return (key,), (U64.pack(rep),)
 
     return StepSpec("cc-extract", map_fn, reduce_fn)
 
@@ -372,17 +375,15 @@ def connected_components_job(
     n = n_vertices
     m = round(avg_degree * n / 2)
 
-    def source(pe: int) -> list[Record]:
+    def source(pe: int) -> Batch:
         lo = pe * n // p
         hi = (pe + 1) * n // p
-        records = list(records_from_pairs(
-            zip(map(U64.pack, range(lo, hi)), repeat(_MARKER))
-        ))
         edges = gen_gnm(mix_seed(seed, pe), n, _per_pe_count(m, p, pe))
-        # an edge (u, v) packs to u's key and v's value, back to back
-        buf = b"".join(starmap(PAIR.pack, edges))
-        records += records_from_pairs(_KEY_VALUE.iter_unpack(buf))
-        return records
+        # a marker per vertex of the PE's range, then u's key and v's
+        # value per edge (u, v)
+        keys = [*map(U64.pack, range(lo, hi)), *map(U64.pack, map(itemgetter(0), edges))]
+        values = [_MARKER] * (hi - lo) + list(map(U64.pack, map(itemgetter(1), edges)))
+        return Batch(keys, values)
 
     return Job(RecordSource(source), _CcDriver())
 
@@ -467,18 +468,16 @@ def pagerank_job(
     vertex_keys = tuple(U64.pack(v) for v in range(n))
     vertex_key = vertex_keys.__getitem__
 
-    def source(pe: int) -> list[Record]:
+    def source(pe: int) -> Batch:
         adj = _pagerank_adjacency(seed, n, m)
         lo = pe * n // p
         hi = (pe + 1) * n // p
         head = _TAG_COMBINED + F64.pack(1.0 / n)
         values = [head + b"".join(map(vertex_key, out)) for out in adj[lo:hi]]
-        return list(records_from_pairs(zip(vertex_keys[lo:hi], values)))
+        return Batch(vertex_keys[lo:hi], values)
 
     first = itemgetter(0)
     unpack_score = F64.unpack_from
-    # builds one Record in C (see records_from_pairs)
-    new_record = tuple.__new__
     # vertex key -> (its adjacency bytes, the adjacency value it sends,
     # its key column: the vertex, then each target, or every vertex if
     # it dangles): a vertex's adjacency never changes, so every step
@@ -493,8 +492,7 @@ def pagerank_job(
     # fresh job's replayed reduces decode every share they read
     scores = _ShareMemo(n)
 
-    def map_fn(rec: Record) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
-        key, body = rec
+    def map_fn(key: bytes, body: bytes) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
         if body[:1] != _TAG_COMBINED:
             raise ValueError("pagerank map expects combined score+adjacency records")
         (score,) = unpack_score(body, 1)
@@ -524,7 +522,7 @@ def pagerank_job(
     # the compensation it has from Python 3.12 on
     teleport = (1.0 - damping) / n
 
-    def reduce_values(key: bytes, values: Sequence[bytes]) -> list[Record]:
+    def reduce_values(key: bytes, values: Sequence[bytes]) -> tuple[tuple[bytes], tuple[bytes]]:
         # one value at a time: every refusal is made here
         shares = []
         adj_bytes = None
@@ -544,16 +542,16 @@ def pagerank_job(
         if adj_bytes is None:
             raise ValueError(f"no adjacency arrived for vertex key {key!r}")
         score = teleport + damping * fsum(shares)
-        return [new_record(Record, (key, _TAG_COMBINED + F64.pack(score) + adj_bytes))]
+        return (key,), (_TAG_COMBINED + F64.pack(score) + adj_bytes,)
 
     share_score = scores.__getitem__
 
-    def reduce_fn(key: bytes, values: Sequence[bytes]) -> list[Record]:
+    def reduce_fn(key: bytes, values: Sequence[bytes]) -> tuple[tuple[bytes], tuple[bytes]]:
         # the adjacency is the value the vertex's map sent, so the map's
         # cache finds it, and every other value is a share whose score
         # the table holds; a group of any other shape (no cached vertex,
         # no such adjacency, a value the table refuses) goes to
-        # reduce_values, so this returns exactly its record and it makes
+        # reduce_values, so this returns exactly its output and it makes
         # every refusal
         try:
             hit = columns[key]
@@ -563,7 +561,7 @@ def pagerank_job(
         except (TypeError, ValueError, KeyError):
             return reduce_values(key, values)
         score = teleport + damping * total
-        return [new_record(Record, (key, _TAG_COMBINED + F64.pack(score) + hit[0]))]
+        return (key,), (_TAG_COMBINED + F64.pack(score) + hit[0],)
 
     spec = StepSpec("pagerank", map_fn, reduce_fn)
     return Job(RecordSource(source), _PagerankDriver([spec] * iterations, scores))
@@ -576,21 +574,17 @@ def uniform_job(p: int, seed: int, *, total_records: int) -> Job:
     """Single pass-through step over uniformly random 8-byte keys; used to
     measure backup traffic against shuffle traffic."""
 
-    def source(pe: int) -> list[Record]:
+    def source(pe: int) -> Batch:
         # one draw per PE: record i's key and value are the i-th pair of
         # getrandbits(64) draws, as little-endian bytes
         count = _per_pe_count(total_records, p, pe)
         bits = random.Random(mix_seed(seed, pe)).getrandbits(128 * count)
         buf = bits.to_bytes(16 * count, "little")
-        return list(records_from_pairs(_KEY_VALUE.iter_unpack(buf)))
+        flat = list(chain.from_iterable(_KEY_VALUE.iter_unpack(buf)))
+        return Batch(flat[0::2], flat[1::2])
 
-    # the keys are distinct, so a group holds one value, and building
-    # its record with one C call is cheaper than setting up
-    # records_from_pairs for it
-    new_record = tuple.__new__
-
-    def reduce_fn(key: bytes, values: Sequence[bytes]) -> list[Record]:
-        return [new_record(Record, (key, v)) for v in values]
+    def reduce_fn(key: bytes, values: Sequence[bytes]) -> tuple[tuple[bytes, ...], Sequence[bytes]]:
+        return (key,) * len(values), values
 
     return Job(RecordSource(source), ListDriver([StepSpec("uniform", identity_map, reduce_fn)]))
 

@@ -1,11 +1,11 @@
 """Byte-level record model and the length-prefixed wire format.
 
-Everything that moves between PEs is a :class:`Record`: an opaque key and
-an opaque value, both byte strings.  Benchmarks layer their own typed
-encodings (counters, edges, scores) on top; the engine never interprets
-record contents beyond hashing keys and measuring sizes.  What one PE
-delivers to another in one exchange is a :class:`Batch`: the records'
-keys and values as two columns, without a ``Record`` per message.
+A record is an opaque key and an opaque value, both byte strings.
+Benchmarks layer their own typed encodings (counters, edges, scores) on
+top; the engine never interprets record contents beyond hashing keys and
+measuring sizes.  Records in flight travel as a :class:`Batch`, a key
+column and a value column; a :class:`Record` is built only where they
+leave a run, by iterating a batch or decoding a dump.
 
 Wire format of one record::
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 import struct
 from collections.abc import Sequence
 from itertools import repeat
-from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 # PEs and steps are identified by small ints; aliases document intent.
@@ -68,28 +67,18 @@ class Record(NamedTuple):
         return len(self.key) + len(self.value)
 
 
-def records_from_pairs(pairs: Iterable[tuple[bytes, bytes]]) -> Iterator[Record]:
-    """Records built from ``(key, value)`` pairs, lazily, as in
-    ``list(records_from_pairs(zip(keys, values)))``.
-
-    The ``NamedTuple`` constructor is a Python-level function; this maps
-    ``tuple.__new__`` over the pairs, so building many records stays in
-    C.  ``tuple.__new__(Record, pair)`` builds one record the same way.
-    """
-    return map(tuple.__new__, repeat(Record), pairs)
-
-
 class Batch:
-    """One delivered payload: a key column and a value column.
+    """Records in flight: a key column and a value column.
 
-    The shuffle delivers each sender's records for one destination as
-    one batch, and the sender's sent log, the receiver's inbox and the
-    delivery ledger all hold that object.  A logged message costs one
-    slot in each column and no tuple of its own; a reused route's key
-    column is shared by every batch it delivers, step after step.  So
-    the columns never change in place, and adding messages binds a new
-    batch (``batch + more``).  Iterating a batch builds its records, for
-    the readers that want :class:`Record` objects.
+    A source's input and a PE's records are batches, and the shuffle
+    delivers each sender's records for one destination as one: the
+    sender's sent log, the receiver's inbox and the delivery ledger all
+    hold that object.  A logged message costs one slot in each column
+    and no tuple of its own; a reused route's key column is shared by
+    every batch it delivers, step after step.  So the columns never
+    change in place, and adding messages binds a new batch (``batch +
+    more``).  Iterating a batch builds its records, for the readers that
+    want :class:`Record` objects.
     """
 
     __slots__ = ("keys", "values")
@@ -98,16 +87,12 @@ class Batch:
         self.keys = keys
         self.values = values
 
-    @classmethod
-    def of(cls, records: Sequence[Record]) -> "Batch":
-        """The batch of ``records``, in order."""
-        return cls(list(map(itemgetter(0), records)), list(map(itemgetter(1), records)))
-
     def __len__(self) -> int:
         return len(self.keys)
 
     def __iter__(self) -> Iterator[Record]:
-        return records_from_pairs(zip(self.keys, self.values))
+        # tuple.__new__ builds each record in C, the constructor in Python
+        return map(tuple.__new__, repeat(Record), zip(self.keys, self.values))
 
     def __add__(self, other: "Batch") -> "Batch":
         return Batch([*self.keys, *other.keys], [*self.values, *other.values])

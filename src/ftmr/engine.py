@@ -2,10 +2,10 @@
 
 One MapReduce step is: Map every local record, shuffle the mapped records
 to their hash-range owners, then Reduce each key group on its owner.  A
-map call returns its record's outputs as a key column and a value
-column, and a PE's map results become one outbound
-:class:`~ftmr.core.Batch` (:func:`map_batch`), so no ``Record`` exists
-between a map call and its shuffle.
+source, a map call and a reduce call each return records as a key column
+and a value column, and one loop (:func:`chain_calls`) joins a PE's call
+results into one :class:`~ftmr.core.Batch`, so no ``Record`` exists
+while a run steps.
 :class:`Cluster` is the one step loop: it ingests the input, runs one
 step per :meth:`Cluster.step` call (recovering from the step's failure
 event, if any, between shuffle and Reduce), and :func:`run_job` steps it
@@ -63,7 +63,7 @@ from collections import defaultdict
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, starmap
 from operator import itemgetter, length_hint
 from typing import Callable, Iterable, NamedTuple, Protocol
 
@@ -79,9 +79,10 @@ from .partition import (
 
 logger = logging.getLogger(__name__)
 
-# a record -> its outputs as a key column and a value column (see StepSpec)
-MapFn = Callable[[Record], tuple[Sequence[bytes], Sequence[bytes]]]
-ReduceFn = Callable[[bytes, Sequence[bytes]], list[Record]]
+# a user function's outputs: a key column and a value column (see StepSpec)
+Columns = tuple[Sequence[bytes], Sequence[bytes]]
+MapFn = Callable[[bytes, bytes], Columns]
+ReduceFn = Callable[[bytes, Sequence[bytes]], Columns]
 CounterFn = Callable[[bytes, Sequence[bytes]], int]
 
 INPUT_ONLY = "input-only"
@@ -104,16 +105,16 @@ class JobError(RuntimeError):
 class StepSpec:
     """User functions for one MapReduce step.
 
-    ``map_fn(record)`` returns ``(keys, values)``: two sequences of equal
-    length, the record's outputs in order.  It must be a pure function of
-    the one record, because recovery replays it on other PEs.  A step
-    that passes its records through names :func:`identity_map`; the map
-    then hands a PE's records to the shuffle without calling it.
-    ``reduce_fn(key, values)`` reads ``values``, a list or a tuple, and
-    must not change it.  It must be order-insensitive in the values,
-    float rounding included: recovery re-delivers a failed PE's records
-    from other senders, so a key's values may arrive in another order,
-    and the outputs must still match the fault-free run byte for byte.
+    ``map_fn(key, value)`` and ``reduce_fn(key, values)`` return
+    ``(keys, values)``, two sequences of equal length: the outputs, in
+    order.  The map must be a pure function of the one record, because
+    recovery replays it on other PEs; a pass-through step names
+    :func:`identity_map`, which is not called.  ``reduce_fn`` reads
+    ``values``, a list or a tuple, and must not change it.  It must be
+    order-insensitive in the values, float rounding included: recovery
+    re-delivers a failed PE's records from other senders, so a key's
+    values may arrive in another order, and the outputs must still match
+    the fault-free run byte for byte.
     ``counter_fn`` feeds the per-step global aggregate that iterative
     drivers use for termination; it must be order-insensitive too.
     """
@@ -143,22 +144,22 @@ class ListDriver:
         return None
 
 
-def identity_map(rec: Record) -> tuple[tuple[bytes], tuple[bytes]]:
+def identity_map(key: bytes, value: bytes) -> tuple[tuple[bytes], tuple[bytes]]:
     """The map of a pass-through step: the record itself.
 
-    :func:`map_batch` recognizes this very function and builds the
-    outbound batch from the records' fields without calling it; a
-    wrapper around it takes the general path, with the same result.
+    :func:`map_batch` hands a PE's batch on without calling this very
+    function; a wrapper around it takes the general path, alike.
     """
-    return (rec[0],), (rec[1],)
+    return (key,), (value,)
 
 
 @dataclass
 class RecordSource:
-    """Per-PE input generator; ``fn(pe)`` must be rerunnable when
-    ``replayable`` is set (it is the zero-overhead recovery path)."""
+    """Per-PE input generator; ``fn(pe)`` returns a :class:`~ftmr.core.Batch`
+    (:func:`source_batch`) and must be rerunnable when ``replayable`` is
+    set (it is the zero-overhead recovery path)."""
 
-    fn: Callable[[PeId], list[Record]]
+    fn: Callable[[PeId], Batch]
     replayable: bool = True
 
 
@@ -171,9 +172,8 @@ class Job:
 @dataclass
 class PeState:
     id: PeId
-    current_records: list[Record] = field(default_factory=list)
-    # the map's outputs, in order, until the shuffle routes them
-    outbound: Batch = field(default_factory=lambda: Batch((), ()))
+    # the input or last reduce's outputs, then the map's until the shuffle
+    current: Batch = field(default_factory=lambda: Batch((), ()))
     # src -> the batch it delivered this step, in emission order; the
     # batch is the one in the sender's sent log (see shuffle)
     inbox: dict[PeId, Batch] = field(default_factory=dict)
@@ -186,8 +186,7 @@ class PeState:
 
     def scrub(self) -> None:
         """Drop all local state; what a fail-stop crash leaves behind."""
-        self.current_records = []
-        self.outbound = Batch((), ())
+        self.current = Batch((), ())
         self.inbox = {}
         self.sent_log = {}
         self.backup_store = {}
@@ -254,52 +253,73 @@ def ingest(source: RecordSource, p: int) -> list[PeState]:
     """
     pes = [PeState(i) for i in range(p)]
     for pe in pes:
-        pe.current_records = list(source.fn(pe.id))
+        pe.current = source_batch(source, pe.id)
     return pes
 
 
-def map_batch(map_fn: MapFn, records: list[Record], pe: PeId, step: StepId,
-              where: str) -> Batch:
-    """The outbound batch of ``map_fn`` over a PE's ``records``, in order.
+def source_batch(source: RecordSource, pe: PeId) -> Batch:
+    """PE ``pe``'s input for ingest and input replay: a batch with
+    equal-length columns, or a :class:`JobError` for ``pe`` at step 0."""
+    batch = source.fn(pe)
+    if not isinstance(batch, Batch):
+        cause = f"a source returns a Batch, not {type(batch).__name__}"
+    elif len(batch.keys) != len(batch.values):
+        cause = f"the source's batch has {len(batch.keys)} keys and {len(batch.values)} values"
+    else:
+        return batch
+    raise JobError(pe, 0, "source", ValueError(cause))
 
-    One loop calls the map and extends one key column and one value
-    column with each call's columns.  A failing call, a result that is
-    not a ``(keys, values)`` pair, a column that fails part-way or
-    columns of unequal length fail the job with a :class:`JobError` for
-    ``pe`` and ``step``; ``where`` is formatted with the record's index.
+
+def chain_calls(fn: Callable, calls: Sequence[tuple], pe: PeId, step: StepId,
+                name: str, where: str | None = None) -> Batch:
+    """The batch of ``fn``'s results over ``calls``, in order: every map
+    and reduce of a run, replays included, runs here.
+
+    Call ``i`` is ``fn(*calls[i])`` and returns ``(keys, values)``.  A
+    failing call, a result that is not such a pair, a column that fails
+    part-way or columns of unequal length fail the job with a
+    :class:`JobError` for ``pe`` and ``step`` at ``where``, or at the
+    failing call's ``name``, formatted with its index and first argument.
     """
-    if map_fn is identity_map:
-        return Batch.of(records)
     keys, values = [], []
-    # a failing record is the last one the iterator handed out
-    calls = iter(records)
+    # a failing call is the last one the iterator handed out
+    it = iter(calls)
     try:
-        for rec in calls:
-            k, v = map_fn(rec)
+        for k, v in starmap(fn, it):
             keys += k
             values += v
     except Exception as exc:  # noqa: BLE001 - rewrap with context
-        idx = len(records) - length_hint(calls) - 1
-        raise JobError(pe, step, where.format(idx), exc) from exc
+        idx = len(calls) - length_hint(it) - 1
+        raise JobError(pe, step, (where or name).format(idx, calls[idx][0]), exc) from exc
     if len(keys) != len(values):
-        # the map is pure, so calling it again finds the record
-        for idx, (k, v) in enumerate(map(map_fn, records)):
+        # user functions are pure, so calling again finds the call
+        for idx, (k, v) in enumerate(starmap(fn, calls)):
             k, v = list(k), list(v)
             if len(k) != len(v):
-                cause = ValueError(f"map of record {idx} returned {len(k)} keys and {len(v)} values")
-                raise JobError(pe, step, where.format(idx), cause)
-        raise JobError(pe, step, where.format("?"), ValueError(
+                call = name.format(idx, calls[idx][0])
+                cause = ValueError(f"{call} returned {len(k)} keys and {len(v)} values")
+                raise JobError(pe, step, where or call, cause)
+        raise JobError(pe, step, (where or name).format("?", "?"), ValueError(
             "unequal key and value columns that a second call did not repeat"
         ))
     return Batch(keys, values)
 
 
+def map_batch(map_fn: MapFn, batch: Batch, pe: PeId, step: StepId,
+              where: str | None = None) -> Batch:
+    """:func:`chain_calls` of ``map_fn`` over ``batch``'s records; the
+    identity map hands ``batch`` on as it is."""
+    if map_fn is identity_map:
+        return batch
+    return chain_calls(map_fn, list(zip(batch.keys, batch.values)), pe, step,
+                       "map of record {0}", where)
+
+
 def map_phase(cluster: Cluster, map_fn: MapFn, step: StepId) -> None:
-    """Apply the map function on every live PE, filling outbound batches."""
+    """Map every live PE's records into the batch its shuffle routes."""
     for i in sorted(cluster.live):
         pe = cluster.pes[i]
-        pe.outbound = map_batch(map_fn, pe.current_records, i, step, "map of record {}")
-        pe.current_records = []
+        pe.current = map_batch(map_fn, pe.current, i, step)
 
 
 class Route(NamedTuple):
@@ -412,7 +432,7 @@ def shuffle(cluster: Cluster, step: StepId, is_recovery_point: bool) -> None:
 
     for src in sorted(cluster.live):
         pe = cluster.pes[src]
-        outbound, pe.outbound = pe.outbound, Batch((), ())
+        outbound, pe.current = pe.current, Batch((), ())
         keys, values = outbound.keys, outbound.values
         records += len(keys)
         src_gid = group_of[src]
@@ -526,16 +546,15 @@ def reduce_phase(
     aggregate = 0
     for i in sorted(cluster.live):
         pe = cluster.pes[i]
-        out: list[Record] = []
-        for key, values in group_entries(pe.inbox, _inbox_layout(cluster, i, pe.inbox)):
-            try:
-                out.extend(reduce_fn(key, values))
-                if counter_fn is not None:
+        groups = group_entries(pe.inbox, _inbox_layout(cluster, i, pe.inbox))
+        pe.current = chain_calls(reduce_fn, groups, i, step, "reduce of key {1!r}")
+        if counter_fn is not None:
+            for key, values in groups:
+                try:
                     aggregate += counter_fn(key, values)
-            except Exception as exc:  # noqa: BLE001
-                raise JobError(i, step, f"reduce of key {key!r}", exc) from exc
+                except Exception as exc:  # noqa: BLE001
+                    raise JobError(i, step, f"reduce of key {key!r}", exc) from exc
         pe.inbox = {}
-        pe.current_records = out
     return aggregate
 
 
@@ -739,7 +758,7 @@ class Cluster:
                 "failure event at step %d never fired (job ran %d steps)",
                 event.step, self.steps_run,
             )
-        outputs = {i: list(self.pes[i].current_records) for i in sorted(self.live)}
+        outputs = {i: list(self.pes[i].current) for i in sorted(self.live)}
         return JobResult(
             outputs=outputs, metrics=self.metrics, ledger=self.ledger,
             steps_run=self.steps_run,

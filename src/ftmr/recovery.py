@@ -52,10 +52,10 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
-from .core import Batch, ConfigError, PeId, Record, StepId
+from .core import Batch, ConfigError, PeId, StepId
 from .engine import (
-    Cluster, JobError, _inbox_layout, _layout, backup_share, group_entries, map_batch,
-    share_bytes,
+    Cluster, _inbox_layout, _layout, backup_share, chain_calls, group_entries, map_batch,
+    share_bytes, source_batch,
 )
 from .metrics import RECOVERY, RecoveryRecord
 from .partition import BackupMode, Owners, backup_targets, shrink_partition
@@ -164,10 +164,10 @@ def recover(cluster: Cluster, event: FailureEvent) -> None:
     # --- phase 1: the unit's stream at the recovery point ---------------
     held = _logged_to(cluster, r, failed, shared) if r else None
     if r == 0:  # no recovery point: replay from the regenerated input
-        current: dict[PeId, list[Record]] = {}
+        current: _Held = {}
         for f in sorted(failed):
-            for rec in cluster.source.fn(f):
-                current.setdefault(owners_new[rec.key], []).append(rec)
+            for dst, part in _split(cluster, f, source_batch(cluster.source, f), owners_new):
+                current[dst] = current[dst] + part if dst in current else part
         records_recomputed += sum(map(len, current.values()))
 
     # --- phase 2: replay up to the failure step --------------------------
@@ -181,8 +181,8 @@ def recover(cluster: Cluster, event: FailureEvent) -> None:
         spec = cluster.step_history[step].spec
         owners_then = cluster.step_history[step].owners
         mapped: _Held = {
-            holder: map_batch(spec.map_fn, recs, holder, step, "map during replay")
-            for holder, recs in current.items()
+            holder: map_batch(spec.map_fn, batch, holder, step, "map during replay")
+            for holder, batch in current.items()
         }
         # Keep only what the unit would have sent to itself, by ascending
         # owner (a key has one owner, so its values keep their order);
@@ -464,29 +464,29 @@ def _repair_shares(cluster: Cluster, r: StepId, failed: set[PeId]) -> int:
 
 def _replay_reduce(
     cluster: Cluster, step: StepId, held: _Held, owners_new: Owners
-) -> dict[PeId, list[Record]]:
+) -> _Held:
     """Re-execute the unit's Reduce of ``step`` over its rebuilt inbox,
     noted first in the cluster's ledger, if any, one batch per (holder,
     new owner).  Each key group is held by the survivor that owns the
-    key under the shrunk map, mirroring where the recomputation runs.
-    The inbox takes its layout by key from the ``"replay"`` slot
-    (:func:`ftmr.engine._inbox_layout`), so a layout is built once two
-    replayed steps bring equal key columns.
+    key under the shrunk map, mirroring where the recomputation runs, so
+    each owner's groups run as one :func:`ftmr.engine.chain_calls`
+    charged to it.  The inbox takes its layout by key from the
+    ``"replay"`` slot (:func:`ftmr.engine._inbox_layout`), so a layout
+    is built once two replayed steps bring equal key columns.
     """
     if cluster.ledger is not None:
         for holder, rebuilt in held.items():
             for dst, batch in _split(cluster, holder, rebuilt, owners_new):
                 cluster.ledger.note(step, dst, RECOVERY, batch)
     spec = cluster.step_history[step].spec
-    out: dict[PeId, list[Record]] = {}
-    for key, values in group_entries(held, _inbox_layout(cluster, "replay", held)):
-        owner = owners_new[key]
-        try:
-            produced = spec.reduce_fn(key, values)
-        except Exception as exc:  # noqa: BLE001
-            raise JobError(owner, step, "reduce during replay", exc) from exc
-        out.setdefault(owner, []).extend(produced)
-    return out
+    by_owner: dict[PeId, list] = {}
+    for group in group_entries(held, _inbox_layout(cluster, "replay", held)):
+        by_owner.setdefault(owners_new[group[0]], []).append(group)
+    return {
+        owner: chain_calls(spec.reduce_fn, groups, owner, step, "reduce of key {1!r}",
+                           "reduce during replay")
+        for owner, groups in by_owner.items()
+    }
 
 
 def _inject(cluster: Cluster, t: StepId, held: _Held, owners_new: Owners) -> int:

@@ -18,7 +18,8 @@ one at a time, each record's owner looked up on its own; recovery's
 per-(holder, destination) batches must leave every inbox, sent log and
 re-protection holding exactly as these walks do.  :func:`plain` turns
 the batches of logs, inboxes and ledgers into record lists, so they
-compare by content.
+compare by content, and :func:`batch_of` turns a record list into a
+batch.
 
 The reference backup split lists a unit's records one entry each
 (:func:`unit_entries`), so share k of n is ``entries[k::n]``;
@@ -167,8 +168,9 @@ def pagerank_expected(
 def pagerank_reduce_reference(key, values, n, damping=PAGERANK_DAMPING):
     """PageRank's reduce of one vertex, one value at a time: one value
     tagged ``a`` (the adjacency), every other a 9-byte share tagged
-    ``s`` or ``d``.  Returns the vertex's record, or raises the error the
-    job's reduce must raise, with the same message."""
+    ``s`` or ``d``.  Returns the vertex's output as ``(keys, values)``,
+    or raises the error the job's reduce must raise, with the same
+    message."""
     shares = []
     adjacency = None
     for val in values:
@@ -187,7 +189,7 @@ def pagerank_reduce_reference(key, values, n, damping=PAGERANK_DAMPING):
     if adjacency is None:
         raise ValueError(f"no adjacency arrived for vertex key {key!r}")
     score = (1.0 - damping) / n + damping * fsum(shares)
-    return [Record(key, b"c" + F64.pack(score) + adjacency)]
+    return (key,), (b"c" + F64.pack(score) + adjacency,)
 
 
 # -- reference recovery walks, one record at a time ------------------------
@@ -203,7 +205,7 @@ def log_copy_reference(cluster, holder, step, dst, rec):
         cluster.step_history[step].guards.setdefault(sender, set()).add(dst)
     # a logged batch may be a delivered inbox batch: rebind, never extend
     log = cluster.pes[sender].sent_log.setdefault(step, {})
-    log[dst] = Batch.of([*log.get(dst, ()), rec])
+    log[dst] = batch_of([*log.get(dst, ()), rec])
     return sender
 
 
@@ -215,7 +217,7 @@ def inject_reference(cluster, t, held, owners_new):
             dst = owners_new[rec.key]
             sender = log_copy_reference(cluster, holder, t, dst, rec)
             inbox = cluster.pes[dst].inbox
-            inbox[sender] = Batch.of([*inbox.get(sender, ()), rec])
+            inbox[sender] = batch_of([*inbox.get(sender, ()), rec])
             if holder != dst:
                 bytes_resent += rec.size
             if sender != holder:
@@ -278,6 +280,12 @@ def expand(share, n):
 
 
 # -- comparing delivered state ------------------------------------------
+
+
+def batch_of(records, kind=Batch) -> Batch:
+    """The batch of ``records``, ``(key, value)`` pairs, in order, as a
+    ``kind``."""
+    return kind([key for key, _ in records], [value for _, value in records])
 
 
 def plain(obj):

@@ -31,12 +31,14 @@ from ftmr.core import Record
 from ftmr.engine import Job, JobError, RecordSource, run_job
 from ftmr.harness import build_job, parse_failure_spec, run_simulation
 from oracles import (
+    batch_of,
     cc_expected,
     gen_gnm_reference,
     gen_text_reference,
     pagerank_expected,
     pagerank_reduce_reference,
     pagerank_scores,
+    plain,
     uniform_reference,
     wordcount_expected,
 )
@@ -46,13 +48,13 @@ from oracles import (
 
 def test_gen_text_draws_from_dictionary():
     dictionary = default_dictionary(40)
-    records = gen_text(5, 100, dictionary)
+    records = list(gen_text(5, 100, dictionary))
     words = [w for rec in records for w in rec.value.split()]
     assert len(words) == 100
     assert set(words) <= set(dictionary)
     assert all(len(rec.value.split()) <= 8 for rec in records)
-    assert gen_text(5, 100, dictionary) == records  # seeded
-    assert gen_text(6, 100, dictionary) != records
+    assert list(gen_text(5, 100, dictionary)) == records  # seeded
+    assert list(gen_text(6, 100, dictionary)) != records
     with pytest.raises(ValueError):
         gen_text(5, 10, [])
 
@@ -89,7 +91,7 @@ def test_gen_gnm_draws_what_randrange_draws(n, m):
 def test_gen_text_draws_what_randrange_draws(size, n_words):
     dictionary = default_dictionary(size)
     for seed in (0, 1, 7, 2**40 + 3):
-        assert gen_text(seed, n_words, dictionary) == gen_text_reference(
+        assert list(gen_text(seed, n_words, dictionary)) == gen_text_reference(
             seed, n_words, dictionary
         )
 
@@ -98,7 +100,7 @@ def test_gen_text_draws_what_randrange_draws(size, n_words):
 def test_uniform_draws_what_getrandbits_64_draws(p, total):
     for seed in (0, 1, 7):
         job = uniform_job(p, seed, total_records=total)
-        assert [job.source.fn(pe) for pe in range(p)] == uniform_reference(
+        assert [list(job.source.fn(pe)) for pe in range(p)] == uniform_reference(
             p, seed, total
         )
 
@@ -144,7 +146,7 @@ def test_sources_regenerate_per_pe():
         a, b = make(), make()
         assert a.source.replayable
         for pe in range(4):
-            assert a.source.fn(pe) == b.source.fn(pe)
+            assert plain(a.source.fn(pe)) == plain(b.source.fn(pe))
 
 
 def test_build_job_rejects_unknown():
@@ -280,7 +282,7 @@ def test_pagerank_reduce_refusals():
     # bytes, as a share is
     for cached in (False, True):
         if cached:
-            spec.map_fn(Record(key, b"c" + F64.pack(0.5) + U64.pack(1)))
+            spec.map_fn(key, b"c" + F64.pack(0.5) + U64.pack(1))
         assert spec.reduce_fn(key, [score, adjacency, score])  # the valid shape
         with pytest.raises(ValueError, match="duplicate adjacency"):
             spec.reduce_fn(key, [adjacency, score, adjacency])
@@ -296,8 +298,8 @@ def test_pagerank_map_refuses_a_non_combined_record():
     job, spec = _pagerank_spec()
     stray = Record(U64.pack(0), b"s" + F64.pack(0.25))
     with pytest.raises(ValueError, match=r"combined score\+adjacency"):
-        spec.map_fn(stray)
-    bad = Job(RecordSource(lambda pe: [stray]), job.driver)
+        spec.map_fn(*stray)
+    bad = Job(RecordSource(lambda pe: batch_of([stray])), job.driver)
     with pytest.raises(JobError, match="step 1, map of record") as info:
         run_job(bad, 2)
     assert isinstance(info.value.__cause__, ValueError)
@@ -322,13 +324,13 @@ def test_pagerank_map_decodes_each_adjacency_once():
     dangling = Record(U64.pack(0), b"c" + F64.pack(0.25))
     parallel = Record(U64.pack(1), b"c" + F64.pack(0.5) + U64.pack(2) * 2 + U64.pack(3))
     for rec in [*job.source.fn(0), dangling, parallel]:
-        first, second = spec.map_fn(rec), spec.map_fn(rec)
+        first, second = spec.map_fn(*rec), spec.map_fn(*rec)
         assert _listed(first) == _listed(second) == _decoded_map(rec, n)
         # the adjacency value is re-sent as one object
         assert first[1][0] is second[1][0]
     # a later step's record with the same adjacency and a new score
     moved = Record(U64.pack(1), b"c" + F64.pack(0.125) + parallel.value[9:])
-    assert _listed(spec.map_fn(moved)) == _decoded_map(moved, n)
+    assert _listed(spec.map_fn(*moved)) == _decoded_map(moved, n)
 
 
 def _listed(columns):
@@ -337,9 +339,10 @@ def _listed(columns):
 
 
 def _outcome(reduce_fn, key, values):
-    # the records a reduce returns, or the type and text of its error
+    # the key and value columns a reduce returns, as lists, or the type
+    # and text of its error
     try:
-        return reduce_fn(key, values)
+        return list(map(list, reduce_fn(key, values)))
     except Exception as exc:
         return type(exc), str(exc)
 
@@ -392,8 +395,8 @@ def test_pagerank_reduce_returns_what_the_per_value_reduce_returns():
         groups = {}
         adjacency = {}
         for rec in [*records, one_edge]:
-            keys, values = spec.map_fn(rec)
-            adjacency[rec.key] = values[0]
+            keys, values = spec.map_fn(*rec)
+            adjacency[rec[0]] = values[0]
             for key, value in zip(keys, values):
                 groups.setdefault(key, []).append(value)
         groups[U64.pack(n + 1)] = [b"a" + U64.pack(0), b"s" + F64.pack(0.5)]
@@ -404,13 +407,13 @@ def test_pagerank_reduce_returns_what_the_per_value_reduce_returns():
             for mixed in _regrouped(key, values, adjacency[key], rng)
         ]
         following = [rec for v in range(n)
-                     for rec in pagerank_reduce_reference(U64.pack(v), groups[U64.pack(v)], n)]
+                     for rec in zip(*pagerank_reduce_reference(U64.pack(v), groups[U64.pack(v)], n))]
         for filled in ("current", "stale", "empty"):
             if filled != "current":
                 table.clear()
             if filled == "stale":
                 for rec in following:
-                    spec.map_fn(rec)
+                    spec.map_fn(*rec)
             for key, mixed, want in cases:
                 got = _outcome(spec.reduce_fn, key, mixed)
                 assert got == want, (filled, key, mixed)
@@ -513,8 +516,8 @@ def test_pagerank_seeded_score_has_the_decoded_bits(score, degree):
     n = 4
     table = job.driver.scores
     target = Record(U64.pack(0), b"c" + F64.pack(0.5) + U64.pack(1))
-    adjacency = spec.map_fn(target)[1][0]
-    share = spec.map_fn(Record(U64.pack(1), b"c" + F64.pack(score) + U64.pack(0) * degree))[1][1]
+    adjacency = spec.map_fn(*target)[1][0]
+    share = spec.map_fn(U64.pack(1), b"c" + F64.pack(score) + U64.pack(0) * degree)[1][1]
     group = [share, adjacency]
     want = pagerank_reduce_reference(target.key, group, n)
     assert share in table
@@ -566,8 +569,8 @@ def test_reducers_ignore_value_order(workload):
         shuffled = rng.sample(values, len(values))
         # a laid-out group's values arrive as a tuple
         for other in (values[::-1], shuffled, tuple(values)):
-            assert Counter(spec.reduce_fn(key, other)) == Counter(
-                spec.reduce_fn(key, values)
+            assert Counter(zip(*spec.reduce_fn(key, other))) == Counter(
+                zip(*spec.reduce_fn(key, values))
             ), (spec.name, key)
             if spec.counter_fn is not None:
                 assert spec.counter_fn(key, other) == spec.counter_fn(key, values)

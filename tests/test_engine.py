@@ -35,16 +35,16 @@ from ftmr.harness import build_job, parse_failure_spec
 from ftmr.metrics import ORIGINAL, DeliveryLedger
 from ftmr.partition import BackupMode, backup_targets, hash_key, initial_partition
 from ftmr.recovery import UnrecoverableFailure
-from oracles import ColumnBatch, expand, plain
+from oracles import ColumnBatch, batch_of, expand, plain
 from test_golden import SCALES
 
 
 def identity_spec(name="identity", counter=False):
-    def map_fn(rec):
-        return (rec.key,), (rec.value,)
+    def map_fn(key, value):
+        return (key,), (value,)
 
     def reduce_fn(key, values):
-        return [Record(key, v) for v in values]
+        return (key,) * len(values), values
 
     def counter_fn(key, values):
         return 1
@@ -55,9 +55,7 @@ def identity_spec(name="identity", counter=False):
 def random_source(seed, per_pe=30):
     def fn(pe):
         rng = random.Random(seed * 1009 + pe)
-        return [
-            Record(rng.randbytes(6), rng.randbytes(4)) for _ in range(per_pe)
-        ]
+        return batch_of([(rng.randbytes(6), rng.randbytes(4)) for _ in range(per_pe)])
 
     return RecordSource(fn)
 
@@ -114,8 +112,7 @@ def test_shuffle_notes_nothing():
     # the step loop notes the ledger; the shuffle itself never does
     cluster = Cluster(identity_job(4), 4, ledger=DeliveryLedger())
     cluster.step_history[1] = StepRecord(spec=identity_spec(), owners=cluster.owners)
-    for pe in cluster.pes:
-        pe.outbound, pe.current_records = Batch.of(pe.current_records), []
+    # the shuffle routes each PE's input as an identity map leaves it
     shuffle(cluster, 1, True)
     assert sum(len(recs) for pe in cluster.pes for recs in pe.inbox.values()) == 120
     assert cluster.ledger.deliveries == {}
@@ -196,7 +193,7 @@ class _GeneralPath:
         if spec is None or spec.map_fn is not identity_map:
             return spec
         self.wrapped += 1
-        return dataclasses.replace(spec, map_fn=lambda rec: identity_map(rec))
+        return dataclasses.replace(spec, map_fn=lambda key, value: identity_map(key, value))
 
 
 def _general_cases():
@@ -271,7 +268,7 @@ def test_reused_routes_shuffle_like_fresh_ones(monkeypatch, config, plan, genera
         assert kept.live == fresh.live
         for a, b in zip(kept.pes, fresh.pes):
             assert plain((a.sent_log, a.backup_store)) == plain((b.sent_log, b.backup_store))
-            assert a.current_records == b.current_records
+            assert plain(a.current) == plain(b.current)
         step = kept.steps_run
         assert (kept.step_history[step].backup_manifest
                 == fresh.step_history[step].backup_manifest)
@@ -301,13 +298,13 @@ def test_one_record_destination_over_a_reused_route():
     outbound = alone + [Record(by_owner[2][0], b"c")] * 2
 
     def shuffled(reuse):
-        cluster = Cluster(Job(RecordSource(lambda pe: []), ListDriver([])), 4)
+        cluster = Cluster(Job(RecordSource(lambda pe: Batch((), ())), ListDriver([])), 4)
         for step in (1, 2):
             if not reuse:
                 cluster.drop_derived()
             before = dict(cluster.routes)
             cluster.step_history[step] = StepRecord(spec=identity_spec(), owners=cluster.owners)
-            cluster.pes[0].outbound = Batch.of(outbound)
+            cluster.pes[0].current = batch_of(outbound)
             for pe in cluster.pes:
                 pe.inbox = {}
             shuffle(cluster, step, True)
@@ -393,7 +390,7 @@ def test_layout_kept_when_a_rebuilt_route_delivers_equal_keys():
 
 
 def test_inbox_layout_built_at_the_second_sight_of_equal_columns():
-    cluster = Cluster(Job(RecordSource(lambda pe: []), ListDriver([])), 2)
+    cluster = Cluster(Job(RecordSource(lambda pe: Batch((), ())), ListDriver([])), 2)
     inbox = {1: Batch([b"b", b"a"], [b"1", b"2"]), 0: Batch([b"a"], [b"3"])}
     assert _inbox_layout(cluster, 0, inbox) is None
     # equal columns in new objects
@@ -413,21 +410,24 @@ def test_inbox_layout_built_at_the_second_sight_of_equal_columns():
     assert _inbox_layout(cluster, 0, inbox) is None
 
 
-def _count_records(records) -> int:
-    kinds = Counter(map(type, records))
-    assert set(kinds) <= {Record}
-    return sum(kinds.values())
-
-
 @pytest.mark.parametrize("interval", [1, 3, "input-only"])
 @pytest.mark.parametrize("workload", list(SCALES))
 def test_every_record_in_flight_is_a_record(workload, interval, monkeypatch):
-    # the shuffle and recovery deliver only batches: every inbox entry as
-    # each reduce reads it, and every sent-log entry after each step;
-    # perfbench's tracer reads .size on every record a logged batch
-    # yields and on every share entry's payload, so every record must be
-    # a Record, never a plain tuple, and every share entry's payload a
-    # batch
+    # records travel as batches only: no batch is iterated into records
+    # while the cluster ingests and steps, through a failure and with a
+    # ledger, and every inbox as each reduce reads it, and every PE's
+    # records, sent-log entry and share payload after each step, is a
+    # batch; perfbench's tracer reads .size on every record a logged
+    # batch yields, so the records iterating a batch builds, the outputs'
+    # among them, are Records, never plain tuples
+    running = [True]
+    iterate = Batch.__iter__
+
+    def guarded(batch):
+        assert not running[0], "a batch was iterated as records during a step"
+        return iterate(batch)
+
+    monkeypatch.setattr(Batch, "__iter__", guarded)
     seen = Counter()
     reduce_phase = ftmr.engine.reduce_phase
 
@@ -435,7 +435,7 @@ def test_every_record_in_flight_is_a_record(workload, interval, monkeypatch):
         for i in cluster.live:
             inbox = cluster.pes[i].inbox
             assert set(map(type, inbox.values())) <= {Batch}, (cluster.steps_run + 1, i)
-            seen["inbox"] += _count_records(chain.from_iterable(inbox.values()))
+            seen["inbox"] += sum(map(len, inbox.values()))
         return reduce_phase(cluster, *args)
 
     monkeypatch.setattr(ftmr.engine, "reduce_phase", checked_reduce)
@@ -443,24 +443,31 @@ def test_every_record_in_flight_is_a_record(workload, interval, monkeypatch):
                        **SCALES[workload])
     plan = parse_failure_spec("1:1" if workload in ("wordcount", "uniform") else "2:1")
     cluster = Cluster(build_job(config), 4, recovery_point_interval=interval,
-                      failure_plan=plan)
+                      failure_plan=plan, ledger=DeliveryLedger())
     while cluster.step():
         for i in cluster.live:
             pe = cluster.pes[i]
-            logged = [batch for log in pe.sent_log.values() for batch in log.values()]
-            assert set(map(type, logged)) <= {Batch}, (cluster.steps_run, i)
-            seen["log"] += _count_records(chain.from_iterable(logged))
-            payloads = [
-                entry[3] for store in pe.backup_store.values()
-                for share in store.values() for entry in share
-            ]
-            assert set(map(type, payloads)) <= {Batch}, (cluster.steps_run, i)
-            seen["share"] += _count_records(chain.from_iterable(payloads))
-            seen["current"] += _count_records(pe.current_records)
+            held = {
+                "current": [pe.current],
+                "log": [batch for log in pe.sent_log.values() for batch in log.values()],
+                "share": [entry[3] for store in pe.backup_store.values()
+                          for share in store.values() for entry in share],
+            }
+            for kind, batches in held.items():
+                assert set(map(type, batches)) <= {Batch}, (kind, cluster.steps_run, i)
+                seen[kind] += sum(map(len, batches))
     assert cluster.metrics.recoveries
-    seen["output"] = _count_records(chain.from_iterable(cluster.result().outputs.values()))
-    assert all(seen[kind] for kind in ("inbox", "log", "current", "output"))
+    assert all(seen[kind] for kind in ("inbox", "log", "current"))
     assert bool(seen["share"]) == (interval != "input-only")
+    noted = list(chain.from_iterable(cluster.ledger.deliveries.values()))
+    assert noted and set(map(type, noted)) == {Batch}
+    running[0] = False
+    outputs = cluster.result().outputs
+    logged = [batch for i in cluster.live for log in cluster.pes[i].sent_log.values()
+              for batch in log.values()]
+    for records in (chain.from_iterable(outputs.values()), chain.from_iterable(logged)):
+        kinds = Counter(map(type, records))
+        assert set(kinds) == {Record}, kinds
 
 
 def test_a_reused_route_shares_its_key_columns_across_steps():
@@ -631,7 +638,7 @@ def shuffle_setups(draw):
 def check_shuffle(cluster, step, mode, is_rp, outbound):
     cluster.step_history[step] = StepRecord(spec=identity_spec(), owners=cluster.owners)
     for pe, records in zip(cluster.pes, outbound):
-        pe.outbound = Batch.of(records)
+        pe.current = batch_of(records)
         pe.inbox = {}
     shuffle(cluster, step, is_rp)
     want = naive_shuffle(cluster.owners.pm, cluster.group_of, mode, is_rp, outbound)
@@ -651,14 +658,14 @@ def check_shuffle(cluster, step, mode, is_rp, outbound):
             for slot, share in pe.backup_store[step].items()}
         for i, pe in enumerate(cluster.pes) if step in pe.backup_store
     } == want["stores"]
-    assert all(len(pe.outbound) == 0 for pe in cluster.pes)
+    assert all(len(pe.current) == 0 for pe in cluster.pes)
 
 
 @settings(max_examples=200)
 @given(shuffle_setups())
 def test_shuffle_matches_a_per_record_reference(setup):
     p, mode, group_size, is_rp, outbound, again = setup
-    cluster = Cluster(Job(RecordSource(lambda pe: []), ListDriver([])), p,
+    cluster = Cluster(Job(RecordSource(lambda pe: Batch((), ())), ListDriver([])), p,
                       backup_mode=mode, group_size=group_size)
     check_shuffle(cluster, 1, mode, is_rp, outbound)
     # the owner memo keeps its keys only when some key repeated
@@ -682,8 +689,8 @@ def test_group_entries_order_invariance(data):
     keys = [b"k1", b"k2", b"k3"]
     senders = data.draw(st.lists(st.integers(0, 7), unique=True, max_size=4))
     inbox = {
-        src: Batch.of([
-            Record(data.draw(st.sampled_from(keys)), bytes([src, seq]))
+        src: batch_of([
+            (data.draw(st.sampled_from(keys)), bytes([src, seq]))
             for seq in range(data.draw(st.integers(0, 4)))
         ])
         for src in senders
@@ -694,8 +701,8 @@ def test_group_entries_order_invariance(data):
 
 def test_group_entries_sorted_keys_and_stable_values():
     inbox = {
-        1: Batch.of([Record(b"b", b"1"), Record(b"b", b"4")]),
-        0: Batch.of([Record(b"b", b"3"), Record(b"a", b"2")]),
+        1: batch_of([(b"b", b"1"), (b"b", b"4")]),
+        0: batch_of([(b"b", b"3"), (b"a", b"2")]),
     }
     assert group_entries(inbox) == [
         (b"a", [b"2"]),
@@ -758,10 +765,10 @@ def test_step_budget_enforced(monkeypatch):
 
 
 def test_map_errors_carry_context():
-    def bad_map(rec):
+    def bad_map(key, value):
         raise KeyError("boom")
 
-    spec = StepSpec("bad", bad_map, lambda k, v: [])
+    spec = StepSpec("bad", bad_map, lambda k, v: ((), ()))
     with pytest.raises(JobError, match=r"PE \d+, step 1, map of record 0"):
         run_job(Job(random_source(7), ListDriver([spec])), 4)
 
@@ -774,18 +781,18 @@ def test_map_error_names_the_failing_record(k, lazy):
     # column (lazy == 0) or its value column (lazy == 1)
     target = []
 
-    def bad_map(rec):
-        if rec in target:
+    def bad_map(key, value):
+        if (key, value) in target:
             raise KeyError("boom")
-        return (rec.key,), (rec.value,)
+        return (key,), (value,)
 
-    def bad_generator(rec):
+    def bad_generator(*rec):
         def column(item):
             yield item
             if rec in target:
                 raise KeyError("boom")
 
-        columns = [(rec.key,), (rec.value,)]
+        columns = [rec[:1], rec[1:]]
         columns[lazy] = column(rec[lazy])
         return columns
 
@@ -793,7 +800,7 @@ def test_map_error_names_the_failing_record(k, lazy):
     job = Job(random_source(7), ListDriver([identity_spec(), spec]))
     cluster = Cluster(job, 4)
     assert cluster.step()
-    records = cluster.pes[2].current_records
+    records = list(cluster.pes[2].current)
     k %= len(records)
     assert k > 0 and records.count(records[k]) == 1
     target.append(records[k])
@@ -804,22 +811,43 @@ def test_map_error_names_the_failing_record(k, lazy):
 
 
 @pytest.mark.parametrize("k", [5, -1], ids=["middle", "last"])
-@pytest.mark.parametrize("lazy", [False, True], ids=["tuple", "generator"])
-def test_unequal_map_columns_name_the_record(k, lazy):
-    # record k of PE 2 maps to two keys and one value at step 2; without
-    # the check the shuffle would drop a value or fail on a bare index
+@pytest.mark.parametrize("kind", ["tuple", "generator", "reduce"])
+def test_unequal_map_columns_name_the_record(k, kind):
+    # record k of PE 2 maps to two keys and one value at step 2, or PE
+    # 2's key group k reduces to them; without the check the shuffle
+    # would drop a value or fail on a bare index, and the next map would
+    # pair a key with another record's value
     target = []
 
-    def uneven_map(rec):
-        keys = (rec.key, rec.key) if rec in target else (rec.key,)
-        if lazy:
-            return (key for key in keys), (value for value in (rec.value,))
-        return keys, (rec.value,)
+    def uneven_map(key, value):
+        keys = (key, key) if (key, value) in target else (key,)
+        if kind == "generator":
+            return (k for k in keys), (v for v in (value,))
+        return keys, (value,)
 
-    spec = StepSpec("uneven", uneven_map, identity_spec().reduce_fn)
+    def uneven_reduce(key, values):
+        return (key,) * (len(values) + (key in target)), values
+
+    if kind == "reduce":
+        spec = StepSpec("uneven", identity_map, uneven_reduce)
+    else:
+        spec = StepSpec("uneven", uneven_map, identity_spec().reduce_fn)
     cluster = Cluster(Job(random_source(7), ListDriver([identity_spec(), spec])), 4)
     assert cluster.step()
-    records = cluster.pes[2].current_records
+    if kind == "reduce":
+        # an identity step, so PE 2 reduces the keys it holds again
+        held = cluster.pes[2].current.keys
+        keys = sorted(set(held))
+        key = keys[k % len(keys)]
+        n = held.count(key)
+        target.append(key)
+        with pytest.raises(JobError) as info:
+            cluster.step()
+        cause = ValueError(f"reduce of key {key!r} returned {n + 1} keys and {n} values")
+        assert str(info.value) == f"PE 2, step 2, reduce of key {key!r}: {cause!r}"
+        assert (info.value.pe, info.value.step) == (2, 2)
+        return
+    records = list(cluster.pes[2].current)
     k %= len(records)
     target.append(records[k])
     with pytest.raises(JobError, match=(
@@ -832,20 +860,46 @@ def test_unequal_map_columns_name_the_record(k, lazy):
 
 @pytest.mark.parametrize("result", [None, ((b"k",), (b"v",), ())], ids=["none", "triple"])
 def test_a_map_result_that_is_no_pair_names_the_record(result):
-    spec = StepSpec("bad", lambda rec: result, identity_spec().reduce_fn)
+    spec = StepSpec("bad", lambda key, value: result, identity_spec().reduce_fn)
     with pytest.raises(JobError, match=r"^PE 0, step 1, map of record 0: ") as info:
         run_job(Job(random_source(7), ListDriver([spec])), 4)
     assert isinstance(info.value.__cause__, (TypeError, ValueError))
 
 
 def test_a_map_value_that_is_not_bytes_names_the_sender():
-    spec = StepSpec("str", lambda rec: ((rec.key,), (rec.value.hex(),)), identity_spec().reduce_fn)
+    spec = StepSpec("str", lambda key, value: ((key,), (value.hex(),)), identity_spec().reduce_fn)
     cluster = Cluster(Job(random_source(7), ListDriver([identity_spec(), spec])), 4)
     assert cluster.step()
     with pytest.raises(JobError, match=r"^PE 0, step 2, shuffle of a map value that is not bytes: "
                        r"TypeError") as info:
         cluster.step()
     assert (info.value.pe, info.value.step) == (0, 2)
+
+
+@pytest.mark.parametrize("when", ["ingest", "input-replay"])
+@pytest.mark.parametrize("wrong", [
+    [Record(b"k", b"v")],
+    Batch([b"k", b"j"], [b"v"]),
+    Batch([b"k"], (b"v", b"w")),
+], ids=["records", "more-keys", "more-values"])
+def test_a_source_must_return_a_batch_of_equal_columns(wrong, when):
+    # PE 1's source returns something else than a batch whose columns
+    # have equal length, at ingest or when recovery regenerates its input
+    # after it failed at step 1; the refusal names PE 1 at step 0
+    calls = Counter()
+
+    def fn(pe):
+        calls[pe] += 1
+        if pe == 1 and (when == "ingest" or calls[pe] > 1):
+            return wrong
+        return random_source(3).fn(pe)
+
+    job = Job(RecordSource(fn), ListDriver([identity_spec()] * 2))
+    with pytest.raises(JobError, match=r"^PE 1, step 0, source: ValueError") as info:
+        run_job(job, 4, recovery_point_interval="input-only",
+                failure_plan=parse_failure_spec("1:1"))
+    assert (info.value.pe, info.value.step) == (1, 0)
+    assert calls[1] == (1 if when == "ingest" else 2)
 
 
 def test_reduce_errors_carry_context():
@@ -1054,13 +1108,13 @@ def test_ingest_and_steps_run_with_the_collector_paused():
 
     def source(pe):
         seen.append(gc.isenabled())
-        return [Record(bytes([pe]), b"v")]
+        return Batch([bytes([pe])], [b"v"])
 
-    def map_fn(rec):
+    def map_fn(key, value):
         seen.append(gc.isenabled())
-        return (rec.key,), (rec.value,)
+        return (key,), (value,)
 
-    spec = StepSpec("watch", map_fn, lambda k, v: [Record(k, x) for x in v])
+    spec = StepSpec("watch", map_fn, identity_spec().reduce_fn)
     assert gc.isenabled()
     run_job(Job(RecordSource(source), ListDriver([spec] * 2)), 4)
     assert gc.isenabled()
@@ -1108,7 +1162,7 @@ def test_run_job_pauses_the_collector_across_steps():
     assert gc.isenabled()
 
 
-def _raise_key_error(rec):
+def _raise_key_error(key, value):
     raise KeyError("boom")
 
 
@@ -1133,7 +1187,7 @@ def _watched(job, seen, fail=False):
         (
             lambda seen: run_job(
                 _watched(Job(random_source(7), ListDriver([
-                    StepSpec("bad", _raise_key_error, lambda k, v: [])
+                    StepSpec("bad", _raise_key_error, lambda k, v: ((), ()))
                 ])), seen),
                 4,
             ),
@@ -1185,9 +1239,9 @@ def _pagerank_making_cycles(refs):
                               vertices_per_pe=8, iterations=3))
     spec = job.driver.steps[0]
 
-    def map_fn(rec):
+    def map_fn(key, value):
         refs.append(weakref.ref(_SelfRef()))
-        return spec.map_fn(rec)
+        return spec.map_fn(key, value)
 
     cycling = StepSpec(spec.name, map_fn, spec.reduce_fn)
     return Job(job.source, ListDriver([cycling] * len(job.driver.steps)))

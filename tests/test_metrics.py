@@ -5,7 +5,7 @@ import tracemalloc
 from collections import Counter
 
 from ftmr.config import JobConfig
-from ftmr.core import Batch, Record
+from ftmr.core import Record
 from ftmr.harness import parse_failure_spec, run_simulation
 from ftmr.metrics import (
     CSV_HEADER,
@@ -15,7 +15,7 @@ from ftmr.metrics import (
     Metrics,
     RecoveryRecord,
 )
-from oracles import ColumnBatch, plain
+from oracles import ColumnBatch, batch_of, plain
 
 
 def rec(key, value=b"v"):
@@ -76,11 +76,11 @@ def test_csv_layout():
 
 def test_ledger_counts_and_views():
     led = DeliveryLedger()
-    led.note(1, 0, ORIGINAL, Batch.of([rec(b"a")]))
-    led.note(1, 0, ORIGINAL, Batch.of([rec(b"a")]))
-    led.note(1, 1, ORIGINAL, Batch.of([rec(b"b")]))
-    led.note(1, 1, RECOVERY, Batch.of([rec(b"c")]))
-    led.note(2, 0, ORIGINAL, Batch.of([rec(b"d")]))
+    led.note(1, 0, ORIGINAL, batch_of([rec(b"a")]))
+    led.note(1, 0, ORIGINAL, batch_of([rec(b"a")]))
+    led.note(1, 1, ORIGINAL, batch_of([rec(b"b")]))
+    led.note(1, 1, RECOVERY, batch_of([rec(b"c")]))
+    led.note(2, 0, ORIGINAL, batch_of([rec(b"d")]))
     assert led.bucket(1, 0, ORIGINAL)[rec(b"a")] == 2
     assert sum(led.step_total(1).values()) == 4
     assert sum(led.step_total(1, RECOVERY).values()) == 1
@@ -90,16 +90,16 @@ def test_ledger_counts_and_views():
 def test_ledger_separates_key_value_boundary():
     # same concatenated bytes, different split -> different ledger entries
     led = DeliveryLedger()
-    led.note(1, 0, ORIGINAL, Batch.of([rec(b"ab", b"c")]))
-    led.note(1, 0, ORIGINAL, Batch.of([rec(b"a", b"bc")]))
-    led.note(1, 0, ORIGINAL, Batch.of([rec(b"ab", b"c")]))
+    led.note(1, 0, ORIGINAL, batch_of([rec(b"ab", b"c")]))
+    led.note(1, 0, ORIGINAL, batch_of([rec(b"a", b"bc")]))
+    led.note(1, 0, ORIGINAL, batch_of([rec(b"ab", b"c")]))
     assert led.bucket(1, 0, ORIGINAL) == {rec(b"ab", b"c"): 2, rec(b"a", b"bc"): 1}
 
 
 def test_ledger_counts_repeats_within_one_batch():
     led = DeliveryLedger()
-    led.note(1, 0, ORIGINAL, Batch.of([rec(b"a"), rec(b"b"), rec(b"a")]))
-    led.note(1, 0, ORIGINAL, Batch.of([rec(b"a")]))
+    led.note(1, 0, ORIGINAL, batch_of([rec(b"a"), rec(b"b"), rec(b"a")]))
+    led.note(1, 0, ORIGINAL, batch_of([rec(b"a")]))
     assert led.bucket(1, 0, ORIGINAL) == {rec(b"a"): 3, rec(b"b"): 1}
 
 
@@ -111,7 +111,7 @@ def _reference_ledger():
     led = DeliveryLedger()
     for step in (1, 2, 3):
         for dst in (0, 1):
-            led.note(step, dst, ORIGINAL, ColumnBatch.of([rec(b"k%d%d" % (step, dst))]))
+            led.note(step, dst, ORIGINAL, batch_of([rec(b"k%d%d" % (step, dst))], ColumnBatch))
     return led
 
 
@@ -121,10 +121,10 @@ def test_check_against_clean_recovery():
     # identical up to the failure at step 2, PE 1 lost
     for step in (1, 2):
         for dst in (0, 1):
-            run.note(step, dst, ORIGINAL, ColumnBatch.of([rec(b"k%d%d" % (step, dst))]))
-    run.note(2, 0, RECOVERY, ColumnBatch.of([rec(b"k21")]))  # re-derived on the survivor
-    run.note(3, 0, ORIGINAL, ColumnBatch.of([rec(b"k30")]))
-    run.note(3, 0, ORIGINAL, ColumnBatch.of([rec(b"k31")]))  # moved to the survivor
+            run.note(step, dst, ORIGINAL, batch_of([rec(b"k%d%d" % (step, dst))], ColumnBatch))
+    run.note(2, 0, RECOVERY, batch_of([rec(b"k21")], ColumnBatch))  # re-derived on the survivor
+    run.note(3, 0, ORIGINAL, batch_of([rec(b"k30")], ColumnBatch))
+    run.note(3, 0, ORIGINAL, batch_of([rec(b"k31")], ColumnBatch))  # moved to the survivor
     assert run.check_against(ref, {1}, event_step=2, recovery_point=2) == []
 
 
@@ -133,9 +133,9 @@ def test_check_against_flags_missing_and_extra():
     run = DeliveryLedger()
     for step in (1, 2):
         for dst in (0, 1):
-            run.note(step, dst, ORIGINAL, ColumnBatch.of([rec(b"k%d%d" % (step, dst))]))
-    run.note(2, 0, RECOVERY, ColumnBatch.of([rec(b"k20")]))  # re-sent a surviving record
-    run.note(3, 0, ORIGINAL, ColumnBatch.of([rec(b"k30")]))
+            run.note(step, dst, ORIGINAL, batch_of([rec(b"k%d%d" % (step, dst))], ColumnBatch))
+    run.note(2, 0, RECOVERY, batch_of([rec(b"k20")], ColumnBatch))  # re-sent a surviving record
+    run.note(3, 0, ORIGINAL, batch_of([rec(b"k30")], ColumnBatch))
     problems = run.check_against(ref, {1}, event_step=2, recovery_point=2)
     assert any("recovered stream mismatch" in p for p in problems)
     assert any("1 missing, 1 duplicated" in p for p in problems)
@@ -145,7 +145,7 @@ def test_check_against_flags_missing_and_extra():
 def test_check_against_flags_prefix_divergence():
     ref = _reference_ledger()
     run = DeliveryLedger()
-    run.note(1, 0, ORIGINAL, ColumnBatch.of([rec(b"other")]))
+    run.note(1, 0, ORIGINAL, batch_of([rec(b"other")], ColumnBatch))
     problems = run.check_against(ref, {1}, event_step=3, recovery_point=3)
     assert any("step 1 PE 0: original deliveries diverge" in p for p in problems)
 
@@ -156,16 +156,16 @@ def _recovered_through_step_2():
     run = DeliveryLedger()
     for step in (1, 2):
         for dst in (0, 1):
-            run.note(step, dst, ORIGINAL, ColumnBatch.of([rec(b"k%d%d" % (step, dst))]))
-    run.note(2, 0, RECOVERY, ColumnBatch.of([rec(b"k21")]))
+            run.note(step, dst, ORIGINAL, batch_of([rec(b"k%d%d" % (step, dst))], ColumnBatch))
+    run.note(2, 0, RECOVERY, batch_of([rec(b"k21")], ColumnBatch))
     return run
 
 
 def test_check_against_flags_a_stray_prefix_delivery():
     # a delivery to a PE the reference never fed diverges as well
     run = _recovered_through_step_2()
-    run.note(1, 2, ORIGINAL, ColumnBatch.of([rec(b"stray")]))
-    run.note(3, 0, ORIGINAL, ColumnBatch.of([rec(b"k30"), rec(b"k31")]))
+    run.note(1, 2, ORIGINAL, batch_of([rec(b"stray")], ColumnBatch))
+    run.note(3, 0, ORIGINAL, batch_of([rec(b"k30"), rec(b"k31")], ColumnBatch))
     problems = run.check_against(
         _reference_ledger(), {1}, event_step=2, recovery_point=2
     )
@@ -176,11 +176,11 @@ def test_check_against_flags_a_recovery_delivery_before_the_replay_window():
     # the run equals the reference and recovered PE 1's step-3 input once;
     # a recovery delivery at step 1 lies before the replayed steps
     run = _reference_ledger()
-    run.note(3, 0, RECOVERY, ColumnBatch.of([rec(b"k31")]))
+    run.note(3, 0, RECOVERY, batch_of([rec(b"k31")], ColumnBatch))
     assert run.check_against(
         _reference_ledger(), {1}, event_step=3, recovery_point=3
     ) == []
-    run.note(1, 0, RECOVERY, ColumnBatch.of([rec(b"stray")]))
+    run.note(1, 0, RECOVERY, batch_of([rec(b"stray")], ColumnBatch))
     problems = run.check_against(
         _reference_ledger(), {1}, event_step=3, recovery_point=3
     )
@@ -191,8 +191,8 @@ def test_check_against_flags_a_recovery_delivery_before_the_replay_window():
 
 def test_ledger_keeps_each_bucket_in_note_order():
     led = DeliveryLedger()
-    led.note(1, 0, ORIGINAL, Batch.of([rec(b"b"), rec(b"a")]))
-    led.note(1, 0, ORIGINAL, Batch.of([rec(b"b")]))
+    led.note(1, 0, ORIGINAL, batch_of([rec(b"b"), rec(b"a")]))
+    led.note(1, 0, ORIGINAL, batch_of([rec(b"b")]))
     # one batch per note
     assert plain(led.deliveries) == {(1, 0, ORIGINAL): [[rec(b"b"), rec(b"a")], [rec(b"b")]]}
     assert led.bucket(1, 0, ORIGINAL) == Counter({rec(b"b"): 2, rec(b"a"): 1})
@@ -203,7 +203,7 @@ def test_ledger_keeps_each_batch_by_reference():
     # entry: 100,000 records in 400 batches across 40 buckets grow traced
     # memory by at most 1 B per record (a slot per record was 8 B)
     records = [rec(b"%08d" % i) for i in range(100_000)]
-    batches = [Batch.of(records[i:i + 250]) for i in range(0, len(records), 250)]
+    batches = [batch_of(records[i:i + 250]) for i in range(0, len(records), 250)]
     led = DeliveryLedger()
     tracemalloc.start()
     try:
@@ -244,7 +244,7 @@ def test_check_against_count_relaxations():
     ref = _reference_ledger()
     run = _recovered_through_step_2()
     # same post-failure delivery count, different bytes
-    run.note(3, 0, ORIGINAL, ColumnBatch.of([rec(b"k30"), rec(b"k31-prime")]))
+    run.note(3, 0, ORIGINAL, batch_of([rec(b"k30"), rec(b"k31-prime")], ColumnBatch))
     strict = run.check_against(ref, {1}, event_step=2, recovery_point=2)
     assert strict == ["step 3: post-failure deliveries diverge"]
     relaxed = run.check_against(
@@ -253,7 +253,7 @@ def test_check_against_count_relaxations():
     assert relaxed == []
     # the relaxed check still catches a lost record
     short = _recovered_through_step_2()
-    short.note(3, 0, ORIGINAL, ColumnBatch.of([rec(b"k30")]))
+    short.note(3, 0, ORIGINAL, batch_of([rec(b"k30")], ColumnBatch))
     problems = short.check_against(
         ref, {1}, event_step=2, recovery_point=2, exact_after=False
     )

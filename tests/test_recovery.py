@@ -11,7 +11,6 @@ import pytest
 import ftmr.engine
 import ftmr.recovery
 from ftmr.config import JobConfig
-from ftmr.core import Batch, Record
 from ftmr.engine import (
     Cluster,
     Job,
@@ -35,6 +34,7 @@ from ftmr.metrics import ORIGINAL, RECOVERY, DeliveryLedger
 from ftmr.partition import PartitionMap, hash_key, initial_partition, shrink_partition
 from ftmr.recovery import FailureEvent, UnrecoverableFailure
 from oracles import (
+    batch_of,
     expand,
     inject_reference,
     plain,
@@ -144,7 +144,7 @@ def test_ledger_sees_what_injection_delivered(monkeypatch):
         sent = inject(cluster, t, held, owners_new)
         holder, rec = next((h, next(iter(batch))) for h, batch in held.items() if batch)
         inbox = cluster.pes[owners_new[rec.key]].inbox
-        inbox[holder] = Batch.of([*inbox.get(holder, ()), rec])
+        inbox[holder] = batch_of([*inbox.get(holder, ()), rec])
         return sent
 
     monkeypatch.setattr(ftmr.recovery, "_inject", inject_one_twice)
@@ -485,66 +485,92 @@ def test_input_replay_window():
     assert rec.replayed_steps == (1, 2)
 
 
+def _random_source(pe):
+    rng = random.Random(pe)
+    return batch_of([(rng.randbytes(6), rng.randbytes(4)) for _ in range(30)])
+
+
+def _identity_reduce(key, values):
+    return (key,) * len(values), values
+
+
 def test_replay_map_error_names_the_holder():
     # step 2's map raises on the first record it sees twice: the replay
     # of failed PE 1's step-2 map, from recovery point 1, on a survivor
-    def source(pe):
-        rng = random.Random(pe)
-        return [Record(rng.randbytes(6), rng.randbytes(4)) for _ in range(30)]
-
     seen, again = set(), []
 
-    def step2_map(rec):
+    def step2_map(*rec):
         if rec in seen:
             again.append(rec)
             raise KeyError("replay")
         seen.add(rec)
-        return (rec.key,), (rec.value,)
+        return rec[:1], rec[1:]
 
-    def identity_reduce(key, values):
-        return [Record(key, v) for v in values]
-
-    driver = ListDriver([StepSpec("one", identity_map, identity_reduce),
-                         StepSpec("two", step2_map, identity_reduce)])
+    driver = ListDriver([StepSpec("one", identity_map, _identity_reduce),
+                         StepSpec("two", step2_map, _identity_reduce)])
     with pytest.raises(JobError, match=r"^PE \d, step 2, map during replay: KeyError") as info:
-        run_job(Job(RecordSource(source), driver), 4, recovery_point_interval=2,
+        run_job(Job(RecordSource(_random_source), driver), 4, recovery_point_interval=2,
                 failure_plan=parse_failure_spec("2:1"))
-    (rec,) = again
-    holder = shrink_partition(initial_partition(4), {1}).owner_of(hash_key(rec.key))
+    ((key, _),) = again
+    holder = shrink_partition(initial_partition(4), {1}).owner_of(hash_key(key))
     assert holder != 1
     assert (info.value.pe, info.value.step) == (holder, 2)
 
 
-def test_unequal_replay_map_columns_name_the_holder():
+@pytest.mark.parametrize("uneven", ["map", "reduce"])
+def test_unequal_replay_map_columns_name_the_holder(uneven):
     # step 2's map returns two keys and one value for a record it sees
     # twice: the replay of failed PE 1's step-2 map on a survivor, which
-    # maps its records in the order the replayed reduce produced them
-    def source(pe):
-        rng = random.Random(pe)
-        return [Record(rng.randbytes(6), rng.randbytes(4)) for _ in range(30)]
+    # maps its records in the order the replayed reduce produced them.
+    # Or step 1's reduce does so for one of PE 1's keys when it sees it
+    # twice, in the replay of PE 1's step-1 reduce: the key's new owner
+    # runs that group and is charged with it, not the owner of the first
+    # key replayed
+    seen, again, target = set(), [], []
 
-    seen, again = set(), []
-
-    def step2_map(rec):
+    def step2_map(*rec):
         if rec in seen:
             again.append(rec)
-            return (rec.key, rec.key), (rec.value,)
+            return (rec[0], rec[0]), rec[1:]
         seen.add(rec)
-        return (rec.key,), (rec.value,)
+        return rec[:1], rec[1:]
 
-    def identity_reduce(key, values):
-        return [Record(key, v) for v in values]
+    def step1_reduce(key, values):
+        if key in target and key in seen:
+            return (key,) * (len(values) + 1), values
+        seen.add(key)
+        return _identity_reduce(key, values)
 
-    driver = ListDriver([StepSpec("one", identity_map, identity_reduce),
-                         StepSpec("two", step2_map, identity_reduce)])
+    if uneven == "map":
+        steps = [StepSpec("one", identity_map, _identity_reduce),
+                 StepSpec("two", step2_map, _identity_reduce)]
+    else:
+        steps = [StepSpec("one", identity_map, step1_reduce),
+                 StepSpec("two", identity_map, _identity_reduce)]
+    cluster = Cluster(Job(RecordSource(_random_source), ListDriver(steps)), 4,
+                      recovery_point_interval=2, failure_plan=parse_failure_spec("2:1"))
+    assert cluster.step()
+    pm = shrink_partition(initial_partition(4), {1})
+    if uneven == "reduce":
+        # PE 1's step-1 reduce kept its inbox's keys, one output a value
+        held = cluster.pes[1].current.keys
+        keys = sorted(set(held))
+        key = next(k for k in keys if pm.owner_of(hash_key(k)) != pm.owner_of(hash_key(keys[0])))
+        n = held.count(key)
+        target.append(key)
+        with pytest.raises(JobError) as info:
+            cluster.step()
+        cause = ValueError(f"reduce of key {key!r} returned {n + 1} keys and {n} values")
+        owner = pm.owner_of(hash_key(key))
+        assert str(info.value) == f"PE {owner}, step 1, reduce during replay: {cause!r}"
+        assert (info.value.pe, info.value.step) == (owner, 1)
+        return
     with pytest.raises(JobError, match=(
         r"^PE \d, step 2, map during replay: "
         r"ValueError\('map of record 0 returned 2 keys and 1 values'\)$"
     )) as info:
-        run_job(Job(RecordSource(source), driver), 4, recovery_point_interval=2,
-                failure_plan=parse_failure_spec("2:1"))
-    holders = {shrink_partition(initial_partition(4), {1}).owner_of(hash_key(rec.key))
-               for rec in again}
+        cluster.step()
+    holders = {pm.owner_of(hash_key(key)) for key, _ in again}
     assert info.value.pe in holders and 1 not in holders
     assert info.value.step == 2
 
@@ -832,10 +858,9 @@ def _identity_job(seed, per_pe=20, steps=2, replayable=True):
 
     def fn(pe):
         rng = random.Random(seed * 7919 + pe)
-        return [Record(rng.randbytes(6), rng.randbytes(2)) for _ in range(per_pe)]
+        return batch_of([(rng.randbytes(6), rng.randbytes(2)) for _ in range(per_pe)])
 
-    spec = StepSpec("identity", identity_map,
-                    lambda k, vs: [Record(k, v) for v in vs])
+    spec = StepSpec("identity", identity_map, lambda k, vs: ((k,) * len(vs), vs))
     return Job(RecordSource(fn, replayable=replayable), ListDriver([spec] * steps))
 
 
@@ -889,7 +914,7 @@ def _recovery_state(cluster):
     """A deep copy of everything a recovery may change, batches as records."""
     return plain(copy.deepcopy((
         cluster.live,
-        [(pe.current_records, pe.inbox, pe.sent_log, pe.backup_store)
+        [(pe.current, pe.inbox, pe.sent_log, pe.backup_store)
          for pe in cluster.pes],
         cluster.owners.pm,
         dict(cluster.owners),
