@@ -234,8 +234,13 @@ MUTANTS = [
         "value[:1] not in (*_SHARE_TAGS, _TAG_ADJ)",
     ),
     Mutant(
+        # memory only: a decode drops no entry, so only a bound on a
+        # generation's size across a replay, or on the memo's, sees it
         "share memo never emptied", BENCHMARKS,
-        "        if len(self) >= self.limit:\n            self.clear()\n",
+        "        if len(self.decoded) >= self.limit:\n"
+        "            for old in self.decoded:\n"
+        "                self.pop(old, None)\n"
+        "            self.decoded.clear()\n",
         "",
     ),
     Mutant(
@@ -247,15 +252,27 @@ MUTANTS = [
     ),
     Mutant(
         "map seeds the unscaled score", BENCHMARKS,
-        "scores[share] = x",
-        "scores[share] = score",
+        "scores[generation][share] = x",
+        "scores[generation][share] = score",
     ),
     Mutant(
         # memory only: every entry stays exact, so only a bound on the
-        # table's size sees it
+        # table's size sees it; the generation a step read is refilled
         "driver never empties the score table", BENCHMARKS,
-        "        self.scores.clear()\n",
-        "",
+        "self.scores[:] = self.scores[1], _ShareMemo(self.scores[1].limit)",
+        "self.scores[:] = self.scores[1], self.scores[0]",
+    ),
+    Mutant(
+        # performance only: the next step's reduces find no share stored
+        # and decode each one
+        "the new reduce seeds the generation its own step reads", BENCHMARKS,
+        "return send(step + 1, key, adj_bytes, score)",
+        "return send(step, key, adj_bytes, score)",
+    ),
+    Mutant(
+        "the last step's reduce sends messages", BENCHMARKS,
+        "        if step < iterations:\n",
+        "        if step <= iterations:\n",
     ),
     # -- a user function's key and value columns ----------------------------
     Mutant(

@@ -32,13 +32,13 @@ from __future__ import annotations
 import random
 import struct
 from collections.abc import Sequence
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, starmap
 from math import fsum
 from operator import itemgetter
 
 from .core import Batch, ConfigError, StepId
-from .engine import Job, JobError, ListDriver, RecordSource, StepSpec, identity_map
+from .engine import Columns, Job, JobError, ListDriver, RecordSource, StepSpec, identity_map
 from .partition import hash_key, mix_seed
 
 U64 = struct.Struct("<Q")
@@ -399,46 +399,61 @@ _SHARE_TAGS = (_TAG_SCORE, _TAG_DANGLING)
 
 
 class _ShareMemo(dict):
-    """Share value -> the score it carries: PageRank's score table.
+    """Share value -> the score it carries: one generation of PageRank's
+    score table (see :class:`_PagerankDriver`).
 
-    The map that packs a share stores its float here, and the driver
-    empties the table at each step start, so a reduce finds every share
-    that a map of the current step sent without decoding it.  An entry
-    is exact whoever wrote it, since ``F64.unpack(F64.pack(x))[0]`` is
-    ``x`` bit for bit: the table is a cache, and emptying it only bounds
-    its memory.  ``__missing__`` decodes, at first sight, only a share
-    that no map of the current step sent, such as a logged share of an
-    older step that recovery's replayed reduces read.  Only what
-    PageRank's per-value reduce reads as a share is accepted there: a
-    9-byte ``bytes`` value tagged ``s`` or ``d``.  Anything else raises
-    ``KeyError``, so the caller falls back to that reduce, which names
-    the value it refuses.  A step sends at most ``limit`` (the vertex
-    count) distinct shares, so ``__missing__`` empties the table when it
-    is full and a new share arrives.
+    A share's sender stores its float in the generation that the share's
+    readers read, so a reduce finds every share sent to it without
+    decoding it.  An entry is exact whoever wrote it, since
+    ``F64.unpack(F64.pack(x))[0]`` is ``x`` bit for bit: the table is a
+    cache, and dropping entries only bounds its memory.  ``__missing__``
+    decodes, at first sight, only a share that no sender stored, such as
+    a logged share of an older step that recovery's replayed reduces
+    read.  Only what PageRank's per-value reduce reads as a share is
+    accepted there: a 9-byte ``bytes`` value tagged ``s`` or ``d``.
+    Anything else raises ``KeyError``, so the caller falls back to that
+    reduce, which names the value it refuses.  Once ``limit`` (the
+    vertex count) decoded entries are held, a new decode drops them, and
+    never a stored one: a replay's decodes leave the shares that the
+    failure step's reduces are yet to read.
     """
 
     def __init__(self, limit: int):
         super().__init__()
         self.limit = limit
+        self.decoded: list[bytes] = []
 
     def __missing__(self, value: bytes) -> float:
         if type(value) is not bytes or len(value) != 9 or value[:1] not in _SHARE_TAGS:
             raise KeyError(value)
-        if len(self) >= self.limit:
-            self.clear()
+        if len(self.decoded) >= self.limit:
+            for old in self.decoded:
+                self.pop(old, None)
+            self.decoded.clear()
+        self.decoded.append(value)
         score = self[value] = F64.unpack_from(value, 1)[0]
         return score
 
 
 class _PagerankDriver(ListDriver):
-    """PageRank's fixed steps; empties the score table at each step start."""
+    """PageRank's fixed steps, and the live generations of its score
+    table.  At the start of step ``index``, ``scores[0]``, which the
+    step's reduces read, becomes what its senders stored (step 1's map,
+    or the previous step's reduces), and ``scores[1]`` a new generation
+    for the step's reduces to fill for the next step's.  A sender stores
+    only into these two, so a replayed step adds no entry: with ``n``
+    vertices a generation holds at most ``n`` stored entries, and ``n``
+    decoded ones across a replay.
+    """
 
-    def __init__(self, steps: list[StepSpec], scores: _ShareMemo):
+    def __init__(self, steps: list[StepSpec], scores: list[_ShareMemo]):
         super().__init__(steps)
         self.scores = scores
+        self.index = 0
 
     def next_step(self, index: StepId, prev_aggregate: int | None) -> StepSpec | None:
-        self.scores.clear()
+        self.index = index
+        self.scores[:] = self.scores[1], _ShareMemo(self.scores[1].limit)
         return super().next_step(index, prev_aggregate)
 
 
@@ -461,7 +476,9 @@ def pagerank_job(
     damping: float = PAGERANK_DAMPING,
 ) -> Job:
     """Power iteration with damping 0.85; a dangling vertex fans its mass
-    out uniformly so the scores keep summing to one."""
+    out uniformly so the scores keep summing to one.  Step 1's map sends
+    each vertex's messages, and each reduce but the last sends the next
+    step's, so steps 2 .. N run :func:`identity_map`."""
     n = n_vertices
     m = round(avg_degree * n / 2)
     # one key object per vertex, shared by every record addressed to it
@@ -482,21 +499,16 @@ def pagerank_job(
     # its key column: the vertex, then each target, or every vertex if
     # it dangles): a vertex's adjacency never changes, so every step
     # re-sends one value object (the retained logs keep one copy, not
-    # one per step), the map decodes each adjacency once per job, and
-    # the reduce finds the adjacency among a vertex's values by it
+    # one per step), each adjacency is decoded once per job, and the
+    # reduce finds the adjacency among a vertex's values by it
     columns: dict[bytes, tuple[bytes, bytes, tuple[bytes, ...]]] = {}
-    # share value -> its score: the map stores each share's float here,
-    # so the reduces read it undecoded (see _ShareMemo).  The table is a
-    # cache whose entries are exact whoever wrote them: the driver
-    # empties it at each step start only to bound its memory, and a
-    # fresh job's replayed reduces decode every share they read
-    scores = _ShareMemo(n)
+    # the score table's generations (see _PagerankDriver); a fresh job's
+    # replayed reduces decode every share they read
+    scores = [_ShareMemo(n), _ShareMemo(n)]
 
-    def map_fn(key: bytes, body: bytes) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
-        if body[:1] != _TAG_COMBINED:
-            raise ValueError("pagerank map expects combined score+adjacency records")
-        (score,) = unpack_score(body, 1)
-        adj_bytes = body[9:]
+    def send(step: StepId, key: bytes, adj_bytes: bytes, score: float) -> Columns:
+        # step ``step``'s messages of a vertex with this adjacency and
+        # score: the adjacency to itself, a share to each target
         hit = columns.get(key)
         if hit is None or hit[0] != adj_bytes:
             targets = map(vertex_key, map(first, U64.iter_unpack(adj_bytes)))
@@ -513,8 +525,17 @@ def pagerank_job(
         else:
             x = score / n
             share = _TAG_DANGLING + F64.pack(x)
-        scores[share] = x
+        # into its readers' generation; a replayed step's readers are done
+        generation = step - driver.index
+        if 0 <= generation <= 1:
+            scores[generation][share] = x
         return keys, (adj_value,) + (share,) * d
+
+    def map_fn(key: bytes, body: bytes) -> Columns:
+        # step 1's: the messages of the vertex's input record
+        if body[:1] != _TAG_COMBINED:
+            raise ValueError("pagerank map expects combined score+adjacency records")
+        return send(1, key, body[9:], unpack_score(body, 1)[0])
 
     # fsum rounds the exact sum once, so the score is the same in
     # whatever order the shares arrive (after a failure the heirs send
@@ -522,8 +543,9 @@ def pagerank_job(
     # the compensation it has from Python 3.12 on
     teleport = (1.0 - damping) / n
 
-    def reduce_values(key: bytes, values: Sequence[bytes]) -> tuple[tuple[bytes], tuple[bytes]]:
-        # one value at a time: every refusal is made here
+    def reduce_values(key: bytes, values: Sequence[bytes]) -> tuple[bytes, float]:
+        # the vertex's adjacency bytes and score, one value at a time:
+        # every refusal is made here
         shares = []
         adj_bytes = None
         for val in values:
@@ -541,30 +563,37 @@ def pagerank_job(
                 )
         if adj_bytes is None:
             raise ValueError(f"no adjacency arrived for vertex key {key!r}")
-        score = teleport + damping * fsum(shares)
-        return (key,), (_TAG_COMBINED + F64.pack(score) + adj_bytes,)
+        return adj_bytes, teleport + damping * fsum(shares)
 
-    share_score = scores.__getitem__
-
-    def reduce_fn(key: bytes, values: Sequence[bytes]) -> tuple[tuple[bytes], tuple[bytes]]:
-        # the adjacency is the value the vertex's map sent, so the map's
-        # cache finds it, and every other value is a share whose score
-        # the table holds; a group of any other shape (no cached vertex,
+    def reduce_fn(step: StepId, key: bytes, values: Sequence[bytes]) -> Columns:
+        # the adjacency is the value the vertex sent, so the cache finds
+        # it, and every other value is a share whose score the read
+        # generation holds; a group of any other shape (no cached vertex,
         # no such adjacency, a value the table refuses) goes to
-        # reduce_values, so this returns exactly its output and it makes
-        # every refusal
+        # reduce_values, so this returns exactly what it gives and it
+        # makes every refusal
         try:
             hit = columns[key]
             shares = list(values)
             del shares[values.index(hit[1])]
-            total = fsum(map(share_score, shares))
+            total = fsum(map(scores[0].__getitem__, shares))
         except (TypeError, ValueError, KeyError):
-            return reduce_values(key, values)
-        score = teleport + damping * total
-        return (key,), (_TAG_COMBINED + F64.pack(score) + hit[0],)
+            adj_bytes, score = reduce_values(key, values)
+        else:
+            adj_bytes, score = hit[0], teleport + damping * total
+        # the last step's outputs are the vertex's combined record; every
+        # other step sends what the map would of that record, so the
+        # steps after the first map nothing
+        if step < iterations:
+            return send(step + 1, key, adj_bytes, score)
+        return (key,), (_TAG_COMBINED + F64.pack(score) + adj_bytes,)
 
-    spec = StepSpec("pagerank", map_fn, reduce_fn)
-    return Job(RecordSource(source), _PagerankDriver([spec] * iterations, scores))
+    steps = [
+        StepSpec("pagerank", map_fn if s == 1 else identity_map, partial(reduce_fn, s))
+        for s in range(1, iterations + 1)
+    ]
+    driver = _PagerankDriver(steps, scores)
+    return Job(RecordSource(source), driver)
 
 
 # -- synthetic uniform workload (overhead measurements) -----------------

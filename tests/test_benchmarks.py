@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ftmr.recovery
 from ftmr.benchmarks import (
     F64,
     PAIR,
@@ -241,15 +242,28 @@ def test_rmat_dedup_unique_and_complete():
 
 
 def test_pagerank_matches_power_iteration():
-    config = JobConfig(benchmark="pagerank", p=4, seed=5, vertices_per_pe=16,
-                       iterations=5)
-    result = run_simulation(config)
-    scores = pagerank_scores(result.outputs)
+    # 5 steps fault-free; then 1, 2 and 3 steps (step 1 maps, each reduce
+    # but the last sends the next step's messages), fault-free and with a
+    # failure at step 1 and at the last step, at recovery interval 1 and
+    # input-only
     n = 64
-    want = pagerank_expected(5, n, m=round(38.0 * n / 2), iterations=5)
-    assert scores.keys() == set(range(n))
-    assert max(abs(scores[v] - want[v]) for v in range(n)) <= 1e-12
-    assert abs(sum(scores.values()) - 1.0) <= 1e-9
+    cases = [(5, 1, None)] + [
+        (iterations, interval, failures)
+        for iterations in (1, 2, 3)
+        for interval in (1, "input-only")
+        for failures in (None, "1:1", f"{iterations}:2")
+    ]
+    for iterations, interval, failures in cases:
+        config = JobConfig(benchmark="pagerank", p=4, seed=5, vertices_per_pe=16,
+                           iterations=iterations, recovery_point_interval=interval)
+        result = run_simulation(config, parse_failure_spec(failures) if failures else None)
+        assert len(result.metrics.recoveries) == (failures is not None)
+        scores = pagerank_scores(result.outputs)
+        want = pagerank_expected(5, n, m=round(38.0 * n / 2), iterations=iterations)
+        case = (iterations, interval, failures)
+        assert scores.keys() == set(range(n)), case
+        assert max(abs(scores[v] - want[v]) for v in range(n)) <= 1e-12, case
+        assert abs(sum(scores.values()) - 1.0) <= 1e-9, case
 
 
 def test_pagerank_two_vertices():
@@ -376,65 +390,99 @@ def _regrouped(key, values, adjacency, rng):
 
 
 def test_pagerank_reduce_returns_what_the_per_value_reduce_returns():
-    # groups of two real steps, the map's cache primed, and each mixed
-    # (see _regrouped); plus a degree-1 vertex, whose adjacency is 9
-    # bytes like a share, and a vertex the map never saw.  Each group is
-    # reduced three times: with the score table as the step's map filled
-    # it, refilled by another step's map (stale entries) and empty
+    # groups of two real steps, their senders' cache primed, and each
+    # mixed (see _regrouped); plus a degree-1 vertex, whose adjacency is 9
+    # bytes like a share, and a vertex no sender saw.  Step 1's reduce
+    # returns exactly the map's messages of the per-value reduce's record,
+    # and step 2's (the last) that record, or the same error.  Each group
+    # is reduced three times: with the read generation as the step's
+    # senders filled it, holding the other step's shares (stale entries)
+    # and empty
     config = JobConfig(benchmark="pagerank", p=4, seed=2, vertices_per_pe=8, iterations=2)
     n = 32
     job = build_job(config)
-    spec = job.driver.steps[0]
-    table = job.driver.scores
+    driver = job.driver
+    # another job's map, so that no reference call primes this job's cache
+    mapped = build_job(config).driver.steps[0].map_fn
     records = [rec for pe in range(config.p) for rec in job.source.fn(pe)]
     one_edge = Record(U64.pack(n), b"c" + F64.pack(0.5) + U64.pack(0))
     rng = random.Random(7)
     checked = Counter()
-    for index in range(1, config.iterations + 1):
-        assert job.driver.next_step(index, None) is spec and not table
+    # step 1's messages: the map stores into the generation that the
+    # driver hands step 1's reduces
+    messages = [driver.steps[0].map_fn(*rec) for rec in [*records, one_edge]]
+    for index, spec in enumerate(driver.steps, 1):
+        assert driver.next_step(index, None) is spec
+        table = driver.scores[0]
+        assert {values[1] for keys, values in messages} <= table.keys()
         groups = {}
         adjacency = {}
-        for rec in [*records, one_edge]:
-            keys, values = spec.map_fn(*rec)
-            adjacency[rec[0]] = values[0]
+        for keys, values in messages:
+            adjacency[keys[0]] = values[0]
             for key, value in zip(keys, values):
                 groups.setdefault(key, []).append(value)
-        groups[U64.pack(n + 1)] = [b"a" + U64.pack(0), b"s" + F64.pack(0.5)]
-        adjacency[U64.pack(n + 1)] = groups[U64.pack(n + 1)][0]
+        # the next step's messages, sent as a run sends them
+        following = [spec.reduce_fn(key, values) for key, values in groups.items()]
+        unseen = U64.pack(n + index)
+        groups[unseen] = [b"a" + U64.pack(0), b"s" + F64.pack(0.5)]
+        adjacency[unseen] = groups[unseen][0]
+
+        def reference(key, values):
+            keys, values = pagerank_reduce_reference(key, values, n)
+            return mapped(keys[0], values[0]) if index < config.iterations else (keys, values)
+
         cases = [
-            (key, mixed, _outcome(lambda k, v: pagerank_reduce_reference(k, v, n), key, mixed))
+            (key, mixed, _outcome(reference, key, mixed))
             for key, values in groups.items()
             for mixed in _regrouped(key, values, adjacency[key], rng)
         ]
-        following = [rec for v in range(n)
-                     for rec in zip(*pagerank_reduce_reference(U64.pack(v), groups[U64.pack(v)], n))]
+        # the other step's shares: the next step's, then the previous one's
+        stale = [values[1] for keys, values in (following if index == 1 else previous)]
         for filled in ("current", "stale", "empty"):
             if filled != "current":
                 table.clear()
             if filled == "stale":
-                for rec in following:
-                    spec.map_fn(*rec)
+                table.update((share, F64.unpack_from(share, 1)[0]) for share in stale)
             for key, mixed, want in cases:
                 got = _outcome(spec.reduce_fn, key, mixed)
-                assert got == want, (filled, key, mixed)
-                checked[filled, type(got)] += 1
-        records = following
-    # both records and refusals were compared, with each table
-    assert all(checked[filled, kind] for filled in ("current", "stale", "empty")
-               for kind in (list, tuple))
+                assert got == want, (index, filled, key, mixed)
+                checked[index, filled, type(got)] += 1
+        previous, messages = messages, following
+    # both results and refusals were compared, at each step with each table
+    assert all(checked[index, filled, kind] for index in (1, 2)
+               for filled in ("current", "stale", "empty") for kind in (list, tuple))
+
+
+def test_share_memo_drops_only_what_it_decoded():
+    # stored entries outlive any number of decodes; at most ``limit``
+    # decoded ones are held
+    memo = _ShareMemo(2)
+    stored = [b"s" + F64.pack(x) for x in (0.5, 0.25)]
+    for share in stored:
+        memo[share] = F64.unpack_from(share, 1)[0]
+    decoded = [b"d" + F64.pack(x / 8) for x in range(7)]
+    for i, share in enumerate(decoded):
+        assert memo[share] == i / 8
+        assert set(stored) <= memo.keys()
+        assert len(memo) <= len(stored) + memo.limit
+    assert memo.keys() == {*stored, *decoded[-1:]}
 
 
 def _watched_run(monkeypatch, config, failures=None, reduce_fn=None):
     # PageRank's job run under ``failures`` with its score table watched:
-    # at each step start, before the driver empties it, every entry must
-    # hold exactly the score its share carries.  Returns the result, the
-    # entries checked, the shares decoded outside the map (through the
-    # table or the per-value reduce) and the table's size after each
-    # write; ``reduce_fn`` replaces the job's reduce
+    # at each step start, before the driver turns the table over, every
+    # entry of each generation must hold exactly the score its share
+    # carries.  Returns the result, the entries checked, the shares
+    # decoded outside the map (through the table or the per-value reduce)
+    # by step and by phase ("replay" inside recovery, "step" elsewhere),
+    # the map's calls and a generation's size after each write.  Given
+    # ``reduce_fn``, every step maps and reduces with it instead
     job = build_job(config)
-    table = job.driver.scores
-    map_code = job.driver.steps[0].map_fn.__code__
-    checked = decodes = 0
+    driver = job.driver
+    map_fn = driver.steps[0].map_fn
+    checked = calls = 0
+    decodes = Counter()
+    phase = ["step"]
     sizes = []
 
     def noted(memo, value, score):
@@ -442,23 +490,34 @@ def _watched_run(monkeypatch, config, failures=None, reduce_fn=None):
         sizes.append(len(memo))
 
     monkeypatch.setattr(_ShareMemo, "__setitem__", noted)
+    recover = ftmr.recovery.recover
+
+    def recovering(cluster, event):
+        phase[0] = "replay"
+        recover(cluster, event)
+        phase[0] = "step"
+
+    monkeypatch.setattr(ftmr.recovery, "recover", recovering)
 
     def next_step(index, prev_aggregate):
         nonlocal checked
-        for value, score in table.items():
-            assert len(value) == 9 and value[:1] in (b"s", b"d"), value
-            assert F64.pack(score) == value[1:], value
-        checked += len(table)
-        spec = job.driver.next_step(index, prev_aggregate)
+        for table in driver.scores:
+            for value, score in table.items():
+                assert len(value) == 9 and value[:1] in (b"s", b"d"), value
+                assert F64.pack(score) == value[1:], value
+            checked += len(table)
+        spec = driver.next_step(index, prev_aggregate)
         if spec is None or reduce_fn is None:
             return spec
-        return dataclasses.replace(spec, reduce_fn=reduce_fn)
+        return dataclasses.replace(spec, map_fn=map_fn, reduce_fn=reduce_fn)
 
     def count(frame, event, arg):
-        nonlocal decodes
-        if (event == "c_call" and getattr(arg, "__self__", None) is F64
-                and arg.__name__ == "unpack_from" and frame.f_code is not map_code):
-            decodes += 1
+        nonlocal calls
+        if event == "call":
+            calls += frame.f_code is map_fn.__code__
+        elif (event == "c_call" and getattr(arg, "__self__", None) is F64
+                and arg.__name__ == "unpack_from" and frame.f_code is not map_fn.__code__):
+            decodes[driver.index, phase[0]] += 1
 
     sys.setprofile(count)
     try:
@@ -469,40 +528,61 @@ def _watched_run(monkeypatch, config, failures=None, reduce_fn=None):
         )
     finally:
         sys.setprofile(None)
-    return result, checked, decodes, sizes
+    return result, checked, decodes, calls, sizes
 
 
 def test_pagerank_reduce_decodes_each_share_once_per_step(monkeypatch):
-    # the map stores each share's score in the table the reduces read,
-    # and the driver empties it at each step start: a fault-free run
-    # decodes no share, and the table holds at most one step's (n
-    # entries).  A failure's replayed reduces read logged shares of
-    # older steps, which no map of the current step sent: at most n
-    # decodes per replayed step, plus n for the failure step's own
-    # reduce, and the table stays within 2n (80 and 82 entries measured
-    # here).  Every entry is exact, and the records are those of a run
-    # with the per-value reduce alone
+    # a share's sender stores its score in the generation its readers
+    # read: a fault-free run decodes no share, and a generation holds at
+    # most one step's (n entries).  A failure's replayed reduces read
+    # logged shares of older steps, which no sender stored for them: at
+    # most n decodes per replayed step, none by the failure step's own
+    # reduce, and a generation stays within 2n (n stored, at most n
+    # decoded).  Every entry is exact, and the records are those of a
+    # run that maps every step and reduces with the per-value reduce
     n = 64
     base = JobConfig(benchmark="pagerank", p=4, seed=3, vertices_per_pe=16, iterations=6)
 
     def per_value(key, values):
         return pagerank_reduce_reference(key, values, n)
 
-    result, checked, decodes, sizes = _watched_run(monkeypatch, base)
-    assert checked and decodes == 0
+    result, checked, decodes, calls, sizes = _watched_run(monkeypatch, base)
+    assert checked and not decodes
+    assert calls == n
     assert sizes and max(sizes) <= n
     assert result.outputs == _watched_run(monkeypatch, base, reduce_fn=per_value)[0].outputs
     # recovery point 3 with one replayed step, and an input replay of four
     for interval, failures in ((3, "5:1"), (8, "5:2")):
         config = dataclasses.replace(base, recovery_point_interval=interval)
-        result, checked, decodes, sizes = _watched_run(monkeypatch, config, failures)
+        result, checked, decodes, calls, sizes = _watched_run(monkeypatch, config, failures)
         (recovery,) = result.metrics.recoveries
         assert recovery.replayed_steps and checked
-        assert 0 < decodes <= n * (len(recovery.replayed_steps) + 1)
+        assert decodes.keys() == {(5, "replay")}
+        assert decodes[5, "replay"] <= n * len(recovery.replayed_steps)
         assert max(sizes) <= 2 * n
         assert result.outputs == _watched_run(
             monkeypatch, config, failures, reduce_fn=per_value
         )[0].outputs
+
+
+@pytest.mark.parametrize("config, failures", [
+    (JobConfig(benchmark="pagerank", p=8, seed=5, vertices_per_pe=64, iterations=20), None),
+    (JobConfig(benchmark="pagerank", p=4, seed=1, vertices_per_pe=128, iterations=24,
+               recovery_point_interval=24), "20:1"),
+], ids=["pagerank", "pagerank-recover"])
+def test_pagerank_benchmarks_map_once_and_decode_only_in_replay(monkeypatch, config, failures):
+    # perfbench's two PageRank workloads: the map runs at step 1 only, once
+    # per vertex, and only the replay decodes shares.  The failure step's
+    # reduces decode none; a table that the replay's decodes emptied made
+    # them decode all 512 again, 10,041 in the run
+    result, _, decodes, calls, _ = _watched_run(monkeypatch, config, failures)
+    assert calls == 512
+    if failures is None:
+        assert not decodes
+    else:
+        assert decodes.keys() == {(20, "replay")}
+        assert decodes[20, "replay"] < 10_041
+        assert len(result.metrics.recoveries) == 1
 
 
 @pytest.mark.parametrize("score, degree", [
@@ -514,7 +594,9 @@ def test_pagerank_seeded_score_has_the_decoded_bits(score, degree):
     # gives, and a reduce reads the same record either way
     job, spec = _pagerank_spec()
     n = 4
-    table = job.driver.scores
+    # step 1's map stores into the generation its reduces read
+    assert job.driver.next_step(1, None) is spec
+    table = job.driver.scores[0]
     target = Record(U64.pack(0), b"c" + F64.pack(0.5) + U64.pack(1))
     adjacency = spec.map_fn(*target)[1][0]
     share = spec.map_fn(U64.pack(1), b"c" + F64.pack(score) + U64.pack(0) * degree)[1][1]

@@ -1234,17 +1234,21 @@ class _SelfRef:
 
 def _pagerank_making_cycles(refs):
     """A small PageRank job whose map makes one reference cycle per call
-    and watches it through a weak reference appended to ``refs``."""
+    and watches it through a weak reference appended to ``refs``; each
+    step's own map is wrapped, so the steps that pass records on call
+    their wrapped identity map per record."""
     job = build_job(JobConfig(benchmark="pagerank", p=4, seed=3,
                               vertices_per_pe=8, iterations=3))
-    spec = job.driver.steps[0]
 
-    def map_fn(key, value):
-        refs.append(weakref.ref(_SelfRef()))
-        return spec.map_fn(key, value)
+    def cycling(map_fn):
+        def wrapped(key, value):
+            refs.append(weakref.ref(_SelfRef()))
+            return map_fn(key, value)
+        return wrapped
 
-    cycling = StepSpec(spec.name, map_fn, spec.reduce_fn)
-    return Job(job.source, ListDriver([cycling] * len(job.driver.steps)))
+    steps = job.driver.steps
+    steps[:] = [StepSpec(spec.name, cycling(spec.map_fn), spec.reduce_fn) for spec in steps]
+    return job
 
 
 def test_run_survivors_land_in_the_oldest_generation():
