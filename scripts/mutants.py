@@ -77,6 +77,12 @@ MUTANTS = [
         "if route is None or len(route.keys) != len(keys):",
     ),
     Mutant(
+        # a one-position gather returns the bare value, not a one-item column
+        "bare itemgetter(*at) for one-record destinations", ENGINE,
+        "itemgetter(*at) if len(at) > 1\n                       else itemgetter(slice(at[0], at[0] + 1))",
+        "itemgetter(*at)",
+    ),
+    Mutant(
         "payload size without its key bytes", ENGINE,
         "size = key_bytes + nbytes(sent)",
         "size = nbytes(sent)",
@@ -229,26 +235,22 @@ MUTANTS = [
     ),
     # -- PageRank's reduce: each share decoded once per step ---------------
     Mutant(
-        "share memo accepting an adjacency-tagged value", BENCHMARKS,
-        "value[:1] not in _SHARE_TAGS",
-        "value[:1] not in (*_SHARE_TAGS, _TAG_ADJ)",
+        "bulk share decode accepting an adjacency-tagged value", BENCHMARKS,
+        "joined[::9].translate(None, _TAG_SCORE + _TAG_DANGLING)",
+        "joined[::9].translate(None, _TAG_SCORE + _TAG_DANGLING + _TAG_ADJ)",
     ),
     Mutant(
-        # memory only: a decode drops no entry, so only a bound on a
-        # generation's size across a replay, or on the memo's, sees it
-        "share memo never emptied", BENCHMARKS,
-        "        if len(self.decoded) >= self.limit:\n"
-        "            for old in self.decoded:\n"
-        "                self.pop(old, None)\n"
-        "            self.decoded.clear()\n",
-        "",
+        # an 8-byte and a 10-byte value join to two 9-byte slices
+        "bulk share decode checks only the joined length", BENCHMARKS,
+        "len(joined) != 9 * k or struct.unpack(\"9s\" * k, joined) != tuple(shares)",
+        "len(joined) != 9 * k",
     ),
     Mutant(
-        # performance only: the adjacency makes the table refuse, so every
+        # performance only: the adjacency makes the decode refuse, so every
         # group falls back to the per-value reduce with the same records
         "share fast path summing over all values", BENCHMARKS,
-        "            del shares[values.index(hit[1])]\n",
-        "            values.index(hit[1])\n",
+        "                del shares[values.index(hit[1])]\n",
+        "                values.index(hit[1])\n",
     ),
     Mutant(
         "map seeds the unscaled score", BENCHMARKS,
@@ -256,23 +258,31 @@ MUTANTS = [
         "scores[generation][share] = score",
     ),
     Mutant(
-        # memory only: every entry stays exact, so only a bound on the
-        # table's size sees it; the generation a step read is refilled
+        # memory only: every entry stays exact, so only the check that a
+        # generation holds what was stored into it in its own step, or a
+        # bound on its size, sees it; the generation a step read is refilled
         "driver never empties the score table", BENCHMARKS,
-        "self.scores[:] = self.scores[1], _ShareMemo(self.scores[1].limit)",
+        "self.scores[:] = self.scores[1], {}",
         "self.scores[:] = self.scores[1], self.scores[0]",
     ),
     Mutant(
         # performance only: the next step's reduces find no share stored
-        # and decode each one
+        # and decode each group
         "the new reduce seeds the generation its own step reads", BENCHMARKS,
-        "return send(step + 1, key, adj_bytes, score)",
-        "return send(step, key, adj_bytes, score)",
+        "return emit(step + 1, hit or entry(key, adj_bytes), score)",
+        "return emit(step, hit or entry(key, adj_bytes), score)",
     ),
     Mutant(
         "the last step's reduce sends messages", BENCHMARKS,
-        "        if step < iterations:\n",
-        "        if step <= iterations:\n",
+        "            if step == iterations:\n",
+        "            if step > iterations:\n",
+    ),
+    Mutant(
+        # a vertex whose adjacency differs from the one its entry was built
+        # for sends to the old targets
+        "the share emission reuses a cache entry of another adjacency", BENCHMARKS,
+        "if hit is None or hit[0] != adj_bytes:",
+        "if hit is None:",
     ),
     # -- a user function's key and value columns ----------------------------
     Mutant(
@@ -332,6 +342,11 @@ GONE = {
     "splits kept by drop_derived": (
         "Cluster.splits is gone: recovery's cuts sit in Cluster.layouts, "
         "so 'layouts kept by drop_derived' covers them"
+    ),
+    "share memo never emptied": (
+        "_ShareMemo is gone: a reader that misses decodes its group and "
+        "stores nothing, so only senders fill a generation; 'driver never "
+        "empties the score table' covers a generation that outlives its step"
     ),
     "share key bytes summed over the whole unit": (
         "routes keep no share sizes: a share is charged the key columns "

@@ -32,13 +32,15 @@ from __future__ import annotations
 import random
 import struct
 from collections.abc import Sequence
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain, starmap
 from math import fsum
 from operator import itemgetter
 
 from .core import Batch, ConfigError, StepId
-from .engine import Columns, Job, JobError, ListDriver, RecordSource, StepSpec, identity_map
+from .engine import (
+    Columns, Job, JobError, ListDriver, RecordSource, ReduceFn, StepSpec, identity_map,
+)
 from .partition import hash_key, mix_seed
 
 U64 = struct.Struct("<Q")
@@ -398,62 +400,30 @@ _TAG_ADJ = b"a"
 _SHARE_TAGS = (_TAG_SCORE, _TAG_DANGLING)
 
 
-class _ShareMemo(dict):
-    """Share value -> the score it carries: one generation of PageRank's
-    score table (see :class:`_PagerankDriver`).
-
-    A share's sender stores its float in the generation that the share's
-    readers read, so a reduce finds every share sent to it without
-    decoding it.  An entry is exact whoever wrote it, since
-    ``F64.unpack(F64.pack(x))[0]`` is ``x`` bit for bit: the table is a
-    cache, and dropping entries only bounds its memory.  ``__missing__``
-    decodes, at first sight, only a share that no sender stored, such as
-    a logged share of an older step that recovery's replayed reduces
-    read.  Only what PageRank's per-value reduce reads as a share is
-    accepted there: a 9-byte ``bytes`` value tagged ``s`` or ``d``.
-    Anything else raises ``KeyError``, so the caller falls back to that
-    reduce, which names the value it refuses.  Once ``limit`` (the
-    vertex count) decoded entries are held, a new decode drops them, and
-    never a stored one: a replay's decodes leave the shares that the
-    failure step's reduces are yet to read.
-    """
-
-    def __init__(self, limit: int):
-        super().__init__()
-        self.limit = limit
-        self.decoded: list[bytes] = []
-
-    def __missing__(self, value: bytes) -> float:
-        if type(value) is not bytes or len(value) != 9 or value[:1] not in _SHARE_TAGS:
-            raise KeyError(value)
-        if len(self.decoded) >= self.limit:
-            for old in self.decoded:
-                self.pop(old, None)
-            self.decoded.clear()
-        self.decoded.append(value)
-        score = self[value] = F64.unpack_from(value, 1)[0]
-        return score
-
-
 class _PagerankDriver(ListDriver):
     """PageRank's fixed steps, and the live generations of its score
-    table.  At the start of step ``index``, ``scores[0]``, which the
-    step's reduces read, becomes what its senders stored (step 1's map,
-    or the previous step's reduces), and ``scores[1]`` a new generation
-    for the step's reduces to fill for the next step's.  A sender stores
-    only into these two, so a replayed step adds no entry: with ``n``
-    vertices a generation holds at most ``n`` stored entries, and ``n``
-    decoded ones across a replay.
+    table: share value -> the score it carries.  A share's sender stores
+    its float in the generation that the share's readers read, so a
+    reduce finds every share sent to it without decoding it; an entry is
+    exact, since ``F64.unpack(F64.pack(x))[0]`` is ``x`` bit for bit.  At
+    the start of step ``index``, ``scores[0]``, which the step's reduces
+    read, becomes what its senders stored (step 1's map, or the previous
+    step's reduces), and ``scores[1]`` a new generation for the step's
+    reduces to fill for the next step's.  Only senders write, and only
+    into these two, so a replayed step adds no entry and a generation
+    holds at most ``n`` entries, one per vertex.  A reduce that misses
+    (a replayed one reading logged shares of an older step) decodes its
+    group itself and stores nothing.
     """
 
-    def __init__(self, steps: list[StepSpec], scores: list[_ShareMemo]):
+    def __init__(self, steps: list[StepSpec], scores: list[dict[bytes, float]]):
         super().__init__(steps)
         self.scores = scores
         self.index = 0
 
     def next_step(self, index: StepId, prev_aggregate: int | None) -> StepSpec | None:
         self.index = index
-        self.scores[:] = self.scores[1], _ShareMemo(self.scores[1].limit)
+        self.scores[:] = self.scores[1], {}
         return super().next_step(index, prev_aggregate)
 
 
@@ -464,6 +434,20 @@ def _pagerank_adjacency(seed: int, n: int, m: int) -> tuple[tuple[int, ...], ...
     for u, v in gen_gnm(mix_seed(seed, 0x96A9), n, m):
         adj[u].append(v)
     return tuple(tuple(sorted(out)) for out in adj)
+
+
+def _decode_shares(shares: list[bytes]) -> tuple[float, ...]:
+    """The scores of a group of shares, unpacked from one joined buffer in
+    one C call.  Every value must be 9 bytes tagged ``s`` or ``d``, else
+    ``ValueError`` (or ``TypeError`` for a value that is no buffer).  A
+    joined length of ``9 * k`` is not enough: an 8-byte and a 10-byte
+    value join to two 9-byte slices, so each value must equal its own."""
+    joined = b"".join(shares)
+    k = len(shares)
+    if (len(joined) != 9 * k or struct.unpack("9s" * k, joined) != tuple(shares)
+            or joined[::9].translate(None, _TAG_SCORE + _TAG_DANGLING)):
+        raise ValueError("not a group of shares")
+    return struct.unpack("<" + "xd" * k, joined)
 
 
 def pagerank_job(
@@ -496,35 +480,36 @@ def pagerank_job(
     first = itemgetter(0)
     unpack_score = F64.unpack_from
     # vertex key -> (its adjacency bytes, the adjacency value it sends,
-    # its key column: the vertex, then each target, or every vertex if
-    # it dangles): a vertex's adjacency never changes, so every step
-    # re-sends one value object (the retained logs keep one copy, not
-    # one per step), each adjacency is decoded once per job, and the
-    # reduce finds the adjacency among a vertex's values by it
-    columns: dict[bytes, tuple[bytes, bytes, tuple[bytes, ...]]] = {}
-    # the score table's generations (see _PagerankDriver); a fresh job's
-    # replayed reduces decode every share they read
-    scores = [_ShareMemo(n), _ShareMemo(n)]
+    # its key column: the vertex, then each target, or every vertex if it
+    # dangles; its share count d, which divides its score (the
+    # out-degree, or n if it dangles), and its share tag): a vertex's
+    # adjacency never changes, so every step re-sends one value object
+    # (the retained logs keep one copy, not one per step), each adjacency
+    # is decoded once per job, and the reduce finds the adjacency among a
+    # vertex's values by it
+    columns: dict[bytes, tuple[bytes, bytes, tuple[bytes, ...], int, bytes]] = {}
+    # the score table's generations (see _PagerankDriver)
+    scores: list[dict[bytes, float]] = [{}, {}]
 
-    def send(step: StepId, key: bytes, adj_bytes: bytes, score: float) -> Columns:
-        # step ``step``'s messages of a vertex with this adjacency and
-        # score: the adjacency to itself, a share to each target
+    def entry(key: bytes, adj_bytes: bytes) -> tuple:
+        # the vertex's columns entry for this adjacency
         hit = columns.get(key)
         if hit is None or hit[0] != adj_bytes:
-            targets = map(vertex_key, map(first, U64.iter_unpack(adj_bytes)))
-            hit = columns[key] = (
-                adj_bytes, _TAG_ADJ + adj_bytes,
-                (key, *targets) if adj_bytes else (key, *vertex_keys),
-            )
-        _, adj_value, keys = hit
-        d = len(keys) - 1
-        # one value object per vertex and step: sent logs keep every share
-        if adj_bytes:
-            x = score / d
-            share = _TAG_SCORE + F64.pack(x)
-        else:
-            x = score / n
-            share = _TAG_DANGLING + F64.pack(x)
+            if adj_bytes:
+                targets = map(vertex_key, map(first, U64.iter_unpack(adj_bytes)))
+                keys, tag = (key, *targets), _TAG_SCORE
+            else:
+                keys, tag = (key, *vertex_keys), _TAG_DANGLING
+            hit = columns[key] = (adj_bytes, _TAG_ADJ + adj_bytes, keys, len(keys) - 1, tag)
+        return hit
+
+    def emit(step: StepId, hit: tuple, score: float) -> Columns:
+        # step ``step``'s messages of the vertex of columns entry ``hit``:
+        # the adjacency to itself, a share to each target, one value
+        # object per vertex and step (sent logs keep every share)
+        _, adj_value, keys, d, tag = hit
+        x = score / d
+        share = tag + F64.pack(x)
         # into its readers' generation; a replayed step's readers are done
         generation = step - driver.index
         if 0 <= generation <= 1:
@@ -535,7 +520,7 @@ def pagerank_job(
         # step 1's: the messages of the vertex's input record
         if body[:1] != _TAG_COMBINED:
             raise ValueError("pagerank map expects combined score+adjacency records")
-        return send(1, key, body[9:], unpack_score(body, 1)[0])
+        return emit(1, entry(key, body[9:]), unpack_score(body, 1)[0])
 
     # fsum rounds the exact sum once, so the score is the same in
     # whatever order the shares arrive (after a failure the heirs send
@@ -565,31 +550,38 @@ def pagerank_job(
             raise ValueError(f"no adjacency arrived for vertex key {key!r}")
         return adj_bytes, teleport + damping * fsum(shares)
 
-    def reduce_fn(step: StepId, key: bytes, values: Sequence[bytes]) -> Columns:
-        # the adjacency is the value the vertex sent, so the cache finds
-        # it, and every other value is a share whose score the read
-        # generation holds; a group of any other shape (no cached vertex,
-        # no such adjacency, a value the table refuses) goes to
-        # reduce_values, so this returns exactly what it gives and it
-        # makes every refusal
-        try:
-            hit = columns[key]
-            shares = list(values)
-            del shares[values.index(hit[1])]
-            total = fsum(map(scores[0].__getitem__, shares))
-        except (TypeError, ValueError, KeyError):
-            adj_bytes, score = reduce_values(key, values)
-        else:
-            adj_bytes, score = hit[0], teleport + damping * total
-        # the last step's outputs are the vertex's combined record; every
-        # other step sends what the map would of that record, so the
-        # steps after the first map nothing
-        if step < iterations:
-            return send(step + 1, key, adj_bytes, score)
-        return (key,), (_TAG_COMBINED + F64.pack(score) + adj_bytes,)
+    def reduce_at(step: StepId) -> ReduceFn:
+        # step ``step``'s reduce.  The adjacency is the value the vertex
+        # sent, so the cache finds it, and every other value is a share
+        # whose score the read generation holds or, if it misses, one
+        # decode of the group gives; a group of any other shape (no
+        # cached vertex, no such adjacency, a value that is not a share)
+        # goes to reduce_values, so this returns exactly what it gives
+        # and it makes every refusal.  The last step's outputs are the
+        # vertex's combined record; every other step sends what the map
+        # would of that record, so the steps after the first map nothing
+        def reduce_fn(key: bytes, values: Sequence[bytes]) -> Columns:
+            try:
+                hit = columns[key]
+                shares = list(values)
+                del shares[values.index(hit[1])]
+                try:
+                    total = fsum(map(scores[0].__getitem__, shares))
+                except KeyError:
+                    total = fsum(_decode_shares(shares))
+            except (TypeError, ValueError, KeyError):
+                adj_bytes, score = reduce_values(key, values)
+                hit = None
+            else:
+                adj_bytes, score = hit[0], teleport + damping * total
+            if step == iterations:
+                return (key,), (_TAG_COMBINED + F64.pack(score) + adj_bytes,)
+            return emit(step + 1, hit or entry(key, adj_bytes), score)
+
+        return reduce_fn
 
     steps = [
-        StepSpec("pagerank", map_fn if s == 1 else identity_map, partial(reduce_fn, s))
+        StepSpec("pagerank", map_fn if s == 1 else identity_map, reduce_at(s))
         for s in range(1, iterations + 1)
     ]
     driver = _PagerankDriver(steps, scores)

@@ -108,18 +108,21 @@ class Owners(dict):
     ``owners[key]`` hashes a key the first time it is asked for and looks
     its owner up in ``pm``; later lookups are one dict subscript.  A
     cluster keeps one memo for its current map until a failure replaces
-    the map, so a key whose owner has not changed is hashed once per
-    map, not once per step.  Each step's record holds the memo the step
-    shuffled with, so the memo lives until the last step under its map
-    is retired with the logs, and a replay of that step reuses it.  The
-    memo is kept only while keys repeat: after a shuffle in which every
-    routed record brought a key the memo had not seen, the shuffle
-    empties it, so single-pass traffic over distinct keys holds no more
-    memory than before the shuffle.  The shuffle's per-sender routes
-    (:class:`ftmr.engine.Route`) are laid out under the memo and go with
-    it: :meth:`ftmr.engine.Cluster.drop_derived` drops them, and the
-    layouts and recovery's cuts beside them, whenever the memo is
-    emptied or replaced.
+    the map, so a key is hashed at most once per map, not once per
+    step.  The new map keeps every survivor's range, so recovery starts
+    the new memo with the old one's entries whose owner survived, and a
+    failure hashes again only the failed unit's keys.  Each step's
+    record holds the memo the step shuffled with, so the memo lives
+    until the last step under its map is retired with the logs, and a
+    replay of that step reuses it.  The memo is kept only while keys
+    repeat: after a shuffle in which every routed record brought a key
+    the memo had not seen, the shuffle empties it, so single-pass
+    traffic over distinct keys holds no more memory than before the
+    shuffle.  The shuffle's per-sender routes (:class:`ftmr.engine.Route`)
+    are laid out under the memo and go with it:
+    :meth:`ftmr.engine.Cluster.drop_derived` drops them, and the layouts
+    and recovery's cuts beside them, whenever the memo is emptied or
+    replaced.
     """
 
     def __init__(self, pm: PartitionMap):

@@ -156,6 +156,8 @@ def recover(cluster: Cluster, event: FailureEvent) -> None:
 
     heirs = [_pick_heir(cluster, failed, r)] if cluster.single_recoverer else None
     owners_new = Owners(shrink_partition(cluster.owners.pm, failed, heirs))
+    # survivor ranges keep their owners, so only the unit's keys are hashed again
+    owners_new.update((key, pe) for key, pe in cluster.owners.items() if pe not in failed)
 
     records_recomputed = 0
     relog_bytes = 0

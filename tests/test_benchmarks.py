@@ -16,7 +16,7 @@ from ftmr.benchmarks import (
     F64,
     PAIR,
     U64,
-    _ShareMemo,
+    _decode_shares,
     connected_components_job,
     default_dictionary,
     edge_key,
@@ -453,43 +453,127 @@ def test_pagerank_reduce_returns_what_the_per_value_reduce_returns():
                for filled in ("current", "stale", "empty") for kind in (list, tuple))
 
 
-def test_share_memo_drops_only_what_it_decoded():
-    # stored entries outlive any number of decodes; at most ``limit``
-    # decoded ones are held
-    memo = _ShareMemo(2)
-    stored = [b"s" + F64.pack(x) for x in (0.5, 0.25)]
-    for share in stored:
-        memo[share] = F64.unpack_from(share, 1)[0]
-    decoded = [b"d" + F64.pack(x / 8) for x in range(7)]
-    for i, share in enumerate(decoded):
-        assert memo[share] == i / 8
-        assert set(stored) <= memo.keys()
-        assert len(memo) <= len(stored) + memo.limit
-    assert memo.keys() == {*stored, *decoded[-1:]}
+def _two_step_job():
+    # a 2-step job over n = 4 vertices: step 1's reduce sends, step 2's
+    # is the last; and another job's map, which primes no cache of this one
+    config = JobConfig(benchmark="pagerank", p=2, seed=1, vertices_per_pe=2, iterations=2)
+    return build_job(config).driver, build_job(config).driver.steps[0].map_fn
+
+
+def _reduced_like_the_reference(driver, mapped, step, key, values):
+    # step ``step``'s reduce and the per-value reference give the same
+    # columns, or raise the same error; returns the reference's outcome
+    n = 4
+
+    def reference(key, values):
+        keys, values = pagerank_reduce_reference(key, values, n)
+        return mapped(keys[0], values[0]) if step == 1 else (keys, values)
+
+    want = _outcome(reference, key, values)
+    assert _outcome(driver.steps[step - 1].reduce_fn, key, values) == want, (step, values)
+    return want
+
+
+_SCORES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 0.0, -0.0]),
+)
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from([b"s", b"d"]), _SCORES, st.booleans()), max_size=12),
+    st.integers(0, 12), st.booleans(), st.booleans(), st.sampled_from([1, 2]),
+)
+def test_pagerank_group_decode_matches_the_per_value_reduce(
+    drawn, at, as_tuple, rewired, step
+):
+    # a vertex's score group: s and d shares of any floats, in any order,
+    # maybe none, the adjacency anywhere among them and maybe not the one
+    # its cache holds; each share stored in the read generation or not
+    # (a miss decodes the group at once).  Both the sending and the last
+    # reduce give what the per-value reduce gives, or its error
+    driver, mapped = _two_step_job()
+    key = U64.pack(0)
+    cached = driver.steps[0].map_fn(key, b"c" + F64.pack(0.5) + U64.pack(1))[1][0]
+    adjacency = b"a" + U64.pack(2) * 2 if rewired else cached
+    shares = [tag + F64.pack(x) for tag, x, _ in drawn]
+    driver.scores[0].clear()
+    driver.scores[0].update(
+        (share, F64.unpack_from(share, 1)[0])
+        for share, (*_, stored) in zip(shares, drawn) if stored
+    )
+    values = shares[:at] + [adjacency] + shares[at:]
+    _reduced_like_the_reference(driver, mapped, step, key, tuple(values) if as_tuple else values)
+
+
+def test_pagerank_group_decode_refuses_what_the_per_value_reduce_refuses():
+    # a miss sends the whole group to one decode, which must refuse
+    # exactly what the per-value reduce refuses, naming the vertex: the
+    # joined length alone would read an 8-byte and a 10-byte value
+    # (tagged so that every 9th byte is a share tag) as two shares
+    driver, mapped = _two_step_job()
+    key = U64.pack(0)
+    adjacency = driver.steps[0].map_fn(key, b"c" + F64.pack(0.5) + U64.pack(1))[1][0]
+    share = b"s" + F64.pack(0.25)
+    named = f"for vertex key {re.escape(repr(key))}"
+    refused = {
+        "8 + 10 bytes": [b"s" + bytes(7), b"sd" + bytes(8)],
+        "tagged a": [b"a" + F64.pack(0.25)],
+        "tagged x": [b"x" + F64.pack(0.25)],
+        "bytearray tagged x": [bytearray(b"x" + F64.pack(0.25))],
+        "not bytes": ["s" + "0" * 8],
+    }
+    for step in (1, 2):
+        for case, bad in refused.items():
+            for values in ([share, *bad, adjacency], [adjacency, *bad, share]):
+                assert not driver.scores[0]  # the group misses the table
+                kind, text = _reduced_like_the_reference(driver, mapped, step, key, values)
+                assert kind is ValueError and re.search(named, text), (case, text)
+        # the per-value reduce reads a 9-byte bytearray tagged s as a share,
+        # and so does the group decode
+        accepted = _reduced_like_the_reference(
+            driver, mapped, step, key, [share, bytearray(share), adjacency]
+        )
+        assert isinstance(accepted, list)
+
+
+class _Generation(dict):
+    # a score-table generation that notes each share stored into it, the
+    # code that stored it and its size after each store; entries it is
+    # built with count as not stored into it
+    def __init__(self, entries=()):
+        super().__init__(entries)
+        self.stored = set()
+        self.writers = set()
+        self.sizes = []
+
+    def __setitem__(self, share, score):
+        super().__setitem__(share, score)
+        self.stored.add(share)
+        self.writers.add(sys._getframe(1).f_code)
+        self.sizes.append(len(self))
 
 
 def _watched_run(monkeypatch, config, failures=None, reduce_fn=None):
     # PageRank's job run under ``failures`` with its score table watched:
-    # at each step start, before the driver turns the table over, every
-    # entry of each generation must hold exactly the score its share
-    # carries.  Returns the result, the entries checked, the shares
-    # decoded outside the map (through the table or the per-value reduce)
-    # by step and by phase ("replay" inside recovery, "step" elsewhere),
-    # the map's calls and a generation's size after each write.  Given
+    # at each step start and at the end, every entry of each generation
+    # must have been stored into it by a sender (the job's emission
+    # helper), hold exactly the score its share carries, and number at
+    # most n.  Returns the result and a namespace of: the entries
+    # checked; by step and by phase ("replay" inside recovery, "step"
+    # elsewhere), the group decodes and the per-value decodes outside the
+    # map; the keys reduced in replay; and the map's calls.  Given
     # ``reduce_fn``, every step maps and reduces with it instead
     job = build_job(config)
     driver = job.driver
+    n = config.p * config.vertices_per_pe
     map_fn = driver.steps[0].map_fn
-    checked = calls = 0
-    decodes = Counter()
+    # the code of the emission helper the map sends through
+    emit = map_fn.__closure__[map_fn.__code__.co_freevars.index("emit")].cell_contents.__code__
+    reduce_code = driver.steps[0].reduce_fn.__code__
+    seen = SimpleNamespace(checked=0, group=Counter(), per_value=Counter(),
+                           replayed_keys=0, calls=0)
     phase = ["step"]
-    sizes = []
-
-    def noted(memo, value, score):
-        dict.__setitem__(memo, value, score)
-        sizes.append(len(memo))
-
-    monkeypatch.setattr(_ShareMemo, "__setitem__", noted)
     recover = ftmr.recovery.recover
 
     def recovering(cluster, event):
@@ -499,25 +583,39 @@ def _watched_run(monkeypatch, config, failures=None, reduce_fn=None):
 
     monkeypatch.setattr(ftmr.recovery, "recover", recovering)
 
-    def next_step(index, prev_aggregate):
-        nonlocal checked
+    def check():
         for table in driver.scores:
+            assert table.keys() <= table.stored and table.writers <= {emit}
+            assert len(table) <= n and max(table.sizes, default=0) <= n
             for value, score in table.items():
                 assert len(value) == 9 and value[:1] in (b"s", b"d"), value
                 assert F64.pack(score) == value[1:], value
-            checked += len(table)
+            seen.checked += len(table)
+
+    def next_step(index, prev_aggregate):
+        if index > 1:
+            check()
         spec = driver.next_step(index, prev_aggregate)
+        # the read generation is the one filled last step; the other is
+        # the driver's new one, which must come empty
+        if index == 1:
+            driver.scores[0] = _Generation(driver.scores[0])
+        driver.scores[1] = _Generation(driver.scores[1])
         if spec is None or reduce_fn is None:
             return spec
         return dataclasses.replace(spec, map_fn=map_fn, reduce_fn=reduce_fn)
 
     def count(frame, event, arg):
-        nonlocal calls
         if event == "call":
-            calls += frame.f_code is map_fn.__code__
+            code = frame.f_code
+            seen.calls += code is map_fn.__code__
+            if code is _decode_shares.__code__:
+                seen.group[driver.index, phase[0]] += 1
+            elif code is reduce_code and phase[0] == "replay":
+                seen.replayed_keys += 1
         elif (event == "c_call" and getattr(arg, "__self__", None) is F64
                 and arg.__name__ == "unpack_from" and frame.f_code is not map_fn.__code__):
-            decodes[driver.index, phase[0]] += 1
+            seen.per_value[driver.index, phase[0]] += 1
 
     sys.setprofile(count)
     try:
@@ -528,7 +626,27 @@ def _watched_run(monkeypatch, config, failures=None, reduce_fn=None):
         )
     finally:
         sys.setprofile(None)
-    return result, checked, decodes, calls, sizes
+    check()
+    return result, seen
+
+
+def test_score_generations_hold_only_what_senders_stored(monkeypatch):
+    # across a failure, a generation holds only what senders stored into
+    # it, exactly, at most one entry per vertex: a replayed reduce that
+    # reads a logged share no sender stored for it decodes its group and
+    # stores nothing, and the driver hands each step an empty generation
+    # to fill.  The pagerank-recover workload, and recovery point 9 (of
+    # interval 3) with one replayed step
+    for config, failures in (
+        (JobConfig(benchmark="pagerank", p=4, seed=1, vertices_per_pe=128, iterations=24,
+                   recovery_point_interval=24), "20:1"),
+        (JobConfig(benchmark="pagerank", p=4, seed=1, vertices_per_pe=16, iterations=12,
+                   recovery_point_interval=3), "11:1"),
+    ):
+        result, seen = _watched_run(monkeypatch, config, failures)
+        (recovery,) = result.metrics.recoveries
+        assert recovery.replayed_steps and seen.replayed_keys
+        assert seen.checked >= config.iterations * config.p * config.vertices_per_pe // 2
 
 
 def test_pagerank_reduce_decodes_each_share_once_per_step(monkeypatch):
@@ -536,30 +654,28 @@ def test_pagerank_reduce_decodes_each_share_once_per_step(monkeypatch):
     # read: a fault-free run decodes no share, and a generation holds at
     # most one step's (n entries).  A failure's replayed reduces read
     # logged shares of older steps, which no sender stored for them: at
-    # most n decodes per replayed step, none by the failure step's own
-    # reduce, and a generation stays within 2n (n stored, at most n
-    # decoded).  Every entry is exact, and the records are those of a
-    # run that maps every step and reduces with the per-value reduce
+    # most one group decode per replayed key, none by the failure step's
+    # own reduce, and no per-value decode.  Every entry is exact, and the
+    # records are those of a run that maps every step and reduces with
+    # the per-value reduce
     n = 64
     base = JobConfig(benchmark="pagerank", p=4, seed=3, vertices_per_pe=16, iterations=6)
 
     def per_value(key, values):
         return pagerank_reduce_reference(key, values, n)
 
-    result, checked, decodes, calls, sizes = _watched_run(monkeypatch, base)
-    assert checked and not decodes
-    assert calls == n
-    assert sizes and max(sizes) <= n
+    result, seen = _watched_run(monkeypatch, base)
+    assert seen.checked and not seen.group and not seen.per_value
+    assert seen.calls == n
     assert result.outputs == _watched_run(monkeypatch, base, reduce_fn=per_value)[0].outputs
     # recovery point 3 with one replayed step, and an input replay of four
     for interval, failures in ((3, "5:1"), (8, "5:2")):
         config = dataclasses.replace(base, recovery_point_interval=interval)
-        result, checked, decodes, calls, sizes = _watched_run(monkeypatch, config, failures)
+        result, seen = _watched_run(monkeypatch, config, failures)
         (recovery,) = result.metrics.recoveries
-        assert recovery.replayed_steps and checked
-        assert decodes.keys() == {(5, "replay")}
-        assert decodes[5, "replay"] <= n * len(recovery.replayed_steps)
-        assert max(sizes) <= 2 * n
+        assert recovery.replayed_steps and seen.checked and not seen.per_value
+        assert seen.group.keys() == {(5, "replay")}
+        assert 0 < seen.group[5, "replay"] <= seen.replayed_keys
         assert result.outputs == _watched_run(
             monkeypatch, config, failures, reduce_fn=per_value
         )[0].outputs
@@ -572,16 +688,17 @@ def test_pagerank_reduce_decodes_each_share_once_per_step(monkeypatch):
 ], ids=["pagerank", "pagerank-recover"])
 def test_pagerank_benchmarks_map_once_and_decode_only_in_replay(monkeypatch, config, failures):
     # perfbench's two PageRank workloads: the map runs at step 1 only, once
-    # per vertex, and only the replay decodes shares.  The failure step's
-    # reduces decode none; a table that the replay's decodes emptied made
-    # them decode all 512 again, 10,041 in the run
-    result, _, decodes, calls, _ = _watched_run(monkeypatch, config, failures)
-    assert calls == 512
+    # per vertex, and only the replay decodes shares, one group per
+    # replayed key at most (19 steps of PE 1's keys).  The failure step's
+    # reduces decode none, and no share is decoded on its own
+    result, seen = _watched_run(monkeypatch, config, failures)
+    assert seen.calls == 512
+    assert not seen.per_value
     if failures is None:
-        assert not decodes
+        assert not seen.group
     else:
-        assert decodes.keys() == {(20, "replay")}
-        assert decodes[20, "replay"] < 10_041
+        assert seen.group.keys() == {(20, "replay")}
+        assert 0 < seen.group[20, "replay"] <= seen.replayed_keys
         assert len(result.metrics.recoveries) == 1
 
 
@@ -606,8 +723,11 @@ def test_pagerank_seeded_score_has_the_decoded_bits(score, degree):
     seeded = table[share]
     assert spec.reduce_fn(target.key, group) == want
     table.clear()
+    # a miss decodes the group, and stores nothing
     assert spec.reduce_fn(target.key, group) == want
-    assert F64.pack(seeded) == F64.pack(table[share]) == share[1:]
+    assert not table
+    (decoded,) = _decode_shares([share])
+    assert F64.pack(seeded) == F64.pack(decoded) == share[1:]
     assert seeded == (score / n if degree == 0 else score)
 
 

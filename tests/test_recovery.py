@@ -113,12 +113,18 @@ def hash_log(monkeypatch):
 
 
 def test_single_failure_hashes_each_key_once_per_map(hash_log):
+    # the second map keeps the survivors' ranges, and its memo starts
+    # with their keys' owners: it hashes exactly the failed PE's keys
     config = JobConfig(benchmark="pagerank", p=4, seed=3, vertices_per_pe=8,
                        iterations=6, recovery_point_interval=3)
     run_simulation(config, parse_failure_spec("5:1"))
     assert len(hash_log.keys) == len(hash_log.lookups)
-    assert len({pm for pm, _h in hash_log.lookups}) == 2
     assert set(Counter(hash_log.lookups).values()) == {1}
+    first, second = dict.fromkeys(pm for pm, _h in hash_log.lookups)
+    hashes = {pm: {h for m, h in hash_log.lookups if m is pm} for pm in (first, second)}
+    assert len(hashes[first]) == 32
+    assert hashes[second] == {h for h in hashes[first] if first.owner_of(h) == 1}
+    assert hashes[second]
 
 
 def test_input_only_replay_hashes_once_per_map(hash_log):
